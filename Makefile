@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check workload-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
+.PHONY: all build vet test race check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
 
 # Benchmarks the regression gate enforces (see bench-diff): the simulator
 # validation runs, the enforcement loop, the SCFQ hot path, the
@@ -51,8 +51,9 @@ race:
 
 # Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
 # smoke — a live two-cell grid cross-validated against the model — plus
-# the workload spec corpus and a scenario-driven live-harness smoke.
-check: vet race workload-check
+# the workload spec corpus, a scenario-driven live-harness smoke and the
+# end-to-end benchmark's build and correctness smoke.
+check: vet race workload-check perfbench-check
 	$(GO) test ./...
 	$(GO) run ./cmd/beqos sweep-policy -quick
 	$(GO) run ./cmd/beqos load -workload specs/baseline.spec
@@ -61,6 +62,15 @@ check: vet race workload-check
 # precise line-anchored errors when it does not).
 workload-check:
 	$(GO) run ./cmd/beqos workload specs
+
+# The end-to-end benchmark is its own module, so the root `go build ./...`
+# never compiles it: vet it, then run short link and cluster workloads as a
+# correctness smoke. A run exits 1 on a counter mismatch, residue held
+# after clean-up, or a wrong expiry count.
+perfbench-check:
+	cd perfbench && $(GO) vet ./...
+	bash perfbench/run.sh --workload link --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload cluster --seed 1 --seconds 2 --trace 0
 
 # Run the benchmark suite and archive it as machine-readable JSON. Always
 # -benchmem, so every BENCH_core.json entry carries bytes/allocs.

@@ -39,7 +39,7 @@ func NewAdmissionServerTTL(capacity float64, util Utility, ttl time.Duration) (*
 	return &AdmissionServer{s: s}, nil
 }
 
-// Close stops the server's soft-state sweeper (if any).
+// Close stops the server's soft-state expiry goroutine (if any).
 func (a *AdmissionServer) Close() { a.s.Close() }
 
 // NewAdmissionServerBandwidth returns a server that admits by traffic

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"time"
 
 	"beqos/internal/policy"
 	"beqos/internal/resv"
@@ -22,12 +23,13 @@ type linkState struct {
 	// needsClock mirrors resv's polClock: the default counting policy is
 	// clockless and must not pay a time read per admission.
 	needsClock bool
+	// ttl is the claims' soft-state lifetime in nanoseconds, 0 for none.
+	ttl int64
 
 	mu     sync.Mutex
 	claims map[uint64]*claim
 	free   *claim
-	// expired is sweep scratch, reused across ticks.
-	expired []*claim
+	wheel  *resv.Wheel[*claim] // TTL expiry index; nil without a TTL
 }
 
 // claim is one admitted hop on this link. Claims are recycled through the
@@ -36,21 +38,22 @@ type claim struct {
 	key   uint64
 	owner *peerSess // inbound peer connection, nil for entry-local claims
 	rate  float64
-	// deadline is the expiry instant in node-monotonic nanoseconds; 0
-	// means the claim never expires (no cluster TTL).
-	deadline int64
-	next     *claim
+	timer resv.Timer[*claim]
+	next  *claim
 }
 
-func newLinkState(l Link, bound int) (*linkState, error) {
+func newLinkState(l Link, bound int, ttl time.Duration) (*linkState, error) {
 	counting, err := policy.NewCounting(l.Capacity, bound)
 	if err != nil {
 		return nil, err
 	}
 	var pol policy.Policy = counting
-	ls := &linkState{link: l, bound: bound, pol: pol, claims: make(map[uint64]*claim)}
+	ls := &linkState{link: l, bound: bound, pol: pol, ttl: int64(ttl), claims: make(map[uint64]*claim)}
 	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
 		ls.needsClock = true
+	}
+	if ttl > 0 {
+		ls.wheel = resv.NewWheel[*claim](resv.WheelRes(ttl), 0)
 	}
 	return ls, nil
 }
@@ -75,30 +78,18 @@ const (
 // the claim table records. A duplicate hop key rolls the policy claim back
 // and leaves all state untouched — hop keys are minted per admission by
 // entry nodes, so a duplicate is a protocol error, not a retransmit.
-func (ls *linkState) admit(now int64, key uint64, rate float64, class uint8, owner *peerSess, deadline int64) (policy.Decision, admitStatus) {
+func (ls *linkState) admit(now int64, key uint64, rate float64, class uint8, owner *peerSess) (policy.Decision, admitStatus) {
 	dec := ls.pol.Admit(ls.polNow(now), key, rate, class)
 	if !dec.Admit {
 		return dec, admitDenied
 	}
 	ls.mu.Lock()
-	if _, dup := ls.claims[key]; dup {
-		ls.mu.Unlock()
+	ok := ls.installLocked(now, key, rate, owner)
+	ls.mu.Unlock()
+	if !ok {
 		ls.pol.Release(ls.polNow(now), rate)
 		return dec, admitDuplicate
 	}
-	c := ls.free
-	if c != nil {
-		ls.free = c.next
-		c.next = nil
-	} else {
-		c = new(claim)
-	}
-	c.key, c.owner, c.rate, c.deadline = key, owner, rate, deadline
-	ls.claims[key] = c
-	if owner != nil {
-		owner.track(uint64(ls.link.Index)<<idxShift | key)
-	}
-	ls.mu.Unlock()
 	return dec, admitGranted
 }
 
@@ -109,7 +100,7 @@ func (ls *linkState) admit(now int64, key uint64, rate float64, class uint8, own
 // duplicate hop key inside the granted prefix returns its single policy
 // claim and keeps its bit clear, exactly like the unbatched duplicate
 // path.
-func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, deadline int64, base int, verdict *resv.BatchVerdict) (installed int, dec policy.Decision) {
+func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, base int, verdict *resv.BatchVerdict) (installed int, dec policy.Decision) {
 	rate, class := frames[0].Value, frames[0].Class
 	pnow := ls.polNow(now)
 	granted, dec := policy.AdmitBatch(ls.pol, pnow, frames[0].FlowID&keyMask, rate, class, len(frames))
@@ -118,28 +109,54 @@ func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, dea
 	}
 	ls.mu.Lock()
 	for i := 0; i < granted; i++ {
-		key := frames[i].FlowID & keyMask
-		if _, dup := ls.claims[key]; dup {
+		if !ls.installLocked(now, frames[i].FlowID&keyMask, rate, owner) {
 			ls.pol.Release(pnow, rate)
 			continue
-		}
-		c := ls.free
-		if c != nil {
-			ls.free = c.next
-			c.next = nil
-		} else {
-			c = new(claim)
-		}
-		c.key, c.owner, c.rate, c.deadline = key, owner, rate, deadline
-		ls.claims[key] = c
-		if owner != nil {
-			owner.track(uint64(ls.link.Index)<<idxShift | key)
 		}
 		*verdict |= 1 << uint(base+i)
 		installed++
 	}
 	ls.mu.Unlock()
 	return installed, dec
+}
+
+// installLocked records an admitted hop, due to expire one TTL after now.
+// It reports false, leaving all state untouched, when the key already
+// holds a claim. Caller holds ls.mu.
+func (ls *linkState) installLocked(now int64, key uint64, rate float64, owner *peerSess) bool {
+	if _, dup := ls.claims[key]; dup {
+		return false
+	}
+	c := ls.free
+	if c != nil {
+		ls.free = c.next
+		c.next = nil
+	} else {
+		c = new(claim)
+	}
+	c.key, c.owner, c.rate = key, owner, rate
+	ls.claims[key] = c
+	if ls.wheel != nil {
+		ls.wheel.Schedule(&c.timer, c, now+ls.ttl)
+	}
+	if owner != nil {
+		owner.track(uint64(ls.link.Index)<<idxShift | key)
+	}
+	return true
+}
+
+// dropLocked unrecords a claim — table, wheel, owning session — and
+// returns its slot to the policy. Caller holds ls.mu.
+func (ls *linkState) dropLocked(now int64, c *claim) {
+	c.timer.Stop()
+	delete(ls.claims, c.key)
+	if c.owner != nil {
+		c.owner.untrack(uint64(ls.link.Index)<<idxShift | c.key)
+	}
+	ls.pol.Release(ls.polNow(now), c.rate)
+	c.owner = nil
+	c.next = ls.free
+	ls.free = c
 }
 
 // release returns the hop's claim to the policy. It reports false when no
@@ -149,67 +166,48 @@ func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, dea
 func (ls *linkState) release(now int64, key uint64) bool {
 	ls.mu.Lock()
 	c, ok := ls.claims[key]
-	if !ok {
-		ls.mu.Unlock()
-		return false
-	}
-	delete(ls.claims, key)
-	if c.owner != nil {
-		c.owner.untrack(uint64(ls.link.Index)<<idxShift | key)
-	}
-	rate := c.rate
-	c.owner = nil
-	c.next = ls.free
-	ls.free = c
-	ls.pol.Release(ls.polNow(now), rate)
-	ls.mu.Unlock()
-	return true
-}
-
-// refresh renews the claim's deadline; it reports whether the claim lives.
-func (ls *linkState) refresh(key uint64, deadline int64) bool {
-	ls.mu.Lock()
-	c, ok := ls.claims[key]
 	if ok {
-		c.deadline = deadline
+		ls.dropLocked(now, c)
 	}
 	ls.mu.Unlock()
 	return ok
 }
 
-// expire releases every claim whose deadline has passed and returns how
-// many went. The scan is proportional to the live claims on this link —
-// the cluster plane's TTL is a correctness backstop (crashed entry nodes,
-// partitioned peers), not a per-request hot path, so it trades the resv
-// plane's timing wheels for simplicity.
-func (ls *linkState) expire(now int64) int {
+// refresh renews the claim for one TTL from now; it reports whether the
+// claim lives.
+func (ls *linkState) refresh(now int64, key uint64) bool {
 	ls.mu.Lock()
-	ls.expired = ls.expired[:0]
-	for _, c := range ls.claims {
-		if c.deadline != 0 && c.deadline <= now {
-			ls.expired = append(ls.expired, c)
-		}
+	c, ok := ls.claims[key]
+	if ok && ls.wheel != nil {
+		ls.wheel.Schedule(&c.timer, c, now+ls.ttl)
 	}
-	for _, c := range ls.expired {
-		delete(ls.claims, c.key)
-		if c.owner != nil {
-			c.owner.untrack(uint64(ls.link.Index)<<idxShift | c.key)
-		}
-		ls.pol.Release(ls.polNow(now), c.rate)
-		c.owner = nil
-		c.next = ls.free
-		ls.free = c
+	ls.mu.Unlock()
+	return ok
+}
+
+// expire releases every claim the wheel reports due at now and returns how
+// many went: work proportional to the claims expiring, not to the table.
+func (ls *linkState) expire(now int64) int {
+	if ls.wheel == nil {
+		return 0
 	}
-	n := len(ls.expired)
+	n := 0
+	ls.mu.Lock()
+	ls.wheel.Advance(now, func(c *claim) {
+		ls.dropLocked(now, c)
+		n++
+	})
 	ls.mu.Unlock()
 	return n
 }
 
 // peerSess tracks the claims an inbound peer connection owns, so dropping
 // the connection (a crashed or partitioned entry node) releases them
-// without waiting for the TTL backstop. IDs are wire hop IDs
-// (linkIdx<<48 | hopKey).
+// without waiting for their TTL. IDs are wire hop IDs
+// (linkIdx<<48 | hopKey). It is also the connection's resv.Handler on the
+// peer plane.
 type peerSess struct {
+	n      *Node
 	mu     sync.Mutex
 	claims map[uint64]struct{}
 	// lastGossip is the last active count piggybacked on a batch reply to
@@ -218,8 +216,8 @@ type peerSess struct {
 	lastGossip []int64
 }
 
-func newPeerSess(nlinks int) *peerSess {
-	s := &peerSess{claims: make(map[uint64]struct{}), lastGossip: make([]int64, nlinks)}
+func newPeerSess(n *Node) *peerSess {
+	s := &peerSess{n: n, claims: make(map[uint64]struct{}), lastGossip: make([]int64, len(n.links))}
 	for i := range s.lastGossip {
 		s.lastGossip[i] = -1
 	}

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"strings"
@@ -65,8 +62,13 @@ type Node struct {
 	hopSeq    atomic.Uint64
 	gossipSeq atomic.Uint64
 
-	cmu    sync.Mutex
-	cconns map[*cconn]struct{}
+	// cconns are the open client connections and Local handles, each with
+	// its own path-flow wheel. expConns/expFlows are the expiry step's
+	// scratch, owned by whichever goroutine runs it (the expiry loop).
+	cmu      sync.Mutex
+	cconns   map[*cconn]struct{}
+	expConns []*cconn
+	expFlows []*pathFlow
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
@@ -76,8 +78,12 @@ type Node struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	imu     sync.Mutex
-	inbound map[net.Conn]struct{}
+	// inbound are the connections being served; handlers counts the
+	// HandleClientConn/HandlePeerConn calls serving them, clean-up
+	// included, which Close waits for.
+	imu      sync.Mutex
+	inbound  map[net.Conn]struct{}
+	handlers sync.WaitGroup
 
 	// Logf, if non-nil, receives one line per notable event (rollbacks,
 	// forward errors, expiries). Set before serving.
@@ -101,23 +107,35 @@ type pathFlow struct {
 	hopKey uint64 // the 48-bit key claimed on every link of the path
 	path   int32  // topology path index
 	// pending marks an admission still claiming its hops; only the
-	// admitting goroutine may touch a pending flow.
-	pending  bool
-	share    float64
-	deadline int64
-	next     *pathFlow
+	// admitting goroutine may touch a pending flow, and it joins the
+	// wheel only once granted.
+	pending bool
+	timer   resv.Timer[*pathFlow]
+	next    *pathFlow
 }
 
-// cconn is one client connection's (or Local handle's) path-flow table.
+// cconn is one client connection's (or Local handle's) path-flow table,
+// and the connection's resv.Handler on the client plane.
 type cconn struct {
+	n      *Node
 	mu     sync.Mutex
 	closed bool
 	flows  map[uint64]*pathFlow
 	free   *pathFlow
+	wheel  *resv.Wheel[*pathFlow] // TTL expiry index; nil without a TTL
 }
 
-func newCConn() *cconn {
-	return &cconn{flows: make(map[uint64]*pathFlow)}
+// openCConn makes a path-flow table and registers it for expiry; close it
+// with rollbackConn.
+func (n *Node) openCConn() *cconn {
+	c := &cconn{n: n, flows: make(map[uint64]*pathFlow)}
+	if n.ttl > 0 {
+		c.wheel = resv.NewWheel[*pathFlow](resv.WheelRes(n.ttl), n.nowNanos())
+	}
+	n.cmu.Lock()
+	n.cconns[c] = struct{}{}
+	n.cmu.Unlock()
+	return c
 }
 
 // get pops a recycled pathFlow (or makes one). Caller holds c.mu.
@@ -131,10 +149,21 @@ func (c *cconn) get() *pathFlow {
 	return new(pathFlow)
 }
 
-// put recycles a pathFlow. Caller holds c.mu.
+// put recycles a pathFlow and cancels its expiry. Caller holds c.mu.
 func (c *cconn) put(pf *pathFlow) {
-	*pf = pathFlow{next: c.free}
+	pf.timer.Stop()
+	// A stopped timer may stay linked in the wheel, so it survives the reset.
+	*pf = pathFlow{timer: pf.timer, next: c.free}
 	c.free = pf
+}
+
+// grant finalizes a pending flow and schedules its expiry one TTL after
+// now. Caller holds c.mu.
+func (c *cconn) grant(pf *pathFlow, now int64) {
+	pf.pending = false
+	if c.wheel != nil {
+		c.wheel.Schedule(&pf.timer, pf, now+int64(c.n.ttl))
+	}
 }
 
 // nodeMetrics is a node's instrument set (registered as cluster_*).
@@ -209,7 +238,7 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		if l.Owner != idx {
 			continue
 		}
-		ls, err := newLinkState(*l, bounds[gi])
+		ls, err := newLinkState(*l, bounds[gi], ttl)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s link %s: %w", n.name, l.ID, err)
 		}
@@ -274,6 +303,9 @@ func (n *Node) LinkActive(global int) int64 {
 // nowNanos is the node's monotonic clock.
 func (n *Node) nowNanos() int64 { return int64(time.Since(n.epoch)) }
 
+// clock converts a wall-clock instant to the node's clock.
+func (n *Node) clock(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
+
 func (n *Node) logf(format string, args ...interface{}) {
 	if n.Logf != nil {
 		n.Logf(format, args...)
@@ -299,7 +331,7 @@ func (n *Node) connectPeer(j int, nc net.Conn) {
 }
 
 // start launches the node's background loops: the anti-entropy gossip
-// tick and, with a TTL, the expiry sweep.
+// tick and, with a TTL, the expiry loop.
 func (n *Node) start(antiEntropy time.Duration) {
 	if antiEntropy > 0 {
 		n.wg.Add(1)
@@ -312,9 +344,10 @@ func (n *Node) start(antiEntropy time.Duration) {
 }
 
 // Close stops the node: background loops, outbound peer transports, and
-// inbound connections. Claims its outbound flows held on other nodes are
-// released by their connection drops; claims held on this node die with
-// the process (or, for tests, with the claim tables).
+// inbound connections, whose handlers it waits for. Claims its outbound
+// flows held on other nodes are released by their connection drops;
+// claims held on this node die with the process (or, for tests, with the
+// claim tables).
 func (n *Node) Close() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
@@ -329,6 +362,7 @@ func (n *Node) Close() {
 		}
 		n.imu.Unlock()
 	})
+	n.handlers.Wait()
 	n.wg.Wait()
 }
 
@@ -432,72 +466,67 @@ func (n *Node) activeSum() int64 {
 	return sum
 }
 
+// expireLoop advances the node's wheels once per tick of their resolution.
 func (n *Node) expireLoop() {
 	defer n.wg.Done()
-	res := n.ttl / 4
-	if res < time.Millisecond {
-		res = time.Millisecond
-	}
-	tick := time.NewTicker(res)
+	tick := time.NewTicker(resv.WheelRes(n.ttl))
 	defer tick.Stop()
-	var scratch []expiredFlow
 	for {
 		select {
 		case <-n.stop:
 			return
 		case <-tick.C:
-			now := n.nowNanos()
-			for _, ls := range n.links {
-				if m := ls.expire(now); m > 0 {
-					n.metrics.Expiries.Add(uint64(m))
-					n.logf("cluster %s: expired %d claims on link %s", n.name, m, ls.link.ID)
-				}
-			}
-			scratch = n.expireFlows(now, scratch[:0])
+			n.expire(n.nowNanos())
 		}
 	}
 }
 
-type expiredFlow struct {
-	path   int32
-	hopKey uint64
-}
-
-// expireFlows sweeps every client connection's path flows and rolls back
-// the expired ones end to end (their link claims may have expired first at
-// their owners; release is idempotent by claim-table removal).
-func (n *Node) expireFlows(now int64, scratch []expiredFlow) []expiredFlow {
+// expire is one expiry step at node time now. Each local link's wheel
+// releases its due claims; each client connection's wheel gives up its due
+// path flows, which are then rolled back end to end with no lock held (a
+// remote hop's teardown is a round trip; a link claim whose owner expired
+// it first answers unknown-flow, the release-once outcome). The work is
+// proportional to what expires plus one bucket visit per link and
+// connection — never a walk of a claim or flow table.
+func (n *Node) expire(now int64) {
+	for _, ls := range n.links {
+		if m := ls.expire(now); m > 0 {
+			n.metrics.Expiries.Add(uint64(m))
+			n.logf("cluster %s: expired %d claims on link %s", n.name, m, ls.link.ID)
+		}
+	}
 	n.cmu.Lock()
-	conns := make([]*cconn, 0, len(n.cconns))
+	n.expConns = n.expConns[:0]
 	for c := range n.cconns {
-		conns = append(conns, c)
+		n.expConns = append(n.expConns, c)
 	}
 	n.cmu.Unlock()
-	for _, c := range conns {
-		scratch = scratch[:0]
+	for _, c := range n.expConns {
+		n.expFlows = n.expFlows[:0]
 		c.mu.Lock()
-		for id, pf := range c.flows {
-			if !pf.pending && pf.deadline != 0 && pf.deadline <= now {
-				scratch = append(scratch, expiredFlow{path: pf.path, hopKey: pf.hopKey})
-				delete(c.flows, id)
-				c.put(pf)
-			}
+		c.wheel.Advance(now, func(pf *pathFlow) {
+			delete(c.flows, pf.id)
+			n.expFlows = append(n.expFlows, pf)
+		})
+		c.mu.Unlock()
+		if len(n.expFlows) == 0 {
+			continue
+		}
+		// The expired flows are out of the table and the wheel, so nothing
+		// else reaches them until they are recycled below.
+		n.metrics.Expiries.Add(uint64(len(n.expFlows)))
+		for _, pf := range n.expFlows {
+			n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
+		}
+		c.mu.Lock()
+		for _, pf := range n.expFlows {
+			c.put(pf)
 		}
 		c.mu.Unlock()
-		for _, e := range scratch {
-			n.releaseHops(int(e.path), e.hopKey, len(n.topo.Paths[e.path].Links), now)
-			n.metrics.Expiries.Inc()
-		}
 	}
-	return scratch
 }
 
 // ---- serving ----
-
-const (
-	readBufSize         = 4096
-	writeFlushThreshold = 16 * 1024
-)
 
 // ServeClients accepts client-plane connections until ln closes. It always
 // returns a non-nil error (net.ErrClosed after a clean shutdown).
@@ -515,21 +544,8 @@ func (n *Node) ServeClients(ln net.Listener) error {
 // addressed by pair (FlowID = pairIdx<<48 | seq), stats, refreshes, and
 // teardowns. Dropping the connection rolls back every path flow it holds.
 func (n *Node) HandleClientConn(nc net.Conn) {
-	c := newCConn()
-	n.cmu.Lock()
-	n.cconns[c] = struct{}{}
-	n.cmu.Unlock()
-	n.trackInbound(nc)
-	n.serveConn(nc, func(f resv.Frame, now int64) resv.Frame {
-		return n.dispatchClient(c, f, now)
-	}, func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-		return append(out, n.dispatchClientBatch(c, ops, now))
-	})
-	n.untrackInbound(nc)
-	n.cmu.Lock()
-	delete(n.cconns, c)
-	n.cmu.Unlock()
-	n.rollbackConn(c)
+	c := n.openCConn()
+	n.serve(nc, c, func() { n.rollbackConn(c) })
 }
 
 // HandlePeerConn serves one peer-plane connection: single-link hops
@@ -537,148 +553,90 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // gossip. Dropping the connection releases every claim it owns — a
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
-	sess := newPeerSess(len(n.links))
-	n.trackInbound(nc)
-	n.serveConn(nc, func(f resv.Frame, now int64) resv.Frame {
-		return n.dispatchPeer(sess, f, now)
-	}, func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-		out = append(out, n.dispatchPeerBatch(sess, ops, now))
-		return n.appendReplyGossip(sess, out)
-	})
-	n.untrackInbound(nc)
-	now := n.nowNanos()
-	for _, wireID := range sess.drain() {
-		if ls := n.byGlobal[wireID>>idxShift]; ls != nil {
-			ls.release(now, wireID&keyMask)
+	sess := newPeerSess(n)
+	n.serve(nc, sess, func() {
+		now := n.nowNanos()
+		for _, wireID := range sess.drain() {
+			if ls := n.byGlobal[wireID>>idxShift]; ls != nil {
+				ls.release(now, wireID&keyMask)
+			}
 		}
-	}
+	})
 }
 
-func (n *Node) trackInbound(nc net.Conn) {
+// serve runs one inbound connection through the resv serving loop, closes
+// it, and runs release, the handler's clean-up. A connection that arrives
+// once Close has begun is closed unserved: Close only closes the
+// connections registered before it.
+func (n *Node) serve(nc net.Conn, h resv.Handler, release func()) {
 	n.imu.Lock()
+	select {
+	case <-n.stop:
+		n.imu.Unlock()
+		_ = nc.Close()
+		release()
+		return
+	default:
+	}
 	n.inbound[nc] = struct{}{}
+	n.handlers.Add(1)
 	n.imu.Unlock()
-}
-
-func (n *Node) untrackInbound(nc net.Conn) {
+	defer n.handlers.Done()
+	if err := resv.ServeConn(nc, h); err != nil {
+		n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
+	}
+	_ = nc.Close()
 	n.imu.Lock()
 	delete(n.inbound, nc)
 	n.imu.Unlock()
+	release()
 }
 
-// serveConn is the shared batched frame loop (the resv serving idiom):
-// decode every complete frame one read buffered, dispatch, coalesce the
-// replies into one write, flush on idle. Gossip frames produce no reply
-// (dispatch returns the zero Frame). batch, when non-nil, serves a
-// collected MsgReserveBatch body — it appends its reply frames (the
-// verdict bitmap, plus any piggybacked gossip) to out.
-func (n *Node) serveConn(nc net.Conn, dispatch func(resv.Frame, int64) resv.Frame, batch func(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame) {
-	defer func() { _ = nc.Close() }()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	wbuf := make([]byte, 0, 1024)
-	var frames, replies []resv.Frame
-	var bc resv.BatchCollector
-	for {
-		if _, err := br.Peek(resv.FrameSize); err != nil {
-			if n.Logf != nil && !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
-				n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
-			}
-			return
-		}
-		data, _ := br.Peek(br.Buffered())
-		var rest []byte
-		var derr error
-		frames, rest, derr = resv.DecodeFrames(frames[:0], data)
-		if _, err := br.Discard(len(data) - len(rest)); err != nil {
-			return
-		}
-		t0 := time.Now()
-		now := n.nowNanos()
-		for _, f := range frames {
-			var reply resv.Frame
-			switch {
-			case bc.Active():
-				done, berr := bc.Add(f)
-				if berr != nil {
-					// The batch body broke off; fail it and serve the
-					// offending frame on its own, like the resv server.
-					n.metrics.Errors.Inc()
-					wbuf = resv.AppendFrame(wbuf, resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)})
-					reply = dispatch(f, now)
-				} else if done {
-					replies = batch(bc.Ops(), now, replies[:0])
-					for _, r := range replies {
-						wbuf = resv.AppendFrame(wbuf, r)
-					}
-					if len(wbuf) >= writeFlushThreshold && !n.flush(nc, &wbuf) {
-						return
-					}
-					continue
-				} else {
-					continue
-				}
-			case f.Type == resv.MsgReserveBatch && batch != nil:
-				if berr := bc.Begin(f); berr != nil {
-					n.metrics.Errors.Inc()
-					reply = resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
-				} else {
-					continue
-				}
-			default:
-				reply = dispatch(f, now)
-			}
-			if reply.Type == 0 {
-				continue
-			}
-			wbuf = resv.AppendFrame(wbuf, reply)
-			if len(wbuf) >= writeFlushThreshold {
-				if !n.flush(nc, &wbuf) {
-					return
-				}
-			}
-		}
-		if len(frames) > 0 {
-			n.metrics.RequestNS.RecordN(uint64(time.Since(t0))/uint64(len(frames)), uint64(len(frames)))
-		}
-		if !n.flush(nc, &wbuf) {
-			return
-		}
-		if derr != nil {
-			n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), derr)
-			return
-		}
-	}
+// served is both planes' per-read metrics hook (resv.Handler.Served).
+func (n *Node) served(frames int, elapsed time.Duration) {
+	n.metrics.RequestNS.RecordN(uint64(elapsed)/uint64(frames), uint64(frames))
 }
 
-func (n *Node) flush(nc net.Conn, wbuf *[]byte) bool {
-	if len(*wbuf) == 0 {
-		return true
-	}
-	_, err := nc.Write(*wbuf)
-	*wbuf = (*wbuf)[:0]
-	return err == nil
+// The client plane's resv.Handler: path admissions on the connection's
+// table, at the read's instant on the node clock.
+
+func (c *cconn) Serve(f resv.Frame, start time.Time) resv.Frame {
+	return c.n.dispatchClient(c, f, c.n.clock(start))
 }
 
-// rollbackConn releases every installed path flow of a departing client
-// connection. Pending flows (an admission mid-claim on another goroutine)
-// are left to their admitting goroutine, which observes closed at
-// finalization and rolls itself back.
+func (c *cconn) ServeBatch(ops []resv.Frame, start time.Time, out []resv.Frame) []resv.Frame {
+	return append(out, c.n.dispatchClientBatch(c, ops, c.n.clock(start)))
+}
+
+func (c *cconn) BadBatch() { c.n.metrics.Errors.Inc() }
+
+func (c *cconn) Served(frames int, elapsed time.Duration) { c.n.served(frames, elapsed) }
+
+// rollbackConn unregisters a departing client connection's table and
+// releases every installed path flow it holds. Pending flows (an admission
+// mid-claim on another goroutine) are left to their admitting goroutine,
+// which observes closed at finalization and rolls itself back.
 func (n *Node) rollbackConn(c *cconn) {
+	n.cmu.Lock()
+	delete(n.cconns, c)
+	n.cmu.Unlock()
 	now := n.nowNanos()
 	c.mu.Lock()
 	c.closed = true
-	flows := make([]expiredFlow, 0, len(c.flows))
+	flows := make([]*pathFlow, 0, len(c.flows))
 	for id, pf := range c.flows {
 		if pf.pending {
 			continue
 		}
-		flows = append(flows, expiredFlow{path: pf.path, hopKey: pf.hopKey})
+		// Stopped, so an expiry step that already listed this connection
+		// cannot release the flow a second time.
+		pf.timer.Stop()
+		flows = append(flows, pf)
 		delete(c.flows, id)
-		c.put(pf)
 	}
 	c.mu.Unlock()
-	for _, e := range flows {
-		n.releaseHops(int(e.path), e.hopKey, len(n.topo.Paths[e.path].Links), now)
+	for _, pf := range flows {
+		n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
 	}
 	if len(flows) > 0 {
 		n.logf("cluster %s: released %d path flows from departing client", n.name, len(flows))
@@ -745,17 +703,13 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	c.flows[f.FlowID] = pf
 	c.mu.Unlock()
 
-	var deadline int64
-	if n.ttl > 0 {
-		deadline = now + int64(n.ttl)
-	}
 	path := &n.topo.Paths[pathIdx]
 	minShare := math.MaxFloat64
 	var denyLoad float64
 	claimed, failed := 0, false
 	for _, g := range path.Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil, deadline)
+			dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil)
 			if st != admitGranted {
 				denyLoad, failed = dec.Load, true
 				break
@@ -825,7 +779,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 		n.metrics.PathDenies.Inc()
 		return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: 0}
 	}
-	pf.share, pf.deadline, pf.pending = minShare, deadline, false
+	c.grant(pf, now)
 	c.mu.Unlock()
 	n.metrics.PathGrants.Inc()
 	return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: minShare}
@@ -888,17 +842,15 @@ func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 	}
-	var deadline int64
-	if n.ttl > 0 {
-		deadline = now + int64(n.ttl)
+	if c.wheel != nil {
+		c.wheel.Schedule(&pf.timer, pf, now+int64(n.ttl))
 	}
-	pf.deadline = deadline
 	pathIdx, hopKey := int(pf.path), pf.hopKey
 	c.mu.Unlock()
 	path := &n.topo.Paths[pathIdx]
 	for _, g := range path.Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			ls.refresh(hopKey, deadline)
+			ls.refresh(now, hopKey)
 		} else if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
 			_, _ = p.mc.Refresh(n.ctx, uint64(g)<<idxShift|hopKey)
 		}
@@ -965,10 +917,6 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 		sc.peers[i] = 0
 	}
 	var verdict resv.BatchVerdict
-	var deadline int64
-	if n.ttl > 0 {
-		deadline = now + int64(n.ttl)
-	}
 	t0 := n.nowNanos()
 	nremote := 0
 
@@ -1043,7 +991,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 			bf.minShare = math.MaxFloat64
 			for pos, g := range n.topo.Paths[pathIdx].Links {
 				if ls := n.byGlobal[g]; ls != nil {
-					dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil, deadline)
+					dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil)
 					if st != admitGranted {
 						bf.failed = true
 						break
@@ -1132,7 +1080,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 				// nobody else will roll this flow back.
 				ok = false
 			} else {
-				bf.pf.share, bf.pf.deadline, bf.pf.pending = bf.minShare, deadline, false
+				c.grant(bf.pf, now)
 			}
 			c.mu.Unlock()
 		}
@@ -1215,6 +1163,23 @@ func (n *Node) statsReply(f resv.Frame) resv.Frame {
 
 // ---- peer-plane dispatch ----
 
+// The peer plane's resv.Handler: link hops on this node's claim tables,
+// owned by the session, at the read's instant on the node clock. Batch
+// replies carry piggybacked gossip.
+
+func (p *peerSess) Serve(f resv.Frame, start time.Time) resv.Frame {
+	return p.n.dispatchPeer(p, f, p.n.clock(start))
+}
+
+func (p *peerSess) ServeBatch(ops []resv.Frame, start time.Time, out []resv.Frame) []resv.Frame {
+	out = append(out, p.n.dispatchPeerBatch(p, ops, p.n.clock(start)))
+	return p.n.appendReplyGossip(p, out)
+}
+
+func (p *peerSess) BadBatch() { p.n.metrics.Errors.Inc() }
+
+func (p *peerSess) Served(frames int, elapsed time.Duration) { p.n.served(frames, elapsed) }
+
 func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame {
 	switch f.Type {
 	case resv.MsgRequest:
@@ -1223,11 +1188,7 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		var deadline int64
-		if n.ttl > 0 {
-			deadline = now + int64(n.ttl)
-		}
-		dec, st := ls.admit(now, f.FlowID&keyMask, f.Value, f.Class, sess, deadline)
+		dec, st := ls.admit(now, f.FlowID&keyMask, f.Value, f.Class, sess)
 		switch st {
 		case admitGranted:
 			return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: dec.Share}
@@ -1253,11 +1214,7 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		var deadline int64
-		if n.ttl > 0 {
-			deadline = now + int64(n.ttl)
-		}
-		if !ls.refresh(f.FlowID&keyMask, deadline) {
+		if !ls.refresh(now, f.FlowID&keyMask) {
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 		}
 		return resv.Frame{Type: resv.MsgRefreshOK, FlowID: f.FlowID, Value: n.ttl.Seconds()}
@@ -1281,10 +1238,6 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) resv.Frame {
 	var verdict resv.BatchVerdict
 	share := math.MaxFloat64
-	var deadline int64
-	if n.ttl > 0 {
-		deadline = now + int64(n.ttl)
-	}
 	for i := 0; i < len(ops); {
 		f := ops[i]
 		if f.Type == resv.MsgTeardown {
@@ -1308,7 +1261,7 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 			i = j
 			continue
 		}
-		installed, dec := ls.admitN(now, ops[i:j], sess, deadline, i, &verdict)
+		installed, dec := ls.admitN(now, ops[i:j], sess, i, &verdict)
 		if installed > 0 && dec.Share < share {
 			share = dec.Share
 		}
@@ -1367,11 +1320,7 @@ type Local struct {
 
 // NewLocal opens an in-process client handle on the node.
 func (n *Node) NewLocal() *Local {
-	c := newCConn()
-	n.cmu.Lock()
-	n.cconns[c] = struct{}{}
-	n.cmu.Unlock()
-	return &Local{n: n, c: c}
+	return &Local{n: n, c: n.openCConn()}
 }
 
 // Reserve requests a path reservation for (pair, seq). It reports whether
@@ -1455,8 +1404,5 @@ func (l *Local) Stats() (kmax, active int64, err error) {
 
 // Close rolls back every flow reserved through the handle.
 func (l *Local) Close() {
-	l.n.cmu.Lock()
-	delete(l.n.cconns, l.c)
-	l.n.cmu.Unlock()
 	l.n.rollbackConn(l.c)
 }

@@ -77,7 +77,7 @@ func (p *ProbeResult) OK() bool {
 // and races a ReserveWithRetry newcomer against the stalled flows' expiry.
 // On a correct server the kept flows survive (~3 TTLs), the stalled flows
 // expire, and the newcomer's retries are denied while the link is full and
-// granted once the sweeper frees a stalled slot.
+// granted once expiry frees a stalled slot.
 func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	start := time.Now()
 	if cfg.Keepers == 0 {
@@ -138,9 +138,10 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	}
 
 	// Race a newcomer against the stalled flows' expiry: the link is full,
-	// so its first attempts are denied; once the sweeper frees a stalled
-	// slot a retry is granted. Expiry takes at most TTL + one sweep period
-	// (≤ TTL/4), so half-TTL backoff with plenty of attempts covers it.
+	// so its first attempts are denied; once expiry frees a stalled slot a
+	// retry is granted. Expiry takes at most TTL + one wheel tick
+	// (TTL/256, at least 1ms), so half-TTL backoff with plenty of attempts
+	// covers it.
 	newcomer := probeFlowBase + uint64(free)
 	retryCtx, retryCancel := context.WithTimeout(context.Background(), 10*ttl+5*time.Second)
 	defer retryCancel()

@@ -10,10 +10,10 @@ import (
 const (
 	// histBuckets covers the full uint64 range with power-of-two buckets:
 	// bucket i holds values v with bits.Len64(v) == i, i.e. v ∈ [2^(i−1),
-	// 2^i). This is report.Histogram's geometric bucket scheme specialized
-	// to growth factor 2, which turns the floating-point log indexing into
-	// one BSR instruction — the right trade for a hot path that must not
-	// allocate or stall. Relative quantile error is one bucket: ≤ 2×.
+	// 2^i). Geometric buckets with growth factor 2 turn the floating-point
+	// log indexing into one BSR instruction — the right trade for a hot
+	// path that must not allocate or stall. Relative quantile error is one
+	// bucket: ≤ 2×.
 	histBuckets = 65
 
 	// histShards stripes the bucket counters so concurrent recorders from

@@ -1,16 +1,12 @@
 package resv
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"beqos/internal/obs"
@@ -38,10 +34,11 @@ import (
 //     so concurrent reserves never over-admit and the reject path (and
 //     Active/Allocated/Stats) never takes a lock;
 //   - TTL expiry is a per-shard hierarchical timing wheel (wheel.go), so a
-//     refresh is an O(1) relink and expiry work is proportional to the
-//     flows actually expiring — not to all flows, as the old map sweep was;
-//   - frame I/O is batched per connection: one read can yield many
-//     requests, and their replies coalesce into one write (flush-on-idle).
+//     refresh is an O(1) deadline update and expiry work is proportional
+//     to the wheel buckets coming due, never to all flows;
+//   - frame I/O is batched per connection (ServeConn): one read can yield
+//     many requests, and their replies coalesce into one write
+//     (flush-on-idle).
 type Server struct {
 	capacity float64
 	kmax     int
@@ -50,10 +47,8 @@ type Server struct {
 	// accounting: a request for rate r is admitted iff allocated + r ≤ C.
 	byBandwidth bool
 
-	// epoch anchors the wheel's monotonic nanosecond clock; wheelRes is the
-	// level-0 tick width (TTL servers only).
-	epoch    time.Time
-	wheelRes int64
+	// epoch anchors the wheels' monotonic nanosecond clock.
+	epoch time.Time
 
 	// pol owns the admission counters: reserve claims a slot through
 	// pol.Admit (the built-ins CAS a single atomic bounded by kmax or
@@ -66,12 +61,6 @@ type Server struct {
 	// server clock on every decision; clockless policies (the defaults)
 	// skip the per-request time read.
 	polClock bool
-
-	// epochSeq issues each installed flow a unique, monotonically
-	// increasing epoch, so a retransmitted reserve answered from the live
-	// entry is observably the same admission (not a second one) and a
-	// reincarnated flow ID is observably a different one.
-	epochSeq atomic.Uint64
 
 	// shards is the lock-striped soft state; the stripe count is a power
 	// of two chosen at construction from GOMAXPROCS, and shardShift is the
@@ -112,25 +101,24 @@ const (
 	// of the flow ID, so sequential IDs spread evenly across stripes.
 	minShards = 16
 	maxShards = 1024
-
-	// readBufSize is the per-connection input buffer — up to ~200 frames
-	// per read syscall. writeFlushThreshold flushes the reply buffer
-	// mid-batch, bounding per-connection memory under deep pipelines.
-	readBufSize         = 4096
-	writeFlushThreshold = 16 * 1024
-
-	// wheelResDivisor sets the TTL wheel's resolution to ttl/256 (floored
-	// at 1ms, like the old sweeper's ticker, so pathological TTLs cannot
-	// busy-loop the expiry goroutine or panic time.NewTicker).
-	wheelResDivisor = 256
 )
 
 // shard is one lock stripe of the soft-state tables.
 type shard struct {
 	mu      sync.Mutex
 	entries map[uint64]*entry
-	free    *entry // spent entry nodes, next-linked, reused by reserves
-	wheel   *wheel // TTL expiry index; nil when the server has no TTL
+	free    *entry         // spent entry nodes, next-linked, reused by reserves
+	wheel   *Wheel[*entry] // TTL expiry index; nil when the server has no TTL
+}
+
+// entry is one reservation's soft state: the value of its shard's flow
+// table and, on TTL servers, a timer in the shard's wheel.
+type entry struct {
+	id    uint64
+	owner *conn
+	rate  float64 // granted rate (bandwidth mode; 0 in flow-count mode)
+	timer Timer[*entry]
+	next  *entry // shard free-list link
 }
 
 // conn tracks one client connection's reservations. Stream transports own
@@ -285,12 +273,8 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		s.shards[i].entries = make(map[uint64]*entry)
 	}
 	if ttl > 0 {
-		s.wheelRes = int64(ttl) / wheelResDivisor
-		if s.wheelRes < int64(time.Millisecond) {
-			s.wheelRes = int64(time.Millisecond)
-		}
 		for i := range s.shards {
-			s.shards[i].wheel = newWheel(s.wheelRes)
+			s.shards[i].wheel = NewWheel[*entry](WheelRes(ttl), 0)
 		}
 		go s.expireLoop()
 	}
@@ -354,7 +338,7 @@ func (s *Server) Close() {
 // Per tick it does work proportional to the flows actually expiring, plus
 // one O(1) bucket visit per shard — never a scan of all flows.
 func (s *Server) expireLoop() {
-	tick := time.NewTicker(time.Duration(s.wheelRes))
+	tick := time.NewTicker(WheelRes(s.ttl))
 	defer tick.Stop()
 	for {
 		select {
@@ -365,9 +349,9 @@ func (s *Server) expireLoop() {
 			for i := range s.shards {
 				sh := &s.shards[i]
 				sh.mu.Lock()
-				sh.wheel.advance(now, func(e *entry) {
+				sh.wheel.Advance(now, func(e *entry) {
 					id := e.id
-					s.removeLocked(sh, e, false)
+					s.removeLocked(sh, e)
 					s.metrics.Expiries.Inc()
 					if s.Trace != nil {
 						s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
@@ -390,14 +374,21 @@ func (s *Server) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go s.handle(nc)
+		go s.HandleConn(nc)
 	}
 }
 
 // HandleConn serves a single already-established connection (e.g. one end
-// of a net.Pipe). It returns when the connection fails or closes.
+// of a net.Pipe) through ServeConn. It returns when the connection fails
+// or closes, releasing every reservation the connection holds.
 func (s *Server) HandleConn(nc net.Conn) {
-	s.handle(nc)
+	c := &conn{nc: nc, flows: make(map[uint64]struct{})}
+	defer s.release(c)
+	s.metrics.Connections.Inc()
+	defer s.metrics.Connections.Dec()
+	if err := ServeConn(nc, &streamConn{s: s, c: c}); err != nil {
+		s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
+	}
 }
 
 func (s *Server) logf(format string, args ...interface{}) {
@@ -406,108 +397,25 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// handle runs one connection's read→dispatch→reply loop with batched frame
-// I/O: every complete frame buffered by one read is decoded and served,
-// and the replies coalesce into a single write issued when the batch is
-// done (flush-on-idle) or the reply buffer fills. The steady-state
-// reserve→grant path allocates nothing.
-func (s *Server) handle(nc net.Conn) {
-	c := &conn{nc: nc, flows: make(map[uint64]struct{})}
-	defer s.release(c)
-	s.metrics.Connections.Inc()
-	defer s.metrics.Connections.Dec()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	wbuf := make([]byte, 0, 1024)
-	var frames []Frame
-	var bs batchStats
-	var bc BatchCollector
-	for {
-		// Block until at least one full frame is buffered.
-		if _, err := br.Peek(FrameSize); err != nil {
-			// io.EOF with an empty buffer is an orderly close from the
-			// peer and net.ErrClosed a local shutdown — neither is an
-			// error. Anything else (including a connection cut mid-frame,
-			// leaving a partial frame buffered) is logged.
-			if s.Logf != nil && !(errors.Is(err, io.EOF) && br.Buffered() == 0) && !errors.Is(err, net.ErrClosed) {
-				s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
-			}
-			return
-		}
-		data, _ := br.Peek(br.Buffered())
-		var rest []byte
-		var derr error
-		frames, rest, derr = DecodeFrames(frames[:0], data)
-		if _, err := br.Discard(len(data) - len(rest)); err != nil {
-			return
-		}
-		// Instrumentation is batch-granular: outcomes tally into plain
-		// locals and flush as one set of atomic adds per batch; the two
-		// clock reads amortize over every frame the batch coalesced.
-		t0 := time.Now()
-		for _, f := range frames {
-			// A batch body may span read boundaries, so the collector is
-			// per-connection state: the header opens it, body frames fill
-			// it, and only a completed body dispatches (as one vectored
-			// admission answered by one bitmap reply).
-			var reply Frame
-			switch {
-			case bc.Active():
-				done, berr := bc.Add(f)
-				if berr != nil {
-					// The collected prefix is dropped un-admitted; the batch
-					// fails as a whole and the offending frame is then
-					// served on its own terms.
-					wbuf = AppendFrame(wbuf, Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)})
-					bs.errs++
-					reply = s.dispatch(c, f, &bs)
-				} else if done {
-					reply = s.dispatchBatch(c, bc.Ops(), &bs)
-				} else {
-					continue
-				}
-			case f.Type == MsgReserveBatch:
-				if berr := bc.Begin(f); berr != nil {
-					reply = Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}
-					bs.errs++
-				} else {
-					continue
-				}
-			default:
-				reply = s.dispatch(c, f, &bs)
-			}
-			wbuf = AppendFrame(wbuf, reply)
-			if len(wbuf) >= writeFlushThreshold {
-				if !s.flush(nc, &wbuf) {
-					s.metrics.flushBatch(&bs, len(frames), time.Since(t0))
-					return
-				}
-			}
-		}
-		s.metrics.flushBatch(&bs, len(frames), time.Since(t0))
-		// Flush-on-idle: the decoded batch is fully served and the next
-		// read may block, so everything coalesced so far goes out now.
-		if !s.flush(nc, &wbuf) {
-			return
-		}
-		if derr != nil {
-			s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), derr)
-			return
-		}
-	}
+// streamConn is a stream connection's Handler: the server's dispatch on
+// the connection's flows, with outcomes tallied in plain (non-atomic)
+// fields and folded into the shared instruments once per read.
+type streamConn struct {
+	s  *Server
+	c  *conn
+	bs batchStats
 }
 
-// flush writes the coalesced replies in one syscall.
-func (s *Server) flush(nc net.Conn, wbuf *[]byte) bool {
-	if len(*wbuf) == 0 {
-		return true
-	}
-	_, err := nc.Write(*wbuf)
-	*wbuf = (*wbuf)[:0]
-	if err != nil {
-		s.logf("resv: write to %v failed: %v", nc.RemoteAddr(), err)
-		return false
-	}
-	return true
+func (h *streamConn) Serve(f Frame, _ time.Time) Frame { return h.s.dispatch(h.c, f, &h.bs) }
+
+func (h *streamConn) ServeBatch(ops []Frame, _ time.Time, out []Frame) []Frame {
+	return append(out, h.s.dispatchBatch(h.c, ops, &h.bs))
+}
+
+func (h *streamConn) BadBatch() { h.bs.errs++ }
+
+func (h *streamConn) Served(frames int, elapsed time.Duration) {
+	h.s.metrics.flushBatch(&h.bs, frames, elapsed)
 }
 
 // dispatch serves one frame, tallying its outcome into bs. Counting lives
@@ -708,7 +616,7 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 // after the caller rolled back the claimed slot/rate. On a datagram
 // connection whose own live flow it is, the reserve is a client
 // retransmit whose grant was lost in flight: re-send the grant — the
-// entry's epoch ties the reply to the original admission, so the
+// reply comes from the live entry of the original admission, so the
 // retransmit can never double-admit. Everything else is a genuine
 // duplicate-flow error.
 func (s *Server) duplicate(c *conn, f Frame, st installStatus, value float64) (Frame, bool) {
@@ -782,11 +690,9 @@ func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
 		e = new(entry)
 	}
 	e.id, e.owner, e.rate = id, c, rate
-	e.epoch = s.epochSeq.Add(1)
 	sh.entries[id] = e
 	if sh.wheel != nil {
-		e.deadline = s.now() + int64(s.ttl)
-		sh.wheel.insert(e)
+		sh.wheel.Schedule(&e.timer, e, s.now()+int64(s.ttl))
 	}
 	c.mu.Lock()
 	c.flows[id] = struct{}{}
@@ -796,13 +702,9 @@ func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
 }
 
 // removeLocked unrecords a flow: wheel, flow table, owning connection, and
-// the policy's claim (rate and active count). Callers hold sh.mu; when the
-// entry is being expired by the wheel (wheelLinked = false) it is already
-// unlinked.
-func (s *Server) removeLocked(sh *shard, e *entry, wheelLinked bool) {
-	if wheelLinked && sh.wheel != nil {
-		e.unlink()
-	}
+// the policy's claim (rate and active count). Callers hold sh.mu.
+func (s *Server) removeLocked(sh *shard, e *entry) {
+	e.timer.Stop()
 	delete(sh.entries, e.id)
 	c := e.owner
 	c.mu.Lock()
@@ -822,7 +724,7 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 		sh.mu.Unlock()
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	s.removeLocked(sh, e, true)
+	s.removeLocked(sh, e)
 	sh.mu.Unlock()
 	active := s.pol.Active()
 	if s.Trace != nil {
@@ -834,8 +736,8 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 	return Frame{Type: MsgTeardownOK, FlowID: f.FlowID, Value: float64(active)}
 }
 
-// refresh renews a reservation's soft-state deadline: an O(1) relink into
-// the wheel bucket owning the new deadline.
+// refresh renews a reservation's soft-state deadline, an O(1) update: the
+// wheel re-files the entry when its old bucket comes due.
 func (s *Server) refresh(c *conn, f Frame) Frame {
 	sh := s.shardFor(f.FlowID)
 	sh.mu.Lock()
@@ -845,9 +747,7 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
 	if sh.wheel != nil {
-		e.unlink()
-		e.deadline = s.now() + int64(s.ttl)
-		sh.wheel.insert(e)
+		sh.wheel.Schedule(&e.timer, e, s.now()+int64(s.ttl))
 	}
 	sh.mu.Unlock()
 	if s.Trace != nil {
@@ -872,7 +772,7 @@ func (s *Server) release(c *conn) {
 		// The flow may have expired or been torn down since the snapshot;
 		// only entries still owned by this connection are released.
 		if e, ok := sh.entries[id]; ok && e.owner == c {
-			s.removeLocked(sh, e, true)
+			s.removeLocked(sh, e)
 			n++
 			if s.Trace != nil {
 				s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})

@@ -10,16 +10,15 @@ import (
 )
 
 // collectExpired advances w to now and returns the expired flow IDs.
-func collectExpired(w *wheel, now int64) []uint64 {
+func collectExpired(w *Wheel[uint64], now int64) []uint64 {
 	var ids []uint64
-	w.advance(now, func(e *entry) { ids = append(ids, e.id) })
+	w.Advance(now, func(id uint64) { ids = append(ids, id) })
 	return ids
 }
 
 func TestWheelExpiresAfterDeadlineNeverAt(t *testing.T) {
-	w := newWheel(10)
-	e := &entry{id: 1, deadline: 50}
-	w.insert(e)
+	w := NewWheel[uint64](10, 0)
+	w.Schedule(new(Timer[uint64]), 1, 50)
 	// At the deadline itself (and anywhere inside its tick) nothing may
 	// expire: tick 5 is only processed once now is past its end (now ≥ 60).
 	for _, now := range []int64{0, 49, 50, 59} {
@@ -36,13 +35,11 @@ func TestWheelRefreshRelinksBeforeExpiry(t *testing.T) {
 	// The off-by-one-bucket hazard: a flow refreshed exactly at its TTL
 	// boundary (new deadline set while the old bucket is still pending)
 	// must survive the advance that drains the old bucket.
-	w := newWheel(10)
-	e := &entry{id: 7, deadline: 100}
-	w.insert(e)
+	w := NewWheel[uint64](10, 0)
+	tm := new(Timer[uint64])
+	w.Schedule(tm, 7, 100)
 	// Refresh at t = 100 — exactly the old deadline.
-	e.unlink()
-	e.deadline = 100 + 100
-	w.insert(e)
+	w.Schedule(tm, 7, 100+100)
 	if got := collectExpired(w, 110); len(got) != 0 {
 		t.Fatalf("refreshed flow expired by old bucket: %v", got)
 	}
@@ -54,7 +51,7 @@ func TestWheelRefreshRelinksBeforeExpiry(t *testing.T) {
 func TestWheelCascadeLevels(t *testing.T) {
 	// Deadlines beyond the level-0 horizon (64 ticks) must cascade down
 	// and still expire strictly after their deadline.
-	w := newWheel(1)
+	w := NewWheel[uint64](1, 0)
 	for _, tc := range []struct {
 		id       uint64
 		deadline int64
@@ -64,11 +61,11 @@ func TestWheelCascadeLevels(t *testing.T) {
 		{3, 4000},  // level 1, same lap
 		{4, 40000}, // multiple laps through level 1
 	} {
-		w.insert(&entry{id: tc.id, deadline: tc.deadline})
+		w.Schedule(new(Timer[uint64]), tc.id, tc.deadline)
 	}
 	expired := make(map[uint64]int64)
 	for now := int64(0); now <= 50000; now += 7 {
-		w.advance(now, func(e *entry) { expired[e.id] = now })
+		w.Advance(now, func(id uint64) { expired[id] = now })
 	}
 	want := map[uint64]int64{1: 10, 2: 100, 3: 4000, 4: 40000}
 	for id, dl := range want {
@@ -87,23 +84,51 @@ func TestWheelCascadeLevels(t *testing.T) {
 }
 
 func TestWheelUnlinkRemoves(t *testing.T) {
-	w := newWheel(1)
-	keep := &entry{id: 1, deadline: 5}
-	gone := &entry{id: 2, deadline: 5}
-	w.insert(keep)
-	w.insert(gone)
-	gone.unlink() // teardown before expiry
+	w := NewWheel[uint64](1, 0)
+	keep, gone := new(Timer[uint64]), new(Timer[uint64])
+	w.Schedule(keep, 1, 5)
+	w.Schedule(gone, 2, 5)
+	gone.Stop() // teardown before expiry
+	gone.Stop() // and again: stopping an unlinked timer is a no-op
 	if got := collectExpired(w, 100); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("expired %v, want [1]", got)
+	}
+}
+
+func TestWheelLazyRearm(t *testing.T) {
+	// Stop and postpone leave a timer in its bucket; the advance that
+	// drains the bucket drops or re-files it. A deadline moved earlier is
+	// relinked at once, so it is never expired late.
+	w := NewWheel[uint64](1, 0)
+	reused, earlier, far := new(Timer[uint64]), new(Timer[uint64]), new(Timer[uint64])
+	w.Schedule(reused, 1, 10)
+	reused.Stop()              // torn down...
+	w.Schedule(reused, 2, 30)  // ...and its record reused for another flow
+	w.Schedule(earlier, 3, 50) // filed at 50
+	w.Schedule(earlier, 3, 20) // moved earlier: must go at 20, not 50
+	w.Schedule(far, 4, 1000)   // level 1
+	far.Stop()
+	expired := make(map[uint64]int64)
+	for now := int64(0); now <= 2000; now++ {
+		w.Advance(now, func(id uint64) { expired[id] = now })
+	}
+	want := map[uint64]int64{2: 31, 3: 21}
+	if len(expired) != len(want) {
+		t.Fatalf("expired %v, want %v", expired, want)
+	}
+	for id, at := range want {
+		if expired[id] != at {
+			t.Errorf("flow %d expired at %d, want %d", id, expired[id], at)
+		}
 	}
 }
 
 func TestWheelPastDeadlineStillExpires(t *testing.T) {
 	// A deadline whose tick was already processed must land in an imminent
 	// bucket, not be lost for a full wheel lap.
-	w := newWheel(1)
-	w.advance(100, func(e *entry) { t.Fatalf("unexpected expiry of %d", e.id) })
-	w.insert(&entry{id: 9, deadline: 3}) // long past
+	w := NewWheel[uint64](1, 0)
+	w.Advance(100, func(id uint64) { t.Fatalf("unexpected expiry of %d", id) })
+	w.Schedule(new(Timer[uint64]), 9, 3) // long past
 	if got := collectExpired(w, 102); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("expired %v, want [9]", got)
 	}

@@ -10,6 +10,11 @@ import (
 	"beqos/internal/workload"
 )
 
+// workloadSimStreamIndex derives the simulator's own random source in
+// workload runs (see prepare). It differs from the workload package's
+// modulation index, so the two substreams never coincide.
+const workloadSimStreamIndex = 0x51a1
+
 // Policy selects the link architecture.
 type Policy int
 
@@ -250,7 +255,15 @@ func prepare(cfg Config) (*simState, error) {
 		return nil, fmt.Errorf("sim: reservation admits no flows at capacity %g", cfg.Capacity)
 	}
 
-	src := rng.New(cfg.Seed1, cfg.Seed2)
+	// A workload stream seeds its primary source from (Seed1, Seed2)
+	// itself, so the simulator's own draws (sample instants, retry
+	// backoffs) take a substream there; drawing from a twin of the stream's
+	// source would replay its variates.
+	seed1, seed2 := cfg.Seed1, cfg.Seed2
+	if cfg.Workload != nil {
+		seed1, seed2 = rng.Substream(seed1, seed2, workloadSimStreamIndex)
+	}
+	src := rng.New(seed1, seed2)
 	eng := NewEngine()
 	s := &simState{
 		cfg:     cfg,

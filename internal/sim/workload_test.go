@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"beqos/internal/rng"
 	"beqos/internal/utility"
 	"beqos/internal/workload"
 )
@@ -211,5 +212,36 @@ func TestWorkloadReplicationsDeterministic(t *testing.T) {
 	}
 	if seq != par {
 		t.Fatalf("replication summaries differ:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// TestWorkloadSimSourceOffStream: in a workload run the simulator's own
+// draws (§5.1 sample instants, retry backoffs) come from a source of their
+// own. Seeded like the stream's primary source, they would replay its
+// variates — the k-th retry backoff of a Poisson/exponential spec would be
+// the k-th stream draw, rescaled.
+func TestWorkloadSimSourceOffStream(t *testing.T) {
+	cfg := Config{
+		Capacity: 100,
+		Util:     utility.NewAdaptive(),
+		Policy:   Reservation,
+		Workload: parseSpec(t, simWorkloadSpec),
+		Samples:  4,
+		Retry:    &RetryConfig{MeanBackoff: 1, MaxAttempts: 3},
+		Seed1:    1, Seed2: 2,
+	}
+	s, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := rng.New(cfg.Seed1, cfg.Seed2)
+	same := 0
+	for i := 0; i < 64; i++ {
+		if s.src.Float64() == primary.Float64() {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("%d of 64 simulator draws equal the workload stream's primary draws", same)
 	}
 }
