@@ -51,9 +51,10 @@ race:
 
 # Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
 # smoke — a live two-cell grid cross-validated against the model — plus
-# the workload spec corpus, a scenario-driven live-harness smoke and the
-# end-to-end benchmark's build and correctness smoke.
-check: vet race workload-check perfbench-check
+# the workload spec corpus, a scenario-driven live-harness smoke, the
+# end-to-end benchmark's build and correctness smoke, and every runnable
+# example.
+check: vet race workload-check perfbench-check examples
 	$(GO) test ./...
 	$(GO) run ./cmd/beqos sweep-policy -quick
 	$(GO) run ./cmd/beqos load -workload specs/baseline.spec
@@ -106,6 +107,7 @@ bench-cluster:
 figures:
 	$(GO) run ./cmd/figures -out out
 
+# Run every example end to end (they exit non-zero on any error).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/provisioning

@@ -19,6 +19,7 @@ import (
 	"beqos/internal/sim"
 	"beqos/internal/sweep"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 const kbar = 100.0
@@ -327,11 +328,8 @@ func BenchmarkE4RetryAsymptotics(b *testing.B) {
 // --- S1/S2: simulator validation runs ---
 
 func BenchmarkS1SimulatedLoad(b *testing.B) {
-	arr, err := sim.NewPoissonArrivals(10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hold, err := sim.NewExpHolding(10)
+	scn, err := workload.OnePhase(0, 100, 2000,
+		workload.ArrivalSpec{Kind: "poisson", Rate: 10}, workload.HoldSpec{Kind: "exp", Mean: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,8 +337,7 @@ func BenchmarkS1SimulatedLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{
 			Capacity: 120, Util: benchUtil(b, "rigid"), Policy: sim.BestEffort,
-			Arrivals: arr, Holding: hold,
-			Horizon: 2000, Warmup: 100, Samples: 1,
+			Workload: scn, Samples: 1,
 			Seed1: uint64(i), Seed2: 2,
 		}); err != nil {
 			b.Fatal(err)
@@ -349,11 +346,10 @@ func BenchmarkS1SimulatedLoad(b *testing.B) {
 }
 
 func BenchmarkS2HeavyTailLoad(b *testing.B) {
-	arr, err := sim.NewSessionArrivals(4, 1, 1.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hold, err := sim.NewExpHolding(8)
+	// Four sessions per unit time, each a Pareto(1, 1.5) batch of flows.
+	arr := workload.ArrivalSpec{Kind: "session", Scale: 1, Shape: 1.5}
+	arr.Rate = 4 * arr.MeanBatch()
+	scn, err := workload.OnePhase(0, 100, 2000, arr, workload.HoldSpec{Kind: "exp", Mean: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,8 +357,7 @@ func BenchmarkS2HeavyTailLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{
 			Capacity: 1e9, Util: benchUtil(b, "rigid"), Policy: sim.BestEffort,
-			Arrivals: arr, Holding: hold,
-			Horizon: 2000, Warmup: 100, Samples: 1,
+			Workload: scn, Samples: 1,
 			Seed1: uint64(i), Seed2: 12,
 		}); err != nil {
 			b.Fatal(err)

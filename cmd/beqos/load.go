@@ -38,7 +38,7 @@ func cmdLoad(args []string) error {
 	batch := fs.Int("batch", 0, "coalesce simultaneous protocol ops into multi-reserve bodies of up to n ops (stream transports; 0/1 = single-frame)")
 	udpLoss := fs.Int("udp-loss", 0, "drop every n-th datagram in each direction (udp transport; 0 = lossless)")
 	udpTimeout := fs.Duration("udp-timeout", 0, "datagram retransmit flight timeout (0 = 25ms)")
-	workloadPath := fs.String("workload", "", "drive the run from a declarative scenario spec file instead of the stationary Poisson pump (-mean/-hold/-duration/-warmup are ignored)")
+	workloadPath := fs.String("workload", "", "drive the run from a declarative scenario spec file instead of the stationary Poisson dynamics (-mean/-hold/-duration/-warmup are ignored)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func cmdLoad(args []string) error {
 		UDPTimeout:   *udpTimeout,
 		Batch:        *batch,
 	}
-	var scn *workload.Scenario
+	var scn *workload.Scenario // the -workload spec, if any
 	if *workloadPath != "" {
 		s, err := loadWorkloadSpec(*workloadPath)
 		if err != nil {
@@ -80,10 +80,11 @@ func cmdLoad(args []string) error {
 		scn = s
 		cfg.Workload = s
 	} else {
-		cfg.Rate = *mean / *hold
-		cfg.Hold = *hold
-		cfg.Duration = *duration
-		cfg.Warmup = *warmup
+		s, err := loadgen.Stationary(*mean / *hold, *hold, *duration, *warmup)
+		if err != nil {
+			return err
+		}
+		cfg.Workload = s
 	}
 	if *retries > 0 {
 		cfg.RetryAttempts = *retries + 1

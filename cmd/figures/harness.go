@@ -14,6 +14,7 @@ import (
 	"beqos/internal/sim"
 	"beqos/internal/sweep"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 // kbar is the paper's mean offered load.
@@ -670,11 +671,8 @@ func (h *harness) s1SimPoisson() error {
 	if err != nil {
 		return err
 	}
-	arr, err := sim.NewPoissonArrivals(10)
-	if err != nil {
-		return err
-	}
-	hold, err := sim.NewExpHolding(10)
+	scn, err := workload.OnePhase(0, horizon/60, horizon,
+		workload.ArrivalSpec{Kind: "poisson", Rate: 10}, workload.HoldSpec{Kind: "exp", Mean: 10})
 	if err != nil {
 		return err
 	}
@@ -702,8 +700,7 @@ func (h *harness) s1SimPoisson() error {
 	points, err := sweep.Map(h.context(), h.workers, cases, func(cse simCase) (simRow, error) {
 		res, err := sim.Run(sim.Config{
 			Capacity: cse.c, Util: rigid, Policy: cse.policy,
-			Arrivals: arr, Holding: hold,
-			Horizon: horizon, Warmup: horizon / 60, Samples: 1,
+			Workload: scn, Samples: 1,
 			Seed1: 1, Seed2: 2,
 		})
 		if err != nil {
@@ -741,31 +738,29 @@ func (h *harness) s2SimHeavyTail() error {
 	if err != nil {
 		return err
 	}
-	hold, err := sim.NewExpHolding(8)
-	if err != nil {
-		return err
-	}
-	poissonArr, err := sim.NewPoissonArrivals(100.0 / 8)
-	if err != nil {
-		return err
-	}
-	sessionArr, err := sim.NewSessionArrivals(100.0/(8*3), 1, 1.5) // mean batch 3
-	if err != nil {
-		return err
-	}
+	// Both traffics offer k̄ = 100 with mean hold 8: Poisson flows at rate
+	// 12.5, or Poisson sessions each landing a Pareto(1, 1.5) batch, whose
+	// rate= also counts flows (sessions/unit = 12.5/ζ(1.5) ≈ 4.79).
+	hold := workload.HoldSpec{Kind: "exp", Mean: 8}
 	type tailCase struct {
 		name string
-		arr  sim.Arrivals
+		arr  workload.ArrivalSpec
 	}
-	cases := []tailCase{{"poisson", poissonArr}, {"sessions", sessionArr}}
+	cases := []tailCase{
+		{"poisson", workload.ArrivalSpec{Kind: "poisson", Rate: 100.0 / 8}},
+		{"sessions", workload.ArrivalSpec{Kind: "session", Rate: 100.0 / 8, Scale: 1, Shape: 1.5}},
+	}
 	type tailRow struct {
 		mean, variance, d, g float64
 	}
 	points, err := sweep.Map(h.context(), h.workers, cases, func(tc tailCase) (tailRow, error) {
+		scn, err := workload.OnePhase(0, horizon/40, horizon, tc.arr, hold)
+		if err != nil {
+			return tailRow{}, err
+		}
 		res, err := sim.Run(sim.Config{
 			Capacity: 1e9, Util: rigid, Policy: sim.BestEffort,
-			Arrivals: tc.arr, Holding: hold,
-			Horizon: horizon, Warmup: horizon / 40, Samples: 1,
+			Workload: scn, Samples: 1,
 			Seed1: 11, Seed2: 12,
 		})
 		if err != nil {

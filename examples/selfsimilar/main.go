@@ -37,7 +37,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sessions, err := beqos.SessionTraffic(10.0/3, 1, 1.5, 10) // ≈ same mean, Pareto batches
+	// A session lands min(⌊Pareto(1, 1.5)⌋, 2^20) flows at once: on
+	// average ζ(1.5) − ζ(1.5, 2^20+1) ≈ 2.6104 of them, not the continuous
+	// Pareto mean 3. Sessions at 10/2.6104 per unit time offer the same
+	// load, 100.
+	sessions, err := beqos.SessionTraffic(10/2.6104, 1, 1.5, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,7 @@ func TestBatchedRunMatchesSingleFrame(t *testing.T) {
 			Server:   newServer(t, c, util),
 			Capacity: c,
 			Util:     util,
-			Rate:     60,
-			Hold:     1,
-			Duration: 40,
+			Workload: stationary(t, 60, 1, 40, 0),
 			Seed1:    7, Seed2: 7,
 			Batch: batch,
 		})
@@ -83,9 +81,7 @@ func TestBatchedRunSurvivesDrops(t *testing.T) {
 		Server:   newServer(t, c, util),
 		Capacity: c,
 		Util:     util,
-		Rate:     60,
-		Hold:     1,
-		Duration: 30,
+		Workload: stationary(t, 60, 1, 30, 0),
 		Seed1:    11, Seed2: 11,
 		Transport: "mux",
 		DropEvery: 25,
@@ -116,9 +112,7 @@ func TestBatchConfigValidation(t *testing.T) {
 			Server:   newServer(t, 10, util),
 			Capacity: 10,
 			Util:     util,
-			Rate:     5,
-			Hold:     1,
-			Duration: 2,
+			Workload: stationary(t, 5, 1, 2, 0),
 			Seed1:    1, Seed2: 1,
 		}
 	}

@@ -1,10 +1,11 @@
 // Package loadgen is a concurrent load harness for the resv admission
-// plane: it drives a resv.Server with open-loop Poisson flow arrivals and
-// exponential holding times (the dynamics whose stationary occupancy is the
-// paper's Poisson load), exercises the full protocol surface — reserve,
-// teardown, refresh/keep-alive under TTL, retry backoff, connection drops,
-// stalled clients — and measures blocking, occupancy, per-flow utility and
-// request latency. CrossCheck then compares the measurements against the
+// plane: it drives a resv.Server with the flow arrivals and holding times
+// of a workload scenario (internal/workload; Stationary compiles the
+// harness's classic stationary Poisson dynamics into one), exercises the
+// full protocol surface — reserve, teardown, refresh/keep-alive under TTL,
+// retry backoff, connection drops, stalled clients — and measures
+// blocking, occupancy, per-flow utility and request latency. CrossCheck
+// and CrossCheckWorkload then compare the measurements against the
 // analytical model's P(k > kmax) and R(C): a live, end-to-end oracle for
 // the admission server.
 //
@@ -14,9 +15,10 @@
 // in-process target or any net.Conn transport for a remote one. Flows
 // denied a reservation stay in the offered population for their holding
 // time and re-request as capacity frees (the paper's reservation-capable
-// network still carries them best-effort), so the offered population is an
-// unconstrained M/M/∞ process with Poisson occupancy — exactly the load
-// distribution the analytical model postulates.
+// network still carries them best-effort), so under Poisson arrivals the
+// offered population is an unconstrained M/G/∞ process with Poisson
+// occupancy — exactly the load distribution the analytical model
+// postulates.
 package loadgen
 
 import (
@@ -67,25 +69,12 @@ type Config struct {
 	// round-robin across them (default 4).
 	Conns int
 
-	// Rate is the flow arrival rate λ and Hold the mean holding time, both
-	// in virtual time units; the offered load is k̄ = λ·Hold.
-	Rate float64
-	Hold float64
-
-	// Duration is the measured horizon and Warmup the excluded prefix
-	// (default 5·Hold), in virtual time units. The run also pre-fills the
-	// link with round(k̄) flows at time zero so warmup starts near
-	// stationarity.
-	Duration float64
-	Warmup   float64
-
-	// Workload, when non-nil, drives the run from a declarative scenario
-	// (internal/workload) instead of the stationary Poisson pump:
-	// arrivals, holding times, prefill, phases and per-flow wire classes
-	// all come from the scenario's deterministic stream, seeded from
-	// Seed1/Seed2. Rate, Hold, Duration and Warmup must be zero (the
-	// scenario defines them); Class still applies when the scenario has
-	// no class mixture. Results gain per-phase breakdowns (Result.Phases).
+	// Workload drives the run: arrivals, holding times, prefill, phases,
+	// the warmup and the horizon, and per-flow wire classes all come from
+	// the scenario's deterministic stream, seeded from Seed1/Seed2 (see
+	// Stationary for the classic stationary dynamics). Class still applies
+	// when the scenario has no class mixture. Results carry per-phase
+	// breakdowns (Result.Phases).
 	Workload *workload.Scenario
 	// WorkloadRecord, when non-nil, observes every consumed workload
 	// record in stream order — the golden-determinism trace hook.
@@ -170,37 +159,20 @@ func (cfg *Config) withDefaults() (Config, error) {
 	if c.Util == nil {
 		return c, fmt.Errorf("loadgen: utility must be non-nil")
 	}
-	if c.Workload != nil {
-		if c.Rate != 0 || c.Hold != 0 || c.Duration != 0 || c.Warmup != 0 {
-			return c, fmt.Errorf("loadgen: Workload defines the dynamics; Rate, Hold, Duration and Warmup must be zero")
+	if c.Workload == nil {
+		return c, fmt.Errorf("loadgen: need a Workload scenario")
+	}
+	if len(c.Workload.Classes) > 0 {
+		if c.Class != 0 {
+			return c, fmt.Errorf("loadgen: the workload scenario carries its own class mixture; Class must be zero")
 		}
-		if len(c.Workload.Classes) > 0 {
-			if c.Class != 0 {
-				return c, fmt.Errorf("loadgen: the workload scenario carries its own class mixture; Class must be zero")
+		if c.RetryAttempts > 1 {
+			return c, fmt.Errorf("loadgen: a class-mixture workload and RetryAttempts are mutually exclusive (the retry path is class-blind)")
+		}
+		for _, cl := range c.Workload.Classes {
+			if cl.Tier > resv.ClassMask {
+				return c, fmt.Errorf("loadgen: workload class %q tier %d does not fit the wire's class space (max %d)", cl.Name, cl.Tier, resv.ClassMask)
 			}
-			if c.RetryAttempts > 1 {
-				return c, fmt.Errorf("loadgen: a class-mixture workload and RetryAttempts are mutually exclusive (the retry path is class-blind)")
-			}
-			for _, cl := range c.Workload.Classes {
-				if cl.Tier > resv.ClassMask {
-					return c, fmt.Errorf("loadgen: workload class %q tier %d does not fit the wire's class space (max %d)", cl.Name, cl.Tier, resv.ClassMask)
-				}
-			}
-		}
-		c.Warmup = c.Workload.Warmup
-		c.Duration = c.Workload.Duration() - c.Workload.Warmup
-	} else {
-		if !(c.Rate > 0) || !(c.Hold > 0) {
-			return c, fmt.Errorf("loadgen: need positive rate and holding time, got (%g, %g)", c.Rate, c.Hold)
-		}
-		if !(c.Duration > 0) {
-			return c, fmt.Errorf("loadgen: duration must be positive, got %g", c.Duration)
-		}
-		if c.Warmup < 0 {
-			return c, fmt.Errorf("loadgen: warmup must be nonnegative, got %g", c.Warmup)
-		}
-		if c.Warmup == 0 {
-			c.Warmup = 5 * c.Hold
 		}
 	}
 	if c.Conns == 0 {
@@ -322,8 +294,8 @@ type Result struct {
 	Batches    int
 	BatchedOps int
 
-	// Phases holds the per-phase measured breakdown of a workload-driven
-	// run (indexed like Config.Workload.Phases; nil otherwise).
+	// Phases holds the per-phase measured breakdown (indexed like
+	// Config.Workload.Phases).
 	Phases []PhaseStats
 
 	// FinalActive is the server's reservation count after cleanup (0 on a
@@ -337,16 +309,14 @@ type flow struct {
 	id       uint64
 	conn     int
 	tier     uint8 // wire admission class carried on every request
-	phase    int   // scenario phase index (workload runs only)
+	phase    int   // scenario phase index
 	present  bool
 	reserved bool
 }
 
-// arrival is one pre-drawn arrival: the holding time comes off the RNG
-// when the group is built (before any protocol round trip — RPCs draw
-// nothing, so the draw sequence matches the legacy draw-inside-arrive
-// order exactly), and the tier/phase come from the workload record or the
-// run-wide Class.
+// arrival is one workload record as the harness lands it: its holding
+// time, its wire tier (the record's class tier, or the run-wide Class)
+// and its phase.
 type arrival struct {
 	hold  float64
 	tier  uint8
@@ -429,7 +399,6 @@ func (lc *lossyConn) Read(b []byte) (int, error) {
 type runner struct {
 	cfg   Config
 	eng   *sim.Engine
-	src   *rng.Source
 	eps   []*endpoint
 	share float64 // expected grant share C/kmax
 
@@ -471,9 +440,13 @@ type runner struct {
 	occ      []float64
 	peak     int
 
-	// Workload-mode state: the scenario stream, its one-record lookahead
-	// (so simultaneous records group into one virtual instant), and the
-	// per-phase accumulators.
+	// warmup and duration bound the measurement window [warmup,
+	// warmup+duration).
+	warmup, duration float64
+
+	// The scenario stream, its one-record lookahead (so simultaneous
+	// records group into one virtual instant), and the per-phase
+	// accumulators.
 	wl     *workload.Stream
 	wlNext workload.Flow
 	wlOK   bool
@@ -493,7 +466,8 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg:      c,
 		eng:      sim.NewEngine(),
-		src:      rng.New(c.Seed1, c.Seed2),
+		warmup:   c.Workload.Warmup,
+		duration: c.Workload.Duration() - c.Workload.Warmup,
 		time:     make([]float64, batches),
 		overload: make([]float64, batches),
 		popInt:   make([]float64, batches),
@@ -537,49 +511,17 @@ func Run(cfg Config) (*Result, error) {
 		r.piTimes[n] = float64(n) * c.Util.Eval(c.Capacity/float64(n))
 	}
 
-	if c.Workload != nil {
-		// Scenario-driven dynamics: the stream owns all randomness. The
-		// t=0 group (prefill plus any zero-time arrivals) lands before the
-		// event loop starts, exactly like the stationary pre-fill.
-		r.wl = c.Workload.Stream(c.Seed1, c.Seed2)
-		r.phases = make([]phaseAccum, len(c.Workload.Phases))
-		r.pull()
-		r.arriveGroup(r.takeGroup(0))
-		if r.err != nil {
-			return nil, r.err
-		}
-		r.pumpWorkload()
-	} else {
-		arr, err := sim.NewPoissonArrivals(c.Rate)
-		if err != nil {
-			return nil, err
-		}
-		hold, err := sim.NewExpHolding(c.Hold)
-		if err != nil {
-			return nil, err
-		}
-
-		// Pre-fill the link with round(k̄) flows so warmup starts near the
-		// stationary regime (exponential holding is memoryless, so a fresh
-		// holding time is the correct stationary residual).
-		r.arriveGroup(r.drawGroup(hold, int(c.Rate*c.Hold+0.5)))
-		if r.err != nil {
-			return nil, r.err
-		}
-		var pump func()
-		pump = func() {
-			wait, batch := arr.Next(r.src)
-			r.eng.Schedule(wait, func() {
-				if r.err != nil {
-					return
-				}
-				r.arriveGroup(r.drawGroup(hold, batch))
-				pump()
-			})
-		}
-		pump()
+	// The stream owns all randomness. The t=0 group (prefill plus any
+	// zero-time arrivals) lands before the event loop starts.
+	r.wl = c.Workload.Stream(c.Seed1, c.Seed2)
+	r.phases = make([]phaseAccum, len(c.Workload.Phases))
+	r.pull()
+	r.arriveGroup(r.takeGroup(0))
+	if r.err != nil {
+		return nil, r.err
 	}
-	horizon := c.Warmup + c.Duration
+	r.pump()
+	horizon := r.warmup + r.duration
 	r.eng.Run(horizon)
 	if r.err != nil {
 		return nil, r.err
@@ -709,10 +651,10 @@ func (r *runner) stats() (int, int, error) {
 // inWindow reports whether the current instant is measured, and its batch.
 func (r *runner) inWindow() (int, bool) {
 	now := r.eng.Now()
-	if now < r.cfg.Warmup || now >= r.cfg.Warmup+r.cfg.Duration {
+	if now < r.warmup || now >= r.warmup+r.duration {
 		return 0, false
 	}
-	b := int((now - r.cfg.Warmup) / (r.cfg.Duration / batches))
+	b := int((now - r.warmup) / (r.duration / batches))
 	if b >= batches {
 		b = batches - 1
 	}
@@ -724,7 +666,7 @@ func (r *runner) inWindow() (int, bool) {
 func (r *runner) advance(to float64) {
 	from := r.last
 	r.last = to
-	w, d := r.cfg.Warmup, r.cfg.Duration
+	w, d := r.warmup, r.duration
 	lo := math.Max(from, w)
 	hi := math.Min(to, w+d)
 	if hi <= lo {
@@ -750,9 +692,7 @@ func (r *runner) advance(to float64) {
 		r.occ[r.pop] += dt
 		lo = end
 	}
-	if r.wl != nil {
-		r.advancePhases(from, to)
-	}
+	r.advancePhases(from, to)
 }
 
 // arrive handles one flow arrival: it joins the offered population, issues
@@ -788,16 +728,6 @@ func (r *runner) arrive(a arrival) {
 		r.waiting = append(r.waiting, f)
 	}
 	r.eng.Schedule(a.hold, func() { r.depart(f) })
-}
-
-// drawGroup pre-draws n stationary arrivals (holding times in flow order,
-// the run-wide wire class) for one virtual instant.
-func (r *runner) drawGroup(hold sim.Holding, n int) []arrival {
-	g := make([]arrival, n)
-	for i := range g {
-		g[i] = arrival{hold: hold.Sample(r.src), tier: r.cfg.Class}
-	}
-	return g
 }
 
 // request issues one reservation attempt (or a retry burst) for f and
@@ -846,9 +776,9 @@ func (r *runner) batched() bool { return r.cfg.Batch >= 2 }
 // batch mode the group's first attempts coalesce into multi-reserve
 // bodies of up to Batch ops, one connection per body (round-robin moves
 // per body instead of per flow). The server grants a body's ops exactly
-// as it would grant the same frames sent one at a time, and the holding
-// times draw from the RNG in the same order either way, so a batched run
-// reproduces the sequential run's dynamics and statistics bit for bit.
+// as it would grant the same frames sent one at a time, and the stream
+// drew the holding times before either, so a batched run reproduces the
+// sequential run's dynamics and statistics bit for bit.
 func (r *runner) arriveGroup(g []arrival) {
 	if !r.batched() || len(g) < 2 {
 		for _, a := range g {
@@ -1260,7 +1190,5 @@ func (r *runner) finish() {
 	r.res.MeasuredMeanLoad, r.res.LoadSigma = ratio(r.popInt, r.time)
 	r.res.PeakLoad = r.peak
 	r.res.OccupancyWeights = append([]float64(nil), r.occ...)
-	if r.wl != nil {
-		r.finishPhases()
-	}
+	r.finishPhases()
 }

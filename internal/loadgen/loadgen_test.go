@@ -9,6 +9,7 @@ import (
 	"beqos/internal/dist"
 	"beqos/internal/resv"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 // newModel builds the analytical reference: Poisson load with the given
@@ -24,6 +25,16 @@ func newModel(t *testing.T, mean float64, util utility.Function) *core.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// stationary compiles flag-style stationary dynamics (see Stationary).
+func stationary(t *testing.T, rate, hold, duration, warmup float64) *workload.Scenario {
+	t.Helper()
+	scn, err := Stationary(rate, hold, duration, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scn
 }
 
 func newServer(t *testing.T, capacity float64, util utility.Function) *resv.Server {
@@ -47,9 +58,7 @@ func TestLoadHarnessMatchesModel(t *testing.T) {
 		Server:   srv,
 		Capacity: c,
 		Util:     util,
-		Rate:     100,
-		Hold:     1,
-		Duration: 80,
+		Workload: stationary(t, 100, 1, 80, 0),
 		Seed1:    2, Seed2: 2,
 	})
 	if err != nil {
@@ -108,9 +117,7 @@ func TestRigidUtilityScenario(t *testing.T) {
 		Capacity: c,
 		Util:     util,
 		Conns:    2,
-		Rate:     12,
-		Hold:     0.5,
-		Duration: 60,
+		Workload: stationary(t, 12, 0.5, 60, 0),
 		Seed1:    7, Seed2: 9,
 	})
 	if err != nil {
@@ -138,9 +145,7 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 			Server:   newServer(t, 10, util),
 			Capacity: 10,
 			Util:     util,
-			Rate:     20,
-			Hold:     0.5,
-			Duration: 20,
+			Workload: stationary(t, 20, 0.5, 20, 0),
 			Seed1:    3, Seed2: 4,
 		})
 		if err != nil {
@@ -172,9 +177,7 @@ func TestRetryRunsDeterministic(t *testing.T) {
 			Server:   newServer(t, 10, util),
 			Capacity: 10,
 			Util:     util,
-			Rate:     20,
-			Hold:     0.5,
-			Duration: 20,
+			Workload: stationary(t, 20, 0.5, 20, 0),
 			Seed1:    11, Seed2: 13,
 			RetryAttempts: 3,
 		})
@@ -209,9 +212,7 @@ func TestDropFaultsRecover(t *testing.T) {
 		Capacity: 10,
 		Util:     util,
 		Conns:    2,
-		Rate:     20,
-		Hold:     0.5,
-		Duration: 30,
+		Workload: stationary(t, 20, 0.5, 30, 0),
 		Seed1:    5, Seed2: 6,
 		DropEvery: 7,
 	})
@@ -252,9 +253,7 @@ func TestRetryPathExercised(t *testing.T) {
 		Server:   newServer(t, 10, util),
 		Capacity: 10,
 		Util:     util,
-		Rate:     20,
-		Hold:     0.5,
-		Duration: 20,
+		Workload: stationary(t, 20, 0.5, 20, 0),
 		Seed1:    3, Seed2: 4,
 		RetryAttempts: 3,
 	})
@@ -282,16 +281,13 @@ func TestRetryPathExercised(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	util := utility.NewAdaptive()
 	srv := newServer(t, 4, util)
-	base := Config{Server: srv, Capacity: 4, Util: util, Rate: 1, Hold: 1, Duration: 1}
+	base := Config{Server: srv, Capacity: 4, Util: util, Workload: stationary(t, 1, 1, 1, 0)}
 	bad := []func(*Config){
 		func(c *Config) { c.Server = nil },
 		func(c *Config) { c.Addr = "localhost:1" },
 		func(c *Config) { c.Capacity = 0 },
 		func(c *Config) { c.Util = nil },
-		func(c *Config) { c.Rate = 0 },
-		func(c *Config) { c.Hold = -1 },
-		func(c *Config) { c.Duration = 0 },
-		func(c *Config) { c.Warmup = -1 },
+		func(c *Config) { c.Workload = nil },
 		func(c *Config) { c.Conns = -1 },
 		func(c *Config) { c.DropEvery = -1 },
 	}
@@ -387,9 +383,7 @@ func TestHarnessWithConcurrentObservers(t *testing.T) {
 		Server:   srv,
 		Capacity: c,
 		Util:     util,
-		Rate:     20,
-		Hold:     1,
-		Duration: 40,
+		Workload: stationary(t, 20, 1, 40, 0),
 		Seed1:    7, Seed2: 7,
 	})
 	close(stop)

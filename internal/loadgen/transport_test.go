@@ -21,9 +21,7 @@ func rigidConfig(t *testing.T) (Config, utility.Function) {
 		Capacity: 8,
 		Util:     util,
 		Conns:    2,
-		Rate:     12,
-		Hold:     0.5,
-		Duration: 60,
+		Workload: stationary(t, 12, 0.5, 60, 0),
 		Seed1:    7, Seed2: 9,
 	}, util
 }

@@ -52,6 +52,21 @@ type PhaseStats struct {
 	UtilitySigma float64
 }
 
+// Stationary compiles the harness's classic stationary dynamics into a
+// scenario: Poisson arrivals at rate with exponential holds of mean hold
+// (offered load k̄ = rate·hold), a prefill of round(k̄) flows at time zero
+// so warmup starts near stationarity (exponential holding is memoryless,
+// so a fresh holding time is the correct stationary residual), a warmup
+// prefix (0 means 5·hold), then duration measured time units.
+// specs/baseline.spec is Stationary(100, 1, 80, 0).
+func Stationary(rate, hold, duration, warmup float64) (*workload.Scenario, error) {
+	if warmup == 0 {
+		warmup = 5 * hold
+	}
+	return workload.OnePhase(int(rate*hold+0.5), warmup, warmup+duration,
+		workload.ArrivalSpec{Kind: "poisson", Rate: rate}, workload.HoldSpec{Kind: "exp", Mean: hold})
+}
+
 // pull consumes one record from the workload stream into the lookahead
 // slot, feeding the golden-determinism trace hook in stream order.
 func (r *runner) pull() {
@@ -85,9 +100,9 @@ func (r *runner) takeGroup(at float64) []arrival {
 	return g
 }
 
-// pumpWorkload schedules the next arrival group off the stream lookahead;
-// each firing re-arms the pump, like the stationary Poisson pump.
-func (r *runner) pumpWorkload() {
+// pump schedules the next arrival group off the stream lookahead; each
+// firing lands the group and re-arms the pump.
+func (r *runner) pump() {
 	if !r.wlOK {
 		return
 	}
@@ -97,7 +112,7 @@ func (r *runner) pumpWorkload() {
 			return
 		}
 		r.arriveGroup(r.takeGroup(at))
-		r.pumpWorkload()
+		r.pump()
 	})
 }
 
@@ -116,9 +131,6 @@ func phaseSlice(ph *workload.Phase, t float64) int {
 // phaseFirst tallies one measured first attempt (and optionally its
 // denial) against the owning phase's slice accumulators.
 func (r *runner) phaseFirst(phase int, denied bool) {
-	if r.wl == nil {
-		return
-	}
 	ph := &r.cfg.Workload.Phases[phase]
 	pa := &r.phases[phase]
 	s := phaseSlice(ph, r.eng.Now())
@@ -133,8 +145,8 @@ func (r *runner) phaseFirst(phase int, denied bool) {
 // clipped to the measurement window, splitting across phase and slice
 // boundaries. It mirrors advance's run-wide integrals per phase.
 func (r *runner) advancePhases(from, to float64) {
-	lo := math.Max(from, r.cfg.Warmup)
-	hi := math.Min(to, r.cfg.Warmup+r.cfg.Duration)
+	lo := math.Max(from, r.warmup)
+	hi := math.Min(to, r.warmup+r.duration)
 	if hi <= lo {
 		return
 	}

@@ -36,26 +36,14 @@ func loadSpecFile(t *testing.T, path string) *workload.Scenario {
 }
 
 // TestWorkloadBaselineBitForBit is the compatibility anchor: driving the
-// harness from specs/baseline.spec must reproduce the legacy stationary
-// pump's run — same RPC tallies, same time-weighted statistics, same
-// occupancy histogram — bit for bit, because the scenario stream draws
-// from the seed RNG in exactly the legacy order.
+// harness from specs/baseline.spec must reproduce the flagless run — same
+// RPC tallies, same time-weighted statistics, same occupancy histogram —
+// bit for bit. The reference is the flagless run's Result pinned from the
+// original built-in Poisson pump (flagPins[0]).
 func TestWorkloadBaselineBitForBit(t *testing.T) {
 	util := utility.NewAdaptive()
 	const c = 100.0
 
-	plain, err := Run(Config{
-		Server:   newServer(t, c, util),
-		Capacity: c,
-		Util:     util,
-		Rate:     100,
-		Hold:     1,
-		Duration: 80,
-		Seed1:    21, Seed2: 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scn := loadSpecFile(t, filepath.Join("..", "..", "specs", "baseline.spec"))
 	wl, err := Run(Config{
 		Server:   newServer(t, c, util),
@@ -68,14 +56,10 @@ func TestWorkloadBaselineBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Everything deterministic must agree exactly; only Latency and
-	// Elapsed are wall-clock, and Phases exists only on the workload run.
-	a, b := *plain, *wl
-	a.Latency, b.Latency = wl.Latency, wl.Latency
-	a.Elapsed, b.Elapsed = 0, 0
-	b.Phases = nil
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("baseline workload run diverged from the legacy pump:\nplain %+v\nspec  %+v", a, b)
+	// Everything deterministic must agree exactly; pin leaves out Latency
+	// and Elapsed (wall clock) and Phases (the scenario breakdown).
+	if got, want := pin(t, wl), flagPins[0].want; !reflect.DeepEqual(got, want) {
+		t.Fatalf("baseline workload run diverged from the pinned flagless run:\npinned %v\nspec   %v", want, got)
 	}
 	if len(wl.Phases) != 1 || wl.Phases[0].Name != "steady" {
 		t.Fatalf("baseline phase breakdown: %+v", wl.Phases)
@@ -434,10 +418,7 @@ func TestWorkloadConfigErrors(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{"rate", func(c *Config) { c.Rate = 1 }, "must be zero"},
-		{"hold", func(c *Config) { c.Hold = 1 }, "must be zero"},
-		{"duration", func(c *Config) { c.Duration = 1 }, "must be zero"},
-		{"warmup", func(c *Config) { c.Warmup = 1 }, "must be zero"},
+		{"no-workload", func(c *Config) { c.Workload = nil }, "need a Workload"},
 		{"class-vs-mixture", func(c *Config) { c.Workload, c.Class = mixed, 1 }, "class mixture"},
 		{"retries-vs-mixture", func(c *Config) { c.Workload, c.RetryAttempts = mixed, 3 }, "class-blind"},
 	}

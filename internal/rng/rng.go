@@ -12,14 +12,19 @@ import (
 	"beqos/internal/dist"
 )
 
-// Source is a seeded random source. It wraps math/rand/v2's PCG generator.
+// Source is a seeded random source. It wraps math/rand/v2's PCG generator,
+// holding the generator and its Rand by value so a Source is one
+// allocation; r draws from pcg, so a Source must not be copied.
 type Source struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand
 }
 
 // New returns a deterministic source seeded from the two words.
 func New(seed1, seed2 uint64) *Source {
-	return &Source{r: rand.New(rand.NewPCG(seed1, seed2))}
+	s := &Source{pcg: *rand.NewPCG(seed1, seed2)}
+	s.r = *rand.New(&s.pcg)
+	return s
 }
 
 // Substream derives the i-th independent substream seed pair from a base

@@ -39,6 +39,7 @@ import (
 	"beqos/internal/sim"
 	"beqos/internal/sweep"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 // SigmaBound is the acceptance threshold for checked cells, shared with the
@@ -358,13 +359,15 @@ func (s *Spec) runLive(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2
 		return Cell{}, err
 	}
 	defer srv.Close()
+	scn, err := loadgen.Stationary(s.Rate, s.Hold, s.Duration, 0)
+	if err != nil {
+		return Cell{}, err
+	}
 	res, err := loadgen.Run(loadgen.Config{
 		Server:       srv,
 		Capacity:     s.Capacity,
 		Util:         s.Util,
-		Rate:         s.Rate,
-		Hold:         s.Hold,
-		Duration:     s.Duration,
+		Workload:     scn,
 		Seed1:        seed1,
 		Seed2:        seed2,
 		PolicyDenies: limit < kmax,
@@ -408,15 +411,12 @@ func (s *Spec) runLive(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2
 // runSim measures one cell over independent simulator replications, each
 // with a fresh policy instance (policies are stateful).
 func (s *Spec) runSim(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2 uint64) (Cell, error) {
-	arr, err := sim.NewPoissonArrivals(s.Rate)
-	if err != nil {
-		return Cell{}, err
-	}
-	hold, err := sim.NewExpHolding(s.Hold)
-	if err != nil {
-		return Cell{}, err
-	}
 	warmup := 5 * s.Hold
+	scn, err := workload.OnePhase(0, warmup, warmup+s.Duration,
+		workload.ArrivalSpec{Kind: "poisson", Rate: s.Rate}, workload.HoldSpec{Kind: "exp", Mean: s.Hold})
+	if err != nil {
+		return Cell{}, err
+	}
 	var limit int
 	var checked bool
 	blk := make([]float64, s.Replicates)
@@ -437,10 +437,7 @@ func (s *Spec) runSim(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2 
 			Policy:    sim.Reservation,
 			KMax:      kmax,
 			Admission: pol,
-			Arrivals:  arr,
-			Holding:   hold,
-			Horizon:   warmup + s.Duration,
-			Warmup:    warmup,
+			Workload:  scn,
 			Seed1:     r1,
 			Seed2:     r2,
 		})

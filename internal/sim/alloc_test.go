@@ -11,10 +11,10 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	// Warm the heap to its steady-state footprint.
 	for i := 0; i < 64; i++ {
-		e.scheduleTagged(float64(i), evSample, 0, 0)
+		e.scheduleTagged(float64(i), evSample, 0)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.scheduleTagged(1, evSample, 0, 0)
+		e.scheduleTagged(1, evSample, 0)
 		if _, ok := e.next(1e18); !ok {
 			t.Fatal("event lost")
 		}
@@ -30,8 +30,7 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 // near the old per-flow closure regime (~7 allocs per flow).
 func TestRunAllocationBudget(t *testing.T) {
 	cfg := mmInfConfig(t, 120, BestEffort, 5)
-	cfg.Horizon = 500
-	cfg.Warmup = 50
+	cfg.Workload = mmInf(t, 500, 50)
 	res, err := Run(cfg) // ≈ 5000 flows
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +53,7 @@ func TestRunAllocationBudget(t *testing.T) {
 // near the total flow count.
 func TestFlowArenaRecycles(t *testing.T) {
 	cfg := mmInfConfig(t, 120, BestEffort, 6)
-	cfg.Horizon = 500
-	cfg.Warmup = 50
+	cfg.Workload = mmInf(t, 500, 50)
 	s, err := prepare(cfg)
 	if err != nil {
 		t.Fatal(err)

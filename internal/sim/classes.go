@@ -3,43 +3,36 @@ package sim
 import (
 	"fmt"
 
-	"beqos/internal/rng"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
-// FlowClass describes one application class in a heterogeneous simulation
-// (§5's heterogeneous-flows extension, dynamically): flows of this class
-// occur with probability proportional to Weight, evaluate the class's
-// utility, and scale their bandwidth needs by Demand (a flow receiving
-// share b performs like Util at b/Demand).
-type FlowClass struct {
-	Weight float64
-	Util   utility.Function
-	Demand float64
+// class is one flow class as the simulator scores it (§5's
+// heterogeneous-flows extension, dynamically): a flow receiving share b
+// performs like util at b/demand.
+type class struct {
+	util   utility.Function
+	demand float64
 }
 
-// normalizeClasses validates and normalizes a class list.
-func normalizeClasses(classes []FlowClass) ([]FlowClass, error) {
-	out := make([]FlowClass, len(classes))
-	var total float64
-	for i, c := range classes {
-		if c.Util == nil {
-			return nil, fmt.Errorf("sim: class %d has nil utility", i)
-		}
-		if !(c.Weight > 0) {
-			return nil, fmt.Errorf("sim: class %d has non-positive weight %g", i, c.Weight)
-		}
-		if c.Demand < 0 {
-			return nil, fmt.Errorf("sim: class %d has negative demand %g", i, c.Demand)
-		}
-		out[i] = c
-		if out[i].Demand == 0 {
-			out[i].Demand = 1
-		}
-		total += c.Weight
+// buildClasses pairs the scenario's classes with their utilities: utils[i]
+// when given, else the run-wide util.
+func buildClasses(scn []workload.Class, utils []utility.Function, util utility.Function) ([]class, error) {
+	if len(utils) > 0 && len(utils) != len(scn) {
+		return nil, fmt.Errorf("sim: %d class utilities for a scenario of %d classes", len(utils), len(scn))
 	}
-	for i := range out {
-		out[i].Weight /= total
+	if len(scn) == 0 {
+		return nil, nil
+	}
+	out := make([]class, len(scn))
+	for i, c := range scn {
+		out[i] = class{util: util, demand: c.Demand}
+		if len(utils) > 0 {
+			out[i].util = utils[i]
+		}
+		if out[i].util == nil {
+			return nil, fmt.Errorf("sim: class %q has no utility", c.Name)
+		}
 	}
 	return out, nil
 }
@@ -47,22 +40,10 @@ func normalizeClasses(classes []FlowClass) ([]FlowClass, error) {
 // classMixture builds the population's expected utility function, used to
 // derive the admission threshold kmax(C) exactly as the analytical model's
 // utility.Mixture does.
-func classMixture(classes []FlowClass) (utility.Function, error) {
+func classMixture(scn []workload.Class, classes []class) (utility.Function, error) {
 	comps := make([]utility.Component, len(classes))
 	for i, c := range classes {
-		comps[i] = utility.Component{Fn: c.Util, Weight: c.Weight, Demand: c.Demand}
+		comps[i] = utility.Component{Fn: c.util, Weight: scn[i].Weight, Demand: c.demand}
 	}
 	return utility.NewMixture(comps)
-}
-
-// pickClass samples a class index by weight.
-func pickClass(classes []FlowClass, src *rng.Source) int {
-	u := src.Float64()
-	for i, c := range classes {
-		u -= c.Weight
-		if u < 0 {
-			return i
-		}
-	}
-	return len(classes) - 1
 }

@@ -1,8 +1,8 @@
 // Package sim is a flow-level discrete-event simulator for a single
-// bottleneck link. It generates flows from arrival/holding-time processes,
-// applies either best-effort sharing or reservation-style admission
-// control, and measures the stationary occupancy distribution, per-flow
-// utilities, blocking and retry behavior.
+// bottleneck link. It replays a workload scenario's arrival stream
+// (internal/workload), applies either best-effort sharing or
+// reservation-style admission control, and measures the stationary
+// occupancy distribution, per-flow utilities, blocking and retry behavior.
 //
 // The paper (Breslau & Shenker, SIGCOMM 1998) postulates static load
 // distributions P(k) rather than modeling flow dynamics; this package
@@ -12,6 +12,8 @@
 // definitions against measured ones.
 package sim
 
+import "math"
+
 // eventKind tags a scheduled event record with its dispatch action. The
 // simulator's hot loop schedules tagged records (no closure allocation);
 // evFunc carries an arbitrary callback for external users of the engine.
@@ -20,17 +22,12 @@ type eventKind uint8
 const (
 	// evFunc runs the attached closure (the generic Schedule API).
 	evFunc eventKind = iota
-	// evPump fires one arrival batch (n flows) and re-arms the pump.
-	evPump
 	// evDepart ends flow `flow`'s holding time.
 	evDepart
 	// evSample records a §5.1 load observation for flow `flow`.
 	evSample
 	// evRetry re-submits rejected flow `flow` after its backoff.
 	evRetry
-	// evWload lands the pending workload-stream record and pulls the next
-	// one (workload-driven runs replace evPump with this).
-	evWload
 )
 
 // event is one scheduled record. seq breaks ties deterministically, so
@@ -41,7 +38,6 @@ type event struct {
 	fn   func() // evFunc only
 	kind eventKind
 	flow int32 // flow-arena index (evDepart/evSample/evRetry)
-	n    int32 // batch size (evPump)
 }
 
 // Engine is a deterministic discrete-event scheduler. Its priority queue
@@ -67,7 +63,8 @@ func (e *Engine) Now() float64 { return e.now }
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.pq) }
 
-// Dispatched reports the total number of events popped and run so far.
+// Dispatched reports the total number of events dispatched so far: those
+// popped, and those the caller dispatched itself (advanceTo).
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // MaxQueued reports the event queue's high-water mark.
@@ -82,8 +79,8 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 
 // scheduleTagged enqueues a closure-free tagged record — the simulator's
 // zero-allocation internal path.
-func (e *Engine) scheduleTagged(delay float64, kind eventKind, flow, n int32) {
-	e.schedule(delay, event{kind: kind, flow: flow, n: n})
+func (e *Engine) scheduleTagged(delay float64, kind eventKind, flow int32) {
+	e.schedule(delay, event{kind: kind, flow: flow})
 }
 
 func (e *Engine) schedule(delay float64, ev event) {
@@ -93,6 +90,22 @@ func (e *Engine) schedule(delay float64, ev event) {
 	e.seq++
 	ev.at, ev.seq = e.now+delay, e.seq
 	e.push(ev)
+}
+
+// peek returns the earliest queued event's time, +Inf when none is queued.
+func (e *Engine) peek() float64 {
+	if len(e.pq) == 0 {
+		return math.Inf(1)
+	}
+	return e.pq[0].at
+}
+
+// advanceTo moves the clock to t for an event the caller dispatches from
+// outside the queue, counting it as dispatched. The caller guarantees
+// now ≤ t ≤ peek().
+func (e *Engine) advanceTo(t float64) {
+	e.now = t
+	e.dispatched++
 }
 
 // next pops the earliest event at or before until, advancing the clock to

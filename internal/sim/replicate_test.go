@@ -13,8 +13,7 @@ func replicationConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	short := func(policy Policy, seed uint64) Config {
 		cfg := mmInfConfig(t, 115, policy, seed)
-		cfg.Horizon = 1500
-		cfg.Warmup = 100
+		cfg.Workload = mmInf(t, 1500, 100)
 		return cfg
 	}
 	cfgs := map[string]Config{
@@ -34,18 +33,9 @@ func replicationConfigs(t *testing.T) map[string]Config {
 	c.Retry = &RetryConfig{MeanBackoff: 5, Penalty: 0.1, MaxAttempts: 20}
 	cfgs["reservation/retrying"] = c
 
-	arr, err := NewSessionArrivals(2, 2, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold, err := NewExpHolding(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfgs["heavy-tail/S1"] = Config{
 		Capacity: 1e9, Util: rigidFn(t), Policy: BestEffort,
-		Arrivals: arr, Holding: hold,
-		Horizon: 1500, Warmup: 100, Samples: 1,
+		Workload: sessions(t, 1500, 100, 2, 2, 8), Samples: 1,
 		Seed1: 13, Seed2: 14,
 	}
 	return cfgs
@@ -78,8 +68,7 @@ func TestParallelReplicationsByteIdentical(t *testing.T) {
 // worker-pool path (workers = GOMAXPROCS) without changing its output.
 func TestRunReplicationsDefaultIsParallel(t *testing.T) {
 	cfg := mmInfConfig(t, 110, Reservation, 3)
-	cfg.Horizon = 1500
-	cfg.Warmup = 100
+	cfg.Workload = mmInf(t, 1500, 100)
 	def, err := RunReplications(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +94,7 @@ func TestParallelReplicationsSpeedup(t *testing.T) {
 		t.Skip("timing test")
 	}
 	cfg := mmInfConfig(t, 120, BestEffort, 17)
-	cfg.Horizon = 4000
-	cfg.Warmup = 200
+	cfg.Workload = mmInf(t, 4000, 200)
 	start := time.Now()
 	seq, err := RunReplicationsWorkers(cfg, 8, 1)
 	if err != nil {

@@ -10,10 +10,10 @@ import (
 	"beqos/internal/workload"
 )
 
-// workloadSimStreamIndex derives the simulator's own random source in
-// workload runs (see prepare). It differs from the workload package's
-// modulation index, so the two substreams never coincide.
-const workloadSimStreamIndex = 0x51a1
+// simStreamIndex derives the simulator's own random source (see
+// prepare). It differs from the workload package's modulation index, so
+// the two substreams never coincide.
+const simStreamIndex = 0x51a1
 
 // Policy selects the link architecture.
 type Policy int
@@ -57,12 +57,14 @@ type Config struct {
 	// Util is the application utility function π. It may be nil when
 	// Classes is set.
 	Util utility.Function
-	// Classes, when non-empty, makes the population heterogeneous: each
-	// flow draws a class (by weight) and is scored with that class's
-	// utility and demand scale. The admission threshold is derived from
-	// the population's expected utility (a utility.Mixture), matching the
-	// analytical model's §5 heterogeneous-flows treatment.
-	Classes []FlowClass
+	// Classes, when non-empty, gives each of the scenario's flow classes
+	// its own utility (indexed like Workload.Classes; the scenario supplies
+	// their weights and demand scales): §5's heterogeneous-flows extension,
+	// dynamically. Without it every class is scored with Util at its
+	// demand scale. When Util is nil the admission threshold is derived
+	// from the population's expected utility (a utility.Mixture), matching
+	// the analytical model's treatment.
+	Classes []utility.Function
 	// Policy selects best-effort or reservation-capable behavior.
 	Policy Policy
 	// KMax is the reservation admission threshold; 0 derives it from the
@@ -76,25 +78,14 @@ type Config struct {
 	// a Config carrying one must not be shared across concurrent runs — see
 	// RunReplicationsWorkers.
 	Admission policy.Policy
-	// Arrivals and Holding define the flow dynamics. Both must be nil
-	// when Workload is set.
-	Arrivals Arrivals
-	Holding  Holding
-	// Workload, when non-nil, drives the run from a declarative scenario
-	// (internal/workload) instead of Arrivals/Holding: arrivals, holding
-	// times, classes and phases all come from the scenario's
-	// deterministic stream, seeded from Seed1/Seed2. Classes must be
-	// empty (the scenario's mixture applies, scored with Util); Horizon 0
-	// defaults to the scenario duration and Warmup 0 to the scenario
-	// warmup.
+	// Workload is the run's traffic (internal/workload): arrivals, holding
+	// times, classes and phases all come from the scenario's deterministic
+	// stream, seeded from Seed1/Seed2. The run lasts the scenario's
+	// duration and excludes its warmup from all statistics.
 	Workload *workload.Scenario
 	// WorkloadRecord, when non-nil, observes every consumed workload
 	// record in stream order — the golden-determinism trace hook.
 	WorkloadRecord func(workload.Flow)
-	// Horizon is the simulated duration; Warmup (< Horizon) is excluded
-	// from all statistics.
-	Horizon float64
-	Warmup  float64
 	// Samples is the paper's §5.1 S: a flow's performance is π at the
 	// worst of S load observations (its arrival instant plus S−1 uniform
 	// instants over its lifetime). Samples = 0 scores flows by their
@@ -132,18 +123,18 @@ type Result struct {
 	BlockingRate float64
 	// PeakOccupancy is the largest concurrent flow count observed.
 	PeakOccupancy int
-	// Events counts discrete events dispatched by the engine; ArenaPeak is
-	// the flow arena's high-water mark (live + free slots). Together they
+	// Events counts discrete events dispatched (arrivals, departures,
+	// sample instants, retries); ArenaPeak is the flow arena's high-water
+	// mark (live + free slots). Together they
 	// bound the run's compute and memory footprint.
 	Events    uint64
 	ArenaPeak int
 	// ClassUtility and ClassFlows report per-class mean utilities and flow
-	// counts when Config.Classes was set.
+	// counts when the scenario has flow classes.
 	ClassUtility []float64
 	ClassFlows   []int
 	// PhaseFlows, PhaseAdmitted and PhaseRejected tally post-warmup flows
-	// by final fate per scenario phase when Config.Workload was set
-	// (indexed like Workload.Phases).
+	// by final fate per scenario phase (indexed like Workload.Phases).
 	PhaseFlows    []int
 	PhaseAdmitted []int
 	PhaseRejected []int
@@ -157,11 +148,11 @@ type Result struct {
 type flow struct {
 	admittedAt float64
 	utilAccum  float64 // ∫ π dt reference at admission (time-average mode)
-	hold       float64 // pre-drawn holding time (workload runs only)
+	hold       float64 // holding time, drawn by the workload stream
 	attempts   int32
 	maxLoad    int32
-	class      int32 // index into the class list (0 when homogeneous)
-	phase      int32 // scenario phase index (workload runs only)
+	class      int32 // scenario class index (0 when homogeneous)
+	phase      int32 // scenario phase index
 	counted    bool  // true if the flow arrived post-warmup
 }
 
@@ -180,50 +171,21 @@ func prepare(cfg Config) (*simState, error) {
 	if !(cfg.Capacity > 0) {
 		return nil, fmt.Errorf("sim: capacity must be positive, got %g", cfg.Capacity)
 	}
-	if cfg.Workload != nil {
-		if cfg.Arrivals != nil || cfg.Holding != nil {
-			return nil, fmt.Errorf("sim: Workload replaces Arrivals/Holding; set one or the other")
-		}
-		if len(cfg.Classes) > 0 {
-			return nil, fmt.Errorf("sim: Workload carries its own class mixture; Classes must be empty")
-		}
-		if cfg.Util == nil {
-			return nil, fmt.Errorf("sim: workload runs need Util (scenario classes scale demand, not utility)")
-		}
-		for _, c := range cfg.Workload.Classes {
-			cfg.Classes = append(cfg.Classes, FlowClass{
-				Weight: c.Weight,
-				Util:   cfg.Util,
-				Demand: c.Demand,
-			})
-		}
-		if cfg.Horizon == 0 {
-			cfg.Horizon = cfg.Workload.Duration()
-		}
-		if cfg.Warmup == 0 {
-			cfg.Warmup = cfg.Workload.Warmup
-		}
+	wl := cfg.Workload
+	if wl == nil {
+		return nil, fmt.Errorf("sim: a run needs a Workload scenario")
 	}
-	var classes []FlowClass
-	if len(cfg.Classes) > 0 {
-		var err error
-		classes, err = normalizeClasses(cfg.Classes)
-		if err != nil {
+	classes, err := buildClasses(wl.Classes, cfg.Classes, cfg.Util)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Util == nil && len(classes) > 0 {
+		if cfg.Util, err = classMixture(wl.Classes, classes); err != nil {
 			return nil, err
 		}
-		if cfg.Util == nil {
-			mix, err := classMixture(classes)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Util = mix
-		}
 	}
-	if cfg.Util == nil || (cfg.Workload == nil && (cfg.Arrivals == nil || cfg.Holding == nil)) {
-		return nil, fmt.Errorf("sim: utility, arrivals and holding must be non-nil")
-	}
-	if !(cfg.Horizon > 0) || cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
-		return nil, fmt.Errorf("sim: need 0 ≤ warmup < horizon, got warmup=%g horizon=%g", cfg.Warmup, cfg.Horizon)
+	if cfg.Util == nil {
+		return nil, fmt.Errorf("sim: utility must be non-nil")
 	}
 	if cfg.Samples < 0 {
 		return nil, fmt.Errorf("sim: samples must be nonnegative, got %d", cfg.Samples)
@@ -255,80 +217,68 @@ func prepare(cfg Config) (*simState, error) {
 		return nil, fmt.Errorf("sim: reservation admits no flows at capacity %g", cfg.Capacity)
 	}
 
-	// A workload stream seeds its primary source from (Seed1, Seed2)
+	// The workload stream seeds its primary source from (Seed1, Seed2)
 	// itself, so the simulator's own draws (sample instants, retry
 	// backoffs) take a substream there; drawing from a twin of the stream's
 	// source would replay its variates.
-	seed1, seed2 := cfg.Seed1, cfg.Seed2
-	if cfg.Workload != nil {
-		seed1, seed2 = rng.Substream(seed1, seed2, workloadSimStreamIndex)
-	}
-	src := rng.New(seed1, seed2)
-	eng := NewEngine()
+	seed1, seed2 := rng.Substream(cfg.Seed1, cfg.Seed2, simStreamIndex)
+	np := len(wl.Phases)
+	tally := make([]int, 3*np) // one backing array for the phase tallies
 	s := &simState{
 		cfg:     cfg,
 		classes: classes,
 		kmax:    kmax,
-		src:     src,
-		eng:     eng,
-		occLast: 0,
-		// Preallocate the accumulators and arenas at plausible steady-state
-		// sizes so the hot loop allocates only on (rare, amortized) growth.
-		occTime:   make([]float64, 0, 128),
-		arrCounts: make([]float64, 0, 128),
-		flows:     make([]flow, 0, 256),
-		free:      make([]int32, 0, 256),
+		warmup:  wl.Warmup,
+		horizon: wl.Duration(),
+		src:     rng.New(seed1, seed2),
+		eng:     &Engine{pq: make([]event, 0, 256)},
+		wl:      wl.Stream(cfg.Seed1, cfg.Seed2),
+		// Preallocate the event heap, accumulators and arenas at plausible
+		// steady-state sizes so the hot loop allocates only on (rare,
+		// amortized) growth.
+		occTime:       make([]float64, 0, 128),
+		arrCounts:     make([]float64, 0, 128),
+		flows:         make([]flow, 0, 256),
+		free:          make([]int32, 0, 256),
+		phaseFlows:    tally[:np:np],
+		phaseAdmitted: tally[np : 2*np : 2*np],
+		phaseRejected: tally[2*np:],
 	}
 	if len(classes) > 0 {
 		s.piAccumClass = make([]float64, len(classes))
 		s.utilSumClass = make([]float64, len(classes))
 		s.flowsClass = make([]int, len(classes))
 	}
-	if wl := cfg.Workload; wl != nil {
-		s.wl = wl.Stream(cfg.Seed1, cfg.Seed2)
-		s.phaseFlows = make([]int, len(wl.Phases))
-		s.phaseAdmitted = make([]int, len(wl.Phases))
-		s.phaseRejected = make([]int, len(wl.Phases))
-	}
-
 	return s, nil
 }
 
-// run primes the arrival pump and drains the event loop to the horizon.
-// Each evPump event lands one batch, then draws the next interarrival and
-// re-arms itself (same RNG draw order as a recursive closure pump, with no
-// per-batch closure). Workload runs pull pre-drawn records from the
-// scenario stream instead: one evWload per record, re-armed as each lands.
+// run pulls the first workload record and drains the event loop to the
+// horizon.
 func (s *simState) run() {
-	if s.wl != nil {
-		s.pullRecord()
-	} else {
-		wait, batch := s.cfg.Arrivals.Next(s.src)
-		s.eng.scheduleTagged(wait, evPump, 0, int32(batch))
-	}
+	s.pullRecord()
 	s.loop()
 }
 
-// pullRecord advances the workload stream and schedules the next record's
-// arrival. At most one evWload is outstanding, so wlNext is unambiguous
-// at dispatch.
+// pullRecord advances the workload stream into the one-record lookahead.
 func (s *simState) pullRecord() {
 	rec, ok := s.wl.Next()
+	s.pending = ok
 	if !ok {
 		return
 	}
 	if s.cfg.WorkloadRecord != nil {
 		s.cfg.WorkloadRecord(rec)
 	}
-	s.wlNext = rec
-	s.eng.scheduleTagged(rec.At-s.eng.Now(), evWload, 0, 0)
+	s.next = rec
 }
 
 // simState carries the mutable simulation state.
 type simState struct {
 	cfg     Config
-	classes []FlowClass
+	classes []class
 	kmax    int
+	warmup  float64 // statistics exclude [0, warmup)
+	horizon float64 // the scenario's duration
 	src     *rng.Source
 	eng     *Engine
 
@@ -336,11 +286,12 @@ type simState struct {
 	flows []flow
 	free  []int32
 
-	// wl is the workload stream (workload runs only); wlNext is the
-	// pulled record awaiting its evWload dispatch. phaseFlows/Admitted/
-	// Rejected tally post-warmup fates per scenario phase.
+	// wl is the workload stream and next, when pending, the pulled record
+	// still to land. phaseFlows/Admitted/Rejected tally post-warmup fates
+	// per scenario phase.
 	wl            *workload.Stream
-	wlNext        workload.Flow
+	next          workload.Flow
+	pending       bool
 	phaseFlows    []int
 	phaseAdmitted []int
 	phaseRejected []int
@@ -364,26 +315,31 @@ type simState struct {
 	attempts     int
 }
 
-// loop drains the event queue up to the horizon, dispatching tagged
-// records. This is the simulator's entire steady state: no closures, no
-// interface boxing, no allocation beyond amortized slice growth.
+// loop merges the two time-ordered sources up to the horizon: the
+// workload stream's next record and the engine's queue of departures,
+// sample instants and retries (a record lands before a queued event at
+// the same instant). This is the simulator's entire steady state: no
+// closures, no interface boxing, no allocation beyond amortized slice
+// growth.
 func (s *simState) loop() {
 	for {
-		ev, ok := s.eng.next(s.cfg.Horizon)
+		if rec := &s.next; s.pending && rec.At <= s.eng.peek() && rec.At <= s.horizon {
+			s.eng.advanceTo(rec.At)
+			fi := s.newFlow()
+			f := &s.flows[fi]
+			f.counted = rec.At >= s.warmup
+			f.class = int32(rec.Class)
+			f.phase = int32(rec.Phase)
+			f.hold = rec.Hold
+			s.arrive(fi)
+			s.pullRecord()
+			continue
+		}
+		ev, ok := s.eng.next(s.horizon)
 		if !ok {
 			return
 		}
 		switch ev.kind {
-		case evPump:
-			now := s.eng.Now()
-			counted := now >= s.cfg.Warmup
-			for i := int32(0); i < ev.n; i++ {
-				fi := s.newFlow()
-				s.flows[fi].counted = counted
-				s.arrive(fi)
-			}
-			wait, batch := s.cfg.Arrivals.Next(s.src)
-			s.eng.scheduleTagged(wait, evPump, 0, int32(batch))
 		case evDepart:
 			s.depart(ev.flow)
 			s.freeFlow(ev.flow)
@@ -394,18 +350,6 @@ func (s *simState) loop() {
 			}
 		case evRetry:
 			s.arrive(ev.flow)
-		case evWload:
-			rec := s.wlNext
-			fi := s.newFlow()
-			f := &s.flows[fi]
-			f.counted = s.eng.Now() >= s.cfg.Warmup
-			f.class = int32(rec.Class)
-			f.phase = int32(rec.Phase)
-			f.hold = rec.Hold
-			s.arrive(fi)
-			s.pullRecord()
-		case evFunc:
-			ev.fn()
 		}
 	}
 }
@@ -433,15 +377,15 @@ func (s *simState) evalUtil(ci int32, b float64) float64 {
 		return s.cfg.Util.Eval(b)
 	}
 	c := s.classes[ci]
-	return c.Util.Eval(b / c.Demand)
+	return c.util.Eval(b / c.demand)
 }
 
 // advance accounts occupancy time up to now.
 func (s *simState) advance() {
 	now := s.eng.Now()
 	start := s.occLast
-	if start < s.cfg.Warmup {
-		start = s.cfg.Warmup
+	if start < s.warmup {
+		start = s.warmup
 	}
 	if now > start {
 		for len(s.occTime) <= s.active {
@@ -471,9 +415,6 @@ func (s *simState) setActive(n int) {
 func (s *simState) arrive(fi int32) {
 	f := &s.flows[fi]
 	f.attempts++
-	if f.attempts == 1 && len(s.classes) > 0 && s.wl == nil {
-		f.class = int32(pickClass(s.classes, s.src))
-	}
 	if f.counted {
 		s.attempts++
 		if f.attempts == 1 {
@@ -481,9 +422,7 @@ func (s *simState) arrive(fi int32) {
 			if len(s.classes) > 0 {
 				s.flowsClass[f.class]++
 			}
-			if s.wl != nil {
-				s.phaseFlows[f.phase]++
-			}
+			s.phaseFlows[f.phase]++
 			// PASTA sample of the demand process: the load level this
 			// flow experiences, itself included.
 			level := s.active + 1
@@ -512,9 +451,7 @@ func (s *simState) admit(fi int32) {
 	f := &s.flows[fi]
 	if f.counted {
 		s.admitted++
-		if s.wl != nil {
-			s.phaseAdmitted[f.phase]++
-		}
+		s.phaseAdmitted[f.phase]++
 	}
 	s.setActive(s.active + 1)
 	f.maxLoad = int32(s.active)
@@ -524,21 +461,16 @@ func (s *simState) admit(fi int32) {
 		f.utilAccum = s.piAccum
 	}
 	f.admittedAt = s.eng.Now()
-	var holding float64
-	if s.wl != nil {
-		holding = f.hold
-	} else {
-		holding = s.cfg.Holding.Sample(s.src)
-	}
+	holding := f.hold
 	// Extra load samples at uniform instants over the flow's lifetime
 	// (§5.1): record the concurrent flow count at each. Sample instants
 	// are strictly inside [0, holding), so every evSample fires before the
 	// flow's evDepart recycles its slot.
 	for i := 1; i < s.cfg.Samples; i++ {
 		at := s.src.Float64() * holding
-		s.eng.scheduleTagged(at, evSample, fi, 0)
+		s.eng.scheduleTagged(at, evSample, fi)
 	}
-	s.eng.scheduleTagged(holding, evDepart, fi, 0)
+	s.eng.scheduleTagged(holding, evDepart, fi)
 }
 
 // nowNs is the current virtual time on the admission policies' clock:
@@ -582,14 +514,12 @@ func (s *simState) reject(fi int32) {
 		if f.counted {
 			s.retries++
 		}
-		s.eng.scheduleTagged(s.src.Exp(s.cfg.Retry.MeanBackoff), evRetry, fi, 0)
+		s.eng.scheduleTagged(s.src.Exp(s.cfg.Retry.MeanBackoff), evRetry, fi)
 		return
 	}
 	if f.counted {
 		s.rejected++
-		if s.wl != nil {
-			s.phaseRejected[f.phase]++
-		}
+		s.phaseRejected[f.phase]++
 		s.utilSum -= s.penalty(f)
 		if len(s.classes) > 0 {
 			s.utilSumClass[f.class] -= s.penalty(f)
@@ -616,6 +546,9 @@ func (s *simState) result() Result {
 		PeakOccupancy: s.peak,
 		Events:        s.eng.Dispatched(),
 		ArenaPeak:     len(s.flows),
+		PhaseFlows:    s.phaseFlows,
+		PhaseAdmitted: s.phaseAdmitted,
+		PhaseRejected: s.phaseRejected,
 	}
 	if len(s.occTime) > 0 {
 		if emp, err := dist.NewEmpirical(s.occTime); err == nil {
@@ -636,18 +569,13 @@ func (s *simState) result() Result {
 		res.BlockingRate = float64(blocked) / float64(s.attempts)
 	}
 	if len(s.classes) > 0 {
-		res.ClassFlows = append([]int(nil), s.flowsClass...)
-		res.ClassUtility = make([]float64, len(s.classes))
-		for i, sum := range s.utilSumClass {
-			if s.flowsClass[i] > 0 {
-				res.ClassUtility[i] = sum / float64(s.flowsClass[i])
+		res.ClassFlows = s.flowsClass
+		res.ClassUtility = s.utilSumClass
+		for i, n := range s.flowsClass {
+			if n > 0 {
+				res.ClassUtility[i] /= float64(n)
 			}
 		}
-	}
-	if s.wl != nil {
-		res.PhaseFlows = append([]int(nil), s.phaseFlows...)
-		res.PhaseAdmitted = append([]int(nil), s.phaseAdmitted...)
-		res.PhaseRejected = append([]int(nil), s.phaseRejected...)
 	}
 	return res
 }

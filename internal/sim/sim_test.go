@@ -7,6 +7,7 @@ import (
 	"beqos/internal/core"
 	"beqos/internal/dist"
 	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 func rigidFn(t testing.TB) utility.Function {
@@ -18,30 +19,54 @@ func rigidFn(t testing.TB) utility.Function {
 	return r
 }
 
-// mm1inf returns a Config for an M/M/∞-style run with offered load
+// onePhase compiles one-phase test traffic: no prefill, the given warmup,
+// and a phase lasting horizon.
+func onePhase(t testing.TB, horizon, warmup float64, arr workload.ArrivalSpec, hold workload.HoldSpec) *workload.Scenario {
+	t.Helper()
+	scn, err := workload.OnePhase(0, warmup, horizon, arr, hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scn
+}
+
+// mmInf is M/M/∞ traffic at offered load rate·holdMean = 10·10.
+func mmInf(t testing.TB, horizon, warmup float64) *workload.Scenario {
+	return onePhase(t, horizon, warmup, workload.ArrivalSpec{Kind: "poisson", Rate: 10}, workload.HoldSpec{Kind: "exp", Mean: 10})
+}
+
+// sessions is Poisson session traffic at sessionRate, each session a
+// Pareto(scale, 1.5) batch of flows with exponential holds of holdMean.
+func sessions(t testing.TB, horizon, warmup, sessionRate, scale, holdMean float64) *workload.Scenario {
+	arr := workload.ArrivalSpec{Kind: "session", Scale: scale, Shape: 1.5}
+	arr.Rate = sessionRate * arr.MeanBatch()
+	return onePhase(t, horizon, warmup, arr, workload.HoldSpec{Kind: "exp", Mean: holdMean})
+}
+
+// mmInfConfig returns a Config for an M/M/∞-style run with offered load
 // rate·holdMean.
 func mmInfConfig(t testing.TB, capacity float64, policy Policy, seed uint64) Config {
 	t.Helper()
-	arr, err := NewPoissonArrivals(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold, err := NewExpHolding(10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Config{
 		Capacity: capacity,
 		Util:     rigidFn(t),
 		Policy:   policy,
-		Arrivals: arr,
-		Holding:  hold,
-		Horizon:  30000,
-		Warmup:   500,
+		Workload: mmInf(t, 30000, 500),
 		Samples:  1,
 		Seed1:    seed,
 		Seed2:    seed + 1,
 	}
+}
+
+// mmInfClasses is mmInf(30000, 500) traffic carrying a class mixture (the
+// spec's class lines).
+func mmInfClasses(t testing.TB, classes string) *workload.Scenario {
+	t.Helper()
+	scn, err := workload.Parse("scenario classes\nwarmup 500\n" + classes + "phase p 30000\narrivals poisson rate=10\nholding exp mean=10\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scn
 }
 
 func TestRunValidation(t *testing.T) {
@@ -57,9 +82,9 @@ func TestRunValidation(t *testing.T) {
 		t.Error("nil utility should fail")
 	}
 	bad = good
-	bad.Warmup = bad.Horizon
+	bad.Workload = nil
 	if _, err := Run(bad); err == nil {
-		t.Error("warmup ≥ horizon should fail")
+		t.Error("a run without traffic should fail")
 	}
 	bad = good
 	bad.Samples = -1
@@ -263,22 +288,11 @@ func TestHeavyTailSessionsOverdispersed(t *testing.T) {
 	// Pareto session batches produce occupancy with variance well above
 	// the mean — the qualitative regime where the paper's algebraic
 	// distribution lives and reservations retain an advantage.
-	arr, err := NewSessionArrivals(2, 2, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold, err := NewExpHolding(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Capacity: 1e9,
 		Util:     rigidFn(t),
 		Policy:   BestEffort,
-		Arrivals: arr,
-		Holding:  hold,
-		Horizon:  40000,
-		Warmup:   1000,
+		Workload: sessions(t, 40000, 1000, 2, 2, 8),
 		Samples:  1,
 		Seed1:    101,
 		Seed2:    102,
@@ -325,7 +339,7 @@ func TestRetryStormDestroysUtility(t *testing.T) {
 	// swamp the recovered utility — the dynamic face of the paper's
 	// retry-storm caveat.
 	cfg := mmInfConfig(t, 95, Reservation, 13)
-	cfg.Horizon = 10000
+	cfg.Workload = mmInf(t, 10000, 500)
 	cfg.Retry = &RetryConfig{MeanBackoff: 5, Penalty: 0.1, MaxAttempts: 50}
 	res, err := Run(cfg)
 	if err != nil {
@@ -425,10 +439,8 @@ func TestHeterogeneousClasses(t *testing.T) {
 	rigid := rigidFn(t)
 	cfg := mmInfConfig(t, 150, BestEffort, 23)
 	cfg.Util = nil
-	cfg.Classes = []FlowClass{
-		{Weight: 1, Util: rigid, Demand: 1},
-		{Weight: 1, Util: rigid, Demand: 2},
-	}
+	cfg.Workload = mmInfClasses(t, "class thin weight=1\nclass fat weight=1 demand=2\n")
+	cfg.Classes = []utility.Function{rigid, rigid}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -473,13 +485,10 @@ func TestHeterogeneousClasses(t *testing.T) {
 func TestHeterogeneousClassesReservation(t *testing.T) {
 	// With classes and no explicit Util, kmax comes from the population
 	// mixture.
-	rigid := rigidFn(t)
 	cfg := mmInfConfig(t, 110, Reservation, 29)
 	cfg.Util = nil
-	cfg.Classes = []FlowClass{
-		{Weight: 3, Util: rigid, Demand: 1},
-		{Weight: 1, Util: utility.NewAdaptive(), Demand: 1},
-	}
+	cfg.Workload = mmInfClasses(t, "class rigid weight=3\nclass adaptive weight=1\n")
+	cfg.Classes = []utility.Function{rigidFn(t), utility.NewAdaptive()}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -495,17 +504,18 @@ func TestHeterogeneousClassesReservation(t *testing.T) {
 func TestHeterogeneousClassValidation(t *testing.T) {
 	cfg := mmInfConfig(t, 100, BestEffort, 1)
 	cfg.Util = nil
-	cfg.Classes = []FlowClass{{Weight: 0, Util: rigidFn(t)}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero class weight should fail")
-	}
-	cfg.Classes = []FlowClass{{Weight: 1, Util: nil}}
+	cfg.Workload = mmInfClasses(t, "class only weight=1\n")
+	cfg.Classes = []utility.Function{nil}
 	if _, err := Run(cfg); err == nil {
 		t.Error("nil class utility should fail")
 	}
-	cfg.Classes = []FlowClass{{Weight: 1, Util: rigidFn(t), Demand: -1}}
+	cfg.Classes = []utility.Function{rigidFn(t), rigidFn(t)}
 	if _, err := Run(cfg); err == nil {
-		t.Error("negative demand should fail")
+		t.Error("more class utilities than scenario classes should fail")
+	}
+	cfg.Classes = nil
+	if _, err := Run(cfg); err == nil {
+		t.Error("classes with neither their own nor a run-wide utility should fail")
 	}
 }
 
@@ -513,10 +523,8 @@ func TestHeterogeneousTimeAverageMode(t *testing.T) {
 	cfg := mmInfConfig(t, 120, BestEffort, 31)
 	cfg.Samples = 0
 	cfg.Util = nil
-	cfg.Classes = []FlowClass{
-		{Weight: 1, Util: utility.NewAdaptive(), Demand: 1},
-		{Weight: 1, Util: utility.NewAdaptive(), Demand: 3},
-	}
+	cfg.Workload = mmInfClasses(t, "class thin weight=1\nclass fat weight=1 demand=3\n")
+	cfg.Classes = []utility.Function{utility.NewAdaptive(), utility.NewAdaptive()}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -537,22 +545,13 @@ func TestMGInfInsensitivity(t *testing.T) {
 	// load *process* must be non-Poisson (e.g. session batches) to produce
 	// the paper's algebraic loads. This validates the paper's focus on the
 	// load distribution rather than holding-time shapes.
-	hold, err := NewParetoHolding(10.0/3, 1.5) // mean 10
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := NewPoissonArrivals(10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(Config{
 		Capacity: 1e9,
 		Util:     rigidFn(t),
 		Policy:   BestEffort,
-		Arrivals: arr,
-		Holding:  hold,
-		Horizon:  60000,
-		Warmup:   5000, // long warmup: heavy tails converge slowly
+		// Pareto(10/3, 1.5) holds, mean 10; a long warmup, because heavy
+		// tails converge slowly.
+		Workload: onePhase(t, 60000, 5000, workload.ArrivalSpec{Kind: "poisson", Rate: 10}, workload.HoldSpec{Kind: "pareto", Mean: 10, Shape: 1.5}),
 		Samples:  1,
 		Seed1:    41,
 		Seed2:    42,
@@ -572,26 +571,9 @@ func TestMGInfInsensitivity(t *testing.T) {
 	}
 }
 
-func TestParetoHoldingMoments(t *testing.T) {
-	h, err := NewParetoHolding(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3.0; math.Abs(h.Mean()-want) > 1e-12 {
-		t.Errorf("mean = %v, want %v", h.Mean(), want)
-	}
-	if _, err := NewParetoHolding(0, 2); err == nil {
-		t.Error("zero scale should fail")
-	}
-	if _, err := NewParetoHolding(1, 1); err == nil {
-		t.Error("shape ≤ 1 should fail")
-	}
-}
-
 func TestRunReplications(t *testing.T) {
 	cfg := mmInfConfig(t, 110, Reservation, 3)
-	cfg.Horizon = 4000
-	cfg.Warmup = 200
+	cfg.Workload = mmInf(t, 4000, 200)
 	rep, err := RunReplications(cfg, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -164,19 +164,11 @@ func TestWorkloadConfigValidation(t *testing.T) {
 		Workload: scn,
 		Seed1:    1, Seed2: 2,
 	}
-	arr, _ := NewPoissonArrivals(1)
-	hold, _ := NewExpHolding(1)
 
 	bad := base
-	bad.Arrivals = arr
-	bad.Holding = hold
-	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "replaces") {
-		t.Fatalf("Workload + Arrivals accepted: %v", err)
-	}
-	bad = base
-	bad.Classes = []FlowClass{{Weight: 1, Util: utility.NewAdaptive(), Demand: 1}}
-	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "class mixture") {
-		t.Fatalf("Workload + Classes accepted: %v", err)
+	bad.Classes = []utility.Function{utility.NewAdaptive()}
+	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "class utilities") {
+		t.Fatalf("class utilities for a classless scenario accepted: %v", err)
 	}
 	bad = base
 	bad.Util = nil

@@ -22,6 +22,7 @@ func FuzzParseWorkloadSpec(f *testing.F) {
 	f.Add("scenario x\nphase p 1\narrivals poisson rate=1\nholding exp mean=1\n")
 	f.Add("scenario x\nprefill 2\nwarmup 0.5\nclass a weight=1 tier=1\nphase p 3\narrivals mmpp rate=4 burst=3 sojourn=1\nholding pareto mean=1 shape=2\nevent flash at=1 mult=2 width=1\n")
 	f.Add("scenario x\nphase p 2\narrivals gamma rate=2 cv=0.5\nholding lognormal mean=1 sigma=0.5\nevent sine period=1 depth=0.9\n")
+	f.Add("scenario x\nprefill 3\nphase p 4\narrivals session rate=6 scale=1.5 shape=1.2\nholding exp mean=1\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)

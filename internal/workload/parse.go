@@ -19,6 +19,7 @@ import (
 //	arrivals poisson rate=<r>
 //	arrivals mmpp rate=<r> burst=<b> sojourn=<s>
 //	arrivals gamma rate=<r> cv=<c>
+//	arrivals session rate=<r> scale=<s> shape=<a>
 //	holding exp mean=<m>
 //	holding pareto mean=<m> shape=<a>
 //	holding lognormal mean=<m> sigma=<s>
@@ -28,7 +29,10 @@ import (
 //
 // scenario-level directives (prefill, warmup, class) must precede the
 // first phase; arrivals/holding/event attach to the most recent phase.
-// Errors name the offending line.
+// Every rate= counts flows per unit time. A session phase lands its flows
+// in batches of min(⌊Pareto(scale, shape)⌋, MaxPrefill) at Poisson
+// instants; like a gamma phase it takes no events. Errors name the
+// offending line.
 func Parse(text string) (*Scenario, error) {
 	s := &Scenario{}
 	var cur *Phase
@@ -153,39 +157,26 @@ func Parse(text string) (*Scenario, error) {
 				return nil, specErr(lineNo, "phase %s already has arrivals", cur.Name)
 			}
 			if len(fields) < 2 {
-				return nil, specErr(lineNo, "usage: arrivals poisson|mmpp|gamma key=value...")
+				return nil, specErr(lineNo, "usage: arrivals poisson|mmpp|gamma|session key=value...")
 			}
 			kv, err := parseKV(lineNo, "arrivals", fields[2:])
 			if err != nil {
 				return nil, err
 			}
 			a := ArrivalSpec{Kind: fields[1]}
-			rate, ok := kv.take("rate")
-			if !ok || !(rate > 0) || rate > MaxRate {
-				return nil, specErr(lineNo, "arrivals %s needs rate= in (0, %g]", a.Kind, float64(MaxRate))
-			}
-			a.Rate = rate
+			a.Rate, _ = kv.take("rate")
 			switch a.Kind {
-			case "poisson":
 			case "mmpp":
-				b, ok := kv.take("burst")
-				if !ok || !(b >= 1) || b > 1e6 {
-					return nil, specErr(lineNo, "arrivals mmpp needs burst= in [1, 1e6] (high/low rate ratio)")
-				}
-				a.Burst = b
-				sj, ok := kv.take("sojourn")
-				if !ok || !(sj > 0) || sj > MaxDuration {
-					return nil, specErr(lineNo, "arrivals mmpp needs sojourn= in (0, %g] (mean state sojourn)", float64(MaxDuration))
-				}
-				a.Sojourn = sj
+				a.Burst, _ = kv.take("burst")
+				a.Sojourn, _ = kv.take("sojourn")
 			case "gamma":
-				cv, ok := kv.take("cv")
-				if !ok || !(cv > 0) || cv > 10 {
-					return nil, specErr(lineNo, "arrivals gamma needs cv= in (0, 10] (inter-arrival coefficient of variation)")
-				}
-				a.CV = cv
-			default:
-				return nil, specErr(lineNo, "unknown arrival process %q (want poisson, mmpp, or gamma)", a.Kind)
+				a.CV, _ = kv.take("cv")
+			case "session":
+				a.Scale, _ = kv.take("scale")
+				a.Shape, _ = kv.take("shape")
+			}
+			if err := a.check(); err != nil {
+				return nil, specErr(lineNo, "%v", err)
 			}
 			if err := kv.empty(); err != nil {
 				return nil, err
@@ -207,27 +198,15 @@ func Parse(text string) (*Scenario, error) {
 				return nil, err
 			}
 			h := HoldSpec{Kind: fields[1]}
-			mean, ok := kv.take("mean")
-			if !ok || !(mean > 0) || mean > MaxDuration {
-				return nil, specErr(lineNo, "holding %s needs mean= in (0, %g]", h.Kind, float64(MaxDuration))
-			}
-			h.Mean = mean
+			h.Mean, _ = kv.take("mean")
 			switch h.Kind {
-			case "exp":
 			case "pareto":
-				sh, ok := kv.take("shape")
-				if !ok || !(sh > 1) || sh > 1e3 {
-					return nil, specErr(lineNo, "holding pareto needs shape= in (1, 1e3]: shape ≤ 1 has an unbounded mean")
-				}
-				h.Shape = sh
+				h.Shape, _ = kv.take("shape")
 			case "lognormal":
-				sg, ok := kv.take("sigma")
-				if !ok || !(sg > 0) || sg > 4 {
-					return nil, specErr(lineNo, "holding lognormal needs sigma= in (0, 4]: larger log-deviations make the empirical mean effectively unbounded")
-				}
-				h.Sigma = sg
-			default:
-				return nil, specErr(lineNo, "unknown holding distribution %q (want exp, pareto, or lognormal)", h.Kind)
+				h.Sigma, _ = kv.take("sigma")
+			}
+			if err := h.check(); err != nil {
+				return nil, specErr(lineNo, "%v", err)
 			}
 			if err := kv.empty(); err != nil {
 				return nil, err

@@ -114,6 +114,11 @@ func TestParseErrors(t *testing.T) {
 		{"dup kv", "scenario a\nphase p 1\narrivals poisson rate=1 rate=2\n", "duplicate key"},
 		{"kv not number", "scenario a\nphase p 1\narrivals poisson rate=fast\n", "not a number"},
 		{"unknown directive", "scenario a\nspeed 9\n", "unknown directive"},
+		{"session shape 1", "scenario a\nphase p 1\narrivals session rate=1 scale=1 shape=1\n", "unbounded batch mean"},
+		{"session scale", "scenario a\nphase p 1\narrivals session rate=1 scale=0.5 shape=1.5\n", "scale="},
+		{"session with events", "scenario a\nphase p 9\narrivals session rate=1 scale=1 shape=1.5\nholding exp mean=1\nevent sine period=1 depth=0.5\n", "session batch"},
+		// 2e8 flows exceed the cap although 2e8/ζ(1.5) ≈ 7.7e7 sessions would not.
+		{"session flows cap", "scenario a\nphase p 200\narrivals session rate=1e6 scale=1 shape=1.5\nholding exp mean=1\n", "expects 2e+08 arrivals"},
 		{"peak rate", "scenario a\nphase p 9\narrivals poisson rate=1e6\nholding exp mean=1\nevent step at=1 mult=1e6\n", "peak rate"},
 	}
 	for _, tc := range cases {

@@ -40,12 +40,12 @@ func (f Flow) String() string {
 // pulls.
 type Stream struct {
 	scn *Scenario
-	src *rng.Source // primary: inter-arrival waits, thinning, holds
+	src *rng.Source // primary: inter-arrival waits, thinning, batches, holds
 	mod *rng.Source // modulation: MMPP state machine, class picks
 
 	t         float64
 	phase     int
-	prefill   int
+	batch     int // flows still to land at t (the prefill, a session's rest)
 	mmppHigh  bool
 	mmppUntil float64
 	done      bool
@@ -57,10 +57,10 @@ type Stream struct {
 func (s *Scenario) Stream(seed1, seed2 uint64) *Stream {
 	m1, m2 := rng.Substream(seed1, seed2, modStreamIndex)
 	st := &Stream{
-		scn:     s,
-		src:     rng.New(seed1, seed2),
-		mod:     rng.New(m1, m2),
-		prefill: s.Prefill,
+		scn:   s,
+		src:   rng.New(seed1, seed2),
+		mod:   rng.New(m1, m2),
+		batch: s.Prefill,
 	}
 	st.enterPhase(0)
 	return st
@@ -68,24 +68,19 @@ func (s *Scenario) Stream(seed1, seed2 uint64) *Stream {
 
 // Next returns the next arrival record, or ok=false when the scenario
 // horizon is exhausted. Prefill flows come first, all at t=0, drawn from
-// phase 0's class mixture and holding distribution.
+// phase 0's class mixture and holding distribution; the flows of one
+// session batch share its arrival instant.
 func (st *Stream) Next() (Flow, bool) {
 	if st.done {
 		return Flow{}, false
 	}
-	if st.prefill > 0 {
-		st.prefill--
-		f := Flow{At: 0, Phase: 0}
-		f.Class = st.pickClass()
-		f.Hold = st.hold(0)
-		return f, true
-	}
-	at, ok := st.nextArrival()
-	if !ok {
+	if st.batch > 0 {
+		st.batch--
+	} else if !st.nextArrival() {
 		st.done = true
 		return Flow{}, false
 	}
-	f := Flow{At: at, Phase: st.phase}
+	f := Flow{At: st.t, Phase: st.phase}
 	f.Class = st.pickClass()
 	f.Hold = st.hold(st.phase)
 	return f, true
@@ -107,19 +102,22 @@ func (st *Stream) enterPhase(i int) {
 	}
 }
 
-// nextArrival advances the arrival process to the next arrival instant.
+// nextArrival advances the arrival process to the next arrival instant
+// st.t, reporting false once the scenario is exhausted.
 //
-// Poisson/MMPP phases generate against a piecewise-constant rate
+// Poisson/MMPP/session phases generate against a piecewise-constant rate
 // envelope (phase boundaries, event edges, MMPP state switches): within
 // a segment the process is homogeneous Poisson, and by memorylessness a
 // wait that crosses a boundary is discarded and redrawn at the new rate
 // — exact, not an approximation. Sine modulation is applied by
 // Lewis–Shedler thinning against the segment's majorant rate·(1+depth).
+// A session phase's instants are sessions, each drawing its batch size
+// after its wait.
 //
 // Gamma phases are renewal processes: each inter-arrival is a Gamma
 // variate with shape 1/cv² and mean 1/rate. A renewal crossing the phase
 // end is discarded (the residual does not carry into the next phase).
-func (st *Stream) nextArrival() (float64, bool) {
+func (st *Stream) nextArrival() bool {
 	scn := st.scn
 	for st.phase < len(scn.Phases) {
 		ph := &scn.Phases[st.phase]
@@ -139,7 +137,7 @@ func (st *Stream) nextArrival() (float64, bool) {
 				continue
 			}
 			st.t += w
-			return st.t, true
+			return true
 		}
 		rate := st.envelopeRate(ph)
 		maj := rate
@@ -165,16 +163,22 @@ func (st *Stream) nextArrival() (float64, bool) {
 				continue
 			}
 		}
-		return st.t, true
+		if ph.Arrivals.Kind == "session" {
+			// Scale ≥ 1, so the batch is at least one flow; cap it before
+			// converting (the variate may be +Inf).
+			st.batch = int(math.Min(st.src.Pareto(ph.Arrivals.Scale, ph.Arrivals.Shape), MaxPrefill)) - 1
+		}
+		return true
 	}
-	return 0, false
+	return false
 }
 
-// envelopeRate returns the piecewise-constant rate in effect at st.t:
-// the phase rate (or the current MMPP state rate) times any active event
+// envelopeRate returns the piecewise-constant rate of arrival instants in
+// effect at st.t: the phase rate (or the current MMPP state rate; for a
+// session phase the session rate, rate/MeanBatch) times any active event
 // multipliers.
 func (st *Stream) envelopeRate(ph *Phase) float64 {
-	rate := ph.Arrivals.Rate
+	rate := ph.Arrivals.Rate / ph.Arrivals.batch
 	if ph.Arrivals.Kind == "mmpp" {
 		low := 2 * ph.Arrivals.Rate / (1 + ph.Arrivals.Burst)
 		if st.mmppHigh {

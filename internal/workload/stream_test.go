@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"beqos/internal/numeric"
 	"beqos/internal/rng"
 )
 
@@ -274,5 +275,62 @@ holding exp mean=1
 		if plain[i].At != flows[i].At || plain[i].Hold != flows[i].Hold {
 			t.Fatalf("class mixture perturbed record %d: %+v vs %+v", i, flows[i], plain[i])
 		}
+	}
+}
+
+// batchMoments sums a capped session batch's first two moments directly:
+// E[B] = Σ P(B ≥ n) and E[B²] = Σ (2n−1)·P(B ≥ n) over n ≤ MaxPrefill.
+func batchMoments(scale, shape float64) (m1, m2 float64) {
+	for n := 1; n <= MaxPrefill; n++ {
+		p := math.Min(1, math.Pow(scale/float64(n), shape))
+		m1 += p
+		m2 += float64(2*n-1) * p
+	}
+	return m1, m2
+}
+
+func TestSessionMeanBatch(t *testing.T) {
+	for _, c := range []struct{ scale, shape float64 }{{1, 1.5}, {1, 2.5}, {2.7, 1.3}, {3, 4}} {
+		a := ArrivalSpec{Kind: "session", Scale: c.scale, Shape: c.shape}
+		want, _ := batchMoments(c.scale, c.shape)
+		if got := a.MeanBatch(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("MeanBatch(%g, %g) = %.12g, direct sum %.12g", c.scale, c.shape, got, want)
+		}
+	}
+	// Pareto(1, 1.5) batches average ζ(1.5) less the capped tail, not the
+	// continuous Pareto mean 3.
+	a := ArrivalSpec{Kind: "session", Scale: 1, Shape: 1.5}
+	if want := numeric.RiemannZeta(1.5) - numeric.HurwitzZeta(1.5, MaxPrefill+1); math.Abs(a.MeanBatch()-want) > 1e-12 {
+		t.Errorf("MeanBatch(1, 1.5) = %.12g, want %.12g", a.MeanBatch(), want)
+	}
+	if m := (ArrivalSpec{Kind: "poisson", Rate: 3}).MeanBatch(); m != 1 {
+		t.Errorf("poisson MeanBatch = %g, want 1", m)
+	}
+}
+
+// TestStreamSessionBatches: with finite-variance batches (shape 2.5) a
+// session phase's flows per unit time land within 3σ of rate=, and the
+// flows of each batch share one arrival instant.
+func TestStreamSessionBatches(t *testing.T) {
+	const T, rate = 4000.0, 5.0
+	_, flows := trace(t, "scenario s\nphase p 4000\narrivals session rate=5 scale=1 shape=2.5\nholding exp mean=1\n", 5, 6)
+	m1, m2 := batchMoments(1, 2.5)
+	// N = Σ_{i ≤ S} B_i with S ~ Poisson(rate·T/E[B]): Var N = (rate·T/E[B])·E[B²].
+	sessions := rate * T / m1
+	if sigma := math.Sqrt(sessions * m2); math.Abs(float64(len(flows))-rate*T) > 3*sigma {
+		t.Errorf("%d flows in [0, %g), want %g ± 3·%.1f", len(flows), T, rate*T, sigma)
+	}
+	// Distinct instants are distinct sessions: continuous waits never tie.
+	instants := 0
+	for i, f := range flows {
+		if i == 0 || f.At != flows[i-1].At {
+			instants++
+		}
+	}
+	if sigma := math.Sqrt(sessions); math.Abs(float64(instants)-sessions) > 3*sigma {
+		t.Errorf("%d arrival instants, want %.0f ± 3·%.1f sessions", instants, sessions, sigma)
+	}
+	if instants == len(flows) {
+		t.Error("no two flows share an instant; batches are not landing together")
 	}
 }

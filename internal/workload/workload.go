@@ -1,10 +1,11 @@
 // Package workload is the declarative scenario plane: a small text spec
 // format describing named traffic scenarios — phases with per-phase
-// arrival processes (Poisson, MMPP, Gamma renewal), holding-time
-// distributions (exponential, Pareto, lognormal), flow-class mixtures,
-// and events (flash crowd, rate step, diurnal sine) — compiled into a
-// deterministic arrival stream that both the virtual-time simulator
-// (internal/sim) and the live load harness (internal/loadgen) consume.
+// arrival processes (Poisson, MMPP, Gamma renewal, Pareto session
+// batches), holding-time distributions (exponential, Pareto, lognormal),
+// flow-class mixtures, and events (flash crowd, rate step, diurnal sine)
+// — compiled into a deterministic arrival stream that both the
+// virtual-time simulator (internal/sim) and the live load harness
+// (internal/loadgen) consume: their only source of arrivals.
 //
 // The paper's best-effort/reservation comparison rests on a postulated
 // stationary load distribution; this package supplies the non-stationary
@@ -15,6 +16,8 @@ package workload
 import (
 	"fmt"
 	"math"
+
+	"beqos/internal/numeric"
 )
 
 // Structural bounds enforced by Parse. They keep pathological specs (from
@@ -27,7 +30,8 @@ const (
 	MaxClasses = 16
 	// MaxEvents bounds the number of events attached to one phase.
 	MaxEvents = 16
-	// MaxPrefill bounds the prefill population.
+	// MaxPrefill bounds the prefill population, and the size of one
+	// session batch.
 	MaxPrefill = 1 << 20
 	// MaxRate bounds any arrival rate, including event-multiplied peaks.
 	MaxRate = 1e9
@@ -109,10 +113,10 @@ type Phase struct {
 
 // ArrivalSpec describes a phase's arrival process.
 type ArrivalSpec struct {
-	// Kind is "poisson", "mmpp", or "gamma".
+	// Kind is "poisson", "mmpp", "gamma", or "session".
 	Kind string
 	// Rate is the mean arrival rate (flows per unit virtual time). For
-	// MMPP and Gamma it is the long-run mean rate.
+	// MMPP, Gamma and session phases it is the long-run mean rate.
 	Rate float64
 	// Burst is the MMPP high/low rate ratio (≥ 1; 1 degenerates to
 	// Poisson). With equal sojourn means the two state rates are
@@ -123,6 +127,65 @@ type ArrivalSpec struct {
 	// CV is the Gamma renewal process's target coefficient of variation
 	// of inter-arrival times (1 degenerates to Poisson; >1 is burstier).
 	CV float64
+	// Scale and Shape give a session phase's batch law: sessions arrive
+	// as a Poisson process at Rate/MeanBatch() and each lands
+	// min(⌊Pareto(Scale, Shape)⌋, MaxPrefill) flows at one instant. Scale
+	// ≥ 1 keeps every batch at least one flow.
+	Scale float64
+	Shape float64
+
+	// batch caches MeanBatch for a finalized phase.
+	batch float64
+}
+
+// check validates the process's parameters (the arrivals directive's
+// rules).
+func (a ArrivalSpec) check() error {
+	switch a.Kind {
+	case "poisson":
+	case "mmpp":
+		if !(a.Burst >= 1) || a.Burst > 1e6 {
+			return fmt.Errorf("arrivals mmpp needs burst= in [1, 1e6] (high/low rate ratio)")
+		}
+		if !(a.Sojourn > 0) || a.Sojourn > MaxDuration {
+			return fmt.Errorf("arrivals mmpp needs sojourn= in (0, %g] (mean state sojourn)", float64(MaxDuration))
+		}
+	case "gamma":
+		if !(a.CV > 0) || a.CV > 10 {
+			return fmt.Errorf("arrivals gamma needs cv= in (0, 10] (inter-arrival coefficient of variation)")
+		}
+	case "session":
+		if !(a.Scale >= 1) || a.Scale > MaxPrefill {
+			return fmt.Errorf("arrivals session needs scale= in [1, %d] (the least batch)", MaxPrefill)
+		}
+		if !(a.Shape > 1) || a.Shape > 10 {
+			return fmt.Errorf("arrivals session needs shape= in (1, 10]: shape ≤ 1 has an unbounded batch mean")
+		}
+	default:
+		return fmt.Errorf("unknown arrival process %q (want poisson, mmpp, gamma, or session)", a.Kind)
+	}
+	if !(a.Rate > 0) || a.Rate > MaxRate {
+		return fmt.Errorf("arrivals %s needs rate= in (0, %g]", a.Kind, float64(MaxRate))
+	}
+	return nil
+}
+
+// MeanBatch returns the mean number of flows landing at one arrival
+// instant: 1 for every kind but session. A session batch B =
+// min(⌊X⌋, M) with X ~ Pareto(Scale, Shape) and M = MaxPrefill has
+// P(B ≥ n) = P(X ≥ n) = min(1, (Scale/n)^Shape) for n ≤ M, so with
+// a = ⌊Scale⌋
+//
+//	E[B] = Σ_{n=1}^{M} P(X ≥ n) = a + Scale^Shape·(ζ(Shape, a+1) − ζ(Shape, M+1)),
+//
+// ζ the Hurwitz zeta function; Pareto(1, 1.5) batches average
+// ζ(1.5) − ζ(1.5, M+1) ≈ 2.610, not the continuous mean 3.
+func (a ArrivalSpec) MeanBatch() float64 {
+	if a.Kind != "session" {
+		return 1
+	}
+	lo := math.Floor(a.Scale)
+	return lo + math.Pow(a.Scale, a.Shape)*(numeric.HurwitzZeta(a.Shape, lo+1)-numeric.HurwitzZeta(a.Shape, MaxPrefill+1))
 }
 
 // HoldSpec describes a phase's holding-time distribution.
@@ -143,6 +206,28 @@ type HoldSpec struct {
 	mu float64
 }
 
+// check validates the distribution's parameters (the holding
+// directive's rules).
+func (h HoldSpec) check() error {
+	if !(h.Mean > 0) || h.Mean > MaxDuration {
+		return fmt.Errorf("holding %s needs mean= in (0, %g]", h.Kind, float64(MaxDuration))
+	}
+	switch h.Kind {
+	case "exp":
+	case "pareto":
+		if !(h.Shape > 1) || h.Shape > 1e3 {
+			return fmt.Errorf("holding pareto needs shape= in (1, 1e3]: shape ≤ 1 has an unbounded mean")
+		}
+	case "lognormal":
+		if !(h.Sigma > 0) || h.Sigma > 4 {
+			return fmt.Errorf("holding lognormal needs sigma= in (0, 4]: larger log-deviations make the empirical mean effectively unbounded")
+		}
+	default:
+		return fmt.Errorf("unknown holding distribution %q (want exp, pareto, or lognormal)", h.Kind)
+	}
+	return nil
+}
+
 // Event is a rate event inside a phase. Times are phase-relative.
 type Event struct {
 	// Kind is "step", "flash", or "sine".
@@ -159,6 +244,35 @@ type Event struct {
 	// Depth is the sine modulation depth d ∈ [0, 1): the instantaneous
 	// rate is rate·(1 + d·sin(2πt/Period)).
 	Depth float64
+}
+
+// OnePhase builds a scenario, "one-phase", of one phase, "steady",
+// lasting duration (the warmup prefix included), with prefill flows at
+// t=0. It checks its
+// arguments against the bounds Parse applies to the equivalent spec and
+// validates the result as Parse does.
+func OnePhase(prefill int, warmup, duration float64, arr ArrivalSpec, hold HoldSpec) (*Scenario, error) {
+	if prefill < 0 || prefill > MaxPrefill {
+		return nil, fmt.Errorf("workload: prefill %d must be in [0, %d]", prefill, MaxPrefill)
+	}
+	if !(warmup >= 0) || warmup > MaxDuration {
+		return nil, fmt.Errorf("workload: warmup %g must be in [0, %g]", warmup, float64(MaxDuration))
+	}
+	if !(duration > 0) || duration > MaxDuration {
+		return nil, fmt.Errorf("workload: duration %g must be in (0, %g]", duration, float64(MaxDuration))
+	}
+	if err := arr.check(); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	if err := hold.check(); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	s := &Scenario{Name: "one-phase", Prefill: prefill, Warmup: warmup,
+		Phases: []Phase{{Name: "steady", Duration: duration, Arrivals: arr, Holding: hold}}}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Duration returns the scenario's total horizon (the sum of phase
@@ -248,8 +362,9 @@ func (s *Scenario) validate() error {
 		if p.Holding.Kind == "" {
 			return fmt.Errorf("workload: phase %q has no holding directive", p.Name)
 		}
-		if p.Arrivals.Kind == "gamma" && (len(p.Events) > 0 || p.Sine != nil) {
-			return fmt.Errorf("workload: phase %q combines gamma renewal arrivals with events (events need a rate envelope; use poisson or mmpp)", p.Name)
+		renewal := map[string]string{"gamma": "gamma renewal", "session": "session batch"}[p.Arrivals.Kind]
+		if renewal != "" && (len(p.Events) > 0 || p.Sine != nil) {
+			return fmt.Errorf("workload: phase %q combines %s arrivals with events (events need a rate envelope; use poisson or mmpp)", p.Name, renewal)
 		}
 		// Peak rate including event multipliers must stay bounded.
 		peak := p.Arrivals.Rate
@@ -295,6 +410,7 @@ func (s *Scenario) validate() error {
 // finalize computes a phase's derived sampling parameters and event
 // boundary table.
 func (p *Phase) finalize() {
+	p.Arrivals.batch = p.Arrivals.MeanBatch()
 	h := &p.Holding
 	switch h.Kind {
 	case "pareto":

@@ -4,43 +4,41 @@ import (
 	"fmt"
 
 	"beqos/internal/sim"
+	"beqos/internal/workload"
 )
 
 // Traffic describes the flow dynamics for a simulation.
 type Traffic struct {
-	arrivals sim.Arrivals
-	holding  sim.Holding
+	arrivals workload.ArrivalSpec
+	holding  workload.HoldSpec
 }
 
 // PoissonTraffic returns memoryless flow arrivals at the given rate with
 // exponential holding times of the given mean (an M/M/∞-style offered
 // load of rate·holdMean flows).
 func PoissonTraffic(rate, holdMean float64) (Traffic, error) {
-	a, err := sim.NewPoissonArrivals(rate)
-	if err != nil {
-		return Traffic{}, err
-	}
-	h, err := sim.NewExpHolding(holdMean)
-	if err != nil {
-		return Traffic{}, err
-	}
-	return Traffic{arrivals: a, holding: h}, nil
+	return newTraffic(workload.ArrivalSpec{Kind: "poisson", Rate: rate}, holdMean)
 }
 
 // SessionTraffic returns heavy-tailed session arrivals: sessions arrive at
-// the given rate, each launching a Pareto(batchScale, batchShape) batch of
-// flows with exponential holding times — a simple generator of the
-// overdispersed loads the paper associates with self-similar traffic.
+// the given rate, each launching a batch of min(⌊Pareto(batchScale,
+// batchShape)⌋, 2^20) flows with exponential holding times — a simple
+// generator of the overdispersed loads the paper associates with
+// self-similar traffic. A Pareto(1, 1.5) batch averages ζ(1.5) ≈ 2.61
+// flows.
 func SessionTraffic(rate, batchScale, batchShape, holdMean float64) (Traffic, error) {
-	a, err := sim.NewSessionArrivals(rate, batchScale, batchShape)
-	if err != nil {
+	a := workload.ArrivalSpec{Kind: "session", Scale: batchScale, Shape: batchShape}
+	a.Rate = rate * a.MeanBatch()
+	return newTraffic(a, holdMean)
+}
+
+// newTraffic checks the traffic by compiling it over a unit horizon.
+func newTraffic(a workload.ArrivalSpec, holdMean float64) (Traffic, error) {
+	t := Traffic{arrivals: a, holding: workload.HoldSpec{Kind: "exp", Mean: holdMean}}
+	if _, err := workload.OnePhase(0, 0, 1, t.arrivals, t.holding); err != nil {
 		return Traffic{}, err
 	}
-	h, err := sim.NewExpHolding(holdMean)
-	if err != nil {
-		return Traffic{}, err
-	}
-	return Traffic{arrivals: a, holding: h}, nil
+	return t, nil
 }
 
 // SimConfig describes one flow-level simulation run.
@@ -84,8 +82,12 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if cfg.Util.f == nil {
 		return SimResult{}, fmt.Errorf("beqos: SimConfig.Util must be constructed")
 	}
-	if cfg.Traffic.arrivals == nil || cfg.Traffic.holding == nil {
+	if cfg.Traffic.arrivals.Kind == "" {
 		return SimResult{}, fmt.Errorf("beqos: SimConfig.Traffic must be constructed")
+	}
+	scn, err := workload.OnePhase(0, cfg.Warmup, cfg.Horizon, cfg.Traffic.arrivals, cfg.Traffic.holding)
+	if err != nil {
+		return SimResult{}, err
 	}
 	policy := sim.BestEffort
 	if cfg.Reservations {
@@ -95,10 +97,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		Capacity: cfg.Capacity,
 		Util:     cfg.Util.f,
 		Policy:   policy,
-		Arrivals: cfg.Traffic.arrivals,
-		Holding:  cfg.Traffic.holding,
-		Horizon:  cfg.Horizon,
-		Warmup:   cfg.Warmup,
+		Workload: scn,
 		Samples:  cfg.Samples,
 		Seed1:    cfg.Seed,
 		Seed2:    cfg.Seed ^ 0x9e3779b97f4a7c15,
