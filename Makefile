@@ -10,9 +10,10 @@ GO ?= go
 # plane's reserve→grant path must stay at 0 allocs/op), the datagram
 # transport, the 100k-flow high-concurrency churn, and the per-policy
 # admission micro-benchmark (every policy's Admit→Release at 0 allocs/op),
-# and the cluster plane (aggregate path-admission churn plus the local-admit
-# and forwarded-hop hot paths, both pinned at 0 allocs/op).
-BENCH_GATE = BenchmarkS1SimulatedLoad|BenchmarkS2HeavyTailLoad|BenchmarkX4SchedulingEnforcement|BenchmarkMicroSCFQEnqueueDequeue|BenchmarkServerThroughput|BenchmarkServerHighConcurrency|BenchmarkUDPThroughput|BenchmarkPolicyAdmit|BenchmarkClusterThroughput|BenchmarkClusterLocalAdmit|BenchmarkClusterForward
+# the cluster plane (aggregate path-admission churn plus the local-admit
+# and forwarded-hop hot paths, both pinned at 0 allocs/op), and the
+# soft-state table's install, remove and lookup (0 allocs/op).
+BENCH_GATE = BenchmarkS1SimulatedLoad|BenchmarkS2HeavyTailLoad|BenchmarkX4SchedulingEnforcement|BenchmarkMicroSCFQEnqueueDequeue|BenchmarkServerThroughput|BenchmarkServerHighConcurrency|BenchmarkUDPThroughput|BenchmarkPolicyAdmit|BenchmarkClusterThroughput|BenchmarkClusterLocalAdmit|BenchmarkClusterForward|BenchmarkSoftStateTable
 
 # Absolute metric floors on the fresh bench-diff run (NAME_RE=unit:MIN, see
 # cmd/benchjson -floor). The high-concurrency churn measured ~276k req/s
@@ -65,12 +66,16 @@ workload-check:
 	$(GO) run ./cmd/beqos workload specs
 
 # The end-to-end benchmark is its own module, so the root `go build ./...`
-# never compiles it: vet it, then run short link and cluster workloads as a
-# correctness smoke. A run exits 1 on a counter mismatch, residue held
-# after clean-up, or a wrong expiry count.
+# never compiles it: vet it, then run short link, softstate and cluster
+# workloads as a correctness smoke. A run exits 1 on a counter mismatch,
+# residue held after clean-up, or a wrong expiry count. softstate checks
+# the soft-state table's release paths: its expiries must equal the
+# standing flows left un-refreshed, and its connection drops must release
+# exactly the refreshed ones.
 perfbench-check:
 	cd perfbench && $(GO) vet ./...
 	bash perfbench/run.sh --workload link --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload softstate --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload cluster --seed 1 --seconds 2 --trace 0
 
 # Run the benchmark suite and archive it as machine-readable JSON. Always

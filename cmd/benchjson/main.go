@@ -24,6 +24,11 @@
 //
 // Lines that are not benchmark results (the header, PASS/ok trailers) are
 // folded into the report's metadata where recognized and skipped otherwise.
+// Each report also records where its numbers came from: the Go toolchain
+// (benchjson's own, since the same go command builds it and runs the
+// benchmarks) and, per entry, the GOMAXPROCS go test ran it at. -diff
+// prints both sides' provenance first, since allocs/op and ns/op can move
+// with the toolchain and the CPU count alone.
 package main
 
 import (
@@ -34,13 +39,19 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at (go test's -N name
+	// suffix), 0 when the name carried none — go test omits it at 1, and
+	// reports archived before it was recorded lack it.
+	Procs       int     `json:"procs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
@@ -51,11 +62,37 @@ type Result struct {
 
 // Report is the full JSON document.
 type Report struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	Package string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
+	GOOS    string `json:"goos,omitempty"`
+	GOARCH  string `json:"goarch,omitempty"`
+	Package string `json:"pkg,omitempty"`
+	CPU     string `json:"cpu,omitempty"`
+	// Go is the toolchain that built and ran the benchmarks.
+	Go      string   `json:"go,omitempty"`
 	Results []Result `json:"results"`
+}
+
+// provenance describes where a report's numbers came from: its toolchain
+// and the GOMAXPROCS values its entries ran at ("unknown" for reports
+// archived before either was recorded).
+func (r *Report) provenance() string {
+	toolchain := r.Go
+	if toolchain == "" {
+		toolchain = "unknown"
+	}
+	seen := map[int]bool{}
+	var procs []int
+	for _, res := range r.Results {
+		if res.Procs > 0 && !seen[res.Procs] {
+			seen[res.Procs] = true
+			procs = append(procs, res.Procs)
+		}
+	}
+	sort.Ints(procs)
+	ps := "unknown"
+	if len(procs) > 0 {
+		ps = strings.Trim(fmt.Sprint(procs), "[]")
+	}
+	return fmt.Sprintf("toolchain %s, GOMAXPROCS %s", toolchain, ps)
 }
 
 func main() {
@@ -129,6 +166,11 @@ func readReport(path string) (*Report, error) {
 // nsTol (fractional), when its allocs/op increases at all, or when it is
 // present in the baseline but missing from the fresh run.
 func diffReports(w io.Writer, base, fresh *Report, gateRe *regexp.Regexp, nsTol float64) int {
+	bp, fp := base.provenance(), fresh.provenance()
+	fmt.Fprintf(w, "base:  %s\nfresh: %s\n", bp, fp)
+	if bp != fp {
+		fmt.Fprintln(w, "note: the runs differ in toolchain or GOMAXPROCS; either alone can move ns/op and allocs/op")
+	}
 	baseByName := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		baseByName[r.Name] = r
@@ -176,9 +218,10 @@ func diffReports(w io.Writer, base, fresh *Report, gateRe *regexp.Regexp, nsTol 
 	return failures
 }
 
-// parse reads go-test benchmark output line by line.
+// parse reads go-test benchmark output line by line. The report's
+// toolchain is benchjson's own.
 func parse(sc *bufio.Scanner) (*Report, error) {
-	rep := &Report{}
+	rep := &Report{Go: runtime.Version()}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -212,10 +255,11 @@ func parseResult(line string) (Result, bool) {
 		return Result{}, false
 	}
 	name := fields[0]
-	// Strip the -GOMAXPROCS suffix go test appends.
+	// Move the -GOMAXPROCS suffix go test appends into Procs.
+	procs := 0
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
@@ -226,7 +270,7 @@ func parseResult(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: name, Iterations: iters, NsPerOp: ns}
+	r := Result{Name: name, Procs: procs, Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

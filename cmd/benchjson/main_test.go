@@ -2,7 +2,10 @@ package main
 
 import (
 	"bufio"
+	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -181,5 +184,76 @@ func TestFloorMissingMetricOrBenchmark(t *testing.T) {
 	fails, out = floorCase(t, metricOutput, "Vanished=req/s:1")
 	if fails != 1 || !strings.Contains(out, "no benchmark matches") {
 		t.Errorf("unmatched floor should fail, got %d:\n%s", fails, out)
+	}
+}
+
+func TestParseRecordsProvenance(t *testing.T) {
+	rep := parseSample(t, sampleOutput+"BenchmarkSolo   10   5.0 ns/op\n")
+	if rep.Go != runtime.Version() {
+		t.Errorf("toolchain = %q, want benchjson's own %q", rep.Go, runtime.Version())
+	}
+	for _, r := range rep.Results {
+		want := 8
+		if r.Name == "BenchmarkSolo" {
+			want = 0 // no -N suffix: go test omits it at GOMAXPROCS=1
+		}
+		if r.Procs != want || strings.Contains(r.Name, "-") {
+			t.Errorf("%s: procs %d, want %d (suffix moved out of the name)", r.Name, r.Procs, want)
+		}
+	}
+	if got, want := rep.provenance(), "toolchain "+runtime.Version()+", GOMAXPROCS 8"; got != want {
+		t.Errorf("provenance = %q, want %q", got, want)
+	}
+}
+
+func TestDiffHeaderNamesProvenance(t *testing.T) {
+	base := parseSample(t, sampleOutput)
+	base.Go = "go1.23.4"
+	fresh := parseSample(t, strings.ReplaceAll(sampleOutput, "-8 ", "-2 "))
+	fresh.Go = "go1.24.0"
+	var sb strings.Builder
+	if fails := diffReports(&sb, base, fresh, regexp.MustCompile("."), 0.30); fails != 0 {
+		t.Errorf("provenance alone must not fail the gate, got %d failures:\n%s", fails, sb.String())
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"base:  toolchain go1.23.4, GOMAXPROCS 8\n",
+		"fresh: toolchain go1.24.0, GOMAXPROCS 2\n",
+		"note: the runs differ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("diff output lacks %q:\n%s", want, out)
+		}
+	}
+	sb.Reset()
+	diffReports(&sb, base, base, regexp.MustCompile("."), 0.30)
+	if strings.Contains(sb.String(), "note:") {
+		t.Errorf("identical provenance should print no note:\n%s", sb.String())
+	}
+}
+
+// TestOldBaselineLoads reads a report archived before the toolchain and
+// procs were recorded: it loads, diffs clean against itself, and its
+// provenance reads unknown.
+func TestOldBaselineLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"goos": "linux", "results": [{"name": "BenchmarkAlpha", "iterations": 100, "ns_per_op": 1000, "allocs_per_op": 2}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.provenance(); got != "toolchain unknown, GOMAXPROCS unknown" {
+		t.Errorf("provenance = %q", got)
+	}
+	var sb strings.Builder
+	fresh := parseSample(t, sampleOutput)
+	if fails := diffReports(&sb, base, fresh, regexp.MustCompile("BenchmarkAlpha"), 0.30); fails != 0 {
+		t.Errorf("old baseline vs equal fresh run: %d failures:\n%s", fails, sb.String())
+	}
+	if !strings.Contains(sb.String(), "base:  toolchain unknown, GOMAXPROCS unknown") {
+		t.Errorf("diff header lacks the old baseline's provenance:\n%s", sb.String())
 	}
 }

@@ -82,7 +82,7 @@ func TestExpiryStepOwnerClaim(t *testing.T) {
 		t.Fatalf("owner counted %d expiries, want 2", n)
 	}
 	sess.mu.Lock()
-	tracked := len(sess.claims)
+	tracked := sess.claims.Len()
 	sess.mu.Unlock()
 	if tracked != 0 {
 		t.Fatalf("session still tracks %d expired claims", tracked)
@@ -109,7 +109,7 @@ func TestExpiryStepEntryPathFlow(t *testing.T) {
 		t.Helper()
 		entry.expire(now)
 		l.c.mu.Lock()
-		flows := len(l.c.flows)
+		flows := l.c.flows.Len()
 		l.c.mu.Unlock()
 		if flows != want || owner.LinkActive(g) != int64(want) {
 			t.Fatalf("after the expiry step at %d: %d path flows and %d owner claims held, want %d",

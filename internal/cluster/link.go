@@ -27,19 +27,18 @@ type linkState struct {
 	ttl int64
 
 	mu     sync.Mutex
-	claims map[uint64]*claim
-	free   *claim
+	claims resv.Table[*claim]
 	wheel  *resv.Wheel[*claim] // TTL expiry index; nil without a TTL
 }
 
-// claim is one admitted hop on this link. Claims are recycled through the
-// free list so the steady-state admit path allocates nothing.
+// claim is one admitted hop on this link, keyed by its hop key. The table
+// recycles claims, so the steady-state admit path allocates nothing.
 type claim struct {
-	key   uint64
+	slot  resv.Slot[*claim]
 	owner *peerSess // inbound peer connection, nil for entry-local claims
+	link  int32     // the link's global index, for the owner's release
 	rate  float64
 	timer resv.Timer[*claim]
-	next  *claim
 }
 
 func newLinkState(l Link, bound int, ttl time.Duration) (*linkState, error) {
@@ -48,7 +47,7 @@ func newLinkState(l Link, bound int, ttl time.Duration) (*linkState, error) {
 		return nil, err
 	}
 	var pol policy.Policy = counting
-	ls := &linkState{link: l, bound: bound, pol: pol, ttl: int64(ttl), claims: make(map[uint64]*claim)}
+	ls := &linkState{link: l, bound: bound, pol: pol, ttl: int64(ttl)}
 	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
 		ls.needsClock = true
 	}
@@ -124,23 +123,22 @@ func (ls *linkState) admitN(now int64, frames []resv.Frame, owner *peerSess, bas
 // It reports false, leaving all state untouched, when the key already
 // holds a claim. Caller holds ls.mu.
 func (ls *linkState) installLocked(now int64, key uint64, rate float64, owner *peerSess) bool {
-	if _, dup := ls.claims[key]; dup {
+	if ls.claims.Get(key) != nil {
 		return false
 	}
-	c := ls.free
-	if c != nil {
-		ls.free = c.next
-		c.next = nil
-	} else {
+	c := ls.claims.Reuse()
+	if c == nil {
 		c = new(claim)
 	}
-	c.key, c.owner, c.rate = key, owner, rate
-	ls.claims[key] = c
+	c.owner, c.link, c.rate = owner, int32(ls.link.Index), rate
+	ls.claims.Insert(&c.slot, key, c)
 	if ls.wheel != nil {
 		ls.wheel.Schedule(&c.timer, c, now+ls.ttl)
 	}
 	if owner != nil {
-		owner.track(uint64(ls.link.Index)<<idxShift | key)
+		owner.mu.Lock()
+		owner.claims.Push(&c.slot)
+		owner.mu.Unlock()
 	}
 	return true
 }
@@ -149,14 +147,14 @@ func (ls *linkState) installLocked(now int64, key uint64, rate float64, owner *p
 // returns its slot to the policy. Caller holds ls.mu.
 func (ls *linkState) dropLocked(now int64, c *claim) {
 	c.timer.Stop()
-	delete(ls.claims, c.key)
-	if c.owner != nil {
-		c.owner.untrack(uint64(ls.link.Index)<<idxShift | c.key)
+	ls.claims.Remove(&c.slot)
+	if o := c.owner; o != nil {
+		o.mu.Lock()
+		o.claims.Remove(&c.slot)
+		o.mu.Unlock()
 	}
 	ls.pol.Release(ls.polNow(now), c.rate)
 	c.owner = nil
-	c.next = ls.free
-	ls.free = c
 }
 
 // release returns the hop's claim to the policy. It reports false when no
@@ -165,24 +163,24 @@ func (ls *linkState) dropLocked(now int64, c *claim) {
 // composes to exactly one policy release per admission.
 func (ls *linkState) release(now int64, key uint64) bool {
 	ls.mu.Lock()
-	c, ok := ls.claims[key]
-	if ok {
+	c := ls.claims.Get(key)
+	if c != nil {
 		ls.dropLocked(now, c)
 	}
 	ls.mu.Unlock()
-	return ok
+	return c != nil
 }
 
 // refresh renews the claim for one TTL from now; it reports whether the
 // claim lives.
 func (ls *linkState) refresh(now int64, key uint64) bool {
 	ls.mu.Lock()
-	c, ok := ls.claims[key]
-	if ok && ls.wheel != nil {
+	c := ls.claims.Get(key)
+	if c != nil && ls.wheel != nil {
 		ls.wheel.Schedule(&c.timer, c, now+ls.ttl)
 	}
 	ls.mu.Unlock()
-	return ok
+	return c != nil
 }
 
 // expire releases every claim the wheel reports due at now and returns how
@@ -201,15 +199,16 @@ func (ls *linkState) expire(now int64) int {
 	return n
 }
 
-// peerSess tracks the claims an inbound peer connection owns, so dropping
-// the connection (a crashed or partitioned entry node) releases them
-// without waiting for their TTL. IDs are wire hop IDs
-// (linkIdx<<48 | hopKey). It is also the connection's resv.Handler on the
-// peer plane.
+// peerSess lists the claims an inbound peer connection owns, across all
+// local links, so dropping the connection (a crashed or partitioned entry
+// node) releases them without waiting for their TTL. It is also the
+// connection's resv.Handler on the peer plane.
 type peerSess struct {
-	n      *Node
+	n *Node
+	// mu guards claims; a claim joins and leaves it under its link's lock,
+	// taken first.
 	mu     sync.Mutex
-	claims map[uint64]struct{}
+	claims resv.List[*claim]
 	// lastGossip is the last active count piggybacked on a batch reply to
 	// this connection, per local link (indexed like Node.links, -1 = never
 	// sent). Only the serving goroutine touches it, so no lock.
@@ -217,34 +216,30 @@ type peerSess struct {
 }
 
 func newPeerSess(n *Node) *peerSess {
-	s := &peerSess{n: n, claims: make(map[uint64]struct{}), lastGossip: make([]int64, len(n.links))}
+	s := &peerSess{n: n, lastGossip: make([]int64, len(n.links))}
 	for i := range s.lastGossip {
 		s.lastGossip[i] = -1
 	}
 	return s
 }
 
-func (p *peerSess) track(wireID uint64) {
-	p.mu.Lock()
-	p.claims[wireID] = struct{}{}
-	p.mu.Unlock()
-}
-
-func (p *peerSess) untrack(wireID uint64) {
-	p.mu.Lock()
-	delete(p.claims, wireID)
-	p.mu.Unlock()
-}
-
-// drain snapshots and clears the tracked set — the connection is gone, so
-// nothing races new claims onto it.
-func (p *peerSess) drain() []uint64 {
-	p.mu.Lock()
-	ids := make([]uint64, 0, len(p.claims))
-	for id := range p.claims {
-		ids = append(ids, id)
+// drain releases every claim the session still owns, front of its list
+// first, each by its wire hop ID (linkIdx<<48 | hopKey). The connection is
+// gone, so nothing joins the list; each pass takes the front claim off it,
+// here or — when the claim expired after the front was read — in the
+// expiry step.
+func (p *peerSess) drain(now int64) {
+	for {
+		p.mu.Lock()
+		c := p.claims.Front()
+		var wireID uint64
+		if c != nil {
+			wireID = uint64(c.link)<<idxShift | c.slot.Key()
+		}
+		p.mu.Unlock()
+		if c == nil {
+			return
+		}
+		p.n.byGlobal[wireID>>idxShift].release(now, wireID&keyMask)
 	}
-	p.claims = make(map[uint64]struct{})
-	p.mu.Unlock()
-	return ids
 }

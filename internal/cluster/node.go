@@ -21,8 +21,8 @@ import (
 // links' occupancy so every other node can route against it.
 //
 // The hot paths are allocation-free at steady state: a local admission is
-// a policy CAS plus free-listed claim bookkeeping, and a forwarded hop
-// rides the mux transport's pooled call slots and vectored writes.
+// a policy CAS plus a claim-table insert, and a forwarded hop rides the mux
+// transport's pooled call slots and vectored writes.
 type Node struct {
 	idx  int
 	name string
@@ -68,7 +68,7 @@ type Node struct {
 	cmu      sync.Mutex
 	cconns   map[*cconn]struct{}
 	expConns []*cconn
-	expFlows []*pathFlow
+	expFlows []pathHops
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
@@ -101,9 +101,10 @@ type peer struct {
 	lastSent []atomic.Int64
 }
 
-// pathFlow is one granted path reservation at its entry node.
+// pathFlow is one granted path reservation at its entry node, keyed by its
+// client-facing FlowID (pairIdx<<48 | seq).
 type pathFlow struct {
-	id     uint64 // client-facing FlowID (pairIdx<<48 | seq)
+	slot   resv.Slot[*pathFlow]
 	hopKey uint64 // the 48-bit key claimed on every link of the path
 	path   int32  // topology path index
 	// pending marks an admission still claiming its hops; only the
@@ -111,7 +112,13 @@ type pathFlow struct {
 	// wheel only once granted.
 	pending bool
 	timer   resv.Timer[*pathFlow]
-	next    *pathFlow
+}
+
+// pathHops is what releasing a removed path flow's hops takes, copied out
+// so that the flow itself is recycled at once.
+type pathHops struct {
+	path   int32
+	hopKey uint64
 }
 
 // cconn is one client connection's (or Local handle's) path-flow table,
@@ -120,15 +127,14 @@ type cconn struct {
 	n      *Node
 	mu     sync.Mutex
 	closed bool
-	flows  map[uint64]*pathFlow
-	free   *pathFlow
+	flows  resv.Table[*pathFlow]
 	wheel  *resv.Wheel[*pathFlow] // TTL expiry index; nil without a TTL
 }
 
 // openCConn makes a path-flow table and registers it for expiry; close it
 // with rollbackConn.
 func (n *Node) openCConn() *cconn {
-	c := &cconn{n: n, flows: make(map[uint64]*pathFlow)}
+	c := &cconn{n: n}
 	if n.ttl > 0 {
 		c.wheel = resv.NewWheel[*pathFlow](resv.WheelRes(n.ttl), n.nowNanos())
 	}
@@ -138,23 +144,23 @@ func (n *Node) openCConn() *cconn {
 	return c
 }
 
-// get pops a recycled pathFlow (or makes one). Caller holds c.mu.
-func (c *cconn) get() *pathFlow {
-	pf := c.free
-	if pf != nil {
-		c.free = pf.next
-		pf.next = nil
-		return pf
+// install adds a pending path flow under id, recycling a removed one when
+// it can. Caller holds c.mu and has checked that id is free.
+func (c *cconn) install(id, hopKey uint64, path int) *pathFlow {
+	pf := c.flows.Reuse()
+	if pf == nil {
+		pf = new(pathFlow)
 	}
-	return new(pathFlow)
+	pf.hopKey, pf.path, pf.pending = hopKey, int32(path), true
+	c.flows.Insert(&pf.slot, id, pf)
+	return pf
 }
 
-// put recycles a pathFlow and cancels its expiry. Caller holds c.mu.
-func (c *cconn) put(pf *pathFlow) {
+// remove takes pf out of the table, for reuse, and cancels its expiry.
+// Caller holds c.mu.
+func (c *cconn) remove(pf *pathFlow) {
 	pf.timer.Stop()
-	// A stopped timer may stay linked in the wheel, so it survives the reset.
-	*pf = pathFlow{timer: pf.timer, next: c.free}
-	c.free = pf
+	c.flows.Remove(&pf.slot)
 }
 
 // grant finalizes a pending flow and schedules its expiry one TTL after
@@ -505,24 +511,17 @@ func (n *Node) expire(now int64) {
 		n.expFlows = n.expFlows[:0]
 		c.mu.Lock()
 		c.wheel.Advance(now, func(pf *pathFlow) {
-			delete(c.flows, pf.id)
-			n.expFlows = append(n.expFlows, pf)
+			c.remove(pf)
+			n.expFlows = append(n.expFlows, pathHops{pf.path, pf.hopKey})
 		})
 		c.mu.Unlock()
 		if len(n.expFlows) == 0 {
 			continue
 		}
-		// The expired flows are out of the table and the wheel, so nothing
-		// else reaches them until they are recycled below.
 		n.metrics.Expiries.Add(uint64(len(n.expFlows)))
-		for _, pf := range n.expFlows {
-			n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
+		for _, h := range n.expFlows {
+			n.releaseHops(int(h.path), h.hopKey, len(n.topo.Paths[h.path].Links), now)
 		}
-		c.mu.Lock()
-		for _, pf := range n.expFlows {
-			c.put(pf)
-		}
-		c.mu.Unlock()
 	}
 }
 
@@ -554,14 +553,7 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	n.serve(nc, sess, func() {
-		now := n.nowNanos()
-		for _, wireID := range sess.drain() {
-			if ls := n.byGlobal[wireID>>idxShift]; ls != nil {
-				ls.release(now, wireID&keyMask)
-			}
-		}
-	})
+	n.serve(nc, sess, func() { sess.drain(n.nowNanos()) })
 }
 
 // serve runs one inbound connection through the resv serving loop, closes
@@ -623,20 +615,19 @@ func (n *Node) rollbackConn(c *cconn) {
 	now := n.nowNanos()
 	c.mu.Lock()
 	c.closed = true
-	flows := make([]*pathFlow, 0, len(c.flows))
-	for id, pf := range c.flows {
+	flows := make([]pathHops, 0, c.flows.Len())
+	c.flows.Each(func(pf *pathFlow) {
 		if pf.pending {
-			continue
+			return
 		}
-		// Stopped, so an expiry step that already listed this connection
-		// cannot release the flow a second time.
-		pf.timer.Stop()
-		flows = append(flows, pf)
-		delete(c.flows, id)
-	}
+		// Removed with its timer stopped, so an expiry step that already
+		// listed this connection cannot release the flow a second time.
+		c.remove(pf)
+		flows = append(flows, pathHops{pf.path, pf.hopKey})
+	})
 	c.mu.Unlock()
-	for _, pf := range flows {
-		n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
+	for _, h := range flows {
+		n.releaseHops(int(h.path), h.hopKey, len(n.topo.Paths[h.path].Links), now)
 	}
 	if len(flows) > 0 {
 		n.logf("cluster %s: released %d path flows from departing client", n.name, len(flows))
@@ -693,14 +684,12 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 	}
-	if _, dup := c.flows[f.FlowID]; dup {
+	if c.flows.Get(f.FlowID) != nil {
 		c.mu.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeDuplicateFlow)}
 	}
-	pf := c.get()
-	pf.id, pf.hopKey, pf.path, pf.pending = f.FlowID, hopKey, int32(pathIdx), true
-	c.flows[f.FlowID] = pf
+	pf := c.install(f.FlowID, hopKey, pathIdx)
 	c.mu.Unlock()
 
 	path := &n.topo.Paths[pathIdx]
@@ -762,8 +751,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 			n.metrics.Rollbacks.Inc()
 		}
 		c.mu.Lock()
-		delete(c.flows, f.FlowID)
-		c.put(pf)
+		c.remove(pf)
 		c.mu.Unlock()
 		n.metrics.PathDenies.Inc()
 		return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: denyLoad}
@@ -772,8 +760,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	if c.closed {
 		// The connection dropped while the hops were being claimed; nobody
 		// else will roll this flow back.
-		delete(c.flows, f.FlowID)
-		c.put(pf)
+		c.remove(pf)
 		c.mu.Unlock()
 		n.releaseHops(pathIdx, hopKey, len(path.Links), now)
 		n.metrics.PathDenies.Inc()
@@ -819,15 +806,14 @@ func (n *Node) releaseHops(pathIdx int, hopKey uint64, upTo int, now int64) {
 
 func (n *Node) teardownPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	c.mu.Lock()
-	pf, ok := c.flows[f.FlowID]
-	if !ok || pf.pending {
+	pf := c.flows.Get(f.FlowID)
+	if pf == nil || pf.pending {
 		c.mu.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 	}
 	pathIdx, hopKey := int(pf.path), pf.hopKey
-	delete(c.flows, f.FlowID)
-	c.put(pf)
+	c.remove(pf)
 	c.mu.Unlock()
 	n.releaseHops(pathIdx, hopKey, len(n.topo.Paths[pathIdx].Links), now)
 	n.metrics.PathTeardowns.Inc()
@@ -836,8 +822,8 @@ func (n *Node) teardownPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 
 func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	c.mu.Lock()
-	pf, ok := c.flows[f.FlowID]
-	if !ok || pf.pending {
+	pf := c.flows.Get(f.FlowID)
+	if pf == nil || pf.pending {
 		c.mu.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
@@ -875,7 +861,6 @@ type batchFlow struct {
 	kind     batchOpKind
 	failed   bool
 	pf       *pathFlow
-	id       uint64
 	hopKey   uint64
 	pathIdx  int32
 	nlinks   int // length of the path prefix claimed locally or enqueued remotely
@@ -929,15 +914,14 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 		switch f.Type {
 		case resv.MsgTeardown:
 			c.mu.Lock()
-			pf, ok := c.flows[f.FlowID]
-			if !ok || pf.pending {
+			pf := c.flows.Get(f.FlowID)
+			if pf == nil || pf.pending {
 				c.mu.Unlock()
 				n.metrics.Errors.Inc()
 				continue
 			}
 			pathIdx, hopKey := int(pf.path), pf.hopKey
-			delete(c.flows, f.FlowID)
-			c.put(pf)
+			c.remove(pf)
 			c.mu.Unlock()
 			verdict |= 1 << uint(i)
 			n.metrics.PathTeardowns.Inc()
@@ -978,16 +962,14 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 				n.metrics.Errors.Inc()
 				continue
 			}
-			if _, dup := c.flows[f.FlowID]; dup {
+			if c.flows.Get(f.FlowID) != nil {
 				c.mu.Unlock()
 				n.metrics.Errors.Inc()
 				continue
 			}
-			pf := c.get()
-			pf.id, pf.hopKey, pf.path, pf.pending = f.FlowID, hopKey, int32(pathIdx), true
-			c.flows[f.FlowID] = pf
+			pf := c.install(f.FlowID, hopKey, pathIdx)
 			c.mu.Unlock()
-			bf.kind, bf.pf, bf.id, bf.hopKey, bf.pathIdx = batchReserve, pf, f.FlowID, hopKey, int32(pathIdx)
+			bf.kind, bf.pf, bf.hopKey, bf.pathIdx = batchReserve, pf, hopKey, int32(pathIdx)
 			bf.minShare = math.MaxFloat64
 			for pos, g := range n.topo.Paths[pathIdx].Links {
 				if ls := n.byGlobal[g]; ls != nil {
@@ -1123,8 +1105,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 			n.metrics.Rollbacks.Inc()
 		}
 		c.mu.Lock()
-		delete(c.flows, bf.id)
-		c.put(bf.pf)
+		c.remove(bf.pf)
 		c.mu.Unlock()
 		n.metrics.PathDenies.Inc()
 	}

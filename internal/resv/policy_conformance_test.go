@@ -266,7 +266,7 @@ func TestPolicyServerZeroAllocDefaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			c := &conn{flows: make(map[uint64]struct{})}
+			c := &conn{}
 			var bs batchStats
 			reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 			teardown := Frame{Type: MsgTeardown, FlowID: 42}

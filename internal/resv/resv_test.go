@@ -168,6 +168,55 @@ func TestConnectionDropReleasesReservations(t *testing.T) {
 	}
 }
 
+// TestConnectionDropRacesExpiry closes connections while the TTL wheels
+// expire the same flows: connection release walks the flow list a flow
+// at a time, so some of its flows expire between its reading the list
+// and taking their shard locks. Every flow must still be released exactly
+// once, by the connection or by its TTL, and none may stay held.
+func TestConnectionDropRacesExpiry(t *testing.T) {
+	r, err := utility.NewRigid(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns, flows, ttl = 8, 64, 16 * time.Millisecond
+	s, err := NewServerTTL(conns*flows, r, ttl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := pipeClient(t, s)
+			for j := 0; j < flows; j++ {
+				if ok, _, err := c.Reserve(context.Background(), uint64(i*flows+j+1), 1); err != nil || !ok {
+					t.Errorf("reserve: ok=%v err=%v", ok, err)
+					return
+				}
+			}
+			// Closes spread across the flows' expiry, so some race it.
+			time.Sleep(time.Duration(i) * ttl / 4)
+			_ = c.Close()
+		}(i)
+	}
+	wg.Wait()
+	m := s.Metrics()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Active() != 0 || m.Expiries.Load()+m.Releases.Load() != conns*flows {
+		if time.Now().After(deadline) {
+			t.Fatalf("active %d, expiries %d + releases %d, want 0 and %d flows each released once",
+				s.Active(), m.Expiries.Load(), m.Releases.Load(), conns*flows)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if g := m.Grants.Load(); g != conns*flows {
+		t.Fatalf("grants = %d, want %d", g, conns*flows)
+	}
+	t.Logf("%d flows expired, %d released by connection drops", m.Expiries.Load(), m.Releases.Load())
+}
+
 func TestStats(t *testing.T) {
 	s := newServer(t, 4)
 	c := pipeClient(t, s)

@@ -74,6 +74,9 @@ type Server struct {
 	// and no reader goroutine is mid-dispatch on it.
 	udpMu    sync.Mutex
 	udpPeers map[string]*conn
+	// expPeers is the expiry loop's scratch: datagram peers whose last flow
+	// it expired, to be reaped once the shard locks are released.
+	expPeers []*conn
 
 	// reg/metrics are the server's observability plane (DESIGN.md §9):
 	// always on, atomics-only, flushed once per frame batch on the hot
@@ -105,20 +108,19 @@ const (
 
 // shard is one lock stripe of the soft-state tables.
 type shard struct {
-	mu      sync.Mutex
-	entries map[uint64]*entry
-	free    *entry         // spent entry nodes, next-linked, reused by reserves
-	wheel   *Wheel[*entry] // TTL expiry index; nil when the server has no TTL
+	mu    sync.Mutex
+	flows Table[*entry]
+	wheel *Wheel[*entry] // TTL expiry index; nil when the server has no TTL
 }
 
-// entry is one reservation's soft state: the value of its shard's flow
-// table and, on TTL servers, a timer in the shard's wheel.
+// entry is one reservation's soft state: a record in its shard's flow
+// table and on its owner's flow list, and, on TTL servers, a timer in the
+// shard's wheel. Its flow ID is its slot's key.
 type entry struct {
-	id    uint64
+	slot  Slot[*entry]
 	owner *conn
 	rate  float64 // granted rate (bandwidth mode; 0 in flow-count mode)
 	timer Timer[*entry]
-	next  *entry // shard free-list link
 }
 
 // conn tracks one client connection's reservations. Stream transports own
@@ -132,15 +134,16 @@ type conn struct {
 	// instead of erroring (see reserve).
 	datagram bool
 	// raddr is the peer's address, for logging (nc.RemoteAddr() for
-	// stream connections).
+	// stream connections); key is a datagram peer's udpPeers key.
 	raddr net.Addr
+	key   string
 	// inflight counts reader goroutines mid-dispatch on this datagram
 	// peer; guarded by Server.udpMu.
 	inflight int
 	// mu guards flows: the handler goroutine adds and removes, the expiry
 	// goroutine removes (always with the flow's shard lock held first).
 	mu    sync.Mutex
-	flows map[uint64]struct{}
+	flows List[*entry]
 }
 
 // shardCountFor returns the soft-state stripe count for a machine with p
@@ -269,9 +272,6 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 			s.reg.GaugeFunc("resv_policy_"+g.Name, g.Help, g.Value)
 		}
 	}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[uint64]*entry)
-	}
 	if ttl > 0 {
 		for i := range s.shards {
 			s.shards[i].wheel = NewWheel[*entry](WheelRes(ttl), 0)
@@ -345,25 +345,45 @@ func (s *Server) expireLoop() {
 		case <-s.stop:
 			return
 		case <-tick.C:
-			now := s.now()
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				sh.wheel.Advance(now, func(e *entry) {
-					id := e.id
-					s.removeLocked(sh, e)
-					s.metrics.Expiries.Inc()
-					if s.Trace != nil {
-						s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
-					}
-					if s.Logf != nil {
-						s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
-					}
-				})
-				sh.mu.Unlock()
-			}
+			s.expire(s.now())
 		}
 	}
+}
+
+// expire is one expiry step at server time now: every shard's wheel
+// releases its due flows. Datagram peers left holding no flows are reaped
+// afterwards, with no shard lock held — reaping takes udpMu before the
+// peer's own lock, the reverse of the shard → peer order.
+func (s *Server) expire(now int64) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.wheel.Advance(now, func(e *entry) {
+			id, c := e.slot.Key(), e.owner
+			last := s.removeLocked(sh, e)
+			s.metrics.Expiries.Inc()
+			if last && c.datagram {
+				s.expPeers = append(s.expPeers, c)
+			}
+			if s.Trace != nil {
+				s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
+			}
+			if s.Logf != nil {
+				s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
+			}
+		})
+		sh.mu.Unlock()
+	}
+	if len(s.expPeers) == 0 {
+		return
+	}
+	s.udpMu.Lock()
+	for i, c := range s.expPeers {
+		s.reapUDPPeerLocked(c)
+		s.expPeers[i] = nil
+	}
+	s.udpMu.Unlock()
+	s.expPeers = s.expPeers[:0]
 }
 
 // Serve accepts connections on ln until ln is closed. It always returns a
@@ -382,7 +402,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // of a net.Pipe) through ServeConn. It returns when the connection fails
 // or closes, releasing every reservation the connection holds.
 func (s *Server) HandleConn(nc net.Conn) {
-	c := &conn{nc: nc, flows: make(map[uint64]struct{})}
+	c := &conn{nc: nc}
 	defer s.release(c)
 	s.metrics.Connections.Inc()
 	defer s.metrics.Connections.Dec()
@@ -657,7 +677,7 @@ func (s *Server) lookupOwn(c *conn, id uint64) installStatus {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	st := installStatus{kind: installedNew}
-	if e, ok := sh.entries[id]; ok {
+	if e := sh.flows.Get(id); e != nil {
 		st.kind = dupOtherConn
 		if e.owner == c {
 			st = installStatus{kind: dupOwnConn, rate: e.rate}
@@ -674,7 +694,7 @@ func (s *Server) lookupOwn(c *conn, id uint64) installStatus {
 func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if e, dup := sh.entries[id]; dup {
+	if e := sh.flows.Get(id); e != nil {
 		st := installStatus{kind: dupOtherConn}
 		if e.owner == c {
 			st = installStatus{kind: dupOwnConn, rate: e.rate}
@@ -682,45 +702,43 @@ func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
 		sh.mu.Unlock()
 		return st
 	}
-	e := sh.free
-	if e != nil {
-		sh.free = e.next
-		e.next = nil
-	} else {
+	e := sh.flows.Reuse()
+	if e == nil {
 		e = new(entry)
 	}
-	e.id, e.owner, e.rate = id, c, rate
-	sh.entries[id] = e
+	e.owner, e.rate = c, rate
+	sh.flows.Insert(&e.slot, id, e)
 	if sh.wheel != nil {
 		sh.wheel.Schedule(&e.timer, e, s.now()+int64(s.ttl))
 	}
 	c.mu.Lock()
-	c.flows[id] = struct{}{}
+	c.flows.Push(&e.slot)
 	c.mu.Unlock()
 	sh.mu.Unlock()
 	return installStatus{kind: installedNew}
 }
 
 // removeLocked unrecords a flow: wheel, flow table, owning connection, and
-// the policy's claim (rate and active count). Callers hold sh.mu.
-func (s *Server) removeLocked(sh *shard, e *entry) {
+// the policy's claim (rate and active count). It reports whether the flow
+// was its owner's last. Callers hold sh.mu.
+func (s *Server) removeLocked(sh *shard, e *entry) (ownerEmpty bool) {
 	e.timer.Stop()
-	delete(sh.entries, e.id)
+	sh.flows.Remove(&e.slot)
 	c := e.owner
 	c.mu.Lock()
-	delete(c.flows, e.id)
+	c.flows.Remove(&e.slot)
+	ownerEmpty = c.flows.Len() == 0
 	c.mu.Unlock()
 	s.pol.Release(s.polNow(), e.rate)
 	e.owner = nil
-	e.next = sh.free
-	sh.free = e
+	return ownerEmpty
 }
 
 func (s *Server) teardown(c *conn, f Frame) Frame {
 	sh := s.shardFor(f.FlowID)
 	sh.mu.Lock()
-	e, ok := sh.entries[f.FlowID]
-	if !ok || e.owner != c {
+	e := sh.flows.Get(f.FlowID)
+	if e == nil || e.owner != c {
 		sh.mu.Unlock()
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
@@ -741,8 +759,8 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 func (s *Server) refresh(c *conn, f Frame) Frame {
 	sh := s.shardFor(f.FlowID)
 	sh.mu.Lock()
-	e, ok := sh.entries[f.FlowID]
-	if !ok || e.owner != c {
+	e := sh.flows.Get(f.FlowID)
+	if e == nil || e.owner != c {
 		sh.mu.Unlock()
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
@@ -756,22 +774,27 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 	return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: s.ttl.Seconds()}
 }
 
-// release frees every reservation held by a departing connection.
+// release frees every reservation held by a departing connection, front
+// of its flow list first. The connection is closed, so nothing joins the
+// list; each pass takes the front flow off it, here or — when the flow
+// expired after the front was read — in the expiry loop.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	c.mu.Lock()
-	ids := make([]uint64, 0, len(c.flows))
-	for id := range c.flows {
-		ids = append(ids, id)
-	}
-	c.mu.Unlock()
 	n := 0
-	for _, id := range ids {
+	for {
+		c.mu.Lock()
+		front := c.flows.Front()
+		var id uint64
+		if front != nil {
+			id = front.slot.Key()
+		}
+		c.mu.Unlock()
+		if front == nil {
+			break
+		}
 		sh := s.shardFor(id)
 		sh.mu.Lock()
-		// The flow may have expired or been torn down since the snapshot;
-		// only entries still owned by this connection are released.
-		if e, ok := sh.entries[id]; ok && e.owner == c {
+		if e := sh.flows.Get(id); e != nil && e.owner == c {
 			s.removeLocked(sh, e)
 			n++
 			if s.Trace != nil {

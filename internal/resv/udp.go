@@ -22,8 +22,9 @@ import (
 // Each distinct source address gets a virtual connection (a *conn with no
 // net.Conn), so ownership checks, duplicate detection, and the flow
 // accounting are exactly the stream transport's. Peers are reaped as soon
-// as they hold no flows and no dispatch is in flight; a silent peer whose
-// flows all expired lingers only until its next datagram or reap.
+// as they hold no flows and no dispatch is in flight: after the dispatch
+// that tore their last flow down, or after the expiry step that expired
+// it.
 
 // maxUDPReaders bounds the fixed reader pool ServePacket spawns.
 const maxUDPReaders = 8
@@ -91,9 +92,9 @@ func (s *Server) readPackets(pc net.PacketConn) error {
 			continue
 		}
 		t0 := time.Now()
-		key, c := s.acquireUDPPeer(addr)
+		c := s.acquireUDPPeer(addr)
 		reply := s.dispatch(c, f, &bs)
-		s.releaseUDPPeer(key, c)
+		s.releaseUDPPeer(c)
 		s.metrics.flushBatch(&bs, 1, time.Since(t0))
 		putFrame(&wbuf, reply)
 		if _, err := pc.WriteTo(wbuf[:], addr); err != nil {
@@ -114,12 +115,12 @@ func (s *Server) readPackets(pc net.PacketConn) error {
 // acquireUDPPeer resolves addr to its virtual connection, creating one on
 // first contact, and marks a dispatch in flight so a concurrent reader
 // cannot reap the peer between lookup and install.
-func (s *Server) acquireUDPPeer(addr net.Addr) (string, *conn) {
+func (s *Server) acquireUDPPeer(addr net.Addr) *conn {
 	key := addr.String()
 	s.udpMu.Lock()
 	c := s.udpPeers[key]
 	if c == nil {
-		c = &conn{datagram: true, raddr: addr, flows: make(map[uint64]struct{})}
+		c = &conn{datagram: true, raddr: addr, key: key}
 		if s.udpPeers == nil {
 			s.udpPeers = make(map[string]*conn)
 		}
@@ -128,23 +129,29 @@ func (s *Server) acquireUDPPeer(addr net.Addr) (string, *conn) {
 	}
 	c.inflight++
 	s.udpMu.Unlock()
-	return key, c
+	return c
 }
 
-// releaseUDPPeer ends a dispatch and reaps the peer if it is now idle and
-// holds no flows. Flows removed later by TTL expiry or teardown leave the
-// peer to be reaped on its next datagram.
-func (s *Server) releaseUDPPeer(key string, c *conn) {
+// releaseUDPPeer ends a dispatch and reaps the peer if it is now idle.
+func (s *Server) releaseUDPPeer(c *conn) {
 	s.udpMu.Lock()
 	c.inflight--
-	if c.inflight == 0 {
-		c.mu.Lock()
-		idle := len(c.flows) == 0
-		c.mu.Unlock()
-		if idle {
-			delete(s.udpPeers, key)
-			s.metrics.UDPPeers.Dec()
-		}
-	}
+	s.reapUDPPeerLocked(c)
 	s.udpMu.Unlock()
+}
+
+// reapUDPPeerLocked forgets the peer c when no dispatch is in flight on it
+// and it holds no flows — unless it was forgotten already, and its
+// address may since belong to a new peer. Callers hold udpMu.
+func (s *Server) reapUDPPeerLocked(c *conn) {
+	if c.inflight > 0 {
+		return
+	}
+	c.mu.Lock()
+	idle := c.flows.Len() == 0
+	c.mu.Unlock()
+	if idle && s.udpPeers[c.key] == c {
+		delete(s.udpPeers, c.key)
+		s.metrics.UDPPeers.Dec()
+	}
 }

@@ -455,3 +455,45 @@ func TestDecodeDatagram(t *testing.T) {
 		}
 	}
 }
+
+// TestUDPPeerReapedAfterExpiry pins the reaping of a datagram peer whose
+// flows all expired: a client that reserves and then goes quiet must not
+// keep its virtual connection once the TTL has taken its last flow.
+func TestUDPPeerReapedAfterExpiry(t *testing.T) {
+	r, err := utility.NewRigid(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServerTTL(4, r, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	addr := startUDPServer(t, s)
+	cl, err := DialUDP(ctx(t), addr.String(), fastUDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if ok, _, err := cl.Reserve(ctx(t), 1, 1); err != nil || !ok {
+		t.Fatalf("reserve: ok=%v err=%v", ok, err)
+	}
+	m := s.Metrics()
+	if p := m.UDPPeers.Load(); p != 1 {
+		t.Fatalf("udp peers = %d while the flow is held, want 1", p)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Active() != 0 || m.Expiries.Load() != 1 || m.UDPPeers.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after expiry: active %d, expiries %d, udp peers %d; want 0, 1, 0 (the quiet peer reaped)",
+				s.Active(), m.Expiries.Load(), m.UDPPeers.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.udpMu.Lock()
+	n := len(s.udpPeers)
+	s.udpMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d datagram peers still mapped after the gauge read 0", n)
+	}
+}
