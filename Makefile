@@ -66,17 +66,20 @@ workload-check:
 	$(GO) run ./cmd/beqos workload specs
 
 # The end-to-end benchmark is its own module, so the root `go build ./...`
-# never compiles it: vet it, then run short link, softstate and cluster
-# workloads as a correctness smoke. A run exits 1 on a counter mismatch,
-# residue held after clean-up, or a wrong expiry count. softstate checks
-# the soft-state table's release paths: its expiries must equal the
-# standing flows left un-refreshed, and its connection drops must release
-# exactly the refreshed ones.
+# never compiles it: vet it, then run short link, softstate, cluster and
+# sim workloads as a correctness smoke. A run exits 1 on a counter
+# mismatch, residue held after clean-up, a wrong expiry count, or a failed
+# simulator check. softstate checks the soft-state table's release paths:
+# its expiries must equal the standing flows left un-refreshed, and its
+# connection drops must release exactly the refreshed ones. sim checks the
+# simulator's measured blocking against Erlang B (4σ) and the model's
+# sanity on every replication's occupancy.
 perfbench-check:
 	cd perfbench && $(GO) vet ./...
 	bash perfbench/run.sh --workload link --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload softstate --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload cluster --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload sim --seed 1 --seconds 2 --trace 0
 
 # Run the benchmark suite and archive it as machine-readable JSON. Always
 # -benchmem, so every BENCH_core.json entry carries bytes/allocs.

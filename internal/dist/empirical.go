@@ -52,11 +52,15 @@ func NewEmpirical(weights []float64) (*Empirical, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("dist: empirical weights sum to %g; need positive mass", total)
 	}
+	// One backing array for the four tables, cut into capacity-limited
+	// subslices.
+	n := len(weights)
+	buf := make([]float64, 4*n+2)
 	e := &Empirical{
-		pmf:      make([]float64, len(weights)),
-		cdf:      make([]float64, len(weights)),
-		tailMean: make([]float64, len(weights)+1),
-		sqTail:   make([]float64, len(weights)+1),
+		pmf:      buf[:n:n],
+		cdf:      buf[n : 2*n : 2*n],
+		tailMean: buf[2*n : 3*n+1 : 3*n+1],
+		sqTail:   buf[3*n+1:],
 	}
 	run := 0.0
 	for i, w := range weights {

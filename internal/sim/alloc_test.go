@@ -22,6 +22,17 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("engine schedule+dispatch allocates %v/op, want 0", allocs)
 	}
+	// The closure path: a pre-built func value goes into a recycled slot of
+	// the closure table, so scheduling and running it allocates nothing
+	// either.
+	fn := func() {}
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.Schedule(1, fn)
+		e.Run(e.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Errorf("engine Schedule+Run allocates %v/op, want 0", allocs)
+	}
 }
 
 // TestRunAllocationBudget guards the simulator's zero-steady-state-

@@ -20,24 +20,26 @@ import "math"
 type eventKind uint8
 
 const (
-	// evFunc runs the attached closure (the generic Schedule API).
+	// evFunc runs the closure in slot `ref` of the engine's closure table
+	// (the generic Schedule API).
 	evFunc eventKind = iota
-	// evDepart ends flow `flow`'s holding time.
+	// evDepart ends flow `ref`'s holding time.
 	evDepart
-	// evSample records a §5.1 load observation for flow `flow`.
+	// evSample records a §5.1 load observation for flow `ref`.
 	evSample
-	// evRetry re-submits rejected flow `flow` after its backoff.
+	// evRetry re-submits rejected flow `ref` after its backoff.
 	evRetry
 )
 
-// event is one scheduled record. seq breaks ties deterministically, so
-// events scheduled for the same instant run in scheduling order.
+// event is one scheduled record: three words and no pointers, so the heap
+// moves plain memory and the garbage collector never scans it. seq breaks
+// ties deterministically, so events scheduled for the same instant run in
+// scheduling order.
 type event struct {
 	at   float64
 	seq  uint64
-	fn   func() // evFunc only
+	ref  int32 // flow-arena index, or closure slot for evFunc
 	kind eventKind
-	flow int32 // flow-arena index (evDepart/evSample/evRetry)
 }
 
 // Engine is a deterministic discrete-event scheduler. Its priority queue
@@ -48,6 +50,11 @@ type Engine struct {
 	now float64
 	seq uint64
 	pq  []event
+	// fns holds the closures of queued evFunc events, indexed by the
+	// event's ref; Run empties a slot before calling its closure, and
+	// freeFns lists the empty slots for reuse.
+	fns     []func()
+	freeFns []int32
 	// dispatched and maxQueued are plain observability tallies (the engine
 	// is single-threaded): events popped and the queue's high-water mark.
 	dispatched uint64
@@ -73,23 +80,26 @@ func (e *Engine) MaxQueued() int { return e.maxQueued }
 // Schedule runs fn after the given (nonnegative) delay. Events scheduled
 // for the same instant run in scheduling order.
 func (e *Engine) Schedule(delay float64, fn func()) {
-	ev := event{kind: evFunc, fn: fn}
-	e.schedule(delay, ev)
+	var slot int32
+	if n := len(e.freeFns); n > 0 {
+		slot = e.freeFns[n-1]
+		e.freeFns = e.freeFns[:n-1]
+		e.fns[slot] = fn
+	} else {
+		slot = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.scheduleTagged(delay, evFunc, slot)
 }
 
 // scheduleTagged enqueues a closure-free tagged record — the simulator's
 // zero-allocation internal path.
-func (e *Engine) scheduleTagged(delay float64, kind eventKind, flow int32) {
-	e.schedule(delay, event{kind: kind, flow: flow})
-}
-
-func (e *Engine) schedule(delay float64, ev event) {
+func (e *Engine) scheduleTagged(delay float64, kind eventKind, ref int32) {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	ev.at, ev.seq = e.now+delay, e.seq
-	e.push(ev)
+	e.push(event{at: e.now + delay, seq: e.seq, ref: ref, kind: kind})
 }
 
 // peek returns the earliest queued event's time, +Inf when none is queued.
@@ -133,8 +143,14 @@ func (e *Engine) Run(until float64) {
 		if !ok {
 			return
 		}
-		if ev.fn != nil {
-			ev.fn()
+		if ev.kind != evFunc {
+			continue
+		}
+		fn := e.fns[ev.ref]
+		e.fns[ev.ref] = nil // the engine keeps no closure it has dispatched
+		e.freeFns = append(e.freeFns, ev.ref)
+		if fn != nil {
+			fn()
 		}
 	}
 }
@@ -147,7 +163,8 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts into the 4-ary min-heap.
+// push inserts into the 4-ary min-heap: it moves the hole at the end up
+// past every parent that orders after ev, then writes ev once.
 func (e *Engine) push(ev event) {
 	e.pq = append(e.pq, ev)
 	if len(e.pq) > e.maxQueued {
@@ -156,21 +173,26 @@ func (e *Engine) push(ev event) {
 	i := len(e.pq) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !less(&e.pq[i], &e.pq[p]) {
+		if !less(&ev, &e.pq[p]) {
 			break
 		}
-		e.pq[i], e.pq[p] = e.pq[p], e.pq[i]
+		e.pq[i] = e.pq[p]
 		i = p
 	}
+	e.pq[i] = ev
 }
 
-// pop removes and returns the heap minimum.
+// pop removes and returns the heap minimum: the last record fills the
+// hole at the root, which moves down past every smaller child before the
+// record is written once.
 func (e *Engine) pop() event {
 	top := e.pq[0]
 	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[n] = event{} // drop the closure reference, if any
+	last := e.pq[n]
 	e.pq = e.pq[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -187,11 +209,12 @@ func (e *Engine) pop() event {
 				m = j
 			}
 		}
-		if !less(&e.pq[m], &e.pq[i]) {
+		if !less(&e.pq[m], &last) {
 			break
 		}
-		e.pq[i], e.pq[m] = e.pq[m], e.pq[i]
+		e.pq[i] = e.pq[m]
 		i = m
 	}
+	e.pq[i] = last
 	return top
 }

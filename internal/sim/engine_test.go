@@ -52,6 +52,11 @@ func TestEngineNestedScheduling(t *testing.T) {
 	if e.Now() != 1000 {
 		t.Errorf("clock = %v", e.Now())
 	}
+	// Run frees a closure's slot before calling it, so the rescheduled
+	// tick reuses the slot it ran from.
+	if len(e.fns) != 1 {
+		t.Errorf("closure table grew to %d slots for one self-rescheduling closure, want 1", len(e.fns))
+	}
 }
 
 func TestEngineHorizonCutoff(t *testing.T) {
@@ -100,5 +105,51 @@ func TestEngineCounters(t *testing.T) {
 	}
 	if got := e.MaxQueued(); got != 5 {
 		t.Errorf("max queued = %d after drain, want 5 (high-water mark)", got)
+	}
+}
+
+// TestEngineClosureSlots: Run empties a closure's slot before calling it,
+// so the engine keeps no reference to a dispatched closure, and freed
+// slots serve later Schedule calls instead of growing the table.
+func TestEngineClosureSlots(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 8; i++ {
+		e.Schedule(float64(i), func() {})
+	}
+	e.Run(3)
+	held := 0
+	for _, fn := range e.fns {
+		if fn != nil {
+			held++
+		}
+	}
+	if held != e.Pending() || held != 4 {
+		t.Errorf("closure table holds %d closures with %d events queued, want 4 and 4", held, e.Pending())
+	}
+	e.Run(10)
+	for i, fn := range e.fns {
+		if fn != nil {
+			t.Errorf("slot %d still holds a dispatched closure", i)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		e.Schedule(1, func() {})
+	}
+	if len(e.fns) != 8 {
+		t.Errorf("closure table grew to %d slots for 8 queued closures, want 8", len(e.fns))
+	}
+}
+
+// TestEngineRunSkipsTaggedAndNil: Run dispatches only closures; tagged
+// records and a nil closure pass through without effect.
+func TestEngineRunSkipsTaggedAndNil(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	e.scheduleTagged(1, evDepart, 7)
+	e.Schedule(2, nil)
+	e.Schedule(3, func() { ran++ })
+	e.Run(5)
+	if ran != 1 || e.Dispatched() != 3 || e.Pending() != 0 {
+		t.Errorf("ran %d closures of %d dispatched events (%d pending), want 1 of 3 (0)", ran, e.Dispatched(), e.Pending())
 	}
 }

@@ -224,6 +224,7 @@ func prepare(cfg Config) (*simState, error) {
 	seed1, seed2 := rng.Substream(cfg.Seed1, cfg.Seed2, simStreamIndex)
 	np := len(wl.Phases)
 	tally := make([]int, 3*np) // one backing array for the phase tallies
+	stride := 1 + len(classes) // a utility table row (see simState.pi)
 	s := &simState{
 		cfg:     cfg,
 		classes: classes,
@@ -238,6 +239,8 @@ func prepare(cfg Config) (*simState, error) {
 		// amortized) growth.
 		occTime:       make([]float64, 0, 128),
 		arrCounts:     make([]float64, 0, 128),
+		pi:            make([]float64, stride, 128*stride), // row 0 is never read
+		piStride:      stride,
 		flows:         make([]flow, 0, 256),
 		free:          make([]int32, 0, 256),
 		phaseFlows:    tally[:np:np],
@@ -301,6 +304,10 @@ type simState struct {
 	arrCounts []float64 // load level seen at fresh arrivals (post-warmup)
 	occLast   float64   // last time the occupancy changed (or warmup start)
 	piAccum   float64   // ∫ π(C/n(t)) dt, for time-average flow utility
+	// pi tabulates utility by occupancy n, one row of piStride entries per
+	// n up to the peak: π(C/n), then each class's π_i(C/(n·d_i)).
+	pi       []float64
+	piStride int
 	// piAccumClass holds per-class ∫ π_i(C/(n·d_i)) dt in heterogeneous
 	// runs; utilSumClass and flowsClass tally per-class outcomes.
 	piAccumClass []float64
@@ -341,15 +348,15 @@ func (s *simState) loop() {
 		}
 		switch ev.kind {
 		case evDepart:
-			s.depart(ev.flow)
-			s.freeFlow(ev.flow)
+			s.depart(ev.ref)
+			s.freeFlow(ev.ref)
 		case evSample:
-			f := &s.flows[ev.flow]
+			f := &s.flows[ev.ref]
 			if int32(s.active) > f.maxLoad {
 				f.maxLoad = int32(s.active)
 			}
 		case evRetry:
-			s.arrive(ev.flow)
+			s.arrive(ev.ref)
 		}
 	}
 }
@@ -371,13 +378,27 @@ func (s *simState) freeFlow(fi int32) {
 	s.free = append(s.free, fi)
 }
 
-// evalUtil returns the utility a flow of class ci derives from share b.
-func (s *simState) evalUtil(ci int32, b float64) float64 {
-	if len(s.classes) == 0 {
-		return s.cfg.Util.Eval(b)
+// growPi extends the utility table through row n. An entry is the
+// utility evaluated at its occupancy's share, C/n (over the class's
+// demand), so reading it gives the same float as evaluating there.
+func (s *simState) growPi(n int) {
+	for k := len(s.pi) / s.piStride; k <= n; k++ {
+		share := s.cfg.Capacity / float64(k)
+		s.pi = append(s.pi, s.cfg.Util.Eval(share))
+		for _, c := range s.classes {
+			s.pi = append(s.pi, c.util.Eval(share/c.demand))
+		}
 	}
-	c := s.classes[ci]
-	return c.util.Eval(b / c.demand)
+}
+
+// piAt returns the utility a flow of class ci derives at occupancy n
+// (1 ≤ n ≤ peak).
+func (s *simState) piAt(n int, ci int32) float64 {
+	i := n * s.piStride
+	if len(s.classes) > 0 {
+		i += 1 + int(ci)
+	}
+	return s.pi[i]
 }
 
 // advance accounts occupancy time up to now.
@@ -393,10 +414,10 @@ func (s *simState) advance() {
 		}
 		s.occTime[s.active] += now - start
 		if s.active > 0 {
-			share := s.cfg.Capacity / float64(s.active)
-			s.piAccum += (now - start) * s.cfg.Util.Eval(share)
+			row := s.pi[s.active*s.piStride:]
+			s.piAccum += (now - start) * row[0]
 			for i := range s.piAccumClass {
-				s.piAccumClass[i] += (now - start) * s.evalUtil(int32(i), share)
+				s.piAccumClass[i] += (now - start) * row[1+i]
 			}
 		}
 	}
@@ -408,6 +429,7 @@ func (s *simState) setActive(n int) {
 	s.active = n
 	if n > s.peak {
 		s.peak = n
+		s.growPi(n)
 	}
 }
 
@@ -499,7 +521,7 @@ func (s *simState) depart(fi int32) {
 		pi = (accum - f.utilAccum) / duration
 	} else {
 		// Worst-of-S-samples performance.
-		pi = s.evalUtil(f.class, s.cfg.Capacity/float64(f.maxLoad))
+		pi = s.piAt(int(f.maxLoad), f.class)
 	}
 	score := pi - s.penalty(f)
 	s.utilSum += score
