@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
+.PHONY: all build vet test race race-soak check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
 
 # Benchmarks the regression gate enforces (see bench-diff): the simulator
 # validation runs, the enforcement loop, the SCFQ hot path, the
@@ -11,9 +11,10 @@ GO ?= go
 # transport, the 100k-flow high-concurrency churn, and the per-policy
 # admission micro-benchmark (every policy's Admit→Release at 0 allocs/op),
 # the cluster plane (aggregate path-admission churn plus the local-admit
-# and forwarded-hop hot paths, both pinned at 0 allocs/op), and the
-# soft-state table's install, remove and lookup (0 allocs/op).
-BENCH_GATE = BenchmarkS1SimulatedLoad|BenchmarkS2HeavyTailLoad|BenchmarkX4SchedulingEnforcement|BenchmarkMicroSCFQEnqueueDequeue|BenchmarkServerThroughput|BenchmarkServerHighConcurrency|BenchmarkUDPThroughput|BenchmarkPolicyAdmit|BenchmarkClusterThroughput|BenchmarkClusterLocalAdmit|BenchmarkClusterForward|BenchmarkSoftStateTable
+# and forwarded-hop hot paths, both pinned at 0 allocs/op), the soft-state
+# table's install, remove and lookup, and the admission cell's install +
+# drop, refresh and expiry (all 0 allocs/op).
+BENCH_GATE = BenchmarkS1SimulatedLoad|BenchmarkS2HeavyTailLoad|BenchmarkX4SchedulingEnforcement|BenchmarkMicroSCFQEnqueueDequeue|BenchmarkServerThroughput|BenchmarkServerHighConcurrency|BenchmarkUDPThroughput|BenchmarkPolicyAdmit|BenchmarkClusterThroughput|BenchmarkClusterLocalAdmit|BenchmarkClusterForward|BenchmarkSoftStateTable|BenchmarkSoftStateCell
 
 # Absolute metric floors on the fresh bench-diff run (NAME_RE=unit:MIN, see
 # cmd/benchjson -floor). The high-concurrency churn measured ~276k req/s
@@ -49,6 +50,14 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The release paths — teardown, rollback, connection drop, TTL expiry —
+# raced ten times over: every claim must go back exactly once however they
+# interleave. Timing-dependent failures here show up only under repetition.
+RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster
+
+race-soak:
+	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/
 
 # Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
 # smoke — a live two-cell grid cross-validated against the model — plus

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"beqos/internal/resv"
 )
 
 // TestClusterBatchLifecycle walks a batched path reservation end to end on
@@ -283,5 +285,41 @@ func TestClusterGossipSuppression(t *testing.T) {
 	})
 	if now := b.Metrics().GossipOut.Load(); now > out2+1 {
 		t.Fatalf("gossip out kept climbing (%d → %d) after the new occupancy was advertised", out2, now)
+	}
+}
+
+// TestClusterBatchRepeatedFlowID sends bodies that name one flow ID more
+// than once on the client plane: an op on a flow an earlier op of the body
+// left pending is served once that op has finished, so each body answers
+// as its ops sent singly would.
+func TestClusterBatchRepeatedFlowID(t *testing.T) {
+	req := func(seq uint64) resv.Frame {
+		return resv.Frame{Type: resv.MsgRequest, FlowID: FlowID(0, seq), Value: 1}
+	}
+	down := func(seq uint64) resv.Frame { return resv.Frame{Type: resv.MsgTeardown, FlowID: FlowID(0, seq)} }
+	cases := []struct {
+		name    string
+		ops     []resv.Frame
+		verdict resv.BatchVerdict
+		held    int64
+	}{
+		{"reserve then teardown", []resv.Frame{req(11), down(11)}, 0b11, 0},
+		{"reserve twice", []resv.Frame{req(11), req(11)}, 0b01, 1},
+		{"reserve, teardown, reserve", []resv.Frame{req(11), down(11), req(11)}, 0b111, 1},
+		{"teardown between others", []resv.Frame{req(11), req(12), down(11), req(13)}, 0b1111, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := startCluster(t, "node a\nlink l a 8\npath p l\npair x a a p\n", Config{AntiEntropy: -1}).Node(0)
+			l := n.NewLocal()
+			defer l.Close()
+			r := n.dispatchClientBatch(l.c, tc.ops, n.nowNanos())
+			if v := resv.BatchVerdict(r.FlowID); v != tc.verdict {
+				t.Fatalf("verdict %0*b, want %0*b", len(tc.ops), uint64(v), len(tc.ops), uint64(tc.verdict))
+			}
+			if a := n.LinkActive(0); a != tc.held {
+				t.Fatalf("link holds %d claims, want %d", a, tc.held)
+			}
+		})
 	}
 }

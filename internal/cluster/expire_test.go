@@ -81,9 +81,7 @@ func TestExpiryStepOwnerClaim(t *testing.T) {
 	if n := owner.Metrics().Expiries.Load(); n != 2 {
 		t.Fatalf("owner counted %d expiries, want 2", n)
 	}
-	sess.mu.Lock()
 	tracked := sess.claims.Len()
-	sess.mu.Unlock()
 	if tracked != 0 {
 		t.Fatalf("session still tracks %d expired claims", tracked)
 	}
@@ -108,9 +106,9 @@ func TestExpiryStepEntryPathFlow(t *testing.T) {
 	held := func(now int64, want int) {
 		t.Helper()
 		entry.expire(now)
-		l.c.mu.Lock()
+		l.c.flows.Lock()
 		flows := l.c.flows.Len()
-		l.c.mu.Unlock()
+		l.c.flows.Unlock()
 		if flows != want || owner.LinkActive(g) != int64(want) {
 			t.Fatalf("after the expiry step at %d: %d path flows and %d owner claims held, want %d",
 				now, flows, owner.LinkActive(g), want)

@@ -68,7 +68,7 @@ type Node struct {
 	cmu      sync.Mutex
 	cconns   map[*cconn]struct{}
 	expConns []*cconn
-	expFlows []pathHops
+	expFlows []pathFlow
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
@@ -101,75 +101,37 @@ type peer struct {
 	lastSent []atomic.Int64
 }
 
-// pathFlow is one granted path reservation at its entry node, keyed by its
-// client-facing FlowID (pairIdx<<48 | seq).
+// pathFlow is one path reservation at its entry node: the Val of its hold
+// in its connection's cell, keyed by its client-facing FlowID
+// (pairIdx<<48 | seq).
 type pathFlow struct {
-	slot   resv.Slot[*pathFlow]
 	hopKey uint64 // the 48-bit key claimed on every link of the path
 	path   int32  // topology path index
 	// pending marks an admission still claiming its hops; only the
-	// admitting goroutine may touch a pending flow, and it joins the
-	// wheel only once granted.
+	// admitting goroutine may touch a pending flow, and its timer is armed
+	// only once granted.
 	pending bool
-	timer   resv.Timer[*pathFlow]
 }
 
-// pathHops is what releasing a removed path flow's hops takes, copied out
-// so that the flow itself is recycled at once.
-type pathHops struct {
-	path   int32
-	hopKey uint64
-}
-
-// cconn is one client connection's (or Local handle's) path-flow table,
-// and the connection's resv.Handler on the client plane.
+// cconn is one client connection's (or Local handle's) path flows, in a
+// cell with no policy, and the connection's resv.Handler on the client
+// plane.
 type cconn struct {
-	n      *Node
-	mu     sync.Mutex
+	n     *Node
+	flows resv.Cell[pathFlow]
+	// closed is set, under flows' lock, once the connection has dropped.
 	closed bool
-	flows  resv.Table[*pathFlow]
-	wheel  *resv.Wheel[*pathFlow] // TTL expiry index; nil without a TTL
 }
 
-// openCConn makes a path-flow table and registers it for expiry; close it
+// openCConn makes a path-flow cell and registers it for expiry; close it
 // with rollbackConn.
 func (n *Node) openCConn() *cconn {
 	c := &cconn{n: n}
-	if n.ttl > 0 {
-		c.wheel = resv.NewWheel[*pathFlow](resv.WheelRes(n.ttl), n.nowNanos())
-	}
+	c.flows.Init(nil, n.ttl, n.epoch)
 	n.cmu.Lock()
 	n.cconns[c] = struct{}{}
 	n.cmu.Unlock()
 	return c
-}
-
-// install adds a pending path flow under id, recycling a removed one when
-// it can. Caller holds c.mu and has checked that id is free.
-func (c *cconn) install(id, hopKey uint64, path int) *pathFlow {
-	pf := c.flows.Reuse()
-	if pf == nil {
-		pf = new(pathFlow)
-	}
-	pf.hopKey, pf.path, pf.pending = hopKey, int32(path), true
-	c.flows.Insert(&pf.slot, id, pf)
-	return pf
-}
-
-// remove takes pf out of the table, for reuse, and cancels its expiry.
-// Caller holds c.mu.
-func (c *cconn) remove(pf *pathFlow) {
-	pf.timer.Stop()
-	c.flows.Remove(&pf.slot)
-}
-
-// grant finalizes a pending flow and schedules its expiry one TTL after
-// now. Caller holds c.mu.
-func (c *cconn) grant(pf *pathFlow, now int64) {
-	pf.pending = false
-	if c.wheel != nil {
-		c.wheel.Schedule(&pf.timer, pf, now+int64(c.n.ttl))
-	}
 }
 
 // nodeMetrics is a node's instrument set (registered as cluster_*).
@@ -244,7 +206,7 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		if l.Owner != idx {
 			continue
 		}
-		ls, err := newLinkState(*l, bounds[gi], ttl)
+		ls, err := newLinkState(*l, bounds[gi], ttl, n.epoch)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s link %s: %w", n.name, l.ID, err)
 		}
@@ -264,10 +226,10 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		ls := ls
 		id := metricName(ls.link.ID)
 		n.reg.GaugeFunc("cluster_link_active_"+id, "live claims on link "+ls.link.ID, func() float64 {
-			return float64(ls.pol.Active())
+			return float64(ls.Policy().Active())
 		})
 		n.reg.GaugeFunc("cluster_link_bound_"+id, "admission bound kmax of link "+ls.link.ID, func() float64 {
-			return float64(ls.bound)
+			return float64(ls.Policy().Bound())
 		})
 	}
 	return n, nil
@@ -303,7 +265,7 @@ func (n *Node) LinkActive(global int) int64 {
 	if global < 0 || global >= len(n.byGlobal) || n.byGlobal[global] == nil {
 		return -1
 	}
-	return n.byGlobal[global].pol.Active()
+	return n.byGlobal[global].Policy().Active()
 }
 
 // nowNanos is the node's monotonic clock.
@@ -353,7 +315,7 @@ func (n *Node) start(antiEntropy time.Duration) {
 // inbound connections, whose handlers it waits for. Claims its outbound
 // flows held on other nodes are released by their connection drops;
 // claims held on this node die with the process (or, for tests, with the
-// claim tables).
+// link cells).
 func (n *Node) Close() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
@@ -397,7 +359,7 @@ func (n *Node) antiEntropyLoop(interval time.Duration) {
 // full snapshot.
 func (n *Node) gossipAll(p *peer) {
 	for li, ls := range n.links {
-		a := ls.pol.Active()
+		a := ls.Policy().Active()
 		if p.lastSent[li].Load() == a {
 			n.metrics.GossipSuppressed.Inc()
 			continue
@@ -413,7 +375,7 @@ func (n *Node) gossipAll(p *peer) {
 // vectored writes request traffic already pays for.
 func (n *Node) piggyback(p *peer) {
 	for li, ls := range n.links {
-		a := ls.pol.Active()
+		a := ls.Policy().Active()
 		if p.lastSent[li].Load() == a {
 			continue
 		}
@@ -463,7 +425,7 @@ func (n *Node) activeSum() int64 {
 	var sum int64
 	for g := range n.topo.Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			sum += ls.pol.Active()
+			sum += ls.Policy().Active()
 		} else {
 			a, _ := n.view.load(g)
 			sum += a
@@ -487,8 +449,8 @@ func (n *Node) expireLoop() {
 	}
 }
 
-// expire is one expiry step at node time now. Each local link's wheel
-// releases its due claims; each client connection's wheel gives up its due
+// expire is one expiry step at node time now. Each local link's cell
+// drops its due claims; each client connection's cell gives up its due
 // path flows, which are then rolled back end to end with no lock held (a
 // remote hop's teardown is a round trip; a link claim whose owner expired
 // it first answers unknown-flow, the release-once outcome). The work is
@@ -496,7 +458,7 @@ func (n *Node) expireLoop() {
 // connection — never a walk of a claim or flow table.
 func (n *Node) expire(now int64) {
 	for _, ls := range n.links {
-		if m := ls.expire(now); m > 0 {
+		if m := ls.Advance(now, nil); m > 0 {
 			n.metrics.Expiries.Add(uint64(m))
 			n.logf("cluster %s: expired %d claims on link %s", n.name, m, ls.link.ID)
 		}
@@ -509,18 +471,15 @@ func (n *Node) expire(now int64) {
 	n.cmu.Unlock()
 	for _, c := range n.expConns {
 		n.expFlows = n.expFlows[:0]
-		c.mu.Lock()
-		c.wheel.Advance(now, func(pf *pathFlow) {
-			c.remove(pf)
-			n.expFlows = append(n.expFlows, pathHops{pf.path, pf.hopKey})
+		c.flows.Advance(now, func(_ uint64, pf pathFlow, _ bool) {
+			n.expFlows = append(n.expFlows, pf)
 		})
-		c.mu.Unlock()
 		if len(n.expFlows) == 0 {
 			continue
 		}
 		n.metrics.Expiries.Add(uint64(len(n.expFlows)))
-		for _, h := range n.expFlows {
-			n.releaseHops(int(h.path), h.hopKey, len(n.topo.Paths[h.path].Links), now)
+		for _, pf := range n.expFlows {
+			n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
 		}
 	}
 }
@@ -553,7 +512,7 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	n.serve(nc, sess, func() { sess.drain(n.nowNanos()) })
+	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.claimLink, nil) })
 }
 
 // serve runs one inbound connection through the resv serving loop, closes
@@ -604,7 +563,7 @@ func (c *cconn) BadBatch() { c.n.metrics.Errors.Inc() }
 
 func (c *cconn) Served(frames int, elapsed time.Duration) { c.n.served(frames, elapsed) }
 
-// rollbackConn unregisters a departing client connection's table and
+// rollbackConn unregisters a departing client connection's cell and
 // releases every installed path flow it holds. Pending flows (an admission
 // mid-claim on another goroutine) are left to their admitting goroutine,
 // which observes closed at finalization and rolls itself back.
@@ -613,21 +572,21 @@ func (n *Node) rollbackConn(c *cconn) {
 	delete(n.cconns, c)
 	n.cmu.Unlock()
 	now := n.nowNanos()
-	c.mu.Lock()
+	c.flows.Lock()
 	c.closed = true
-	flows := make([]pathHops, 0, c.flows.Len())
-	c.flows.Each(func(pf *pathFlow) {
-		if pf.pending {
+	flows := make([]pathFlow, 0, c.flows.Len())
+	c.flows.Each(func(h *resv.Hold[pathFlow]) {
+		if h.Val.pending {
 			return
 		}
-		// Removed with its timer stopped, so an expiry step that already
+		// Dropped with its timer stopped, so an expiry step that already
 		// listed this connection cannot release the flow a second time.
-		c.remove(pf)
-		flows = append(flows, pathHops{pf.path, pf.hopKey})
+		flows = append(flows, h.Val)
+		c.flows.Drop(now, h)
 	})
-	c.mu.Unlock()
-	for _, h := range flows {
-		n.releaseHops(int(h.path), h.hopKey, len(n.topo.Paths[h.path].Links), now)
+	c.flows.Unlock()
+	for _, pf := range flows {
+		n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
 	}
 	if len(flows) > 0 {
 		n.logf("cluster %s: released %d path flows from departing client", n.name, len(flows))
@@ -678,19 +637,19 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	// on this connection, and marks the hops below as owned by this
 	// admission until it finalizes.
 	hopKey := uint64(n.idx)<<entryShift | n.hopSeq.Add(1)&seqMask
-	c.mu.Lock()
+	c.flows.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.flows.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 	}
 	if c.flows.Get(f.FlowID) != nil {
-		c.mu.Unlock()
+		c.flows.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeDuplicateFlow)}
 	}
-	pf := c.install(f.FlowID, hopKey, pathIdx)
-	c.mu.Unlock()
+	pf := c.flows.Insert(f.FlowID, nil, 0, pathFlow{hopKey: hopKey, path: int32(pathIdx), pending: true})
+	c.flows.Unlock()
 
 	path := &n.topo.Paths[pathIdx]
 	minShare := math.MaxFloat64
@@ -698,8 +657,8 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	claimed, failed := 0, false
 	for _, g := range path.Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil)
-			if st != admitGranted {
+			dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, int32(g))
+			if out != resv.Granted {
 				denyLoad, failed = dec.Load, true
 				break
 			}
@@ -750,24 +709,25 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 		if claimed > 0 {
 			n.metrics.Rollbacks.Inc()
 		}
-		c.mu.Lock()
-		c.remove(pf)
-		c.mu.Unlock()
+		c.flows.Lock()
+		c.flows.Drop(now, pf)
+		c.flows.Unlock()
 		n.metrics.PathDenies.Inc()
 		return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: denyLoad}
 	}
-	c.mu.Lock()
+	c.flows.Lock()
 	if c.closed {
 		// The connection dropped while the hops were being claimed; nobody
 		// else will roll this flow back.
-		c.remove(pf)
-		c.mu.Unlock()
+		c.flows.Drop(now, pf)
+		c.flows.Unlock()
 		n.releaseHops(pathIdx, hopKey, len(path.Links), now)
 		n.metrics.PathDenies.Inc()
 		return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: 0}
 	}
-	c.grant(pf, now)
-	c.mu.Unlock()
+	pf.Val.pending = false
+	c.flows.Arm(now, pf)
+	c.flows.Unlock()
 	n.metrics.PathGrants.Inc()
 	return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: minShare}
 }
@@ -781,7 +741,7 @@ func (n *Node) linkShare(g int) float64 {
 }
 
 // releaseHops releases the first upTo links of a path claimed under
-// hopKey: local links through their claim tables, remote links by
+// hopKey: local links through their cells, remote links by
 // best-effort teardown (an owner that already expired the claim answers
 // unknown-flow, which is exactly the release-once outcome; an unreachable
 // owner's TTL reaps it). Every remote link in the released prefix was
@@ -791,7 +751,7 @@ func (n *Node) releaseHops(pathIdx int, hopKey uint64, upTo int, now int64) {
 	for i := upTo - 1; i >= 0; i-- {
 		g := path.Links[i]
 		if ls := n.byGlobal[g]; ls != nil {
-			ls.release(now, hopKey)
+			ls.Release(now, hopKey, nil)
 			continue
 		}
 		n.own[g].Add(-1)
@@ -805,40 +765,37 @@ func (n *Node) releaseHops(pathIdx int, hopKey uint64, upTo int, now int64) {
 }
 
 func (n *Node) teardownPath(c *cconn, f resv.Frame, now int64) resv.Frame {
-	c.mu.Lock()
-	pf := c.flows.Get(f.FlowID)
-	if pf == nil || pf.pending {
-		c.mu.Unlock()
+	c.flows.Lock()
+	h := c.flows.Get(f.FlowID)
+	if h == nil || h.Val.pending {
+		c.flows.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 	}
-	pathIdx, hopKey := int(pf.path), pf.hopKey
-	c.remove(pf)
-	c.mu.Unlock()
-	n.releaseHops(pathIdx, hopKey, len(n.topo.Paths[pathIdx].Links), now)
+	pf := h.Val
+	c.flows.Drop(now, h)
+	c.flows.Unlock()
+	n.releaseHops(int(pf.path), pf.hopKey, len(n.topo.Paths[pf.path].Links), now)
 	n.metrics.PathTeardowns.Inc()
 	return resv.Frame{Type: resv.MsgTeardownOK, FlowID: f.FlowID, Value: float64(n.activeSum())}
 }
 
 func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
-	c.mu.Lock()
-	pf := c.flows.Get(f.FlowID)
-	if pf == nil || pf.pending {
-		c.mu.Unlock()
+	c.flows.Lock()
+	h := c.flows.Get(f.FlowID)
+	if h == nil || h.Val.pending {
+		c.flows.Unlock()
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 	}
-	if c.wheel != nil {
-		c.wheel.Schedule(&pf.timer, pf, now+int64(n.ttl))
-	}
-	pathIdx, hopKey := int(pf.path), pf.hopKey
-	c.mu.Unlock()
-	path := &n.topo.Paths[pathIdx]
-	for _, g := range path.Links {
+	c.flows.Arm(now, h)
+	pf := h.Val
+	c.flows.Unlock()
+	for _, g := range n.topo.Paths[pf.path].Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			ls.refresh(now, hopKey)
+			ls.Refresh(now, pf.hopKey, nil)
 		} else if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
-			_, _ = p.mc.Refresh(n.ctx, uint64(g)<<idxShift|hopKey)
+			_, _ = p.mc.Refresh(n.ctx, uint64(g)<<idxShift|pf.hopKey)
 		}
 	}
 	return resv.Frame{Type: resv.MsgRefreshOK, FlowID: f.FlowID, Value: n.ttl.Seconds()}
@@ -846,21 +803,13 @@ func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 
 // ---- client-plane batch dispatch ----
 
-// batchOpKind classifies one op of a client-plane batch.
-type batchOpKind uint8
-
-const (
-	batchSkip    batchOpKind = iota // invalid op or completed teardown: bit already decided
-	batchReserve                    // a path admission in flight
-)
-
-// batchFlow is one batch op's working state: the pending path flow, the
-// claimed-or-enqueued prefix of its path, and the remote rendezvous per
-// hop position (nil = local hop, claimed inline).
+// batchFlow is one batch op's working state: the pending path flow (nil
+// for an op whose bit is already decided: an invalid op or a teardown),
+// the claimed-or-enqueued prefix of its path, and the remote rendezvous
+// per hop position (nil = local hop, claimed inline).
 type batchFlow struct {
-	kind     batchOpKind
 	failed   bool
-	pf       *pathFlow
+	pf       *resv.Hold[pathFlow]
 	hopKey   uint64
 	pathIdx  int32
 	nlinks   int // length of the path prefix claimed locally or enqueued remotely
@@ -875,6 +824,9 @@ type batchScratch struct {
 	flows [resv.MaxBatch]batchFlow
 	waves []*hopOp // remote teardowns (client ops + rollbacks) awaiting completion
 	peers [(MaxNodes + 63) / 64]uint64
+	// granted and minShare accumulate the reply over the body's segments.
+	granted  int
+	minShare float64
 }
 
 var batchScratchPool = sync.Pool{New: func() interface{} {
@@ -891,52 +843,85 @@ var batchScratchPool = sync.Pool{New: func() interface{} {
 // reply's verdict bit i reports op i; Value is the minimum granted
 // worst-case share across the batch's granted flows.
 //
+// The body is served in segments. A segment ends before an op whose flow
+// an earlier op of it left pending (a reserve then a teardown of one flow
+// ID): that op is served once the ops before it have finished, so the body
+// answers exactly as its ops sent singly.
+//
 // Per-flow atomicity is exactly the single-op path's: a flow whose hops
 // partially grant — some links full, an owner unreachable, or the client
 // connection dropping mid-batch — rolls back every hop it claimed before
 // the reply ships, leaving no residue anywhere.
 func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.Frame {
 	sc := batchScratchPool.Get().(*batchScratch)
-	sc.waves = sc.waves[:0]
 	for i := range sc.peers {
 		sc.peers[i] = 0
 	}
+	sc.granted, sc.minShare = 0, math.MaxFloat64
 	var verdict resv.BatchVerdict
-	t0 := n.nowNanos()
-	nremote := 0
+	for start := 0; start < len(ops); {
+		t0 := n.nowNanos()
+		end := n.claimBatch(c, ops, start, now, sc, &verdict)
+		n.finishBatch(c, start, end, now, t0, sc, &verdict)
+		start = end
+	}
 
-	// Phase 1: walk ops in order — teardowns release, requests install and
-	// fan their hop claims out.
-	for i := range ops {
+	// One piggyback pass per touched peer: gossip about this node's own
+	// links rides the coalesced writes the batch already paid for.
+	for j := range n.peers {
+		if sc.peers[j>>6]&(1<<uint(j&63)) == 0 {
+			continue
+		}
+		if p := n.peers[j].Load(); p != nil {
+			n.piggyback(p)
+		}
+	}
+	minShare := sc.minShare
+	if sc.granted == 0 {
+		minShare = 0
+	}
+	batchScratchPool.Put(sc)
+	return resv.Frame{Type: resv.MsgReserveBatchReply, FlowID: uint64(verdict), Value: minShare}
+}
+
+// claimBatch is phase 1 of one segment of a client-plane batch, from op
+// start on: teardowns release, requests install and fan their hop claims
+// out. It returns where the segment ends: at the end of the body, or at
+// the first op after start whose flow is pending.
+func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *batchScratch, verdict *resv.BatchVerdict) int {
+	for i := start; i < len(ops); i++ {
 		f := ops[i]
 		bf := &sc.flows[i]
 		*bf = batchFlow{}
 		switch f.Type {
 		case resv.MsgTeardown:
-			c.mu.Lock()
-			pf := c.flows.Get(f.FlowID)
-			if pf == nil || pf.pending {
-				c.mu.Unlock()
+			c.flows.Lock()
+			h := c.flows.Get(f.FlowID)
+			if h != nil && h.Val.pending && i > start {
+				c.flows.Unlock()
+				return i
+			}
+			if h == nil || h.Val.pending {
+				c.flows.Unlock()
 				n.metrics.Errors.Inc()
 				continue
 			}
-			pathIdx, hopKey := int(pf.path), pf.hopKey
-			c.remove(pf)
-			c.mu.Unlock()
-			verdict |= 1 << uint(i)
+			pf := h.Val
+			c.flows.Drop(now, h)
+			c.flows.Unlock()
+			*verdict |= 1 << uint(i)
 			n.metrics.PathTeardowns.Inc()
-			for _, g := range n.topo.Paths[pathIdx].Links {
+			for _, g := range n.topo.Paths[pf.path].Links {
 				if ls := n.byGlobal[g]; ls != nil {
-					ls.release(now, hopKey)
+					ls.Release(now, pf.hopKey, nil)
 					continue
 				}
 				n.own[g].Add(-1)
 				owner := n.topo.Links[g].Owner
 				if p := n.peers[owner].Load(); p != nil {
-					if op := p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | hopKey}); op != nil {
+					if op := p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | pf.hopKey}); op != nil {
 						sc.waves = append(sc.waves, op)
 						sc.peers[owner>>6] |= 1 << uint(owner&63)
-						nremote++
 					}
 				}
 			}
@@ -946,35 +931,36 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 				n.metrics.Errors.Inc()
 				continue
 			}
+			pathIdx, fallback, alternate := n.route(&n.topo.Pairs[pairIdx], f.FlowID, now)
+			hopKey := uint64(n.idx)<<entryShift | n.hopSeq.Add(1)&seqMask
+			c.flows.Lock()
+			h := c.flows.Get(f.FlowID)
+			if h != nil && h.Val.pending && i > start {
+				c.flows.Unlock()
+				return i
+			}
+			var pf *resv.Hold[pathFlow]
+			if h == nil && !c.closed {
+				pf = c.flows.Insert(f.FlowID, nil, 0, pathFlow{hopKey: hopKey, path: int32(pathIdx), pending: true})
+			}
+			c.flows.Unlock()
 			n.metrics.PathRequests.Inc()
-			pr := &n.topo.Pairs[pairIdx]
-			pathIdx, fallback, alternate := n.route(pr, f.FlowID, now)
 			if fallback {
 				n.metrics.RouteFallback.Inc()
 			}
 			if alternate {
 				n.metrics.RouteAlt.Inc()
 			}
-			hopKey := uint64(n.idx)<<entryShift | n.hopSeq.Add(1)&seqMask
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
+			if pf == nil {
 				n.metrics.Errors.Inc()
 				continue
 			}
-			if c.flows.Get(f.FlowID) != nil {
-				c.mu.Unlock()
-				n.metrics.Errors.Inc()
-				continue
-			}
-			pf := c.install(f.FlowID, hopKey, pathIdx)
-			c.mu.Unlock()
-			bf.kind, bf.pf, bf.hopKey, bf.pathIdx = batchReserve, pf, hopKey, int32(pathIdx)
+			bf.pf, bf.hopKey, bf.pathIdx = pf, hopKey, int32(pathIdx)
 			bf.minShare = math.MaxFloat64
 			for pos, g := range n.topo.Paths[pathIdx].Links {
 				if ls := n.byGlobal[g]; ls != nil {
-					dec, st := ls.admit(now, hopKey, f.Value, f.Class, nil)
-					if st != admitGranted {
+					dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, int32(g))
+					if out != resv.Granted {
 						bf.failed = true
 						break
 					}
@@ -996,7 +982,6 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 					break
 				}
 				sc.peers[owner>>6] |= 1 << uint(owner&63)
-				nremote++
 				n.metrics.Forwards.Inc()
 				bf.ops[pos] = op
 				bf.nlinks = pos + 1
@@ -1008,17 +993,23 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 			n.metrics.Errors.Inc()
 		}
 	}
+	return len(ops)
+}
 
-	// Phase 2: every rendezvous completes. The coalescers have been
-	// batching the enqueued ops per owner the whole time.
+// finishBatch is phases 2 and 3 of the segment of ops [start, end), whose
+// phase 1 began at t0: every rendezvous completes — the coalescers have
+// been batching the enqueued ops per owner the whole time — and each flow
+// finalizes all-or-nothing.
+func (n *Node) finishBatch(c *cconn, start, end int, now, t0 int64, sc *batchScratch, verdict *resv.BatchVerdict) {
+	nremote := len(sc.waves)
 	for _, op := range sc.waves {
 		op.wait()
 		op.co.put(op)
 	}
 	sc.waves = sc.waves[:0]
-	for i := range ops {
+	for i := start; i < end; i++ {
 		bf := &sc.flows[i]
-		if bf.kind != batchReserve {
+		if bf.pf == nil {
 			continue
 		}
 		for pos := 0; pos < bf.nlinks; pos++ {
@@ -1026,6 +1017,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 			if op == nil {
 				continue
 			}
+			nremote++
 			op.wait()
 			switch {
 			case op.err != nil:
@@ -1046,32 +1038,30 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 		n.metrics.HopNS.RecordN(uint64(elapsed)/uint64(nremote), uint64(nremote))
 	}
 
-	// Phase 3: finalize each flow all-or-nothing.
-	minShare := math.MaxFloat64
-	granted := 0
-	for i := range ops {
+	for i := start; i < end; i++ {
 		bf := &sc.flows[i]
-		if bf.kind != batchReserve {
+		if bf.pf == nil {
 			continue
 		}
 		ok := !bf.failed
 		if ok {
-			c.mu.Lock()
+			c.flows.Lock()
 			if c.closed {
 				// The connection dropped while the hops were being claimed;
 				// nobody else will roll this flow back.
 				ok = false
 			} else {
-				c.grant(bf.pf, now)
+				bf.pf.Val.pending = false
+				c.flows.Arm(now, bf.pf)
 			}
-			c.mu.Unlock()
+			c.flows.Unlock()
 		}
 		if ok {
-			verdict |= 1 << uint(i)
-			granted++
+			*verdict |= 1 << uint(i)
+			sc.granted++
 			n.metrics.PathGrants.Inc()
-			if bf.minShare < minShare {
-				minShare = bf.minShare
+			if bf.minShare < sc.minShare {
+				sc.minShare = bf.minShare
 			}
 			for pos := 0; pos < bf.nlinks; pos++ {
 				if op := bf.ops[pos]; op != nil {
@@ -1086,7 +1076,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 			g := path.Links[pos]
 			op := bf.ops[pos]
 			if op == nil {
-				n.byGlobal[g].release(now, bf.hopKey)
+				n.byGlobal[g].Release(now, bf.hopKey, nil)
 				rolled = true
 				continue
 			}
@@ -1104,33 +1094,19 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 		if rolled {
 			n.metrics.Rollbacks.Inc()
 		}
-		c.mu.Lock()
-		c.remove(bf.pf)
-		c.mu.Unlock()
+		c.flows.Lock()
+		c.flows.Drop(now, bf.pf)
+		c.flows.Unlock()
 		n.metrics.PathDenies.Inc()
 	}
-	// Rollback teardowns complete before the reply ships, so a client that
-	// immediately retries sees the freed slots.
+	// Rollback teardowns complete before the reply ships (or the next
+	// segment starts), so a client that immediately retries sees the freed
+	// slots.
 	for _, op := range sc.waves {
 		op.wait()
 		op.co.put(op)
 	}
-
-	// One piggyback pass per touched peer: gossip about this node's own
-	// links rides the coalesced writes the batch already paid for.
-	for j := range n.peers {
-		if sc.peers[j>>6]&(1<<uint(j&63)) == 0 {
-			continue
-		}
-		if p := n.peers[j].Load(); p != nil {
-			n.piggyback(p)
-		}
-	}
-	batchScratchPool.Put(sc)
-	if granted == 0 {
-		minShare = 0
-	}
-	return resv.Frame{Type: resv.MsgReserveBatchReply, FlowID: uint64(verdict), Value: minShare}
+	sc.waves = sc.waves[:0]
 }
 
 func (n *Node) statsReply(f resv.Frame) resv.Frame {
@@ -1144,7 +1120,7 @@ func (n *Node) statsReply(f resv.Frame) resv.Frame {
 
 // ---- peer-plane dispatch ----
 
-// The peer plane's resv.Handler: link hops on this node's claim tables,
+// The peer plane's resv.Handler: link hops in this node's link cells,
 // owned by the session, at the read's instant on the node clock. Batch
 // replies carry piggybacked gossip.
 
@@ -1169,15 +1145,15 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		dec, st := ls.admit(now, f.FlowID&keyMask, f.Value, f.Class, sess)
-		switch st {
-		case admitGranted:
+		dec, out, _ := ls.Admit(now, f.FlowID&keyMask, f.Value, f.Class, &sess.claims, int32(ls.link.Index))
+		switch out {
+		case resv.Granted:
 			return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: dec.Share}
-		case admitDuplicate:
+		case resv.Denied:
+			return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: dec.Load}
+		default:
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeDuplicateFlow)}
-		default:
-			return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: dec.Load}
 		}
 	case resv.MsgTeardown:
 		ls := n.localLink(f.FlowID)
@@ -1185,17 +1161,17 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		if !ls.release(now, f.FlowID&keyMask) {
+		if !ls.Release(now, f.FlowID&keyMask, nil) {
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 		}
-		return resv.Frame{Type: resv.MsgTeardownOK, FlowID: f.FlowID, Value: float64(ls.pol.Active())}
+		return resv.Frame{Type: resv.MsgTeardownOK, FlowID: f.FlowID, Value: float64(ls.Policy().Active())}
 	case resv.MsgRefresh:
 		ls := n.localLink(f.FlowID)
 		if ls == nil {
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		if !ls.refresh(now, f.FlowID&keyMask) {
+		if !ls.Refresh(now, f.FlowID&keyMask, nil) {
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 		}
 		return resv.Frame{Type: resv.MsgRefreshOK, FlowID: f.FlowID, Value: n.ttl.Seconds()}
@@ -1222,7 +1198,7 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 	for i := 0; i < len(ops); {
 		f := ops[i]
 		if f.Type == resv.MsgTeardown {
-			if ls := n.localLink(f.FlowID); ls != nil && ls.release(now, f.FlowID&keyMask) {
+			if ls := n.localLink(f.FlowID); ls != nil && ls.Release(now, f.FlowID&keyMask, nil) {
 				verdict |= 1 << uint(i)
 			} else {
 				n.metrics.Errors.Inc()
@@ -1242,8 +1218,10 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 			i = j
 			continue
 		}
-		installed, dec := ls.admitN(now, ops[i:j], sess, i, &verdict)
-		if installed > 0 && dec.Share < share {
+		var granted resv.BatchVerdict
+		dec := resv.AdmitRun(ls.cell, now, ops[i:j], keyMask, &sess.claims, int32(ls.link.Index), i, &granted, nil)
+		verdict |= granted
+		if granted != 0 && dec.Share < share {
 			share = dec.Share
 		}
 		i = j
@@ -1261,7 +1239,7 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 // load instead of staling until the next anti-entropy tick.
 func (n *Node) appendReplyGossip(sess *peerSess, out []resv.Frame) []resv.Frame {
 	for li, ls := range n.links {
-		a := ls.pol.Active()
+		a := ls.Policy().Active()
 		if sess.lastGossip[li] == a {
 			continue
 		}

@@ -81,7 +81,7 @@ func (n *Node) pathLoad(pathIdx int, now int64) (load float64, fresh bool) {
 	for _, g := range p.Links {
 		var active int64
 		if ls := n.byGlobal[g]; ls != nil {
-			active = ls.pol.Active()
+			active = ls.Policy().Active()
 		} else {
 			var updated int64
 			active, updated = n.view.load(g)

@@ -105,6 +105,33 @@ func TestBatchDuplicateClearsBit(t *testing.T) {
 	}
 }
 
+// TestBatchDuplicateAtBoundAdmitsRest puts a duplicate in the granted
+// prefix of a run at the bound: its returned claim frees the slot the op
+// after it would have won sent singly, so that op is granted too.
+func TestBatchDuplicateAtBoundAdmitsRest(t *testing.T) {
+	s := newServer(t, 4)
+	defer s.Close()
+	cl := pipeClient(t, s)
+	for id := uint64(1); id <= 3; id++ {
+		if ok, _, err := cl.Reserve(ctx(t), id, 1); err != nil || !ok {
+			t.Fatalf("reserve %d: ok=%v err=%v", id, ok, err)
+		}
+	}
+	v, _, err := cl.ReserveBatch(ctx(t), []Frame{
+		{Type: MsgRequest, FlowID: 1, Value: 1},
+		{Type: MsgRequest, FlowID: 100, Value: 1},
+	})
+	if err != nil {
+		t.Fatalf("ReserveBatch: %v", err)
+	}
+	if v.Granted(0) || !v.Granted(1) {
+		t.Fatalf("verdict %02b, want the duplicate's bit clear and flow 100 granted", uint64(v))
+	}
+	if a := s.Active(); a != 4 {
+		t.Fatalf("active = %d, want 4", a)
+	}
+}
+
 // TestBatchBodySpansReads splits a batch body across writes: the header
 // and first body frame arrive in one segment, the second body frame in
 // another. The per-connection collector must hold the partial body across

@@ -277,7 +277,13 @@ func TestMuxCanceledCallDoesNotPoisonFlow(t *testing.T) {
 		t.Fatalf("reserve after canceled call: %v", err)
 	}
 	// The server may or may not have seen the canceled request; either
-	// way exactly one reservation must be live now.
+	// way exactly one reservation must be live now. When it did, its grant
+	// answered the retry, and the retry's own duplicate claim is rolled
+	// back only after that reply went out: a Stats round trip on the same
+	// connection waits for the retry's dispatch to finish.
+	if _, _, err := m.Stats(ctx(t)); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
 	if a := s.Active(); a != 1 {
 		t.Fatalf("active = %d, want 1", a)
 	}

@@ -43,9 +43,6 @@ type Server struct {
 	capacity float64
 	kmax     int
 	ttl      time.Duration
-	// byBandwidth switches admission from flow counting to traffic-spec
-	// accounting: a request for rate r is admitted iff allocated + r ≤ C.
-	byBandwidth bool
 
 	// epoch anchors the wheels' monotonic nanosecond clock.
 	epoch time.Time
@@ -57,14 +54,9 @@ type Server struct {
 	// pol.Release. The server's soft state (shards, wheels, dedup) is
 	// policy-independent.
 	pol policy.Policy
-	// polClock records that pol implements policy.ClockUser and wants the
-	// server clock on every decision; clockless policies (the defaults)
-	// skip the per-request time read.
-	polClock bool
-
-	// shards is the lock-striped soft state; the stripe count is a power
-	// of two chosen at construction from GOMAXPROCS, and shardShift is the
-	// matching hash shift (64 - log2(len(shards))).
+	// shards is the lock-striped soft state: cells sharing pol. The stripe
+	// count is a power of two chosen at construction from GOMAXPROCS, and
+	// shardShift is the matching hash shift (64 - log2(len(shards))).
 	shards     []shard
 	shardShift uint
 
@@ -106,22 +98,9 @@ const (
 	maxShards = 1024
 )
 
-// shard is one lock stripe of the soft-state tables.
-type shard struct {
-	mu    sync.Mutex
-	flows Table[*entry]
-	wheel *Wheel[*entry] // TTL expiry index; nil when the server has no TTL
-}
-
-// entry is one reservation's soft state: a record in its shard's flow
-// table and on its owner's flow list, and, on TTL servers, a timer in the
-// shard's wheel. Its flow ID is its slot's key.
-type entry struct {
-	slot  Slot[*entry]
-	owner *conn
-	rate  float64 // granted rate (bandwidth mode; 0 in flow-count mode)
-	timer Timer[*entry]
-}
+// shard is one lock stripe of the soft state: an admission cell whose
+// holds are flows, each holding its connection.
+type shard = Cell[*conn]
 
 // conn tracks one client connection's reservations. Stream transports own
 // a net.Conn; datagram peers are virtual connections keyed by source
@@ -140,10 +119,9 @@ type conn struct {
 	// inflight counts reader goroutines mid-dispatch on this datagram
 	// peer; guarded by Server.udpMu.
 	inflight int
-	// mu guards flows: the handler goroutine adds and removes, the expiry
-	// goroutine removes (always with the flow's shard lock held first).
-	mu    sync.Mutex
-	flows List[*entry]
+	// flows lists the connection's flows across all shards, so that a
+	// dropped connection releases them.
+	flows Owner[*conn]
 }
 
 // shardCountFor returns the soft-state stripe count for a machine with p
@@ -244,21 +222,20 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		return nil, fmt.Errorf("resv: TTL must be nonnegative, got %v", ttl)
 	}
 	s := &Server{
-		capacity:    pol.Capacity(),
-		kmax:        pol.Bound(),
-		ttl:         ttl,
-		byBandwidth: pol.Mode() == policy.ModeBandwidth,
-		pol:         pol,
-		epoch:       time.Now(),
-		stop:        make(chan struct{}),
-		reg:         obs.New(),
-	}
-	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
-		s.polClock = true
+		capacity: pol.Capacity(),
+		kmax:     pol.Bound(),
+		ttl:      ttl,
+		pol:      pol,
+		epoch:    time.Now(),
+		stop:     make(chan struct{}),
+		reg:      obs.New(),
 	}
 	nshards := shardCountFor(runtime.GOMAXPROCS(0))
 	s.shards = make([]shard, nshards)
 	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
+	for i := range s.shards {
+		s.shards[i].Init(pol, ttl, s.epoch)
+	}
 	s.metrics = newServerMetrics(s.reg)
 	s.reg.GaugeFunc("resv_active_flows", "live reservations", func() float64 {
 		return float64(s.pol.Active())
@@ -273,9 +250,6 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		}
 	}
 	if ttl > 0 {
-		for i := range s.shards {
-			s.shards[i].wheel = NewWheel[*entry](WheelRes(ttl), 0)
-		}
 		go s.expireLoop()
 	}
 	return s, nil
@@ -295,16 +269,6 @@ func (s *Server) Active() int {
 
 // Policy returns the server's admission policy.
 func (s *Server) Policy() policy.Policy { return s.pol }
-
-// polNow is the clock handed to the policy: the server's monotonic
-// nanosecond clock for policies that asked for one, 0 otherwise — the
-// default policies' hot path never pays a time read.
-func (s *Server) polNow() int64 {
-	if s.polClock {
-		return s.now()
-	}
-	return 0
-}
 
 // Capacity returns the link capacity.
 func (s *Server) Capacity() float64 { return s.capacity }
@@ -350,29 +314,13 @@ func (s *Server) expireLoop() {
 	}
 }
 
-// expire is one expiry step at server time now: every shard's wheel
-// releases its due flows. Datagram peers left holding no flows are reaped
-// afterwards, with no shard lock held — reaping takes udpMu before the
-// peer's own lock, the reverse of the shard → peer order.
+// expire is one expiry step at server time now: every shard drops its due
+// flows. Datagram peers left holding no flows are reaped afterwards, with
+// no shard lock held — reaping takes udpMu before the peer's own lock, the
+// reverse of the shard → peer order.
 func (s *Server) expire(now int64) {
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.wheel.Advance(now, func(e *entry) {
-			id, c := e.slot.Key(), e.owner
-			last := s.removeLocked(sh, e)
-			s.metrics.Expiries.Inc()
-			if last && c.datagram {
-				s.expPeers = append(s.expPeers, c)
-			}
-			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
-			}
-			if s.Logf != nil {
-				s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
-			}
-		})
-		sh.mu.Unlock()
+		s.shards[i].Advance(now, s.expired)
 	}
 	if len(s.expPeers) == 0 {
 		return
@@ -384,6 +332,21 @@ func (s *Server) expire(now int64) {
 	}
 	s.udpMu.Unlock()
 	s.expPeers = s.expPeers[:0]
+}
+
+// expired accounts one flow the expiry step dropped, and lists its
+// datagram peer for reaping when it was the peer's last.
+func (s *Server) expired(id uint64, c *conn, last bool) {
+	s.metrics.Expiries.Inc()
+	if last && c.datagram {
+		s.expPeers = append(s.expPeers, c)
+	}
+	if s.Trace != nil {
+		s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
+	}
+	if s.Logf != nil {
+		s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
+	}
 }
 
 // Serve accepts connections on ln until ln is closed. It always returns a
@@ -506,18 +469,24 @@ func (s *Server) dispatchBatch(c *conn, ops []Frame, bs *batchStats) Frame {
 	return Frame{Type: MsgReserveBatchReply, FlowID: uint64(verdict), Value: share}
 }
 
+// badRate reports a requested rate no reserve may carry: negative, NaN or
+// infinite, or — on a server with no flow bound, which accounts rates —
+// not positive.
+func (s *Server) badRate(v float64) bool {
+	return !(v >= 0) || math.IsInf(v, 0) || (s.kmax == 0 && !(v > 0))
+}
+
 // reserveRun admits one run of identical batched requests (same rate and
-// class), setting each installed op's bit in verdict. The policy grants a
-// prefix of the run in one claim; a granted op whose flow ID is already
-// installed rolls its single claim back and keeps its bit clear (batch
-// framing is stream-only, so there is no datagram-retransmit re-grant
-// case — a duplicate in a batch is simply an error outcome). It returns
-// the count-mode grant share when anything was installed, 0 otherwise.
+// class) through AdmitRun, setting each installed op's bit in verdict. A
+// granted op whose flow ID is already installed returns its claim and
+// keeps its bit clear (batch framing is stream-only, so there is no
+// datagram-retransmit re-grant case — a duplicate in a batch is simply an
+// error outcome). It returns the count-mode grant share when anything was
+// installed, 0 otherwise.
 func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdict, bs *batchStats) float64 {
 	n := len(run)
 	bs.reserves += uint64(n)
-	v := run[0].Value
-	if !(v >= 0) || math.IsInf(v, 0) || (s.byBandwidth && !(v > 0)) {
+	if s.badRate(run[0].Value) {
 		bs.errs += uint64(n)
 		if s.Trace != nil {
 			for _, f := range run {
@@ -526,38 +495,27 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 		}
 		return 0
 	}
-	rate := 0.0
-	if s.byBandwidth {
-		rate = v
-	}
-	granted, dec := policy.AdmitBatch(s.pol, s.polNow(), run[0].FlowID, v, run[0].Class, n)
-	installed := 0
-	for i := 0; i < granted; i++ {
-		f := run[i]
-		if st := s.install(c, f.FlowID, rate); st.kind != installedNew {
-			s.pol.Release(s.polNow(), rate) // roll this op's claim back
-			bs.errs++
-			if s.Trace != nil {
+	var granted, held BatchVerdict
+	dec := AdmitRun(s.shardFor, Now, run, ^uint64(0), &c.flows, c, base, &granted, &held)
+	*verdict |= granted
+	installed := granted.Count()
+	dups := held.Count()
+	bs.grants += uint64(installed)
+	bs.errs += uint64(dups)
+	bs.denials += uint64(n - installed - dups)
+	if s.Trace != nil {
+		for i, f := range run {
+			switch bit := BatchVerdict(1) << uint(base+i); {
+			case granted&bit != 0:
+				s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: dec.Share, Active: s.pol.Active()})
+			case held&bit != 0:
 				s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow), Active: s.pol.Active()})
-			}
-			continue
-		}
-		*verdict |= 1 << uint(base+i)
-		installed++
-		bs.grants++
-		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: dec.Share, Active: s.pol.Active()})
-		}
-	}
-	if granted < n {
-		bs.denials += uint64(n - granted)
-		if s.Trace != nil {
-			for _, f := range run[granted:] {
+			default:
 				s.Trace(TraceEvent{Kind: TraceDeny, FlowID: f.FlowID, Value: dec.Load, Active: s.pol.Active()})
 			}
 		}
 	}
-	if installed == 0 || s.byBandwidth {
+	if installed == 0 || s.kmax == 0 {
 		return 0
 	}
 	return dec.Share
@@ -571,49 +529,41 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 // with a CAS bounded by kmax (or capacity, in bandwidth mode), so the
 // winners of a race at the boundary are exactly the first bound-n claims
 // and a full link is denied from an atomic alone — no shard lock. The
-// server's job is the soft state around the decision: install the admitted
-// flow, roll the claim back on a duplicate, and answer retransmits of live
-// admissions from the entry rather than re-admitting.
+// shard's job is the soft state around the decision: install the admitted
+// flow, roll the claim back on a duplicate; the server's, to answer
+// retransmits of live admissions from the entry rather than re-admitting.
 func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
-	if !(f.Value >= 0) || math.IsInf(f.Value, 0) || (s.byBandwidth && !(f.Value > 0)) {
+	if s.badRate(f.Value) {
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest), Active: s.pol.Active()})
 		}
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}, false
 	}
-	dec := s.pol.Admit(s.polNow(), f.FlowID, f.Value, f.Class)
-	if !dec.Admit {
+	sh := s.shardFor(f.FlowID)
+	dec, out, rate := sh.Admit(Now, f.FlowID, f.Value, f.Class, &c.flows, c)
+	switch out {
+	case Denied:
 		// A denial must not reject a datagram retransmit of a live
 		// admission — possibly the very admission that filled the link
 		// (grant lost, client re-sent). Only the deny path pays the shard
 		// lookup; fresh admissions stay lock-free in the policy.
 		if c.datagram {
-			if st := s.lookupOwn(c, f.FlowID); st.kind == dupOwnConn {
-				return s.duplicate(c, f, st, s.pol.Share(st.rate))
+			if rate, ok := sh.Owned(f.FlowID, &c.flows); ok {
+				return s.duplicate(c, f, HeldOwn, rate)
 			}
 		}
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: TraceDeny, FlowID: f.FlowID, Value: dec.Load, Active: s.pol.Active()})
 		}
 		if s.Logf != nil {
-			if s.byBandwidth {
-				s.logf("resv: deny flow %d (allocated %g + %g > capacity %g)", f.FlowID, dec.Load, f.Value, s.capacity)
-			} else {
-				s.logf("resv: deny flow %d (%s: active %d)", f.FlowID, s.pol.Name(), int64(dec.Load))
-			}
+			s.logf("resv: deny flow %d (%s: load %g)", f.FlowID, s.pol.Name(), dec.Load)
 		}
 		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, false
-	}
-	rate := 0.0
-	if s.byBandwidth {
-		rate = f.Value
-	}
-	if st := s.install(c, f.FlowID, rate); st.kind != installedNew {
-		s.pol.Release(s.polNow(), rate) // roll the claimed admission back
+	case HeldOwn, HeldOther:
 		// A retransmit is answered with what the original admission
 		// granted (its stored rate, or the worst-case share), which need
 		// not equal this request's.
-		return s.duplicate(c, f, st, s.pol.Share(st.rate))
+		return s.duplicate(c, f, out, rate)
 	}
 	// In count mode the grant carries the guaranteed worst-case share
 	// C/kmax — the instantaneous share C/min(k, kmax) would be stale the
@@ -623,24 +573,21 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 		s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: dec.Share, Active: s.pol.Active()})
 	}
 	if s.Logf != nil {
-		if s.byBandwidth {
-			s.logf("resv: grant flow %d rate %g (allocated %g/%g)", f.FlowID, rate, s.pol.Allocated(), s.capacity)
-		} else {
-			s.logf("resv: grant flow %d (active %d, share %g)", f.FlowID, s.pol.Active(), dec.Share)
-		}
+		s.logf("resv: grant flow %d (share %g, allocated %g/%g)", f.FlowID, dec.Share, s.pol.Allocated(), s.capacity)
 	}
 	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, false
 }
 
 // duplicate resolves a reserve that found its flow ID already installed,
-// after the caller rolled back the claimed slot/rate. On a datagram
-// connection whose own live flow it is, the reserve is a client
-// retransmit whose grant was lost in flight: re-send the grant — the
-// reply comes from the live entry of the original admission, so the
+// after its claim went back to the policy; rate is what the live flow
+// claimed. On a datagram connection whose own live flow it is, the reserve
+// is a client retransmit whose grant was lost in flight: re-send the grant
+// — the reply comes from the live flow of the original admission, so the
 // retransmit can never double-admit. Everything else is a genuine
 // duplicate-flow error.
-func (s *Server) duplicate(c *conn, f Frame, st installStatus, value float64) (Frame, bool) {
-	if c.datagram && st.kind == dupOwnConn {
+func (s *Server) duplicate(c *conn, f Frame, out Outcome, rate float64) (Frame, bool) {
+	if c.datagram && out == HeldOwn {
+		value := s.pol.Share(rate)
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: value, Active: s.pol.Active()})
 		}
@@ -655,95 +602,10 @@ func (s *Server) duplicate(c *conn, f Frame, st installStatus, value float64) (F
 	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow)}, false
 }
 
-// installStatus is install's verdict: the flow was installed, or the ID
-// was already taken — by this very connection (a datagram retransmit
-// candidate, with the live grant's rate) or by some other owner.
-type installStatus struct {
-	kind int8 // one of installedNew/dupOwnConn/dupOtherConn
-	rate float64
-}
-
-const (
-	installedNew int8 = iota
-	dupOwnConn
-	dupOtherConn
-)
-
-// lookupOwn reports whether id is already installed, and by whom, without
-// touching any state: installedNew means no live entry. Used by the deny
-// paths to recognize a datagram retransmit of the admission that filled
-// the link.
-func (s *Server) lookupOwn(c *conn, id uint64) installStatus {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	st := installStatus{kind: installedNew}
-	if e := sh.flows.Get(id); e != nil {
-		st.kind = dupOtherConn
-		if e.owner == c {
-			st = installStatus{kind: dupOwnConn, rate: e.rate}
-		}
-	}
-	sh.mu.Unlock()
-	return st
-}
-
-// install records an admitted flow in its shard (and TTL wheel) and on its
-// owning connection. On a duplicate flow ID it leaves all state untouched
-// and reports who owns the live entry (the caller rolls back its claim and
-// decides between a retransmit re-grant and a duplicate error).
-func (s *Server) install(c *conn, id uint64, rate float64) installStatus {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if e := sh.flows.Get(id); e != nil {
-		st := installStatus{kind: dupOtherConn}
-		if e.owner == c {
-			st = installStatus{kind: dupOwnConn, rate: e.rate}
-		}
-		sh.mu.Unlock()
-		return st
-	}
-	e := sh.flows.Reuse()
-	if e == nil {
-		e = new(entry)
-	}
-	e.owner, e.rate = c, rate
-	sh.flows.Insert(&e.slot, id, e)
-	if sh.wheel != nil {
-		sh.wheel.Schedule(&e.timer, e, s.now()+int64(s.ttl))
-	}
-	c.mu.Lock()
-	c.flows.Push(&e.slot)
-	c.mu.Unlock()
-	sh.mu.Unlock()
-	return installStatus{kind: installedNew}
-}
-
-// removeLocked unrecords a flow: wheel, flow table, owning connection, and
-// the policy's claim (rate and active count). It reports whether the flow
-// was its owner's last. Callers hold sh.mu.
-func (s *Server) removeLocked(sh *shard, e *entry) (ownerEmpty bool) {
-	e.timer.Stop()
-	sh.flows.Remove(&e.slot)
-	c := e.owner
-	c.mu.Lock()
-	c.flows.Remove(&e.slot)
-	ownerEmpty = c.flows.Len() == 0
-	c.mu.Unlock()
-	s.pol.Release(s.polNow(), e.rate)
-	e.owner = nil
-	return ownerEmpty
-}
-
 func (s *Server) teardown(c *conn, f Frame) Frame {
-	sh := s.shardFor(f.FlowID)
-	sh.mu.Lock()
-	e := sh.flows.Get(f.FlowID)
-	if e == nil || e.owner != c {
-		sh.mu.Unlock()
+	if !s.shardFor(f.FlowID).Release(Now, f.FlowID, &c.flows) {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	s.removeLocked(sh, e)
-	sh.mu.Unlock()
 	active := s.pol.Active()
 	if s.Trace != nil {
 		s.Trace(TraceEvent{Kind: TraceTeardown, FlowID: f.FlowID, Active: active})
@@ -755,56 +617,30 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 }
 
 // refresh renews a reservation's soft-state deadline, an O(1) update: the
-// wheel re-files the entry when its old bucket comes due.
+// wheel re-files the flow when its old bucket comes due.
 func (s *Server) refresh(c *conn, f Frame) Frame {
-	sh := s.shardFor(f.FlowID)
-	sh.mu.Lock()
-	e := sh.flows.Get(f.FlowID)
-	if e == nil || e.owner != c {
-		sh.mu.Unlock()
+	if !s.shardFor(f.FlowID).Refresh(Now, f.FlowID, &c.flows) {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	if sh.wheel != nil {
-		sh.wheel.Schedule(&e.timer, e, s.now()+int64(s.ttl))
-	}
-	sh.mu.Unlock()
 	if s.Trace != nil {
 		s.Trace(TraceEvent{Kind: TraceRefresh, FlowID: f.FlowID, Value: s.ttl.Seconds(), Active: s.pol.Active()})
 	}
 	return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: s.ttl.Seconds()}
 }
 
-// release frees every reservation held by a departing connection, front
-// of its flow list first. The connection is closed, so nothing joins the
-// list; each pass takes the front flow off it, here or — when the flow
-// expired after the front was read — in the expiry loop.
+// release frees every reservation held by a departing connection.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	n := 0
-	for {
-		c.mu.Lock()
-		front := c.flows.Front()
-		var id uint64
-		if front != nil {
-			id = front.slot.Key()
+	n := c.flows.Drain(Now, s.holdShard, func(id uint64, _ *conn) {
+		if s.Trace != nil {
+			s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
 		}
-		c.mu.Unlock()
-		if front == nil {
-			break
-		}
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		if e := sh.flows.Get(id); e != nil && e.owner == c {
-			s.removeLocked(sh, e)
-			n++
-			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
-			}
-		}
-		sh.mu.Unlock()
-	}
+	})
 	if n > 0 {
 		s.metrics.Releases.Add(uint64(n))
 		s.logf("resv: released %d reservations from %v", n, c.nc.RemoteAddr())
 	}
 }
+
+// holdShard is the shard a flow lives in.
+func (s *Server) holdShard(h *Hold[*conn]) *shard { return s.shardFor(h.slot.key) }

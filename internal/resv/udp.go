@@ -147,10 +147,7 @@ func (s *Server) reapUDPPeerLocked(c *conn) {
 	if c.inflight > 0 {
 		return
 	}
-	c.mu.Lock()
-	idle := c.flows.Len() == 0
-	c.mu.Unlock()
-	if idle && s.udpPeers[c.key] == c {
+	if c.flows.Len() == 0 && s.udpPeers[c.key] == c {
 		delete(s.udpPeers, c.key)
 		s.metrics.UDPPeers.Dec()
 	}
