@@ -91,20 +91,31 @@ perfbench-check:
 	bash perfbench/run.sh --workload sim --seed 1 --seconds 2 --trace 0
 
 # Run the benchmark suite and archive it as machine-readable JSON. Always
-# -benchmem, so every BENCH_core.json entry carries bytes/allocs.
+# -benchmem, so every BENCH_core.json entry carries bytes/allocs, and
+# -count $(BENCH_COUNT): benchjson folds the repeats into one entry each,
+# the median ns/op with its range and the largest allocs/op seen. Five
+# repeats of the suite take about 12 minutes on a 2-CPU host, past go
+# test's default 10-minute timeout, hence BENCH_TIMEOUT. A failed or
+# timed-out run writes no baseline: the output lands in bench_output.txt
+# first, so the failure is not lost in a pipe.
+BENCH_COUNT = 5
+BENCH_TIMEOUT = 30m
+
 bench:
-	$(GO) test -bench=. -benchmem . | tee bench_output.txt | $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(GO) test -bench=. -benchmem -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT) . > bench_output.txt || { cat bench_output.txt; exit 1; }
+	$(GO) run ./cmd/benchjson -o BENCH_core.json < bench_output.txt
 	@echo "wrote BENCH_core.json"
 
 # Benchmark regression gate: rerun the gated benchmarks with -benchmem and
-# compare against the committed BENCH_core.json. Fails on >30% ns/op, any
-# allocs/op regression, or a BENCH_FLOOR metric below its minimum (see
-# cmd/benchjson -diff / -floor). The raw run lands in bench_output.txt and
+# -count $(BENCH_COUNT), and compare their medians against the committed
+# BENCH_core.json. Fails on >30% ns/op, any allocs/op regression, or a
+# BENCH_FLOOR metric below its minimum (see cmd/benchjson -diff / -floor).
+# The raw run lands in bench_output.txt and
 # the comparison in bench_diff.txt — intermediate files, not a pipeline,
 # so a failed gate still leaves both behind for CI to upload and a flaky
 # cell can be diagnosed from the artifacts alone.
 bench-diff:
-	@$(GO) test -bench='$(BENCH_GATE)' -benchmem -run '^$$' . > bench_output.txt || { cat bench_output.txt; exit 1; }
+	@$(GO) test -bench='$(BENCH_GATE)' -benchmem -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT) -run '^$$' . > bench_output.txt || { cat bench_output.txt; exit 1; }
 	@$(GO) run ./cmd/benchjson -diff BENCH_core.json -gate '$(BENCH_GATE)' -floor '$(BENCH_FLOOR)' < bench_output.txt > bench_diff.txt; \
 	status=$$?; cat bench_diff.txt; exit $$status
 

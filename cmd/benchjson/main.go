@@ -4,8 +4,13 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem . | benchjson [-o FILE]
-//	go test -bench=. -benchmem . | benchjson -diff BENCH_core.json [-gate REGEX] [-ns-tol 0.30] [-floor RE=unit:MIN,...]
+//	go test -bench=. -benchmem -count 5 . | benchjson [-o FILE]
+//	go test -bench=. -benchmem -count 5 . | benchjson -diff BENCH_core.json [-gate REGEX] [-ns-tol 0.30] [-floor RE=unit:MIN,...]
+//
+// The repeats -count makes of one benchmark fold into one entry: its
+// median ns/op, with the fastest and slowest run kept beside it, the
+// median of each custom metric, and the largest allocs/op and B/op seen,
+// so a count that flickers between runs is recorded at its high side.
 //
 // In -diff mode the fresh results are compared against a committed
 // baseline: benchmarks whose name matches -gate fail the run when ns/op
@@ -40,6 +45,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,9 +57,16 @@ type Result struct {
 	// Procs is the GOMAXPROCS the benchmark ran at (go test's -N name
 	// suffix), 0 when the name carried none — go test omits it at 1, and
 	// reports archived before it was recorded lack it.
-	Procs       int     `json:"procs,omitempty"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Procs int `json:"procs,omitempty"`
+	// Runs is the number of -count repeats folded into the entry, 0 for a
+	// benchmark run once; Iterations sums them.
+	Runs       int     `json:"runs,omitempty"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsMin and NsMax are the fastest and slowest repeat (folded entries
+	// only); NsPerOp is their median.
+	NsMin       float64 `json:"ns_min,omitempty"`
+	NsMax       float64 `json:"ns_max,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds custom b.ReportMetric units ("req/s", "flows", …).
@@ -243,7 +256,69 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rep.Results = fold(rep.Results)
 	return rep, nil
+}
+
+// fold merges the -count repeats of each benchmark (same name, same
+// GOMAXPROCS) into one entry at the position of its first run: the median
+// ns/op with the range in NsMin/NsMax, the median of each custom metric,
+// the largest allocs/op and B/op, and the summed iterations. A benchmark
+// run once keeps its entry as parsed.
+func fold(results []Result) []Result {
+	type key struct {
+		name  string
+		procs int
+	}
+	groups := map[key][]Result{}
+	var order []key
+	for _, r := range results {
+		k := key{r.Name, r.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		runs := groups[k]
+		if len(runs) == 1 {
+			out = append(out, runs[0])
+			continue
+		}
+		f := Result{Name: k.name, Procs: k.procs, Runs: len(runs)}
+		ns := make([]float64, len(runs))
+		units := map[string][]float64{}
+		for i, r := range runs {
+			ns[i] = r.NsPerOp
+			f.Iterations += r.Iterations
+			f.BytesPerOp = max(f.BytesPerOp, r.BytesPerOp)
+			f.AllocsPerOp = max(f.AllocsPerOp, r.AllocsPerOp)
+			for u, v := range r.Metrics {
+				units[u] = append(units[u], v)
+			}
+		}
+		f.NsPerOp, f.NsMin, f.NsMax = median(ns), slices.Min(ns), slices.Max(ns)
+		if len(units) > 0 {
+			f.Metrics = make(map[string]float64, len(units))
+		}
+		for u, vs := range units {
+			f.Metrics[u] = median(vs)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count), sorting vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseResult parses one result line of the form

@@ -257,3 +257,45 @@ func TestOldBaselineLoads(t *testing.T) {
 		t.Errorf("diff header lacks the old baseline's provenance:\n%s", sb.String())
 	}
 }
+
+// TestFoldCountRepeats: the repeats of a -count run fold into one entry
+// per benchmark, in first-seen order: median ns/op with its range, the
+// median custom metric, the largest allocs/op and B/op (so a count that
+// flickers between 20 and 21 records 21), and the summed iterations.
+func TestFoldCountRepeats(t *testing.T) {
+	rep := parseSample(t, `goos: linux
+BenchmarkS1-2      200   1200.0 ns/op   4000 B/op   20 allocs/op
+BenchmarkOnce-2     50    700.0 ns/op
+BenchmarkS1-2      210    900.0 ns/op   4100 B/op   21 allocs/op
+BenchmarkRate-2    100    500.0 ns/op   3000 req/s
+BenchmarkS1-2      190   1000.0 ns/op   4000 B/op   20 allocs/op
+BenchmarkRate-2    100    400.0 ns/op   4000 req/s
+BenchmarkS1        300   5000.0 ns/op   4000 B/op   20 allocs/op
+PASS
+`)
+	if len(rep.Results) != 4 {
+		t.Fatalf("got %d entries, want 4 (S1 at 2 procs, Once, Rate, S1 at 1 proc): %+v", len(rep.Results), rep.Results)
+	}
+	s1 := rep.Results[0]
+	if s1.Name != "BenchmarkS1" || s1.Procs != 2 || s1.Runs != 3 || s1.Iterations != 600 ||
+		s1.NsPerOp != 1000 || s1.NsMin != 900 || s1.NsMax != 1200 || s1.AllocsPerOp != 21 || s1.BytesPerOp != 4100 {
+		t.Errorf("S1 folded wrong: %+v", s1)
+	}
+	if once := rep.Results[1]; once.Name != "BenchmarkOnce" || once.Runs != 0 || once.NsPerOp != 700 || once.NsMin != 0 || once.NsMax != 0 {
+		t.Errorf("a single run should stay as parsed: %+v", once)
+	}
+	if rate := rep.Results[2]; rate.Runs != 2 || rate.NsPerOp != 450 || rate.Metrics["req/s"] != 3500 {
+		t.Errorf("even count should take the middle pair's mean: %+v", rate)
+	}
+	if s1p1 := rep.Results[3]; s1p1.Name != "BenchmarkS1" || s1p1.Procs != 0 || s1p1.Runs != 0 || s1p1.NsPerOp != 5000 {
+		t.Errorf("a run at another GOMAXPROCS should fold separately: %+v", s1p1)
+	}
+	// The gate compares medians: the folded 21 allocs/op is the baseline a
+	// fresh 20 or 21 passes against.
+	base := &Report{Results: []Result{s1}}
+	fresh := parseSample(t, "BenchmarkS1-2  200  1100.0 ns/op  4000 B/op  21 allocs/op\n")
+	var sb strings.Builder
+	if fails := diffReports(&sb, base, fresh, regexp.MustCompile("."), 0.30); fails != 0 {
+		t.Errorf("fresh run within the folded baseline failed %d times:\n%s", fails, sb.String())
+	}
+}

@@ -12,7 +12,10 @@
 // definitions against measured ones.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // eventKind tags a scheduled event record with its dispatch action. The
 // simulator's hot loop schedules tagged records (no closure allocation);
@@ -77,8 +80,9 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // MaxQueued reports the event queue's high-water mark.
 func (e *Engine) MaxQueued() int { return e.maxQueued }
 
-// Schedule runs fn after the given (nonnegative) delay. Events scheduled
-// for the same instant run in scheduling order.
+// Schedule runs fn after the given delay; a negative, −0 or NaN delay
+// counts as 0. Events scheduled for the same instant run in scheduling
+// order.
 func (e *Engine) Schedule(delay float64, fn func()) {
 	var slot int32
 	if n := len(e.freeFns); n > 0 {
@@ -93,9 +97,11 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 }
 
 // scheduleTagged enqueues a closure-free tagged record — the simulator's
-// zero-allocation internal path.
+// zero-allocation internal path. Clamping every delay that is not > 0
+// (negatives, −0 and NaN) keeps every queued time ≥ +0 and never NaN,
+// which before relies on.
 func (e *Engine) scheduleTagged(delay float64, kind eventKind, ref int32) {
-	if delay < 0 {
+	if !(delay > 0) {
 		delay = 0
 	}
 	e.seq++
@@ -155,12 +161,17 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// less orders events by (at, seq).
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before reports, as 1 or 0, whether a orders strictly before b by
+// (at, seq): the borrow out of the 128-bit subtraction
+// (bits(a.at), a.seq) − (bits(b.at), b.seq). Every queued time is ≥ +0 and
+// never NaN — scheduleTagged clamps the delay to +0 or more, and the
+// clock starts at 0 and never moves back — and on such floats the IEEE
+// bit patterns order as the values do, +Inf included. It is the queue's
+// only order, and it compiles to flag arithmetic (SUB, SBB) with no jump.
+func before(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.at), math.Float64bits(b.at), borrow)
+	return borrow
 }
 
 // push inserts into the 4-ary min-heap: it moves the hole at the end up
@@ -173,7 +184,7 @@ func (e *Engine) push(ev event) {
 	i := len(e.pq) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !less(&ev, &e.pq[p]) {
+		if before(&ev, &e.pq[p]) == 0 {
 			break
 		}
 		e.pq[i] = e.pq[p]
@@ -184,7 +195,11 @@ func (e *Engine) push(ev event) {
 
 // pop removes and returns the heap minimum: the last record fills the
 // hole at the root, which moves down past every smaller child before the
-// record is written once.
+// record is written once. A full set of four children is settled by a
+// two-round tournament whose winner's index is built from the borrows
+// with XOR and AND, so choosing the child takes no data-dependent jump
+// and a full level branches only on the stop test. The partial last level
+// scans its one to three children.
 func (e *Engine) pop() event {
 	top := e.pq[0]
 	n := len(e.pq) - 1
@@ -193,28 +208,38 @@ func (e *Engine) pop() event {
 	if n == 0 {
 		return top
 	}
+	pq := e.pq
 	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&e.pq[j], &e.pq[m]) {
-				m = j
+		if c+4 > n {
+			if c < n {
+				// The partial last level: one to three children.
+				m := c
+				for j := c + 1; j < n; j++ {
+					if before(&pq[j], &pq[m]) != 0 {
+						m = j
+					}
+				}
+				if before(&pq[m], &last) != 0 {
+					pq[i] = pq[m]
+					i = m
+				}
 			}
-		}
-		if !less(&e.pq[m], &last) {
 			break
 		}
-		e.pq[i] = e.pq[m]
-		i = m
+		// w is always 0..3; masking it lets the compiler drop the
+		// bounds checks on ch.
+		ch := pq[c : c+4 : c+4]
+		w01 := before(&ch[1], &ch[0])
+		w23 := 2 + before(&ch[3], &ch[2])
+		w := w01 ^ (w01^w23)&-before(&ch[w23&3], &ch[w01&3])
+		if before(&ch[w&3], &last) == 0 {
+			break
+		}
+		pq[i] = ch[w&3]
+		i = c + int(w&3)
 	}
-	e.pq[i] = last
+	pq[i] = last
 	return top
 }

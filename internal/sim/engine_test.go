@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
+
+	"beqos/internal/rng"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -86,6 +91,24 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 		})
 	})
 	e.Run(2)
+
+	// A NaN or −0.0 delay counts as 0 too: a NaN time would compare false
+	// both ways and corrupt the heap's order, and the clock with it.
+	e = NewEngine()
+	var got []float64
+	at := func() { got = append(got, e.Now()) }
+	e.Schedule(2, at)
+	e.Schedule(math.NaN(), at)
+	e.Schedule(1, at)
+	e.Schedule(math.Copysign(0, -1), at)
+	e.Schedule(3, at)
+	e.Run(10)
+	if want := []float64{0, 0, 1, 2, 3}; !slices.Equal(got, want) || math.Signbit(got[0]) || math.Signbit(got[1]) {
+		t.Errorf("events fired at %v, want %v (all +0 or later)", got, want)
+	}
+	if e.Now() != 10 {
+		t.Errorf("clock = %v after Run(10), want 10", e.Now())
+	}
 }
 
 func TestEngineCounters(t *testing.T) {
@@ -151,5 +174,92 @@ func TestEngineRunSkipsTaggedAndNil(t *testing.T) {
 	e.Run(5)
 	if ran != 1 || e.Dispatched() != 3 || e.Pending() != 0 {
 		t.Errorf("ran %d closures of %d dispatched events (%d pending), want 1 of 3 (0)", ran, e.Dispatched(), e.Pending())
+	}
+}
+
+// TestEngineOrderMatchesStableSort is the queue's order contract, checked
+// differentially: random interleavings of scheduleTagged and next, at
+// queue depths from 1 to 5000, must pop exactly the records a stable sort
+// by (at, seq) puts first. Most delays are 0, 0.5, 1 or 2, so many records
+// tie exactly on at and only seq orders them; the rest are exponential,
+// +Inf, −0.0 or negative (clamped to 0).
+func TestEngineOrderMatchesStableSort(t *testing.T) {
+	type rec struct {
+		at  float64
+		seq uint64
+		ref int32
+	}
+	byAtSeq := func(a, b rec) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	ties := []float64{0, 0.5, 1, 2}
+	for seed := uint64(1); seed <= 2; seed++ {
+		src := rng.New(seed, 0x0de7)
+		for _, depth := range []int{1, 2, 3, 4, 5, 6, 13, 50, 64, 341, 1365, 5000} {
+			e := NewEngine()
+			var ref []rec // the queue's records; ref[:sorted] is sorted
+			sorted := 0
+			var seq uint64
+			ops := 4*depth + 200
+			for op := 0; op < ops; op++ {
+				// A random walk around the target depth: push below it,
+				// pop above it, either in between.
+				push := src.IntN(2*depth+2) >= len(ref)
+				if push {
+					var d float64
+					switch u := src.IntN(100); {
+					case u < 60:
+						d = ties[src.IntN(len(ties))]
+					case u < 85:
+						d = src.Exp(1)
+					case u < 90:
+						d = math.Copysign(0, -1)
+					case u < 97:
+						d = -src.Exp(1)
+					default:
+						d = math.Inf(1)
+					}
+					seq++
+					id := int32(seq)
+					e.scheduleTagged(d, evDepart, id)
+					ref = append(ref, rec{at: e.Now() + math.Max(d, 0), seq: seq, ref: id})
+					continue
+				}
+				if sorted < len(ref) {
+					slices.SortStableFunc(ref, byAtSeq)
+					sorted = len(ref)
+				}
+				// Mostly drain without a horizon; sometimes stop at one that
+				// may fall before the earliest record, which must stay queued.
+				until := math.Inf(1)
+				if src.IntN(4) == 0 {
+					until = e.Now() + ties[src.IntN(len(ties))]
+				}
+				now := e.Now()
+				ev, ok := e.next(until)
+				if wantOK := len(ref) > 0 && ref[0].at <= until; ok != wantOK {
+					t.Fatalf("seed %d depth %d op %d: next(%v) ok = %v, want %v", seed, depth, op, until, ok, wantOK)
+				}
+				if !ok {
+					if want := math.Max(now, until); e.Now() != want {
+						t.Fatalf("seed %d depth %d op %d: clock %v after an empty next(%v), want %v", seed, depth, op, e.Now(), until, want)
+					}
+					continue
+				}
+				want := ref[0]
+				ref = ref[1:]
+				sorted--
+				if ev.at != want.at || ev.seq != want.seq || ev.ref != want.ref || e.Now() != want.at {
+					t.Fatalf("seed %d depth %d op %d: popped (at %v, seq %d, ref %d), clock %v; want (at %v, seq %d, ref %d)",
+						seed, depth, op, ev.at, ev.seq, ev.ref, e.Now(), want.at, want.seq, want.ref)
+				}
+				if e.Pending() != len(ref) {
+					t.Fatalf("seed %d depth %d op %d: %d pending, want %d", seed, depth, op, e.Pending(), len(ref))
+				}
+			}
+		}
 	}
 }
