@@ -142,9 +142,10 @@ func BenchmarkSoftStateCell(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := new(resv.Cell[uint64])
-		c.Init(pol, ttl, time.Now())
-		return c, new(resv.Owner[uint64])
+		c, o := new(resv.Cell[uint64]), new(resv.Owner[uint64])
+		c.Init(0, pol, ttl, time.Now())
+		o.Init(1)
+		return c, o
 	}
 	admit := func(b *testing.B, c *resv.Cell[uint64], o *resv.Owner[uint64], now int64, key uint64) {
 		if _, out, _ := c.Admit(now, key, 1, 0, o, key); out != resv.Granted {

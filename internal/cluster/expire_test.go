@@ -81,9 +81,8 @@ func TestExpiryStepOwnerClaim(t *testing.T) {
 	if n := owner.Metrics().Expiries.Load(); n != 2 {
 		t.Fatalf("owner counted %d expiries, want 2", n)
 	}
-	tracked := sess.claims.Len()
-	if tracked != 0 {
-		t.Fatalf("session still tracks %d expired claims", tracked)
+	if !sess.claims.Empty() {
+		t.Fatal("session still tracks expired claims")
 	}
 }
 

@@ -12,34 +12,35 @@ import (
 // keyed by hop key. The policy's CAS-bounded counters are the
 // no-over-admit guarantee — concurrent claims (from this node's entry
 // flows and from every peer forwarding hops here) race on the same atomics
-// the single-link serving plane uses. A claim holds its link's global
-// index, so that its owning peer session can find the link on a drain;
-// claims this node's entry plane makes have no owner.
+// the single-link serving plane uses. The node's local links are one
+// group of cells, each at its index in Node.links; claims this node's
+// entry plane makes have no owner.
 type linkState struct {
-	resv.Cell[int32]
+	resv.Cell[struct{}]
 	link Link
 }
 
-func newLinkState(l Link, bound int, ttl time.Duration, epoch time.Time) (*linkState, error) {
+// newLinkState makes local link i of its node.
+func newLinkState(i int, l Link, bound int, ttl time.Duration, epoch time.Time) (*linkState, error) {
 	pol, err := policy.NewCounting(l.Capacity, bound)
 	if err != nil {
 		return nil, err
 	}
 	ls := &linkState{link: l}
-	ls.Init(pol, ttl, epoch)
+	ls.Init(i, pol, ttl, epoch)
 	return ls, nil
 }
 
 // cell is the cell every hop key of the link lives in, for resv.AdmitRun.
-func (ls *linkState) cell(uint64) *resv.Cell[int32] { return &ls.Cell }
+func (ls *linkState) cell(uint64) *resv.Cell[struct{}] { return &ls.Cell }
 
-// peerSess lists the claims an inbound peer connection owns, across all
-// local links, so dropping the connection (a crashed or partitioned entry
+// peerSess lists the claims an inbound peer connection owns, one list per
+// local link, so dropping the connection (a crashed or partitioned entry
 // node) releases them without waiting for their TTL. It is also the
 // connection's resv.Handler on the peer plane.
 type peerSess struct {
 	n      *Node
-	claims resv.Owner[int32]
+	claims resv.Owner[struct{}]
 	// lastGossip is the last active count piggybacked on a batch reply to
 	// this connection, per local link (indexed like Node.links, -1 = never
 	// sent). Only the serving goroutine touches it, so no lock.
@@ -51,8 +52,9 @@ func newPeerSess(n *Node) *peerSess {
 	for i := range s.lastGossip {
 		s.lastGossip[i] = -1
 	}
+	s.claims.Init(len(n.links))
 	return s
 }
 
-// claimLink is the cell a peer session's claim lives in: its link's.
-func (n *Node) claimLink(h *resv.Hold[int32]) *resv.Cell[int32] { return &n.byGlobal[h.Val].Cell }
+// linkCell is local link i's cell, for a peer session's drain.
+func (n *Node) linkCell(i int) *resv.Cell[struct{}] { return &n.links[i].Cell }

@@ -127,7 +127,7 @@ type cconn struct {
 // with rollbackConn.
 func (n *Node) openCConn() *cconn {
 	c := &cconn{n: n}
-	c.flows.Init(nil, n.ttl, n.epoch)
+	c.flows.Init(0, nil, n.ttl, n.epoch)
 	n.cmu.Lock()
 	n.cconns[c] = struct{}{}
 	n.cmu.Unlock()
@@ -206,7 +206,7 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		if l.Owner != idx {
 			continue
 		}
-		ls, err := newLinkState(*l, bounds[gi], ttl, n.epoch)
+		ls, err := newLinkState(len(n.links), *l, bounds[gi], ttl, n.epoch)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s link %s: %w", n.name, l.ID, err)
 		}
@@ -512,7 +512,7 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.claimLink, nil) })
+	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.linkCell, nil) })
 }
 
 // serve runs one inbound connection through the resv serving loop, closes
@@ -657,7 +657,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	claimed, failed := 0, false
 	for _, g := range path.Links {
 		if ls := n.byGlobal[g]; ls != nil {
-			dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, int32(g))
+			dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, struct{}{})
 			if out != resv.Granted {
 				denyLoad, failed = dec.Load, true
 				break
@@ -959,7 +959,7 @@ func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *
 			bf.minShare = math.MaxFloat64
 			for pos, g := range n.topo.Paths[pathIdx].Links {
 				if ls := n.byGlobal[g]; ls != nil {
-					dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, int32(g))
+					dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, struct{}{})
 					if out != resv.Granted {
 						bf.failed = true
 						break
@@ -1145,7 +1145,7 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		dec, out, _ := ls.Admit(now, f.FlowID&keyMask, f.Value, f.Class, &sess.claims, int32(ls.link.Index))
+		dec, out, _ := ls.Admit(now, f.FlowID&keyMask, f.Value, f.Class, &sess.claims, struct{}{})
 		switch out {
 		case resv.Granted:
 			return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: dec.Share}
@@ -1219,7 +1219,7 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 			continue
 		}
 		var granted resv.BatchVerdict
-		dec := resv.AdmitRun(ls.cell, now, ops[i:j], keyMask, &sess.claims, int32(ls.link.Index), i, &granted, nil)
+		dec := resv.AdmitRun(ls.cell, now, ops[i:j], keyMask, &sess.claims, struct{}{}, i, &granted, nil)
 		verdict |= granted
 		if granted != 0 && dec.Share < share {
 			share = dec.Share

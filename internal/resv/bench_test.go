@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"beqos/internal/obs"
+	"beqos/internal/utility"
 )
 
 // benchWindow is the frames one pipelined call carries in perfbench's
@@ -67,4 +68,69 @@ func BenchmarkFlushBatch(b *testing.B) {
 			m.flushBatch(&bs, benchWindow, time.Since(start))
 		}
 	})
+}
+
+// BenchmarkBatchCollector is the cost of collecting one MsgReserveBatch
+// body in the serving loop: Begin on the header, Add on each of
+// benchWindow body frames, and Ops. One op is one body; 0 allocs/op.
+func BenchmarkBatchCollector(b *testing.B) {
+	body := make([]Frame, benchWindow)
+	for i := range body {
+		body[i] = Frame{Type: MsgRequest, FlowID: uint64(i + 1), Value: 1}
+		if i%2 == 1 {
+			body[i].Type = MsgTeardown
+		}
+	}
+	header := BatchHeader(len(body))
+	var bc BatchCollector
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := bc.Begin(header); err != nil {
+			b.Fatal(err)
+		}
+		for j, f := range body {
+			if done, err := bc.Add(f); err != nil || done != (j == len(body)-1) {
+				b.Fatalf("add %d: done=%v err=%v", j, done, err)
+			}
+		}
+		if len(bc.Ops()) != len(body) {
+			b.Fatalf("collected %d ops, want %d", len(bc.Ops()), len(body))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchWindow), "ns/frame")
+}
+
+// BenchmarkDispatch is the admission layer under the stream serving loop:
+// a stream connection's handler serving one reserve and one teardown (one
+// op) at the paper's operating point kmax = C = 100, with dispatchHeld
+// flows held on the connection across the server's shards (16 at
+// GOMAXPROCS ≤ 2, reported as shards). Each reserve takes a policy claim
+// and a shard lock, each teardown the shard lock and the policy release;
+// 0 allocs/op.
+func BenchmarkDispatch(b *testing.B) {
+	const dispatchHeld = 50
+	s, err := NewServer(100, utility.NewAdaptive())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := &streamConn{s: s, c: s.newConn(nil)}
+	serve := func(f Frame, want MsgType) {
+		if r := h.Serve(f, time.Time{}); r.Type != want {
+			b.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
+		}
+	}
+	next := uint64(1)
+	for ; next <= dispatchHeld; next++ {
+		serve(Frame{Type: MsgRequest, FlowID: next, Value: 1}, MsgGrant)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(Frame{Type: MsgRequest, FlowID: next, Value: 1}, MsgGrant)
+		serve(Frame{Type: MsgTeardown, FlowID: next - dispatchHeld}, MsgTeardownOK)
+		next++
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Shards()), "shards")
 }

@@ -3,6 +3,7 @@ package resv
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"beqos/internal/policy"
@@ -22,8 +23,12 @@ import (
 // reach it under the cell's lock, where the table's Remove decides which
 // of them releases the hold, so a claim goes back exactly once however
 // they race. (A claim whose key was already held never becomes a hold: the
-// admit path that made it returns it at once.) The lock order is cell,
-// then owner.
+// admit path that made it returns it at once.)
+//
+// The cell's lock is the only lock an operation takes. The cells that
+// share owners form a group — a resv server's shards, a cluster node's
+// local links — and each cell has an index in it; an Owner keeps one list
+// per cell, and list i is touched only under cell i's lock.
 
 // Hold is one record in a Cell. The cell allocates, recycles and reaches
 // holds through their slot and timer back-pointers, so one generic body
@@ -33,49 +38,62 @@ type Hold[P any] struct {
 	owner *Owner[P]
 	rate  float64 // the rate claimed from the cell's policy
 	timer Timer[*Hold[P]]
-	// Val is the plane's own fields: a resv flow's connection, a cluster
-	// claim's link, a path flow's hops. Drop clears it.
+	// Val is the plane's own fields: a resv flow's connection, a path
+	// flow's hops (a cluster link's claims have none). Drop clears it.
 	Val P
 }
 
 // Owner lists holds to be released together when their owner goes away: a
-// resv connection's flows, a cluster peer session's claims, across any
-// number of cells. Its lock is taken after a cell's. The zero Owner is
-// empty; an Owner must not be copied once used.
+// resv connection's flows, a cluster peer session's claims. It keeps one
+// list per cell of its group, and list i is guarded by cell i's lock, so
+// an Owner has no lock of its own. Size it with Init before its first
+// hold; the zero Owner is empty. An Owner must not be copied once used.
 type Owner[P any] struct {
-	mu    sync.Mutex
-	holds List[*Hold[P]]
+	lists []List[*Hold[P]]
+	// live counts the non-empty lists. It changes only when a list goes
+	// empty or non-empty, so most installs and drops never touch it.
+	live atomic.Int32
 }
 
-// Len returns the number of holds o owns.
-func (o *Owner[P]) Len() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.holds.Len()
+// Init gives o one list for each of the n cells of its group.
+func (o *Owner[P]) Init(n int) { o.lists = make([]List[*Hold[P]], n) }
+
+// Empty reports whether o owns no holds. It takes no lock: an install
+// still in progress in another cell may not show yet.
+func (o *Owner[P]) Empty() bool { return o.live.Load() == 0 }
+
+// push lists s on o's list for cell i. The caller holds cell i's lock.
+func (o *Owner[P]) push(i int, s *Slot[*Hold[P]]) {
+	l := &o.lists[i]
+	if l.Empty() {
+		o.live.Add(1)
+	}
+	l.Push(s)
 }
 
-// Drain drops every hold o owns, front of its list first, calls gone (if
-// non-nil) on each with its cell locked, and returns how many it dropped.
-// cellOf names the cell a hold lives in. o must gain no holds meanwhile —
-// its connection is gone — so each pass takes the front hold off the list,
-// here or, when an expiry beat the drain to it, in Advance.
-func (o *Owner[P]) Drain(now int64, cellOf func(*Hold[P]) *Cell[P], gone func(key uint64, val P)) int {
+// remove takes s off o's list for cell i and reports whether that left o
+// empty. The caller holds cell i's lock.
+func (o *Owner[P]) remove(i int, s *Slot[*Hold[P]]) bool {
+	l := &o.lists[i]
+	l.Remove(s)
+	return l.Empty() && o.live.Add(-1) == 0
+}
+
+// Drain drops every hold o owns, one cell at a time — lock cell i, drop
+// o's list there, unlock — calls gone (if non-nil) on each with its cell
+// locked, and returns how many it dropped. cell names cell i of o's group.
+// o must gain no holds meanwhile — its connection is gone — so the pass
+// stops once o is empty.
+func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P], gone func(key uint64, val P)) int {
 	n := 0
-	for {
-		o.mu.Lock()
-		h := o.holds.Front()
-		var key uint64
-		var c *Cell[P]
-		if h != nil {
-			key, c = h.slot.key, cellOf(h)
+	for i := range o.lists {
+		if o.Empty() {
+			break
 		}
-		o.mu.Unlock()
-		if h == nil {
-			return n
-		}
+		c, l := cell(i), &o.lists[i]
 		c.Lock()
-		if h = c.holds.Get(key); h != nil && h.owner == o {
-			val := h.Val
+		for h := l.Front(); h != nil; h = l.Front() {
+			key, val := h.slot.key, h.Val
 			c.Drop(now, h)
 			n++
 			if gone != nil {
@@ -84,6 +102,7 @@ func (o *Owner[P]) Drain(now int64, cellOf func(*Hold[P]) *Cell[P], gone func(ke
 		}
 		c.Unlock()
 	}
+	return n
 }
 
 // Cell is one lock over one table of holds, with a TTL wheel when its
@@ -97,6 +116,9 @@ func (o *Owner[P]) Drain(now int64, cellOf func(*Hold[P]) *Cell[P], gone func(ke
 // between Lock and Unlock.
 type Cell[P any] struct {
 	sync.Mutex
+	// idx is the cell's index in its group: the list its holds go on in
+	// their owners.
+	idx   int
 	holds Table[*Hold[P]]
 	wheel *Wheel[*Hold[P]] // nil without a TTL
 	ttl   int64
@@ -116,11 +138,11 @@ type Cell[P any] struct {
 // is the caller's instant on the same clock.
 const Now int64 = math.MinInt64
 
-// Init sets c up: pol, if non-nil, decides its admissions, and with ttl > 0
-// a hold expires one ttl after it is armed. The cell's clock counts
-// nanoseconds since epoch.
-func (c *Cell[P]) Init(pol policy.Policy, ttl time.Duration, epoch time.Time) {
-	c.pol, c.ttl, c.epoch = pol, int64(ttl), epoch
+// Init sets c up as cell i of its group (0 for a cell in none): pol, if
+// non-nil, decides its admissions, and with ttl > 0 a hold expires one ttl
+// after it is armed. The cell's clock counts nanoseconds since epoch.
+func (c *Cell[P]) Init(i int, pol policy.Policy, ttl time.Duration, epoch time.Time) {
+	c.idx, c.pol, c.ttl, c.epoch = i, pol, int64(ttl), epoch
 	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
 		c.clock = true
 	}
@@ -170,9 +192,7 @@ func (c *Cell[P]) Insert(key uint64, o *Owner[P], rate float64, val P) *Hold[P] 
 	h.Val, h.owner, h.rate = val, o, rate
 	c.holds.Insert(&h.slot, key, h)
 	if o != nil {
-		o.mu.Lock()
-		o.holds.Push(&h.slot)
-		o.mu.Unlock()
+		o.push(c.idx, &h.slot)
 	}
 	return h
 }
@@ -192,10 +212,7 @@ func (c *Cell[P]) Drop(now int64, h *Hold[P]) (ownerEmpty bool) {
 	h.timer.Stop()
 	c.holds.Remove(&h.slot)
 	if o := h.owner; o != nil {
-		o.mu.Lock()
-		o.holds.Remove(&h.slot)
-		ownerEmpty = o.holds.Len() == 0
-		o.mu.Unlock()
+		ownerEmpty = o.remove(c.idx, &h.slot)
 		h.owner = nil
 	}
 	if c.pol != nil {

@@ -24,7 +24,7 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells[i].Init(pol, 0, time.Now())
+			cells[i].Init(0, pol, 0, time.Now())
 		}
 		for k := uint64(1); k <= 12; k++ {
 			if rng.IntN(3) == 0 {
@@ -54,7 +54,8 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 
 // TestCellReleasesOnce races every release path — teardown by key, the
 // owner's drain and TTL expiry — over the same holds in cells sharing one
-// policy: each hold is released exactly once, and everything drains.
+// policy, with the owner holding a list in every cell: each hold is
+// released exactly once, and everything drains.
 func TestCellReleasesOnce(t *testing.T) {
 	const ncells, nholds = 4, 512
 	const ttl = 256 * time.Millisecond
@@ -66,13 +67,20 @@ func TestCellReleasesOnce(t *testing.T) {
 		}
 		cells := make([]Cell[uint64], ncells)
 		for i := range cells {
-			cells[i].Init(pol, ttl, time.Now())
+			cells[i].Init(i, pol, ttl, time.Now())
 		}
+		cell := func(i int) *Cell[uint64] { return &cells[i] }
 		cellOf := func(key uint64) *Cell[uint64] { return &cells[key%ncells] }
 		var o Owner[uint64]
+		o.Init(ncells)
 		for k := uint64(0); k < nholds; k++ {
 			if _, out, _ := cellOf(k).Admit(0, k, 1, 0, &o, k); out != Granted {
 				t.Fatalf("admit %d: outcome %d", k, out)
+			}
+		}
+		for i := range cells {
+			if n := ownerLen(&o, cell, i); n != nholds/ncells {
+				t.Fatalf("owner lists %d holds in cell %d, want %d", n, i, nholds/ncells)
 			}
 		}
 		order := rng.Perm(nholds)
@@ -89,7 +97,7 @@ func TestCellReleasesOnce(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			n := o.Drain(0, func(h *Hold[uint64]) *Cell[uint64] { return cellOf(h.slot.key) }, func(key, val uint64) {
+			n := o.Drain(0, cell, func(key, val uint64) {
 				if val != key {
 					t.Errorf("drained hold %d carries %d", key, val)
 				}
@@ -112,8 +120,12 @@ func TestCellReleasesOnce(t *testing.T) {
 		if a := pol.Active(); a != 0 {
 			t.Fatalf("round %d: policy holds %d claims after every release", round, a)
 		}
-		if n := o.Len(); n != 0 {
-			t.Fatalf("round %d: owner still lists %d holds", round, n)
+		n := 0
+		for i := range cells {
+			n += ownerLen(&o, cell, i)
+		}
+		if n != 0 || !o.Empty() {
+			t.Fatalf("round %d: owner still lists %d holds (empty %v)", round, n, o.Empty())
 		}
 		for i := range cells {
 			cells[i].Lock()
@@ -124,4 +136,16 @@ func TestCellReleasesOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ownerLen counts the holds on o's list for cell i, under the cell's lock.
+func ownerLen[P any](o *Owner[P], cell func(int) *Cell[P], i int) int {
+	c := cell(i)
+	c.Lock()
+	defer c.Unlock()
+	n := 0
+	for s := o.lists[i].head; s != nil; s = s.onext {
+		n++
+	}
+	return n
 }

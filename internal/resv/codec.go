@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -132,6 +133,10 @@ const (
 	protocolVersion uint8 = 1
 	// FrameSize is the fixed wire size of every message.
 	FrameSize = 20
+	// frameHeader is a well-formed frame's first three bytes — magic and
+	// version — as the top of the big-endian 32-bit word that ends with
+	// the type byte.
+	frameHeader = uint32(frameMagic)<<16 | uint32(protocolVersion)<<8
 )
 
 // Frame is one protocol message.
@@ -172,11 +177,13 @@ func putFrame(buf *[FrameSize]byte, f Frame) {
 	binary.BigEndian.PutUint64(buf[12:20], math.Float64bits(f.Value))
 }
 
-// AppendFrame appends the wire encoding of f to dst.
+// AppendFrame appends the wire encoding of f to dst, encoding it in place
+// in dst's spare capacity.
 func AppendFrame(dst []byte, f Frame) []byte {
-	var buf [FrameSize]byte
-	putFrame(&buf, f)
-	return append(dst, buf[:]...)
+	n := len(dst)
+	dst = slices.Grow(dst, FrameSize)[:n+FrameSize]
+	putFrame((*[FrameSize]byte)(dst[n:]), f)
+	return dst
 }
 
 // DecodeFrame parses one frame from exactly FrameSize bytes.
@@ -207,17 +214,30 @@ func DecodeFrame(b []byte) (Frame, error) {
 // to reuse its backing array). It returns the extended slice and the
 // undecoded remainder — a partial trailing frame, possibly empty. On a
 // malformed frame it returns the frames decoded before it, the remainder
-// starting at the bad frame, and the decode error.
+// starting at the bad frame, and DecodeFrame's error for it.
+//
+// dst grows once for every frame buf holds, and each frame decodes into
+// its element in place, with its magic, version and type checked from one
+// 32-bit load.
 func DecodeFrames(dst []Frame, buf []byte) ([]Frame, []byte, error) {
-	for len(buf) >= FrameSize {
-		f, err := DecodeFrame(buf[:FrameSize])
-		if err != nil {
-			return dst, buf, err
+	n, m := len(dst), len(buf)/FrameSize
+	dst = slices.Grow(dst, m)[:n+m]
+	for i := range dst[n:] {
+		b := (*[FrameSize]byte)(buf[i*FrameSize:])
+		hdr := binary.BigEndian.Uint32(b[0:4])
+		t := MsgType(hdr & typeMask)
+		if hdr&^0xff != frameHeader || t-MsgRequest > MsgReserveBatchReply-MsgRequest {
+			_, err := DecodeFrame(b[:])
+			return dst[:n+i], buf[i*FrameSize:], err
 		}
-		dst = append(dst, f)
-		buf = buf[FrameSize:]
+		dst[n+i] = Frame{
+			Type:   t,
+			Class:  uint8(hdr) >> classShift,
+			FlowID: binary.BigEndian.Uint64(b[4:12]),
+			Value:  math.Float64frombits(binary.BigEndian.Uint64(b[12:20])),
+		}
 	}
-	return dst, buf, nil
+	return dst, buf[m*FrameSize:], nil
 }
 
 // DecodeDatagram parses the one frame a datagram-mode packet must carry:

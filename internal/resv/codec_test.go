@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -218,4 +219,113 @@ type countingWriter struct{ n int }
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
+}
+
+// decodeFramesRef is DecodeFrames as one checked DecodeFrame per frame:
+// the reference the in-place decoder must match.
+func decodeFramesRef(dst []Frame, buf []byte) ([]Frame, []byte, error) {
+	for len(buf) >= FrameSize {
+		f, err := DecodeFrame(buf[:FrameSize])
+		if err != nil {
+			return dst, buf, err
+		}
+		dst = append(dst, f)
+		buf = buf[FrameSize:]
+	}
+	return dst, buf, nil
+}
+
+// randFrame draws a frame of any valid type and class, with any FlowID and
+// any Value bits, NaNs included.
+func randFrame(rng *rand.Rand) Frame {
+	return Frame{
+		Type:   MsgRequest + MsgType(rng.IntN(int(MsgReserveBatchReply))),
+		Class:  uint8(rng.IntN(ClassMask + 1)),
+		FlowID: rng.Uint64(),
+		Value:  math.Float64frombits(rng.Uint64()),
+	}
+}
+
+// TestDecodeFramesMatchesReference decodes seeded random windows — some
+// with one frame's magic, version or type byte corrupted, most with a
+// partial trailing frame — through DecodeFrames and through the reference
+// loop, into destinations of varied length and spare capacity. Frames,
+// remainder and error text must be equal, and the destination's prefix
+// untouched.
+func TestDecodeFramesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for trial := 0; trial < 5000; trial++ {
+		var buf []byte
+		for n := rng.IntN(40); n > 0; n-- {
+			buf = AppendFrame(buf, randFrame(rng))
+		}
+		if nf := len(buf) / FrameSize; nf > 0 && rng.IntN(2) == 0 {
+			at := rng.IntN(nf) * FrameSize
+			switch rng.IntN(4) {
+			case 0, 1: // magic
+				buf[at+rng.IntN(2)] ^= byte(1 + rng.IntN(255))
+			case 2: // version
+				buf[at+2] ^= byte(1 + rng.IntN(255))
+			case 3: // a type outside [MsgRequest, MsgReserveBatchReply], any class
+				bad := []byte{0, byte(MsgReserveBatchReply) + 1 + byte(rng.IntN(typeMask-int(MsgReserveBatchReply)))}
+				buf[at+3] = bad[rng.IntN(2)] | byte(rng.IntN(ClassMask+1))<<classShift
+			}
+		}
+		buf = append(buf, make([]byte, rng.IntN(FrameSize))...)
+		prefix := make([]Frame, rng.IntN(3))
+		for i := range prefix {
+			prefix[i] = randFrame(rng)
+		}
+		want, wantRest, wantErr := decodeFramesRef(append([]Frame(nil), prefix...), buf)
+		dst := make([]Frame, len(prefix), len(prefix)+rng.IntN(50))
+		copy(dst, prefix)
+		got, gotRest, gotErr := DecodeFrames(dst, buf)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d frames, reference %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Type != w.Type || g.Class != w.Class || g.FlowID != w.FlowID ||
+				math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("trial %d: frame %d = %+v, reference %+v", trial, i, g, w)
+			}
+		}
+		if len(gotRest) != len(wantRest) || (len(gotRest) > 0 && &gotRest[0] != &wantRest[0]) {
+			t.Fatalf("trial %d: remainder of %d bytes, reference %d", trial, len(gotRest), len(wantRest))
+		}
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gotErr, wantErr)
+		}
+		if gotErr != nil && !errors.Is(gotErr, ErrBadFrame) {
+			t.Fatalf("trial %d: error %v does not wrap ErrBadFrame", trial, gotErr)
+		}
+	}
+}
+
+// TestAppendFrameMatchesPutFrame appends a seeded frame to a destination
+// at every spare capacity from 0 to 2·FrameSize: the result is the
+// destination's bytes followed by putFrame's, encoded in place whenever
+// the frame fits.
+func TestAppendFrameMatchesPutFrame(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for spare := 0; spare <= 2*FrameSize; spare++ {
+		for trial := 0; trial < 20; trial++ {
+			f := randFrame(rng)
+			var enc [FrameSize]byte
+			putFrame(&enc, f)
+			n := rng.IntN(3 * FrameSize)
+			dst := make([]byte, n, n+spare)
+			for i := range dst {
+				dst[i] = byte(rng.Uint32())
+			}
+			head := append([]byte(nil), dst...)
+			got := AppendFrame(dst, f)
+			if !bytes.Equal(got[:len(head)], head) || !bytes.Equal(got[len(head):], enc[:]) {
+				t.Fatalf("spare %d: AppendFrame = %x, want %x then %x", spare, got, head, enc)
+			}
+			if inPlace := cap(dst) > 0 && &got[:1][0] == &dst[:1][0]; inPlace != (spare >= FrameSize) {
+				t.Fatalf("spare %d: encoded in place = %v", spare, inPlace)
+			}
+		}
+	}
 }

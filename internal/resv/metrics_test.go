@@ -208,7 +208,7 @@ func TestInstrumentedDispatchZeroAlloc(t *testing.T) {
 	}
 	var traced uint64
 	s.Trace = func(ev TraceEvent) { traced++ }
-	c := &conn{}
+	c := s.newConn(nil)
 	var bs batchStats
 	reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 	teardown := Frame{Type: MsgTeardown, FlowID: 42}

@@ -61,11 +61,13 @@ type Server struct {
 	shardShift uint
 
 	// udpMu guards udpPeers, the datagram transport's per-source-address
-	// virtual connections (udp.go). A peer's inflight count is also
-	// guarded by udpMu; a peer may be reaped only when it owns no flows
-	// and no reader goroutine is mid-dispatch on it.
+	// virtual connections (udp.go), and udpFree, reaped peers kept for
+	// reuse. A peer's inflight count is also guarded by udpMu; a peer may
+	// be reaped only when it owns no flows and no reader goroutine is
+	// mid-dispatch on it.
 	udpMu    sync.Mutex
 	udpPeers map[string]*conn
+	udpFree  []*conn
 	// expPeers is the expiry loop's scratch: datagram peers whose last flow
 	// it expired, to be reaped once the shard locks are released.
 	expPeers []*conn
@@ -112,16 +114,22 @@ type conn struct {
 	// requests, so a duplicate reserve is answered from the live grant
 	// instead of erroring (see reserve).
 	datagram bool
-	// raddr is the peer's address, for logging (nc.RemoteAddr() for
-	// stream connections); key is a datagram peer's udpPeers key.
-	raddr net.Addr
-	key   string
+	// key is a datagram peer's udpPeers key.
+	key string
 	// inflight counts reader goroutines mid-dispatch on this datagram
 	// peer; guarded by Server.udpMu.
 	inflight int
-	// flows lists the connection's flows across all shards, so that a
+	// flows lists the connection's flows, one list per shard, so that a
 	// dropped connection releases them.
 	flows Owner[*conn]
+}
+
+// newConn makes a connection record for nc (nil for a datagram peer) with
+// a flow list for each shard.
+func (s *Server) newConn(nc net.Conn) *conn {
+	c := &conn{nc: nc}
+	c.flows.Init(len(s.shards))
+	return c
 }
 
 // shardCountFor returns the soft-state stripe count for a machine with p
@@ -234,7 +242,7 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 	s.shards = make([]shard, nshards)
 	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
 	for i := range s.shards {
-		s.shards[i].Init(pol, ttl, s.epoch)
+		s.shards[i].Init(i, pol, ttl, s.epoch)
 	}
 	s.metrics = newServerMetrics(s.reg)
 	s.reg.GaugeFunc("resv_active_flows", "live reservations", func() float64 {
@@ -315,9 +323,8 @@ func (s *Server) expireLoop() {
 }
 
 // expire is one expiry step at server time now: every shard drops its due
-// flows. Datagram peers left holding no flows are reaped afterwards, with
-// no shard lock held — reaping takes udpMu before the peer's own lock, the
-// reverse of the shard → peer order.
+// flows. Datagram peers left holding no flows are reaped afterwards, so
+// udpMu is never taken under a shard's lock.
 func (s *Server) expire(now int64) {
 	for i := range s.shards {
 		s.shards[i].Advance(now, s.expired)
@@ -365,7 +372,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // of a net.Pipe) through ServeConn. It returns when the connection fails
 // or closes, releasing every reservation the connection holds.
 func (s *Server) HandleConn(nc net.Conn) {
-	c := &conn{nc: nc}
+	c := s.newConn(nc)
 	defer s.release(c)
 	s.metrics.Connections.Inc()
 	defer s.metrics.Connections.Dec()
@@ -631,7 +638,7 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 // release frees every reservation held by a departing connection.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	n := c.flows.Drain(Now, s.holdShard, func(id uint64, _ *conn) {
+	n := c.flows.Drain(Now, s.shard, func(id uint64, _ *conn) {
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
 		}
@@ -642,5 +649,5 @@ func (s *Server) release(c *conn) {
 	}
 }
 
-// holdShard is the shard a flow lives in.
-func (s *Server) holdShard(h *Hold[*conn]) *shard { return s.shardFor(h.slot.key) }
+// shard returns shard i.
+func (s *Server) shard(i int) *shard { return &s.shards[i] }

@@ -8,12 +8,12 @@ import "math/bits"
 // for the Wheel, so installing, looking up and removing a record never
 // allocates and never goes through a Go map. A record that must also be
 // released with its owner (a connection, a peer session) sits on that
-// owner's List, threaded through the same Slot.
+// owner's List for the table, threaded through the same Slot.
 //
-// The table does no locking. Its owner serializes every call, and when a
-// record is on a List too, the lock order is table, then list: the one
-// Remove under the table's lock decides which of the racing release paths
-// releases the record.
+// Neither the table nor a List locks. One lock serializes every call on a
+// table and on every List of records in it — an admission cell's (cell.go)
+// — so the one Remove under that lock decides which of the racing release
+// paths releases the record.
 
 const (
 	// tableMul is the bucket hash multiplier (splitmix64's first). Buckets
@@ -38,9 +38,11 @@ type Slot[T comparable] struct {
 	// next links the slot into its bucket's chain, or into the table's
 	// recycled records once removed.
 	next *Slot[T]
-	// onext/oprev link the slot into its owner's List (circular, sentinel
-	// headed); both are nil while it is on none.
-	onext, oprev *Slot[T]
+	// onext links the slot into its owner's List; oprev points at the link
+	// that points at the slot (the list's head or the previous slot's
+	// onext), and is nil while the slot is on no list.
+	onext *Slot[T]
+	oprev **Slot[T]
 }
 
 // Key returns the key the slot was last inserted under.
@@ -126,7 +128,7 @@ func (t *Table[T]) Each(f func(T)) {
 }
 
 // grow doubles the bucket array and rehashes every chain into it: work
-// proportional to the records held, done under the owner's lock.
+// proportional to the records held, done under the lock that serializes t.
 func (t *Table[T]) grow() {
 	size := 2 * len(t.heads)
 	if size == 0 {
@@ -146,45 +148,43 @@ func (t *Table[T]) grow() {
 	t.heads, t.shift = heads, shift
 }
 
-// List is one owner's records — a resv connection's flows, a cluster peer
-// session's claims — threaded through their Slots: a circular list headed
-// by a sentinel, like a wheel bucket. It is what releases an owner's
-// records when the owner goes away. The zero List is empty; a List must
-// not be copied once used.
+// List is one owner's records in one table — a resv connection's flows in
+// one shard, a cluster peer session's claims on one link — threaded
+// through their Slots. Its head is one pointer, so an owner with a List in
+// each of N tables costs N words, and each slot points back at the link
+// that points at it, so any slot unlinks in O(1). The zero List is empty;
+// a List must not be copied once used.
 type List[T comparable] struct {
-	head Slot[T]
-	n    int
+	head *Slot[T]
 }
 
-// Len returns the number of records on l.
-func (l *List[T]) Len() int { return l.n }
+// Empty reports whether l holds no records.
+func (l *List[T]) Empty() bool { return l.head == nil }
 
-// Push adds s to the back of l. s must be on no list.
+// Push adds s to the front of l. s must be on no list.
 func (l *List[T]) Push(s *Slot[T]) {
-	h := &l.head
-	if h.onext == nil {
-		h.onext, h.oprev = h, h
+	s.onext, s.oprev = l.head, &l.head
+	if l.head != nil {
+		l.head.oprev = &s.onext
 	}
-	s.onext, s.oprev = h, h.oprev
-	h.oprev.onext = s
-	h.oprev = s
-	l.n++
+	l.head = s
 }
 
 // Remove takes s off l. s must be on l.
 func (l *List[T]) Remove(s *Slot[T]) {
-	s.oprev.onext = s.onext
-	s.onext.oprev = s.oprev
+	*s.oprev = s.onext
+	if s.onext != nil {
+		s.onext.oprev = s.oprev
+	}
 	s.onext, s.oprev = nil, nil
-	l.n--
 }
 
 // Front returns the record at the front of l, or the zero T when l is
 // empty.
 func (l *List[T]) Front() T {
-	if l.n == 0 {
+	if l.head == nil {
 		var zero T
 		return zero
 	}
-	return l.head.onext.item
+	return l.head.item
 }

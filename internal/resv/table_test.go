@@ -152,12 +152,13 @@ func (m *tableModel) check() {
 	}
 	for o := range m.lists {
 		l := &m.lists[o]
-		if l.Len() != len(m.owners[o]) {
-			m.t.Fatalf("owner %d: list Len %d, model holds %d", o, l.Len(), len(m.owners[o]))
+		if l.Empty() != (len(m.owners[o]) == 0) {
+			m.t.Fatalf("owner %d: list Empty %v, model holds %d", o, l.Empty(), len(m.owners[o]))
 		}
 		n := 0
-		for s := l.head.onext; s != nil && s != &l.head; s = s.onext {
-			if s.onext.oprev != s {
+		for p := &l.head; *p != nil; p = &(*p).onext {
+			s := *p
+			if s.oprev != p {
 				m.t.Fatalf("owner %d: broken back link at key %d", o, s.key)
 			}
 			if !m.owners[o][s.key] || s.item.owner != o {
@@ -301,7 +302,7 @@ func TestTableReuseWithLinkedTimer(t *testing.T) {
 			t.Fatalf("ttl %d: record expired before its deadline", ttl)
 		}
 		m.advance(m.res + 1)
-		if m.tab.Get(9) != nil || m.lists[1].Len() != 0 {
+		if m.tab.Get(9) != nil || !m.lists[1].Empty() {
 			t.Fatalf("ttl %d: record not expired one tick past its deadline", ttl)
 		}
 		m.check()

@@ -24,9 +24,13 @@ import (
 // accounting are exactly the stream transport's. Peers are reaped as soon
 // as they hold no flows and no dispatch is in flight: after the dispatch
 // that tore their last flow down, or after the expiry step that expired
-// it.
+// it. A reaped peer's record is kept for the next new peer, so a client
+// whose every teardown empties its peer does not cost an allocation per
+// reserve.
 
-// maxUDPReaders bounds the fixed reader pool ServePacket spawns.
+// maxUDPReaders bounds the fixed reader pool ServePacket spawns, and the
+// reaped peers kept for reuse: each reader creates at most one peer at a
+// time.
 const maxUDPReaders = 8
 
 // udpReaderCount sizes the reader pool: one reader per schedulable CPU,
@@ -120,7 +124,15 @@ func (s *Server) acquireUDPPeer(addr net.Addr) *conn {
 	s.udpMu.Lock()
 	c := s.udpPeers[key]
 	if c == nil {
-		c = &conn{datagram: true, raddr: addr, key: key}
+		if n := len(s.udpFree); n > 0 {
+			c = s.udpFree[n-1]
+			s.udpFree[n-1] = nil
+			s.udpFree = s.udpFree[:n-1]
+		} else {
+			c = s.newConn(nil)
+			c.datagram = true
+		}
+		c.key = key
 		if s.udpPeers == nil {
 			s.udpPeers = make(map[string]*conn)
 		}
@@ -142,13 +154,17 @@ func (s *Server) releaseUDPPeer(c *conn) {
 
 // reapUDPPeerLocked forgets the peer c when no dispatch is in flight on it
 // and it holds no flows — unless it was forgotten already, and its
-// address may since belong to a new peer. Callers hold udpMu.
+// address may since belong to a new peer — and keeps its record for
+// reuse. Callers hold udpMu.
 func (s *Server) reapUDPPeerLocked(c *conn) {
 	if c.inflight > 0 {
 		return
 	}
-	if c.flows.Len() == 0 && s.udpPeers[c.key] == c {
+	if c.flows.Empty() && s.udpPeers[c.key] == c {
 		delete(s.udpPeers, c.key)
 		s.metrics.UDPPeers.Dec()
+		if len(s.udpFree) < maxUDPReaders {
+			s.udpFree = append(s.udpFree, c)
+		}
 	}
 }

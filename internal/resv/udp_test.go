@@ -497,3 +497,134 @@ func TestUDPPeerReapedAfterExpiry(t *testing.T) {
 		t.Fatalf("%d datagram peers still mapped after the gauge read 0", n)
 	}
 }
+
+// udpPeerAcrossShards makes a server for the cross-shard reaping tests,
+// with its expiry loop stopped (the tests step expiry by hand) and a TTL
+// long enough that no wall-clock tick could expire a flow meanwhile. It
+// returns the server with two flow IDs in each of four shards, ordered so
+// that every shard's list still holds a flow until the second half.
+func udpPeerAcrossShards(t *testing.T) (*Server, []uint64) {
+	t.Helper()
+	r, err := utility.NewRigid(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServerTTL(8, r, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// Two IDs in each of the first four shards flow IDs 1, 2, ... reach.
+	const shards = 4
+	byShard := map[*shard][]uint64{}
+	var order []*shard
+	for id, full := uint64(1), 0; full < shards; id++ {
+		sh := s.shardFor(id)
+		n := len(byShard[sh])
+		if n == 2 || (n == 0 && len(order) == shards) {
+			continue
+		}
+		if n == 0 {
+			order = append(order, sh)
+		} else {
+			full++
+		}
+		byShard[sh] = append(byShard[sh], id)
+	}
+	var ids []uint64
+	for round := 0; round < 2; round++ {
+		for _, sh := range order {
+			ids = append(ids, byShard[sh][round])
+		}
+	}
+	return s, ids
+}
+
+// udpOp serves one datagram from addr as a reader goroutine does, and
+// checks its reply type.
+func udpOp(t *testing.T, s *Server, addr net.Addr, f Frame, want MsgType) {
+	t.Helper()
+	var bs batchStats
+	c := s.acquireUDPPeer(addr)
+	r := s.dispatch(c, f, &bs)
+	s.releaseUDPPeer(c)
+	if r.Type != want {
+		t.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
+	}
+}
+
+// udpPeerMapped reports whether addr has a datagram peer, and checks the
+// peer gauge agrees.
+func udpPeerMapped(t *testing.T, s *Server, addr net.Addr) bool {
+	t.Helper()
+	s.udpMu.Lock()
+	c := s.udpPeers[addr.String()]
+	n := len(s.udpPeers)
+	s.udpMu.Unlock()
+	if g := s.Metrics().UDPPeers.Load(); g != int64(n) {
+		t.Fatalf("udp peer gauge %d, %d peers mapped", g, n)
+	}
+	return c != nil
+}
+
+// TestUDPPeerAcrossShardsReapedOnTeardown: a datagram peer whose flows sit
+// two to a shard in four shards stays mapped while any of them lives, and
+// is reaped by the teardown of its last.
+func TestUDPPeerAcrossShardsReapedOnTeardown(t *testing.T) {
+	s, ids := udpPeerAcrossShards(t)
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40001}
+	for _, id := range ids {
+		udpOp(t, s, addr, Frame{Type: MsgRequest, FlowID: id, Value: 1}, MsgGrant)
+	}
+	for i, id := range ids {
+		if !udpPeerMapped(t, s, addr) {
+			t.Fatalf("peer reaped with %d of its %d flows still held", len(ids)-i, len(ids))
+		}
+		udpOp(t, s, addr, Frame{Type: MsgTeardown, FlowID: id}, MsgTeardownOK)
+	}
+	if udpPeerMapped(t, s, addr) {
+		t.Fatal("peer still mapped after the teardown of its last flow")
+	}
+	if a := s.Active(); a != 0 {
+		t.Fatalf("active = %d after every teardown", a)
+	}
+}
+
+// TestUDPPeerAcrossShardsReapedOnExpiry: the same peer's flows, re-armed
+// to fall due one at a time, expire one shard after another; the peer is
+// reaped by the expiry step that expires its last flow, and not before.
+func TestUDPPeerAcrossShardsReapedOnExpiry(t *testing.T) {
+	s, ids := udpPeerAcrossShards(t)
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40002}
+	for _, id := range ids {
+		udpOp(t, s, addr, Frame{Type: MsgRequest, FlowID: id, Value: 1}, MsgGrant)
+	}
+	s.udpMu.Lock()
+	c := s.udpPeers[addr.String()]
+	s.udpMu.Unlock()
+	res := int64(WheelRes(s.TTL()))
+	t0 := s.now() + res
+	due := func(i int) int64 { return t0 + int64(i)*8*res + int64(s.TTL()) }
+	for i, id := range ids {
+		if !s.shardFor(id).Refresh(t0+int64(i)*8*res, id, &c.flows) {
+			t.Fatalf("refresh flow %d failed", id)
+		}
+	}
+	for i := range ids {
+		s.expire(due(i))
+		if n := s.Metrics().Expiries.Load(); n != uint64(i) || !udpPeerMapped(t, s, addr) {
+			t.Fatalf("at flow %d's deadline: %d expiries (want %d), peer mapped = %v",
+				i, n, i, udpPeerMapped(t, s, addr))
+		}
+		s.expire(due(i) + res)
+		if n := s.Metrics().Expiries.Load(); n != uint64(i+1) {
+			t.Fatalf("%d expiries one tick past flow %d's deadline, want %d", n, i, i+1)
+		}
+		if mapped := udpPeerMapped(t, s, addr); mapped != (i < len(ids)-1) {
+			t.Fatalf("after flow %d of %d expired: peer mapped = %v", i+1, len(ids), mapped)
+		}
+	}
+	if a := s.Active(); a != 0 {
+		t.Fatalf("active = %d after every flow expired", a)
+	}
+}
