@@ -245,9 +245,9 @@ func BenchmarkServerHighConcurrency(b *testing.B) {
 	// Establish the standing population across a small pool of mux
 	// connections, in parallel — setup, not measured.
 	pool := 4
-	muxes := make([]*resv.MuxClient, pool)
+	muxes := make([]*resv.Client, pool)
 	for i := range muxes {
-		muxes[i] = resv.NewMuxClient(dial())
+		muxes[i] = resv.NewClient(dial())
 		defer muxes[i].Close()
 	}
 	ctx := context.Background()
@@ -260,7 +260,7 @@ func BenchmarkServerHighConcurrency(b *testing.B) {
 			hi = uint64(standing) + 1
 		}
 		wg.Add(1)
-		go func(m *resv.MuxClient, lo, hi uint64) {
+		go func(m *resv.Client, lo, hi uint64) {
 			defer wg.Done()
 			for id := lo; id < hi; id++ {
 				ok, _, err := m.Reserve(ctx, id, 1)
@@ -291,7 +291,7 @@ func BenchmarkServerHighConcurrency(b *testing.B) {
 		id := uint64(standing + i + 1)
 		m := muxes[i%pool]
 		wg.Add(1)
-		go func(m *resv.MuxClient, id uint64, n int) {
+		go func(m *resv.Client, id uint64, n int) {
 			defer wg.Done()
 			for j := 0; j < n; j++ {
 				ok, _, err := m.Reserve(ctx, id, 1)

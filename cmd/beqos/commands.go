@@ -294,7 +294,7 @@ func cmdServe(args []string) error {
 	capacity := fs.Float64("capacity", 8, "link capacity C")
 	utilName := fs.String("util", "rigid", "utility function: rigid, adaptive")
 	ttl := fs.Duration("ttl", 0, "soft-state TTL: unrefreshed reservations expire (0 = never)")
-	transport := fs.String("transport", "tcp", "serving transport: tcp (stream and mux clients), udp (datagram mode), all (both on the same address)")
+	transport := fs.String("transport", "tcp", "serving transport: tcp (stream clients), udp (datagram mode), all (both on the same address)")
 	quiet := fs.Bool("quiet", false, "suppress per-event logging")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	policyName := fs.String("policy", "counting", "admission policy: counting, bandwidth, token-bucket, tiered, measured")

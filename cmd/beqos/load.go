@@ -34,7 +34,7 @@ func cmdLoad(args []string) error {
 	dropEvery := fs.Int("drop-every", 0, "drop a connection at every n-th reserved departure (0 = off)")
 	retries := fs.Int("retries", 0, "extra attempts per denied arrival via the retry path")
 	probeTTL := fs.Duration("probe-ttl", 0, "also probe soft state against a TTL server (0 = skip)")
-	transport := fs.String("transport", "classic", "protocol transport: classic (one stream per endpoint), mux (flow-multiplexed streams), udp (datagram mode with retransmission)")
+	transport := fs.String("transport", "classic", "protocol transport: classic (one stream per endpoint), mux (the same stream client), udp (datagram mode with retransmission)")
 	batch := fs.Int("batch", 0, "coalesce simultaneous protocol ops into multi-reserve bodies of up to n ops (stream transports; 0/1 = single-frame)")
 	udpLoss := fs.Int("udp-loss", 0, "drop every n-th datagram in each direction (udp transport; 0 = lossless)")
 	udpTimeout := fs.Duration("udp-timeout", 0, "datagram retransmit flight timeout (0 = 25ms)")

@@ -106,7 +106,7 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Start wires the peer plane — one in-process pipe per ordered node pair,
-// mux client on the initiator end, peer-plane server on the other — and
+// resv.Client on the initiator end, peer-plane server on the other — and
 // launches every node's background loops. Nodes listed in skip are left
 // unwired and dormant; bring them in later with Join (late-join tests).
 func (c *Cluster) Start(skip ...int) {

@@ -42,7 +42,7 @@ func (op *hopOp) wait() { <-op.done }
 // ops pile up and ship together on the next flush (group commit), so
 // concurrency raises the coalescing factor instead of the RPC rate.
 type coalescer struct {
-	mc    *resv.MuxClient
+	mc    *resv.Client
 	n     *Node
 	delay time.Duration
 
@@ -57,7 +57,7 @@ type coalescer struct {
 	full chan struct{} // 1-buffered: a full batch is waiting (cuts the Nagle delay short)
 }
 
-func newCoalescer(n *Node, mc *resv.MuxClient, delay time.Duration) *coalescer {
+func newCoalescer(n *Node, mc *resv.Client, delay time.Duration) *coalescer {
 	return &coalescer{
 		mc:    mc,
 		n:     n,

@@ -21,8 +21,8 @@ import (
 // links' occupancy so every other node can route against it.
 //
 // The hot paths are allocation-free at steady state: a local admission is
-// a policy CAS plus a claim-table insert, and a forwarded hop rides the mux
-// transport's pooled call slots and vectored writes.
+// a policy CAS plus a claim-table insert, and a forwarded hop rides the
+// peer's shared resv.Client: recycled calls, writes coalesced.
 type Node struct {
 	idx  int
 	name string
@@ -90,13 +90,13 @@ type Node struct {
 	Logf func(format string, args ...interface{})
 }
 
-// peer is the outbound state toward one other node: the mux transport hops
+// peer is the outbound state toward one other node: the stream client hops
 // ride, the coalescer that batches them into multi-reserve frames, and the
 // piggyback dedup — the last active count gossiped per local link, so
 // forwarding traffic re-advertises a link only when its occupancy actually
 // moved.
 type peer struct {
-	mc       *resv.MuxClient
+	mc       *resv.Client
 	co       *coalescer
 	lastSent []atomic.Int64
 }
@@ -285,7 +285,7 @@ func (n *Node) logf(format string, args ...interface{}) {
 // HandlePeerConn). Safe to call while the node is serving — late joins
 // become routable the moment the pointer lands.
 func (n *Node) connectPeer(j int, nc net.Conn) {
-	p := &peer{mc: resv.NewMuxClient(nc), lastSent: make([]atomic.Int64, len(n.links))}
+	p := &peer{mc: resv.NewClient(nc), lastSent: make([]atomic.Int64, len(n.links))}
 	for i := range p.lastSent {
 		p.lastSent[i].Store(-1)
 	}
@@ -372,7 +372,7 @@ func (n *Node) gossipAll(p *peer) {
 
 // piggyback advertises local links whose occupancy moved since the last
 // snapshot this peer got — called on the forward path, so gossip rides the
-// vectored writes request traffic already pays for.
+// writes request traffic already pays for.
 func (n *Node) piggyback(p *peer) {
 	for li, ls := range n.links {
 		a := ls.Policy().Active()

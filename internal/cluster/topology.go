@@ -56,7 +56,7 @@ const (
 
 // FlowID packs a client-facing flow identifier: the pair the flow belongs
 // to and a caller-chosen 48-bit sequence number. Pair 0 with seq ≤ 2^48-1
-// is the identity, so pair-unaware clients (a stock resv.MuxClient, the
+// is the identity, so pair-unaware clients (a stock resv.Client, the
 // loadgen harness) address the first pair with their ordinary flow IDs.
 func FlowID(pair int, seq uint64) uint64 {
 	return uint64(pair)<<idxShift | seq&keyMask

@@ -34,7 +34,7 @@ func TestWireStockClient(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	mc, err := resv.DialMux(ctx, "tcp", addr)
+	mc, err := resv.Dial(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWireConnDropRollsBack(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	mc, err := resv.DialMux(ctx, "tcp", addr)
+	mc, err := resv.Dial(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestWireMultiNodeEntry(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	mcA, err := resv.DialMux(ctx, "tcp", serveWire(t, cl.Node(0)))
+	mcA, err := resv.Dial(ctx, "tcp", serveWire(t, cl.Node(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = mcA.Close() }()
-	mcB, err := resv.DialMux(ctx, "tcp", serveWire(t, cl.Node(1)))
+	mcB, err := resv.Dial(ctx, "tcp", serveWire(t, cl.Node(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

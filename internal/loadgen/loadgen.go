@@ -114,8 +114,8 @@ type Config struct {
 	PolicyDenies bool
 
 	// Transport selects how the harness reaches the server: "classic" (one
-	// stream connection per endpoint, the default), "mux" (each endpoint is
-	// a flow-multiplexed stream client), or "udp" (datagram mode with
+	// stream connection per endpoint, the default), "mux" (the same stream
+	// client under its former name), or "udp" (datagram mode with
 	// client-side retransmission).
 	Transport string
 
@@ -323,23 +323,9 @@ type arrival struct {
 	phase int
 }
 
-// rclient is the protocol surface the harness drives. *resv.Client covers
-// the classic and udp transports and *resv.MuxClient the mux transport;
-// the harness is indifferent beyond this interface.
-type rclient interface {
-	Reserve(ctx context.Context, flowID uint64, bandwidth float64) (bool, float64, error)
-	ReserveClass(ctx context.Context, flowID uint64, bandwidth float64, class uint8) (bool, float64, error)
-	ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth float64, policy resv.RetryPolicy) (bool, float64, int, error)
-	ReserveBatch(ctx context.Context, ops []resv.Frame) (resv.BatchVerdict, float64, error)
-	Teardown(ctx context.Context, flowID uint64) error
-	Stats(ctx context.Context) (int, int, error)
-	SetMetrics(m *resv.ClientMetrics)
-	Close() error
-}
-
 // endpoint is one client connection and the reservations living on it.
 type endpoint struct {
-	client   rclient
+	client   *resv.Client
 	reserved map[uint64]*flow
 }
 
@@ -562,22 +548,9 @@ func Run(cfg Config) (*Result, error) {
 // dial opens one connection to the target in the configured transport:
 // net.Pipe (stream transports) or a loopback datagram socket (udp) into an
 // in-process server, or a network dial for a remote one.
-func (r *runner) dial() (rclient, error) {
+func (r *runner) dial() (*resv.Client, error) {
 	cfg := &r.cfg
-	network := cfg.Network
-	if network == "" {
-		network = "tcp"
-	}
 	switch cfg.Transport {
-	case "mux":
-		if cfg.Server != nil {
-			cEnd, sEnd := net.Pipe()
-			go cfg.Server.HandleConn(sEnd)
-			return resv.NewMuxClient(cEnd), nil
-		}
-		ctx, cancel := rpcCtx()
-		defer cancel()
-		return resv.DialMux(ctx, network, cfg.Addr)
 	case "udp":
 		addr := cfg.Addr
 		if cfg.Server != nil {
@@ -605,15 +578,15 @@ func (r *runner) dial() (rclient, error) {
 			conn = &lossyConn{Conn: nc, every: uint64(cfg.UDPLossEvery), sent: &r.lossSent, received: &r.lossRecv}
 		}
 		return resv.NewUDPClient(conn, resv.UDPConfig{Timeout: cfg.UDPTimeout}), nil
-	default: // classic
-		return dialClassic(cfg.Server, network, cfg.Addr)
+	default: // classic and mux: the one stream client
+		return dialStream(cfg.Server, cfg.Network, cfg.Addr)
 	}
 }
 
-// dialClassic opens one plain stream connection: net.Pipe into an
-// in-process server, or a network dial. The soft-state probe always uses
-// this transport.
-func dialClassic(server *resv.Server, network, addr string) (*resv.Client, error) {
+// dialStream opens one stream connection: net.Pipe into an in-process
+// server, or a network dial. The soft-state probe always uses this
+// transport.
+func dialStream(server *resv.Server, network, addr string) (*resv.Client, error) {
 	if server != nil {
 		cEnd, sEnd := net.Pipe()
 		go server.HandleConn(sEnd)

@@ -86,7 +86,7 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	if cfg.Keepers < 1 {
 		return nil, fmt.Errorf("loadgen: probe needs at least one keeper, got %d", cfg.Keepers)
 	}
-	client, err := dialClassic(cfg.Server, cfg.Network, cfg.Addr)
+	client, err := dialStream(cfg.Server, cfg.Network, cfg.Addr)
 	if err != nil {
 		return nil, err
 	}

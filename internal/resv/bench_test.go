@@ -1,6 +1,10 @@
 package resv
 
 import (
+	"context"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,4 +137,54 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(s.Shards()), "shards")
+}
+
+// BenchmarkClientFanIn is the stream client under fan-in: fanInCallers
+// goroutines each looping reserve + teardown (one op) on their own flow,
+// sharing one net.Pipe connection or spread over four. On one connection
+// the callers' frames coalesce into shared writes and one reader routes
+// every reply; 0 allocs/op, client and server together.
+func BenchmarkClientFanIn(b *testing.B) {
+	const fanInCallers = 8
+	for _, conns := range []int{1, 4} {
+		b.Run(fmt.Sprintf("pipe/c%d-conn%d", fanInCallers, conns), func(b *testing.B) {
+			s, err := NewServer(fanInCallers, utility.NewAdaptive())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			cls := make([]*Client, conns)
+			for i := range cls {
+				cEnd, sEnd := net.Pipe()
+				go s.HandleConn(sEnd)
+				cls[i] = NewClient(cEnd)
+				defer cls[i].Close()
+			}
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < fanInCallers; g++ {
+				n := b.N / fanInCallers
+				if g == 0 {
+					n += b.N % fanInCallers
+				}
+				wg.Add(1)
+				go func(c *Client, id uint64, n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if ok, _, err := c.Reserve(ctx, id, 1); err != nil || !ok {
+							b.Errorf("reserve flow %d: ok=%v err=%v", id, ok, err)
+							return
+						}
+						if err := c.Teardown(ctx, id); err != nil {
+							b.Errorf("teardown flow %d: %v", id, err)
+							return
+						}
+					}
+				}(cls[g%conns], uint64(g+1), n)
+			}
+			wg.Wait()
+		})
+	}
 }

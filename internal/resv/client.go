@@ -2,48 +2,147 @@ package resv
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
 )
 
-// Client speaks the resv protocol over a single connection. One request is
-// in flight at a time; methods are safe for concurrent use (they serialize
-// on an internal mutex).
+// Client speaks the resv protocol over one connection. Its methods are
+// safe for concurrent use.
 //
-// Over a stream transport (TCP, Unix, net.Pipe) a round trip is one write
-// and one read. Over a datagram transport (NewUDPClient/DialUDP) the
-// client owns reliability: it retransmits the request on a reply timeout,
-// skips stale duplicated replies, and leans on the server's retransmit
-// semantics — reserve dedups against the live grant, refresh is
-// idempotent, and a teardown answered "unknown flow" after a retransmit
-// means an earlier flight already succeeded.
+// Over a stream transport (TCP, Unix, net.Pipe) concurrent calls share the
+// connection (DESIGN.md §11). A caller writes its own frames, under the
+// client's lock; a caller that finds a write in progress leaves its frames
+// for that writer, so concurrent calls coalesce into one write. The server
+// answers a connection's frames in arrival order, so a reply finds its
+// call by FlowID (reserve, teardown, refresh) or first in, first out
+// (stats and batches, whose replies carry no flow). A waiting caller reads
+// the connection itself when nobody else does, routes every reply it
+// decodes to its waiter, and hands the read role to another waiting caller
+// once its own reply is in: one call in flight costs one write and one
+// read on the caller's goroutine, as a plain request/reply client would. A
+// goroutine reads instead while replies can arrive that no caller waits
+// for: from OnGossip or Post until Close, and after a call gave up with
+// its frame on the wire while nobody else reads. At most one request may
+// be in flight per flow ID.
+//
+// Over a datagram transport (NewUDPClient/DialUDP) one request is in
+// flight at a time, and the client owns reliability: it retransmits the
+// request on a reply timeout, skips stale duplicated replies, and leans on
+// the server's retransmit semantics — reserve dedups against the live
+// grant, refresh is idempotent, and a teardown answered "unknown flow"
+// after a retransmit means an earlier flight already succeeded.
 type Client struct {
-	mu sync.Mutex
 	nc net.Conn
-	// wbuf/rbuf are the frame scratch buffers, guarded by mu. A stack
-	// array would escape through the net.Conn interface call; these keep
-	// the steady-state round trip at zero allocations.
-	wbuf, rbuf [FrameSize]byte
-	// bbuf is ReserveBatch's reusable encode buffer (header + body frames
-	// in one write), grown on first use, guarded by mu.
-	bbuf []byte
+	// metrics, if non-nil, observes every round trip (atomics-only; a set
+	// may be shared across clients). Install with SetMetrics before use.
+	metrics *ClientMetrics
+	// onGossip receives the one-way MsgGossip frames a cluster peer
+	// piggybacks on its replies; see OnGossip.
+	onGossip func(Frame)
 	// udp, when non-nil, switches round trips to datagram mode with the
 	// given retransmit parameters.
 	udp *UDPConfig
+
+	// mu guards the fields below. In datagram mode it is held for a whole
+	// round trip; in stream mode only while a call registers, a reply is
+	// routed or a call leaves, never across a read or a write.
+	mu sync.Mutex
 	// udpStale marks that a previous datagram round trip may have left
 	// late replies queued in the socket: it retransmitted (a reply that
 	// was delayed rather than lost means two answers on the wire) or gave
 	// up with flights unanswered. Before the next request the socket is
 	// swept — a stale DENY or GRANT for a re-requested flow ID would be
-	// indistinguishable from the new answer. Guarded by mu.
+	// indistinguishable from the new answer.
 	udpStale bool
-	// metrics, if non-nil, observes every round trip (atomics-only; a set
-	// may be shared across clients). Install with SetMetrics before use.
-	metrics *ClientMetrics
+	// err is terminal: set once, by Close or by a failed read or write.
+	err error
+	// wq holds the frames waiting for the next write; wout is the buffer
+	// the write in progress sends. The two swap, so neither reallocates.
+	wq, wout []byte
+	writing  bool
+	// pending holds the flow-scoped calls in flight, keyed by flow ID, from
+	// send until their waiter has read the reply. Stats and batch calls,
+	// whose replies carry no flow ID, queue in send order — the order the
+	// server answers in — and spare keeps them for reuse.
+	pending Table[*call]
+	queue   callq
+	spare   *call
+	// reading: a goroutine holds the read role. nwait counts the callers
+	// parked for their reply or the role, orphans the replies due that no
+	// caller waits for, and listening keeps a reader until Close.
+	reading   bool
+	nwait     int
+	orphans   int
+	listening bool
+	// rdl: a read deadline may be set on nc, by interrupt or fail.
+	rdl bool
+	// turn (1-buffered) wakes a parked caller to take the free read role.
+	turn chan struct{}
+	wg   sync.WaitGroup // reader goroutines
+
+	// Owned by the read role's holder: rbuf[:rn] holds received bytes not
+	// yet decoded (at most a partial frame between reads), frames holds the
+	// last read's decoded frames. A datagram round trip reads into
+	// rbuf[:FrameSize] and encodes its request into wout.
+	rbuf   [clientReadFrames * FrameSize]byte
+	rn     int
+	frames []Frame
+}
+
+// clientReadFrames is how many frames one read can take in: 1280 bytes,
+// one TCP segment.
+const clientReadFrames = 64
+
+// call is one request awaiting its reply. A flow-scoped call goes back to
+// Client.pending for Reuse, and a queued one to Client.spare, only once its
+// waiter has read the reply, or, abandoned, once nothing refers to it.
+type call struct {
+	slot  Slot[*call]
+	req   Frame
+	reply Frame
+	err   error
+	state callState
+	// parked: the waiter is blocked in await, counted in nwait. woken: a
+	// token waits in wake for it.
+	parked, woken bool
+	next          *call // Client.queue, or the spare list
+	wake          chan struct{}
+}
+
+type callState uint8
+
+const (
+	callWaiting callState = iota
+	callDone
+	// callAbandoned: the waiter left before the reply, which is still due.
+	callAbandoned
+)
+
+// callq is a queue of calls answered in send order.
+type callq struct{ head, tail *call }
+
+func (q *callq) push(cl *call) {
+	if q.tail != nil {
+		q.tail.next = cl
+	} else {
+		q.head = cl
+	}
+	q.tail = cl
+}
+
+func (q *callq) pop() *call {
+	cl := q.head
+	if cl != nil {
+		q.head, cl.next = cl.next, nil
+		if q.head == nil {
+			q.tail = nil
+		}
+	}
+	return cl
 }
 
 // UDPConfig tunes the datagram transport's request-level retransmit.
@@ -78,10 +177,24 @@ func Dial(ctx context.Context, network, addr string) (*Client, error) {
 	return NewClient(nc), nil
 }
 
-// NewClient wraps an established connection (e.g. one end of a net.Pipe).
+// NewClient wraps an established stream connection (e.g. one end of a
+// net.Pipe). It starts no goroutine.
 func NewClient(nc net.Conn) *Client {
-	return &Client{nc: nc}
+	return &Client{
+		nc:     nc,
+		wq:     make([]byte, 0, clientReadFrames*FrameSize),
+		wout:   make([]byte, 0, clientReadFrames*FrameSize),
+		turn:   make(chan struct{}, 1),
+		frames: make([]Frame, 0, clientReadFrames),
+	}
 }
+
+// MuxClient and NewMuxClient name the one stream client by its former
+// multiplexing type, for callers not yet moved to Client.
+type MuxClient = Client
+
+// NewMuxClient is NewClient.
+func NewMuxClient(nc net.Conn) *Client { return NewClient(nc) }
 
 // DialUDP connects to a resv server's datagram endpoint. The connection is
 // a connected UDP socket: the OS filters datagrams to the server's address,
@@ -101,51 +214,79 @@ func DialUDP(ctx context.Context, addr string, cfg UDPConfig) (*Client, error) {
 // transport's retransmit protocol.
 func NewUDPClient(nc net.Conn, cfg UDPConfig) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{nc: nc, udp: &cfg}
+	c := NewClient(nc)
+	c.udp = &cfg
+	return c
 }
 
-// Close tears down the connection; the server releases all reservations
-// held through it.
-func (c *Client) Close() error { return c.nc.Close() }
+// Close tears down the connection and fails every call in flight; the
+// server releases all reservations held through it. It returns once the
+// client's reader goroutine, if one runs, is gone.
+func (c *Client) Close() error {
+	if c.udp == nil {
+		c.mu.Lock()
+		c.fail(fmt.Errorf("resv: client closed: %w", net.ErrClosed))
+		c.mu.Unlock()
+	}
+	err := c.nc.Close()
+	c.wg.Wait()
+	return err
+}
 
 // SetMetrics installs a client instrument set (see NewClientMetrics); nil
 // disables instrumentation. Not safe to call concurrently with requests.
 func (c *Client) SetMetrics(m *ClientMetrics) { c.metrics = m }
 
-// writeFrame and readFrame are WriteFrame/ReadFrame through the client's
-// scratch buffers. Callers hold c.mu.
-func (c *Client) writeFrame(f Frame) error {
-	putFrame(&c.wbuf, f)
-	_, err := c.nc.Write(c.wbuf[:])
-	return err
+// OnGossip installs a hook receiving the one-way MsgGossip frames arriving
+// on this connection (reply-piggybacked occupancy from a cluster peer),
+// and starts a reader that runs until Close, so gossip is read even while
+// no call waits. The hook runs on the reading goroutine and must be fast.
+// Not safe to call concurrently with traffic: set it right after
+// NewClient.
+func (c *Client) OnGossip(h func(Frame)) {
+	c.onGossip = h
+	c.mu.Lock()
+	c.listening = true
+	c.kick()
+	c.mu.Unlock()
 }
 
-func (c *Client) readFrame() (Frame, error) {
-	if _, err := io.ReadFull(c.nc, c.rbuf[:]); err != nil {
-		return Frame{}, err
+// Post sends a one-way frame (MsgGossip) that the peer never answers: no
+// call waits for it, and it rides the write in progress when there is one,
+// so piggybacked gossip costs its 20 bytes and no extra syscall. When that
+// write has stalled with a full queue behind it, the frame is dropped —
+// gossip is refreshed continuously, so dropping one snapshot is always
+// safe — and queued reports false, so senders tracking what the peer has
+// seen don't mark it delivered. Post starts a reader that runs until
+// Close, for whatever the peer sends back.
+func (c *Client) Post(f Frame) (queued bool, err error) {
+	if c.udp != nil {
+		return false, errors.New("resv: post needs a stream transport")
 	}
-	return DecodeFrame(c.rbuf[:])
-}
-
-// roundTrip sends one frame and reads one reply, honoring the context
-// deadline. sent reports whether the request reached the wire: when it did
-// and err is non-nil, the server may have processed the request even though
-// no reply arrived.
-func (c *Client) roundTrip(ctx context.Context, req Frame) (reply Frame, sent bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return false, c.err
+	}
+	if c.writing && len(c.wq) >= clientReadFrames*FrameSize {
+		return false, nil
+	}
+	c.listening = true
+	c.kick()
+	c.wq = AppendFrame(c.wq, f)
+	c.write()
+	return c.err == nil, c.err
+}
+
+// roundTrip sends one request and returns its reply, honoring the
+// context. sent reports whether the request went to the wire: when it did
+// and err is non-nil, the server may have acted on it though no reply came
+// back.
+func (c *Client) roundTrip(ctx context.Context, req Frame) (reply Frame, sent bool, err error) {
 	if c.udp != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		return c.roundTripUDP(ctx, req)
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Time{}
-	}
-	if err := c.nc.SetDeadline(deadline); err != nil {
-		return Frame{}, false, fmt.Errorf("resv: set deadline: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return Frame{}, false, err
 	}
 	// Clock reads only when instrumented: the uninstrumented round trip
 	// stays free of time syscalls.
@@ -153,25 +294,324 @@ func (c *Client) roundTrip(ctx context.Context, req Frame) (reply Frame, sent bo
 	if c.metrics != nil {
 		t0 = time.Now()
 	}
-	if err := c.writeFrame(req); err != nil {
-		err = fmt.Errorf("resv: send %s: %w", req.Type, err)
-		if c.metrics != nil {
-			c.metrics.observe(req, Frame{}, 0, err)
-		}
+	reply, sent, err = c.exchange(ctx, req, nil)
+	if c.metrics != nil && sent {
+		c.metrics.observe(req, reply, time.Since(t0), err)
+	}
+	return reply, sent, err
+}
+
+// exchange is one stream call: register req's call, queue req and body
+// for the wire, and wait for the reply. sent is as for roundTrip.
+func (c *Client) exchange(ctx context.Context, req Frame, body []Frame) (reply Frame, sent bool, err error) {
+	if err := ctx.Err(); err != nil {
 		return Frame{}, false, err
 	}
-	reply, err = c.readFrame()
-	if err != nil {
-		err = fmt.Errorf("resv: awaiting reply to %s: %w", req.Type, err)
-		if c.metrics != nil {
-			c.metrics.observe(req, Frame{}, 0, err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return Frame{}, false, c.err
+	}
+	q := queued(req.Type)
+	cl := c.spare
+	if !q {
+		if c.pending.Get(req.FlowID) != nil {
+			return Frame{}, false, fmt.Errorf("resv: flow %d already has a request in flight", req.FlowID)
 		}
-		return Frame{}, true, err
+		cl = c.pending.Reuse()
+	} else if cl != nil {
+		c.spare, cl.next = cl.next, nil
 	}
-	if c.metrics != nil {
-		c.metrics.observe(req, reply, time.Since(t0), nil)
+	if cl == nil {
+		cl = &call{wake: make(chan struct{}, 1)}
 	}
-	return reply, true, nil
+	cl.req, cl.reply, cl.err, cl.state = req, Frame{}, nil, callWaiting
+	if q {
+		c.queue.push(cl)
+	} else {
+		c.pending.Insert(&cl.slot, req.FlowID, cl)
+	}
+	c.wq = AppendFrame(c.wq, req)
+	for _, f := range body {
+		c.wq = AppendFrame(c.wq, f)
+	}
+	c.write()
+	reply, err = c.await(ctx, cl)
+	return reply, true, err
+}
+
+// queued reports whether replies to t carry no flow ID, so its calls wait
+// in Client.queue rather than in pending.
+func queued(t MsgType) bool { return t == MsgStats || t == MsgReserveBatch }
+
+// write sends c.wq unless a write is already in progress, whose writer
+// then sends it too: a caller that finds the connection busy leaves its
+// frames behind and goes on to wait, so concurrent calls coalesce into one
+// write. A write blocks until the peer takes it or the connection fails.
+// c.mu is held on entry and on return, and released across each write.
+func (c *Client) write() {
+	if c.writing {
+		return
+	}
+	c.writing = true
+	for len(c.wq) > 0 && c.err == nil {
+		buf := c.wq
+		c.wq = c.wout
+		c.mu.Unlock()
+		_, err := c.nc.Write(buf)
+		c.mu.Lock()
+		c.wout = buf[:0]
+		if err != nil {
+			c.fail(fmt.Errorf("resv: write: %w", err))
+		}
+	}
+	c.writing = false
+}
+
+// await waits for cl's reply, taking the read role whenever it is free,
+// and recycles cl. c.mu is held on entry and on return.
+func (c *Client) await(ctx context.Context, cl *call) (Frame, error) {
+	for cl.state == callWaiting {
+		if !c.reading {
+			c.read(ctx, cl)
+			continue
+		}
+		cl.parked = true
+		c.nwait++
+		c.mu.Unlock()
+		select {
+		case <-cl.wake:
+			c.mu.Lock()
+			cl.woken = false
+		case <-c.turn:
+			c.mu.Lock()
+		case <-ctx.Done():
+			c.mu.Lock()
+			if cl.state == callWaiting {
+				c.abandon(cl)
+			}
+		}
+		if cl.parked {
+			cl.parked = false
+			c.nwait--
+		}
+	}
+	// Pass on a turn this caller took but did not use, or start a reader
+	// for the replies an abandoned call left due.
+	c.kick()
+	if cl.state == callAbandoned {
+		return Frame{}, ctx.Err()
+	}
+	if cl.woken {
+		cl.woken = false
+		<-cl.wake
+	}
+	reply, err := cl.reply, cl.err
+	c.recycle(cl)
+	return reply, err
+}
+
+// read holds the read role for cl's caller: it reads and routes replies
+// until cl is answered or ctx ends, then frees the role. c.mu is held on
+// entry and on return.
+func (c *Client) read(ctx context.Context, cl *call) {
+	c.reading = true
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, c.interrupt)
+	}
+	c.clearDeadline()
+	for cl.state == callWaiting {
+		if ctx.Err() != nil {
+			c.abandon(cl)
+			break
+		}
+		c.readOnce(cl)
+	}
+	c.reading = false
+	if stop != nil {
+		stop()
+	}
+}
+
+// readLoop is the reader goroutine kick starts: it reads while replies are
+// due that no caller waits for (listening: until Close), routing the
+// parked callers' replies meanwhile.
+func (c *Client) readLoop() {
+	defer c.wg.Done()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clearDeadline()
+	for c.err == nil && (c.listening || c.orphans > 0) {
+		c.readOnce(nil)
+	}
+	c.reading = false
+	c.kick()
+}
+
+// kick makes sure somebody reads while replies are due: with the read role
+// free, it wakes a parked caller to take it or, with nobody parked and
+// replies due that no caller waits for, starts readLoop. Caller holds c.mu.
+func (c *Client) kick() {
+	if c.reading || c.err != nil {
+		return
+	}
+	if c.nwait > 0 {
+		select {
+		case c.turn <- struct{}{}:
+		default: // a turn is already posted
+		}
+	} else if c.listening || c.orphans > 0 {
+		c.reading = true
+		c.wg.Add(1)
+		go c.readLoop()
+	}
+}
+
+// readOnce reads the connection once and routes the replies that came in;
+// me is the reading caller's call (nil for readLoop). Gossip goes to the
+// hook before c.mu is retaken. c.mu is held on entry and on return, and
+// released across the read.
+func (c *Client) readOnce(me *call) {
+	c.mu.Unlock()
+	n, err := c.nc.Read(c.rbuf[c.rn:])
+	frames, rest, derr := DecodeFrames(c.frames[:0], c.rbuf[:c.rn+n])
+	c.frames, c.rn = frames, copy(c.rbuf[:], rest)
+	for _, f := range frames {
+		if f.Type == MsgGossip && c.onGossip != nil {
+			c.onGossip(f)
+		}
+	}
+	c.mu.Lock()
+	for _, f := range frames {
+		c.route(f, me)
+	}
+	ne, _ := err.(net.Error)
+	switch {
+	case derr != nil:
+		c.fail(fmt.Errorf("resv: read: %w", derr))
+	case err == nil:
+	case ne != nil && ne.Timeout() && c.err == nil:
+		// An interrupt: the reader checks its own context and reads on.
+		c.clearDeadline()
+	default:
+		c.fail(fmt.Errorf("resv: read: %w", err))
+	}
+}
+
+// route hands one reply to the call it answers: the queue's head for a
+// stats or batch reply, otherwise the flow's pending call, if the reply is of
+// a type the request can draw (udpReplyMatches — the datagram client's
+// rule). A reply no call waits for — the late answer of a call whose
+// waiter gave up — is dropped. Caller holds c.mu.
+func (c *Client) route(f Frame, me *call) {
+	var cl *call
+	switch f.Type {
+	case MsgGossip:
+		return // one-way; the hook already has it
+	case MsgStatsReply, MsgReserveBatchReply:
+		cl = c.queue.pop()
+	default:
+		cl = c.pending.Get(f.FlowID)
+		if cl != nil && (cl.state != callWaiting || !udpReplyMatches(cl.req, f)) {
+			cl = nil
+		}
+	}
+	if cl == nil || cl.state == callAbandoned {
+		if c.orphans > 0 {
+			c.orphans--
+		}
+		if cl != nil {
+			c.recycle(cl)
+		}
+		return
+	}
+	c.complete(cl, f, nil, me)
+}
+
+// complete answers cl and wakes its waiter, unless the waiter is the
+// reader itself (me). Caller holds c.mu.
+func (c *Client) complete(cl *call, reply Frame, err error, me *call) {
+	cl.reply, cl.err, cl.state = reply, err, callDone
+	if cl.parked {
+		cl.parked = false
+		c.nwait--
+	}
+	if cl != me {
+		cl.woken = true
+		cl.wake <- struct{}{}
+	}
+}
+
+// abandon lets cl's waiter leave before its reply, which is still due and
+// becomes an orphan for whoever reads. A flow-scoped call leaves pending at
+// once, freeing its flow ID; a queued call keeps its place, so the queue
+// stays aligned with the replies, and is recycled by its reply. Caller
+// holds c.mu.
+func (c *Client) abandon(cl *call) {
+	c.orphans++
+	cl.state = callAbandoned
+	if !queued(cl.req.Type) {
+		c.pending.Remove(&cl.slot)
+	}
+}
+
+// recycle keeps a finished call for reuse. Caller holds c.mu.
+func (c *Client) recycle(cl *call) {
+	if queued(cl.req.Type) {
+		c.spare, cl.next = cl, c.spare
+	} else {
+		c.pending.Remove(&cl.slot)
+	}
+}
+
+// fail ends the client with err (the first error wins): every call in
+// flight fails with it, later calls fail at once, and a blocked reader is
+// woken. Caller holds c.mu.
+func (c *Client) fail(err error) {
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	c.wq = c.wq[:0]
+	c.pending.Each(func(cl *call) {
+		if cl.state == callWaiting {
+			c.complete(cl, Frame{}, err, nil)
+		}
+	})
+	for cl := c.queue.pop(); cl != nil; cl = c.queue.pop() {
+		if cl.state == callAbandoned {
+			c.recycle(cl)
+		} else {
+			c.complete(cl, Frame{}, err, nil)
+		}
+	}
+	c.rdl = true
+	_ = c.nc.SetReadDeadline(aLongTimeAgo)
+}
+
+// aLongTimeAgo is a read deadline in the past: it ends a blocked read.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// interrupt ends the read role holder's blocking read, for a caller whose
+// context ended. A holder woken for another's context clears the deadline
+// and reads on.
+func (c *Client) interrupt() {
+	c.mu.Lock()
+	if c.reading && c.err == nil {
+		c.rdl = true
+		_ = c.nc.SetReadDeadline(aLongTimeAgo)
+	}
+	c.mu.Unlock()
+}
+
+// clearDeadline undoes an interrupt before the next read. Caller holds
+// c.mu.
+func (c *Client) clearDeadline() {
+	if c.rdl && c.err == nil {
+		c.rdl = false
+		_ = c.nc.SetReadDeadline(time.Time{})
+	}
 }
 
 // roundTripUDP is the datagram round trip: send the request, wait up to one
@@ -211,7 +651,8 @@ func (c *Client) roundTripUDP(ctx context.Context, req Frame) (Frame, bool, erro
 		if flight > 1 && c.metrics != nil {
 			c.metrics.Retransmits.Inc()
 		}
-		if err := c.writeFrame(req); err != nil {
+		c.wout = AppendFrame(c.wout[:0], req)
+		if _, err := c.nc.Write(c.wout); err != nil {
 			// A datagram send fails only locally (closed socket, bad
 			// address); on-path loss is silent and handled by the timer.
 			return fail(fmt.Errorf("resv: send %s: %w", req.Type, err))
@@ -261,12 +702,12 @@ func (c *Client) roundTripUDP(ctx context.Context, req Frame) (Frame, bool, erro
 		req.Type, req.FlowID, c.udp.MaxFlights, c.udp.Timeout))
 }
 
-// readDatagram reads one datagram into the scratch buffer and decodes it.
-// Unlike readFrame it never spans reads: a runt or oversized datagram is a
-// decode error for that packet alone, not a framing desync. Caller holds
-// c.mu.
+// readDatagram reads one datagram into the read buffer and decodes it.
+// Unlike a stream read it never spans reads: a runt or oversized datagram
+// is a decode error for that packet alone, not a framing desync. Caller
+// holds c.mu.
 func (c *Client) readDatagram() (Frame, error) {
-	n, err := c.nc.Read(c.rbuf[:])
+	n, err := c.nc.Read(c.rbuf[:FrameSize])
 	if err != nil {
 		return Frame{}, err
 	}
@@ -295,7 +736,7 @@ func (c *Client) drainUDP() {
 		return
 	}
 	for {
-		if _, err := c.nc.Read(c.rbuf[:]); err != nil {
+		if _, err := c.nc.Read(c.rbuf[:FrameSize]); err != nil {
 			return
 		}
 	}
@@ -303,9 +744,9 @@ func (c *Client) drainUDP() {
 
 // udpReplyMatches reports whether reply can answer req: right flow, and a
 // type the request could elicit. Anything else is a stale duplicate from an
-// earlier exchange. (A stale MsgError for the same flow is indistinguishable
-// from a fresh one and may be matched; errors carry no sequence numbers in
-// the 20-byte frame.)
+// earlier exchange. Both transports route replies by it. (A stale MsgError
+// for the same flow is indistinguishable from a fresh one and may be
+// matched; errors carry no sequence numbers in the 20-byte frame.)
 func udpReplyMatches(req, reply Frame) bool {
 	switch req.Type {
 	case MsgRequest:
@@ -326,7 +767,8 @@ func udpReplyMatches(req, reply Frame) bool {
 
 // Reserve requests a reservation for flowID with the given bandwidth
 // demand. It reports whether the reservation was granted, and the granted
-// share when it was.
+// share when it was. Reservations live until torn down, expired by the
+// server's TTL, or the client's connection closes.
 func (c *Client) Reserve(ctx context.Context, flowID uint64, bandwidth float64) (granted bool, share float64, err error) {
 	granted, share, _, err = c.reserve(ctx, flowID, bandwidth, 0)
 	return granted, share, err
@@ -345,19 +787,15 @@ func (c *Client) ReserveClass(ctx context.Context, flowID uint64, bandwidth floa
 // but the reply was lost, the server may hold a grant the caller never saw.
 func (c *Client) reserve(ctx context.Context, flowID uint64, bandwidth float64, class uint8) (granted bool, share float64, sent bool, err error) {
 	reply, sent, err := c.roundTrip(ctx, Frame{Type: MsgRequest, Class: class, FlowID: flowID, Value: bandwidth})
-	if err != nil {
+	switch {
+	case err != nil:
 		return false, 0, sent, err
-	}
-	switch reply.Type {
-	case MsgGrant:
+	case reply.Type == MsgGrant:
 		return true, reply.Value, true, nil
-	case MsgDeny:
-		return false, 0, true, nil
-	case MsgError:
+	case reply.Type == MsgError:
 		return false, 0, true, fmt.Errorf("resv: reserve flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return false, 0, true, fmt.Errorf("resv: reserve flow %d: unexpected %s reply", flowID, reply.Type)
 	}
+	return false, 0, true, nil // MsgDeny: udpReplyMatches admits no other reply
 }
 
 // ReserveBatch ships up to MaxBatch reservation ops — MsgRequest and
@@ -365,55 +803,28 @@ func (c *Client) reserve(ctx context.Context, flowID uint64, bandwidth float64, 
 // multi-reserve frame sequence and one reply: a single round trip where N
 // single ops would pay N. Bit i of the verdict reports op i (granted /
 // torn down); share is the server's count-mode worst-case share, 0 in
-// bandwidth mode. Stream transports only: the datagram transport has no
-// retransmit story for partially-applied batches, so it refuses.
+// bandwidth mode. The ops are encoded before the call waits, so the
+// caller may reuse the slice once it returns. Stream transports only: the
+// datagram transport has no retransmit story for partially-applied
+// batches, so it refuses.
 func (c *Client) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, float64, error) {
 	if len(ops) < 1 || len(ops) > MaxBatch {
 		return 0, 0, fmt.Errorf("resv: batch of %d ops (want 1..%d)", len(ops), MaxBatch)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.udp != nil {
 		return 0, 0, fmt.Errorf("resv: batched reserve needs a stream transport")
-	}
-	deadline, _ := ctx.Deadline()
-	if err := c.nc.SetDeadline(deadline); err != nil {
-		return 0, 0, fmt.Errorf("resv: set deadline: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
 	}
 	var t0 time.Time
 	if c.metrics != nil {
 		t0 = time.Now()
 	}
-	if c.bbuf == nil {
-		c.bbuf = make([]byte, 0, (MaxBatch+1)*FrameSize)
-	}
-	buf := AppendFrame(c.bbuf[:0], BatchHeader(len(ops)))
-	for _, f := range ops {
-		buf = AppendFrame(buf, f)
-	}
-	c.bbuf = buf[:0]
-	fail := func(err error) (BatchVerdict, float64, error) {
-		if c.metrics != nil {
-			c.metrics.observeBatch(ops, 0, 0, err)
-		}
-		return 0, 0, err
-	}
-	if _, err := c.nc.Write(buf); err != nil {
-		return fail(fmt.Errorf("resv: send batch: %w", err))
-	}
-	reply, err := c.readFrame()
-	if err != nil {
-		return fail(fmt.Errorf("resv: awaiting batch reply: %w", err))
-	}
-	if reply.Type != MsgReserveBatchReply {
-		return fail(fmt.Errorf("resv: batch reserve: unexpected %s reply", reply.Type))
-	}
+	reply, sent, err := c.exchange(ctx, BatchHeader(len(ops)), ops)
 	v := BatchVerdict(reply.FlowID)
-	if c.metrics != nil {
-		c.metrics.observeBatch(ops, v, time.Since(t0), nil)
+	if c.metrics != nil && sent {
+		c.metrics.observeBatch(ops, v, time.Since(t0), err)
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	return v, reply.Value, nil
 }
@@ -421,34 +832,23 @@ func (c *Client) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, f
 // Teardown releases flowID's reservation.
 func (c *Client) Teardown(ctx context.Context, flowID uint64) error {
 	reply, _, err := c.roundTrip(ctx, Frame{Type: MsgTeardown, FlowID: flowID})
-	if err != nil {
-		return err
+	if err == nil && reply.Type == MsgError {
+		err = fmt.Errorf("resv: teardown flow %d: server error code %d", flowID, uint64(reply.Value))
 	}
-	switch reply.Type {
-	case MsgTeardownOK:
-		return nil
-	case MsgError:
-		return fmt.Errorf("resv: teardown flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return fmt.Errorf("resv: teardown flow %d: unexpected %s reply", flowID, reply.Type)
-	}
+	return err
 }
 
 // Refresh renews flowID's soft-state deadline on a TTL server. It returns
 // the server's TTL (0 when the server never expires reservations).
 func (c *Client) Refresh(ctx context.Context, flowID uint64) (ttl time.Duration, err error) {
 	reply, _, err := c.roundTrip(ctx, Frame{Type: MsgRefresh, FlowID: flowID})
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	switch reply.Type {
-	case MsgRefreshOK:
-		return time.Duration(reply.Value * float64(time.Second)), nil
-	case MsgError:
+	case reply.Type == MsgError:
 		return 0, fmt.Errorf("resv: refresh flow %d: server error code %d", flowID, uint64(reply.Value))
-	default:
-		return 0, fmt.Errorf("resv: refresh flow %d: unexpected %s reply", flowID, reply.Type)
 	}
+	return time.Duration(reply.Value * float64(time.Second)), nil
 }
 
 // KeepAlive refreshes flowID at the given interval until ctx is canceled
@@ -520,8 +920,7 @@ type RetryPolicy struct {
 }
 
 // jittered randomizes one backoff delay by ±Jitter·d, drawing from the
-// policy's injected generator or the process-global one. Both retrying
-// clients (Client and MuxClient) funnel their waits through it.
+// policy's injected generator or the process-global one.
 func (p RetryPolicy) jittered(d time.Duration) time.Duration {
 	if p.Jitter <= 0 || d <= 0 {
 		return d
@@ -559,11 +958,18 @@ func (c *Client) ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth 
 		ok, sh, sent, err := c.reserve(ctx, flowID, bandwidth, 0)
 		if err != nil {
 			if sent {
-				// The request reached the wire but its reply did not come
+				// The request reached the wire but no usable answer came
 				// back (timeout, connection drop). The server may hold the
 				// grant while we report failure — release it rather than
-				// leak a reservation nobody will use or tear down.
-				c.teardownBestEffort(flowID)
+				// leak a reservation nobody will use or tear down, waiting
+				// up to a second. The failed request's late reply cannot
+				// answer the teardown (udpReplyMatches). Errors are
+				// deliberately swallowed: the connection is already
+				// suspect, and closing it remains the backstop that
+				// releases everything.
+				tctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				_, _, _ = c.roundTrip(tctx, Frame{Type: MsgTeardown, FlowID: flowID})
+				cancel()
 			}
 			return false, 0, attempt - 1, err
 		}
@@ -583,47 +989,5 @@ func (c *Client) ReserveWithRetry(ctx context.Context, flowID uint64, bandwidth 
 		case <-time.After(d):
 		}
 		delay = time.Duration(float64(delay) * policy.Multiplier)
-	}
-}
-
-// bestEffortTeardownTimeout bounds how long a post-failure cleanup may
-// occupy the connection.
-const bestEffortTeardownTimeout = time.Second
-
-// teardownBestEffort tries to release flowID after a transport failure left
-// the reservation state unknown. The reply stream may still hold a stale
-// reply to the failed request, so it drains frames until the teardown's own
-// reply arrives (or the deadline passes). Errors are deliberately swallowed:
-// the connection is already suspect, and closing it remains the backstop
-// that releases everything.
-func (c *Client) teardownBestEffort(flowID uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.udp != nil {
-		// The datagram round trip already retransmits and skips stale
-		// replies; on a TTL server even total loss here only delays the
-		// release until the soft state expires.
-		ctx, cancel := context.WithTimeout(context.Background(), bestEffortTeardownTimeout)
-		defer cancel()
-		_, _, _ = c.roundTripUDP(ctx, Frame{Type: MsgTeardown, FlowID: flowID})
-		return
-	}
-	if err := c.nc.SetDeadline(time.Now().Add(bestEffortTeardownTimeout)); err != nil {
-		return
-	}
-	if err := c.writeFrame(Frame{Type: MsgTeardown, FlowID: flowID}); err != nil {
-		return
-	}
-	for {
-		reply, err := c.readFrame()
-		if err != nil {
-			return
-		}
-		// Skip the failed request's late reply (a grant or denial for the
-		// same flow); stop at the teardown's MsgTeardownOK, or at MsgError
-		// if the request never took effect server-side.
-		if reply.FlowID == flowID && (reply.Type == MsgTeardownOK || reply.Type == MsgError) {
-			return
-		}
 	}
 }

@@ -6,10 +6,10 @@
 // backoff, mirroring the §5.2 extension.
 //
 // The protocol is deliberately small: fixed 20-byte frames over any
-// net.Conn (TCP, Unix sockets, or net.Pipe in tests), one request in
-// flight per connection, and reservations tied to the connection's
-// lifetime — a connection drop releases its flows, the moral equivalent of
-// RSVP's soft state.
+// net.Conn (TCP, Unix sockets, or net.Pipe in tests), answered in arrival
+// order, and reservations tied to the connection's lifetime — a
+// connection drop releases its flows, the moral equivalent of RSVP's soft
+// state.
 package resv
 
 import (
@@ -60,7 +60,7 @@ const (
 	// top 16 bits and a monotone per-owner version in the low 48, Value is
 	// the link's active reservation count. Gossip is one-way — a receiver
 	// never replies — so it can piggyback on any stream the sender already
-	// writes (MuxClient.Post) without disturbing request/reply matching.
+	// writes (Client.Post) without disturbing request/reply matching.
 	MsgGossip
 	// MsgReserveBatch opens a batched admission request: FlowID carries the
 	// body length N (1..MaxBatch) and the header is followed by exactly N
@@ -300,10 +300,10 @@ func ParseStatsReply(f Frame) (kmax, active int64, err error) {
 	return int64(f.FlowID), int64(v), nil
 }
 
-// statsFromReply is the shared client-side stats decode: both the classic
-// client and the mux client funnel replies through it so neither can
-// regress to bare int(Value) truncation. It additionally guards the
-// conversion to the platform int.
+// statsFromReply is the client-side stats decode: every stats reply, over
+// either transport, goes through it, so no path can regress to bare
+// int(Value) truncation. It additionally guards the conversion to the
+// platform int.
 func statsFromReply(reply Frame) (kmax, active int, err error) {
 	if reply.Type == MsgError {
 		return 0, 0, fmt.Errorf("resv: stats failed: server error %v", ErrorCode(reply.FlowID))
@@ -337,8 +337,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // MaxBatch is the largest body a MsgReserveBatch may carry. 64 ops keep
 // the reply verdict an exact one-frame bitmap (one bit per op in the
-// reply's FlowID) and match the mux transport's write-coalescing window,
-// so a full batch still flushes as a single vectored write.
+// reply's FlowID), and a full batch with its header is 1300 bytes, about
+// one TCP segment, sent by the stream client in one write.
 const MaxBatch = 64
 
 // BatchVerdict is the per-op outcome bitmap a MsgReserveBatchReply

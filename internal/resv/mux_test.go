@@ -12,12 +12,13 @@ import (
 	"beqos/internal/utility"
 )
 
-// pipeMux connects a MuxClient to the server over an in-memory pipe.
-func pipeMux(t *testing.T, s *Server) *MuxClient {
+// pipeMux connects a client, shared by many goroutines, to the server
+// over an in-memory pipe.
+func pipeMux(t *testing.T, s *Server) *Client {
 	t.Helper()
 	cEnd, sEnd := net.Pipe()
 	go s.HandleConn(sEnd)
-	m := NewMuxClient(cEnd)
+	m := NewClient(cEnd)
 	t.Cleanup(func() { _ = m.Close() })
 	return m
 }
@@ -132,7 +133,7 @@ func TestMuxStatsInterleaved(t *testing.T) {
 func TestMuxDuplicateInFlight(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	defer sEnd.Close()
-	m := NewMuxClient(cEnd) // nobody serves sEnd: the first request hangs
+	m := NewClient(cEnd) // nobody serves sEnd: the first request hangs
 	firstDone := make(chan error, 1)
 	go func() {
 		_, _, err := m.Reserve(context.Background(), 1, 1)
@@ -142,7 +143,7 @@ func TestMuxDuplicateInFlight(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		m.mu.Lock()
-		registered := len(m.pending) == 1
+		registered := m.pending.Len() == 1
 		m.mu.Unlock()
 		if registered {
 			break
@@ -169,7 +170,7 @@ func TestMuxCloseReleasesFlows(t *testing.T) {
 	defer s.Close()
 	cEnd, sEnd := net.Pipe()
 	go s.HandleConn(sEnd)
-	m := NewMuxClient(cEnd)
+	m := NewClient(cEnd)
 	c := ctx(t)
 	for id := uint64(1); id <= 5; id++ {
 		if ok, _, err := m.Reserve(c, id, 1); err != nil || !ok {
@@ -182,7 +183,7 @@ func TestMuxCloseReleasesFlows(t *testing.T) {
 	_ = m.Close()
 	waitActive(t, s, 0)
 	if _, _, err := m.Reserve(c, 99, 1); err == nil {
-		t.Error("reserve on a closed MuxClient: err = nil, want failure")
+		t.Error("reserve on a closed client: err = nil, want failure")
 	}
 }
 
