@@ -1,6 +1,6 @@
 // Cluster-plane benchmarks: distributed path admission throughput across
 // in-process node fleets, the zero-alloc local-admit hot path, and the
-// forwarded-hop path over the mux peer transport. One op is a full path
+// forwarded-hop path over the peer's stream client. One op is a full path
 // reserve→grant plus teardown→ok cycle (two protocol round trips), so
 // requests/sec = 2e9 / (ns/op), aggregated across every entry node.
 // `make bench-diff` gates BenchmarkClusterThroughput with an absolute
@@ -142,9 +142,9 @@ func BenchmarkClusterLocalAdmit(b *testing.B) {
 }
 
 // BenchmarkClusterForward pins the forwarded-hop path: the entry node owns
-// nothing, so every reserve and teardown crosses the mux peer transport to
-// the link's owner and back. Must stay at 0 allocs/op on the entry side —
-// hops ride the mux client's pooled call slots and vectored writes.
+// nothing, so every reserve and teardown crosses the peer's stream client
+// to the link's owner and back, flushed by the caller itself. Must stay at
+// 0 allocs/op on the entry side — hop ops and client calls are recycled.
 func BenchmarkClusterForward(b *testing.B) {
 	cl := benchClusterStart(b, "node entry\nnode owner\nlink l owner 1048576\npath p l\npair x entry owner p\n")
 	l := cl.Node(0).NewLocal()

@@ -129,12 +129,13 @@ func TestClusterBatchPartialGrantRollsBack(t *testing.T) {
 }
 
 // TestClusterBatchRacedBoundary races batched admissions from both entry
-// nodes on the shared bottleneck with the hop coalescer's Nagle flush
-// enabled: grants across every batch must sum to exactly the shared bound,
-// denied flows must leave zero upstream residue, and concurrent batched
-// teardowns release every grant exactly once. Run under -race in CI.
+// nodes on the shared bottleneck, so their hops meet in the shared link's
+// coalescers: grants across every batch must sum to exactly the shared
+// bound, denied flows must leave zero upstream residue, and concurrent
+// batched teardowns release every grant exactly once. Run under -race in
+// CI.
 func TestClusterBatchRacedBoundary(t *testing.T) {
-	cl := startCluster(t, sharedSpec, Config{HopBatchDelay: time.Millisecond})
+	cl := startCluster(t, sharedSpec, Config{})
 	topo := cl.topo
 	laIdx, lbIdx, shIdx := topo.LinkIndex("la"), topo.LinkIndex("lb"), topo.LinkIndex("shared")
 	bound := cl.Bounds()[shIdx]

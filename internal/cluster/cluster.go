@@ -27,12 +27,6 @@ type Config struct {
 	// falls back to hashed placement. Defaults to 8× AntiEntropy; negative
 	// disables the check (signals never go stale).
 	Stale time.Duration
-	// HopBatchDelay is the latency bound of the per-peer hop coalescer's
-	// Nagle flush: an outbound hop RPC waits up to this long for companions
-	// before shipping (a full batch of resv.MaxBatch ships immediately).
-	// 0, the default, flushes eagerly — concurrency alone sets the batch
-	// size via group commit.
-	HopBatchDelay time.Duration
 	// Logf, if non-nil, receives one line per notable node event.
 	Logf func(format string, args ...interface{})
 }
@@ -95,7 +89,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{topo: topo, bounds: bounds, nodes: make([]*Node, len(topo.Nodes)), ae: ae}
 	for i := range topo.Nodes {
-		n, err := newNode(i, topo, bounds, cfg.TTL, cfg.Router, stale, cfg.HopBatchDelay)
+		n, err := newNode(i, topo, bounds, cfg.TTL, cfg.Router, stale)
 		if err != nil {
 			return nil, err
 		}

@@ -369,14 +369,12 @@ func TestKilledNodeReleasesAndExpires(t *testing.T) {
 	}
 	// The surviving entry node's flow state for the pre-kill grant expires
 	// via TTL (it can no longer refresh or tear down through the dead
-	// owner), releasing its local hop.
+	// owner), releasing its local hop. The expiry step releases a link's
+	// claims before it counts them, so both are waited for together.
 	lbIdx := topo.LinkIndex("lb")
-	waitFor(t, "TTL expiry of the orphaned flow", func() bool {
-		return cl.Node(1).LinkActive(lbIdx) == 0
+	waitFor(t, "TTL expiry of the orphaned flow, released and counted", func() bool {
+		return cl.Node(1).LinkActive(lbIdx) == 0 && cl.Node(1).Metrics().Expiries.Load() > 0
 	})
-	if cl.Node(1).Metrics().Expiries.Load() == 0 {
-		t.Error("no expiries recorded for the orphaned flow")
-	}
 }
 
 // TestRefreshExtendsTTL: refreshed reservations outlive several TTL

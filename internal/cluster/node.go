@@ -21,8 +21,9 @@ import (
 // links' occupancy so every other node can route against it.
 //
 // The hot paths are allocation-free at steady state: a local admission is
-// a policy CAS plus a claim-table insert, and a forwarded hop rides the
-// peer's shared resv.Client: recycled calls, writes coalesced.
+// a policy CAS plus a claim-table insert, and a forwarded hop is flushed
+// by its waiting caller over the peer's shared resv.Client: recycled
+// calls, writes coalesced.
 type Node struct {
 	idx  int
 	name string
@@ -31,7 +32,6 @@ type Node struct {
 	ttl        time.Duration
 	staleNanos int64
 	routerMode RouterMode
-	hopDelay   time.Duration
 	epoch      time.Time
 
 	// links are the locally-owned links; byGlobal maps a global link index
@@ -180,7 +180,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 // newNode builds a node over the shared topology. bounds must hold every
 // link's admission bound (the cluster computes them once from the utility
 // function).
-func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router RouterMode, stale, hopDelay time.Duration) (*Node, error) {
+func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router RouterMode, stale time.Duration) (*Node, error) {
 	n := &Node{
 		idx:        idx,
 		name:       topo.Nodes[idx],
@@ -188,7 +188,6 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		ttl:        ttl,
 		staleNanos: int64(stale),
 		routerMode: router,
-		hopDelay:   hopDelay,
 		epoch:      time.Now(),
 		byGlobal:   make([]*linkState, len(topo.Links)),
 		bounds:     bounds,
@@ -292,9 +291,7 @@ func (n *Node) connectPeer(j int, nc net.Conn) {
 	// Occupancy snapshots piggybacked on the owner's batch replies arrive
 	// outside any request/reply pairing; route them into the gossip view.
 	p.mc.OnGossip(func(f resv.Frame) { n.applyGossip(f, n.nowNanos()) })
-	p.co = newCoalescer(n, p.mc, n.hopDelay)
-	n.wg.Add(1)
-	go p.co.run(n.stop)
+	p.co = newCoalescer(n, p.mc)
 	n.peers[j].Store(p)
 }
 
@@ -312,10 +309,11 @@ func (n *Node) start(antiEntropy time.Duration) {
 }
 
 // Close stops the node: background loops, outbound peer transports, and
-// inbound connections, whose handlers it waits for. Claims its outbound
-// flows held on other nodes are released by their connection drops;
-// claims held on this node die with the process (or, for tests, with the
-// link cells).
+// inbound connections, whose handlers it waits for. A hop flush in flight
+// fails with its transport, and so does every hop queued behind it; no
+// hop is queued after Close begins. Claims its outbound flows held on
+// other nodes are released by their connection drops; claims held on this
+// node die with the process (or, for tests, with the link cells).
 func (n *Node) Close() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
@@ -332,6 +330,16 @@ func (n *Node) Close() {
 	})
 	n.handlers.Wait()
 	n.wg.Wait()
+}
+
+// stopping reports whether Close has begun.
+func (n *Node) stopping() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 func (n *Node) antiEntropyLoop(interval time.Duration) {
@@ -521,13 +529,11 @@ func (n *Node) HandlePeerConn(nc net.Conn) {
 // connections registered before it.
 func (n *Node) serve(nc net.Conn, h resv.Handler, release func()) {
 	n.imu.Lock()
-	select {
-	case <-n.stop:
+	if n.stopping() {
 		n.imu.Unlock()
 		_ = nc.Close()
 		release()
 		return
-	default:
 	}
 	n.inbound[nc] = struct{}{}
 	n.handlers.Add(1)
@@ -741,27 +747,34 @@ func (n *Node) linkShare(g int) float64 {
 }
 
 // releaseHops releases the first upTo links of a path claimed under
-// hopKey: local links through their cells, remote links by
-// best-effort teardown (an owner that already expired the claim answers
-// unknown-flow, which is exactly the release-once outcome; an unreachable
-// owner's TTL reaps it). Every remote link in the released prefix was
-// granted, so its own-claim count comes down with it.
+// hopKey, last link first, waiting for each remote teardown.
 func (n *Node) releaseHops(pathIdx int, hopKey uint64, upTo int, now int64) {
 	path := &n.topo.Paths[pathIdx]
 	for i := upTo - 1; i >= 0; i-- {
-		g := path.Links[i]
-		if ls := n.byGlobal[g]; ls != nil {
-			ls.Release(now, hopKey, nil)
-			continue
-		}
-		n.own[g].Add(-1)
-		if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
-			if op := p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | hopKey}); op != nil {
-				op.wait()
-				p.co.put(op)
-			}
+		if op := n.releaseHop(path.Links[i], hopKey, now); op != nil {
+			op.wait()
+			op.co.put(op)
 		}
 	}
+}
+
+// releaseHop releases link g's claim under hopKey: a local link in its
+// cell, a remote link by a best-effort teardown queued on its owner's
+// coalescer (an owner that already expired the claim answers
+// unknown-flow, which is exactly the release-once outcome; an unreachable
+// owner's TTL reaps it). The claim was granted, so a remote link's
+// own-claim count comes down with it. It returns the queued teardown for
+// the caller to wait on, nil for a local link or an unreachable owner.
+func (n *Node) releaseHop(g int, hopKey uint64, now int64) *hopOp {
+	if ls := n.byGlobal[g]; ls != nil {
+		ls.Release(now, hopKey, nil)
+		return nil
+	}
+	n.own[g].Add(-1)
+	if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
+		return p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | hopKey})
+	}
+	return nil
 }
 
 func (n *Node) teardownPath(c *cconn, f resv.Frame, now int64) resv.Frame {
@@ -805,8 +818,8 @@ func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 
 // batchFlow is one batch op's working state: the pending path flow (nil
 // for an op whose bit is already decided: an invalid op or a teardown),
-// the claimed-or-enqueued prefix of its path, and the remote rendezvous
-// per hop position (nil = local hop, claimed inline).
+// the claimed-or-enqueued prefix of its path, and the queued remote op per
+// hop position (nil = local hop, claimed inline).
 type batchFlow struct {
 	failed   bool
 	pf       *resv.Hold[pathFlow]
@@ -835,9 +848,10 @@ var batchScratchPool = sync.Pool{New: func() interface{} {
 
 // dispatchClientBatch serves one client-plane MsgReserveBatch body: every
 // request op routes, installs its pending flow, claims local hops inline
-// and enqueues remote hops on their owners' coalescers — so N flows
-// sharing a next hop cost one batched hop RPC instead of N round trips —
-// then all rendezvous complete and each flow finalizes all-or-nothing.
+// and enqueues remote hops on their owners' coalescers, then waits for
+// every queued op — the first wait on a peer ships that peer's queue, so N
+// flows sharing a next hop cost one batched hop RPC instead of N round
+// trips — and each flow finalizes all-or-nothing.
 // Teardown ops release in place (body order is preserved per peer, so a
 // teardown's freed slot is claimable by a later op in the same batch). The
 // reply's verdict bit i reports op i; Value is the minimum granted
@@ -912,17 +926,10 @@ func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *
 			*verdict |= 1 << uint(i)
 			n.metrics.PathTeardowns.Inc()
 			for _, g := range n.topo.Paths[pf.path].Links {
-				if ls := n.byGlobal[g]; ls != nil {
-					ls.Release(now, pf.hopKey, nil)
-					continue
-				}
-				n.own[g].Add(-1)
-				owner := n.topo.Links[g].Owner
-				if p := n.peers[owner].Load(); p != nil {
-					if op := p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | pf.hopKey}); op != nil {
-						sc.waves = append(sc.waves, op)
-						sc.peers[owner>>6] |= 1 << uint(owner&63)
-					}
+				if op := n.releaseHop(g, pf.hopKey, now); op != nil {
+					sc.waves = append(sc.waves, op)
+					owner := n.topo.Links[g].Owner
+					sc.peers[owner>>6] |= 1 << uint(owner&63)
 				}
 			}
 		case resv.MsgRequest:
@@ -997,9 +1004,9 @@ func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *
 }
 
 // finishBatch is phases 2 and 3 of the segment of ops [start, end), whose
-// phase 1 began at t0: every rendezvous completes — the coalescers have
-// been batching the enqueued ops per owner the whole time — and each flow
-// finalizes all-or-nothing.
+// phase 1 began at t0: every queued op is waited for — the first wait on
+// an owner ships what phase 1 queued there — and each flow finalizes
+// all-or-nothing.
 func (n *Node) finishBatch(c *cconn, start, end int, now, t0 int64, sc *batchScratch, verdict *resv.BatchVerdict) {
 	nremote := len(sc.waves)
 	for _, op := range sc.waves {
@@ -1073,23 +1080,18 @@ func (n *Node) finishBatch(c *cconn, start, end int, now, t0 int64, sc *batchScr
 		path := &n.topo.Paths[bf.pathIdx]
 		rolled := false
 		for pos := bf.nlinks - 1; pos >= 0; pos-- {
-			g := path.Links[pos]
+			// A nil op is a local hop, claimed inline; a remote one is
+			// released only if its owner granted it.
 			op := bf.ops[pos]
-			if op == nil {
-				n.byGlobal[g].Release(now, bf.hopKey, nil)
-				rolled = true
-				continue
-			}
-			if op.err == nil && op.granted {
-				n.own[g].Add(-1)
-				if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
-					if top := p.co.enqueue(resv.Frame{Type: resv.MsgTeardown, FlowID: uint64(g)<<idxShift | bf.hopKey}); top != nil {
-						sc.waves = append(sc.waves, top)
-					}
+			if op == nil || op.err == nil && op.granted {
+				if top := n.releaseHop(path.Links[pos], bf.hopKey, now); top != nil {
+					sc.waves = append(sc.waves, top)
 				}
 				rolled = true
 			}
-			op.co.put(op)
+			if op != nil {
+				op.co.put(op)
+			}
 		}
 		if rolled {
 			n.metrics.Rollbacks.Inc()

@@ -1,7 +1,5 @@
 package cluster
 
-import "math"
-
 // RouterMode selects how a node places a reserve request among a pair's
 // candidate paths.
 type RouterMode uint8
@@ -97,17 +95,4 @@ func (n *Node) pathLoad(pathIdx int, now int64) (load float64, fresh bool) {
 		}
 	}
 	return load, true
-}
-
-// pathShareFloor is the worst-case share a grant on this path guarantees:
-// the minimum over links of capacity/bound — each link's counting-policy
-// grant value — so the path promise is as strong as its tightest link.
-func (n *Node) pathShareFloor(p *Path) float64 {
-	share := math.MaxFloat64
-	for _, g := range p.Links {
-		if s := n.topo.Links[g].Capacity / float64(n.bounds[g]); s < share {
-			share = s
-		}
-	}
-	return share
 }

@@ -15,11 +15,9 @@ package resv
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // MsgType identifies a protocol frame.
@@ -318,23 +316,6 @@ func statsFromReply(reply Frame) (kmax, active int, err error) {
 	return int(k), int(a), nil
 }
 
-// frameBufPool recycles frame scratch buffers for WriteFrame/ReadFrame. A
-// local array would escape through the io.Writer/io.Reader interface call
-// (the function is past the inlining budget, so no devirtualization saves
-// it), putting one heap allocation on every frame — the pool makes the
-// steady state allocation-free. Hot paths with a stable peer keep their
-// own scratch instead (Client's buffers, the server's batch buffers).
-var frameBufPool = sync.Pool{New: func() interface{} { return new([FrameSize]byte) }}
-
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf := frameBufPool.Get().(*[FrameSize]byte)
-	putFrame(buf, f)
-	_, err := w.Write(buf[:])
-	frameBufPool.Put(buf)
-	return err
-}
-
 // MaxBatch is the largest body a MsgReserveBatch may carry. 64 ops keep
 // the reply verdict an exact one-frame bitmap (one bit per op in the
 // reply's FlowID), and a full batch with its header is 1300 bytes, about
@@ -415,13 +396,3 @@ func (c *BatchCollector) Ops() []Frame { return c.ops[:c.n] }
 
 // Reset discards any partially collected body.
 func (c *BatchCollector) Reset() { c.want, c.n = 0, 0 }
-
-// ReadFrame reads exactly one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	buf := frameBufPool.Get().(*[FrameSize]byte)
-	defer frameBufPool.Put(buf)
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return Frame{}, err
-	}
-	return DecodeFrame(buf[:])
-}

@@ -3,11 +3,42 @@ package resv
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// WriteFrame and ReadFrame are the one-frame reference codec: the tests
+// speak the wire through them and hold the in-place codec to them.
+
+// frameBufPool recycles frame scratch buffers for WriteFrame/ReadFrame. A
+// local array would escape through the io.Writer/io.Reader interface call
+// (the function is past the inlining budget, so no devirtualization saves
+// it), putting one heap allocation on every frame — the pool makes the
+// steady state allocation-free.
+var frameBufPool = sync.Pool{New: func() interface{} { return new([FrameSize]byte) }}
+
+// WriteFrame writes one frame to w.
+func WriteFrame(w io.Writer, f Frame) error {
+	buf := frameBufPool.Get().(*[FrameSize]byte)
+	putFrame(buf, f)
+	_, err := w.Write(buf[:])
+	frameBufPool.Put(buf)
+	return err
+}
+
+// ReadFrame reads exactly one frame from r.
+func ReadFrame(r io.Reader) (Frame, error) {
+	buf := frameBufPool.Get().(*[FrameSize]byte)
+	defer frameBufPool.Put(buf)
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return Frame{}, err
+	}
+	return DecodeFrame(buf[:])
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	prop := func(typ uint8, flowID uint64, value float64) bool {

@@ -1,15 +1,13 @@
 // Package rng provides the deterministic random samplers used by the
-// flow-level simulator: exponential, Poisson, Pareto, and inversion
-// sampling from any discrete load distribution. All samplers draw from an
-// explicit source so simulations are reproducible from a seed.
+// flow-level simulator and the workload streams: exponential, normal,
+// log-normal, gamma and Pareto variates, and seed substreams for parallel
+// replications. All samplers draw from an explicit source so simulations
+// are reproducible from a seed.
 package rng
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"beqos/internal/dist"
 )
 
 // Source is a seeded random source. It wraps math/rand/v2's PCG generator,
@@ -55,65 +53,6 @@ func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 // Exp returns an exponential variate with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	return s.r.ExpFloat64() * mean
-}
-
-// Poisson returns a Poisson variate with the given mean. Small means use
-// Knuth's product method (expected mean+1 uniforms); means above 30 use
-// Hörmann's PTRS transformed-rejection sampler, which draws an expected
-// O(1) uniforms at any mean — constant time where the previously used
-// chunked product method was linear in the mean (~mean/30 inner loops at
-// the simulator's k̄ ≈ 100 regime).
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		return s.poissonPTRS(mean)
-	}
-	return s.poissonKnuth(mean)
-}
-
-func (s *Source) poissonKnuth(mean float64) int {
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// poissonPTRS is Hörmann's PTRS algorithm ("The transformed rejection
-// method for generating Poisson random variables", 1993), exact for
-// mean ≥ 10: a transformed uniform proposes k, a squeeze accepts the bulk
-// with one comparison, and the rare leftover goes through the exact
-// log-density test. Acceptance probability stays above ≈ 0.92 for all
-// means, so the expected number of uniforms drawn is constant.
-func (s *Source) poissonPTRS(mean float64) int {
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	logMean := math.Log(mean)
-	for {
-		u := s.r.Float64() - 0.5
-		v := s.r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
-			return int(k)
-		}
-	}
 }
 
 // Normal returns a normal variate with the given mean and standard
@@ -171,49 +110,4 @@ func (s *Source) Pareto(xm, alpha float64) float64 {
 		u = s.r.Float64()
 	}
 	return xm * math.Pow(u, -1/alpha)
-}
-
-// DiscreteSampler draws variates from an arbitrary dist.Discrete by
-// inversion against a cached CDF table, falling back to quantile search in
-// the far tail so heavy-tailed distributions remain exact.
-type DiscreteSampler struct {
-	d   dist.Discrete
-	cdf []float64 // cdf[k] = CDF(k)
-}
-
-// NewDiscreteSampler builds a sampler for d. The table covers the bulk of
-// the distribution (to the 1−2⁻³⁰ quantile).
-func NewDiscreteSampler(d dist.Discrete) (*DiscreteSampler, error) {
-	if d == nil {
-		return nil, fmt.Errorf("rng: nil distribution")
-	}
-	top := d.Quantile(1 - math.Pow(2, -30))
-	if top < 1 {
-		top = 1
-	}
-	cdf := make([]float64, top+1)
-	for k := 0; k <= top; k++ {
-		cdf[k] = d.CDF(k)
-	}
-	return &DiscreteSampler{d: d, cdf: cdf}, nil
-}
-
-// Sample draws one variate.
-func (ds *DiscreteSampler) Sample(s *Source) int {
-	u := s.Float64()
-	// Binary search the cached table.
-	lo, hi := 0, len(ds.cdf)-1
-	if u <= ds.cdf[hi] {
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if ds.cdf[mid] >= u {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	}
-	// Far tail: exact quantile search on the distribution itself.
-	return ds.d.Quantile(u)
 }

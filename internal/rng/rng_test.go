@@ -3,8 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-
-	"beqos/internal/dist"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -45,30 +43,6 @@ func TestExpMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	s := New(3, 4)
-	for _, mean := range []float64{0.5, 7, 100} {
-		const n = 100000
-		var sum, sq float64
-		for i := 0; i < n; i++ {
-			x := float64(s.Poisson(mean))
-			sum += x
-			sq += x * x
-		}
-		m := sum / n
-		v := sq/n - m*m
-		if math.Abs(m-mean) > 0.03*mean+0.03 {
-			t.Errorf("poisson(%g) mean = %v", mean, m)
-		}
-		if math.Abs(v-mean) > 0.05*mean+0.05 {
-			t.Errorf("poisson(%g) variance = %v, want ≈ mean", mean, v)
-		}
-	}
-	if s.Poisson(0) != 0 || s.Poisson(-1) != 0 {
-		t.Error("nonpositive mean should give 0")
-	}
-}
-
 func TestParetoTail(t *testing.T) {
 	s := New(5, 6)
 	const n = 200000
@@ -94,63 +68,31 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestDiscreteSamplerMatchesPMF(t *testing.T) {
-	d, err := dist.NewPoisson(40)
-	if err != nil {
-		t.Fatal(err)
+// TestSubstreamGolden pins Substream's derivation.
+func TestSubstreamGolden(t *testing.T) {
+	s1, s2 := Substream(7, 11, 0)
+	if s1 != 0x63cbe1e459320dd7 || s2 != 0x760fec77aacb280e {
+		t.Errorf("Substream(7,11,0) = %#x, %#x", s1, s2)
 	}
-	ds, err := NewDiscreteSampler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(9, 10)
-	const n = 300000
-	counts := make(map[int]int)
-	var sum float64
-	for i := 0; i < n; i++ {
-		k := ds.Sample(s)
-		counts[k]++
-		sum += float64(k)
-	}
-	if mean := sum / n; math.Abs(mean-40) > 0.2 {
-		t.Errorf("sampled mean = %v, want 40", mean)
-	}
-	// Spot-check a few PMF values.
-	for _, k := range []int{30, 40, 50} {
-		got := float64(counts[k]) / n
-		want := d.PMF(k)
-		if math.Abs(got-want) > 0.15*want+1e-4 {
-			t.Errorf("P(%d): sampled %v vs exact %v", k, got, want)
-		}
+	s1, s2 = Substream(7, 11, 1)
+	if s1 != 0xe6984080bab12a02 || s2 != 0x812e6299272e6df0 {
+		t.Errorf("Substream(7,11,1) = %#x, %#x", s1, s2)
 	}
 }
 
-func TestDiscreteSamplerHeavyTail(t *testing.T) {
-	d, err := dist.NewAlgebraicMean(3, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := NewDiscreteSampler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(11, 12)
-	const n = 200000
-	over := 0
-	for i := 0; i < n; i++ {
-		if ds.Sample(s) > 500 {
-			over++
+func TestSubstreamDecorrelated(t *testing.T) {
+	// Streams from adjacent indices must not track each other.
+	a1, a2 := Substream(42, 43, 5)
+	b1, b2 := Substream(42, 43, 6)
+	sa, sb := New(a1, a2), New(b1, b2)
+	same := 0
+	for i := 0; i < 1000; i++ {
+		if sa.IntN(1000) == sb.IntN(1000) {
+			same++
 		}
 	}
-	got := float64(over) / n
-	want := d.TailProb(500)
-	if math.Abs(got-want) > 0.2*want+2e-4 {
-		t.Errorf("tail P(K>500): sampled %v vs exact %v", got, want)
-	}
-}
-
-func TestDiscreteSamplerNil(t *testing.T) {
-	if _, err := NewDiscreteSampler(nil); err == nil {
-		t.Error("nil distribution should fail")
+	// Expect ~1 collision per 1000 draws for independent streams.
+	if same > 20 {
+		t.Errorf("adjacent substreams collide %d/1000 times", same)
 	}
 }
