@@ -33,8 +33,9 @@ BENCH_FLOOR = BenchmarkServerHighConcurrency=req/s:20000,BenchmarkServerHighConc
 RACE_PKGS = ./internal/core/ ./internal/resv/ ./internal/policy/ ./internal/search/ ./internal/loadgen/ ./internal/sim/ ./internal/sched/ ./internal/sweep/ ./internal/obs/ ./internal/cluster/ ./internal/workload/ ./cmd/beqos/ .
 
 # Coverage floor (percent) enforced by cover-gate on the serving,
-# admission-policy, observability, cluster and workload planes.
-COVER_PKGS  = ./internal/resv/ ./internal/policy/ ./internal/obs/ ./internal/cluster/ ./internal/workload/
+# admission-policy, observability, cluster and workload planes and the
+# load harness.
+COVER_PKGS  = ./internal/resv/ ./internal/policy/ ./internal/obs/ ./internal/cluster/ ./internal/workload/ ./internal/loadgen/
 COVER_FLOOR = 70
 
 all: build vet test
@@ -62,13 +63,15 @@ race-soak:
 
 # Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
 # smoke — a live two-cell grid cross-validated against the model — plus
-# the workload spec corpus, a scenario-driven live-harness smoke, the
+# the workload spec corpus, a scenario-driven live-harness smoke, a
+# live-harness smoke with batch bodies and connection drops, the
 # end-to-end benchmark's build and correctness smoke, and every runnable
 # example.
 check: vet race workload-check perfbench-check examples
 	$(GO) test ./...
 	$(GO) run ./cmd/beqos sweep-policy -quick
 	$(GO) run ./cmd/beqos load -workload specs/baseline.spec
+	$(GO) run ./cmd/beqos load -batch 8 -drop-every 7
 
 # Validate the bundled workload spec corpus: every spec must parse (with
 # precise line-anchored errors when it does not).

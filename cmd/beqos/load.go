@@ -34,8 +34,8 @@ func cmdLoad(args []string) error {
 	dropEvery := fs.Int("drop-every", 0, "drop a connection at every n-th reserved departure (0 = off)")
 	retries := fs.Int("retries", 0, "extra attempts per denied arrival via the retry path")
 	probeTTL := fs.Duration("probe-ttl", 0, "also probe soft state against a TTL server (0 = skip)")
-	transport := fs.String("transport", "classic", "protocol transport: classic (one stream per endpoint), mux (the same stream client), udp (datagram mode with retransmission)")
-	batch := fs.Int("batch", 0, "coalesce simultaneous protocol ops into multi-reserve bodies of up to n ops (stream transports; 0/1 = single-frame)")
+	transport := fs.String("transport", "classic", "protocol transport: classic (one stream per endpoint), udp (datagram mode with retransmission)")
+	batch := fs.Int("batch", 0, "coalesce simultaneous protocol ops into multi-reserve bodies of up to n ops; a lone op stays a single frame (classic transport; 0/1 = single-frame)")
 	udpLoss := fs.Int("udp-loss", 0, "drop every n-th datagram in each direction (udp transport; 0 = lossless)")
 	udpTimeout := fs.Duration("udp-timeout", 0, "datagram retransmit flight timeout (0 = 25ms)")
 	workloadPath := fs.String("workload", "", "drive the run from a declarative scenario spec file instead of the stationary Poisson dynamics (-mean/-hold/-duration/-warmup are ignored)")

@@ -96,7 +96,7 @@ Commands:
   reserve   request reservations from a running server
   load      drive an admission server with Poisson load and cross-validate
             the measured blocking and utility against the analytical model
-            (-transport classic, mux, or udp; -udp-loss injects packet loss)
+            (-transport classic or udp; -udp-loss injects packet loss)
   sweep-policy
             grid-search an admission policy's knobs over the simulator or
             the live load harness, cross-validating each cell against the

@@ -193,13 +193,13 @@ func TestCmdLoadOverTCP(t *testing.T) {
 }
 
 func TestCmdLoadTransports(t *testing.T) {
-	// The mux transport with connection faults, and the udp transport with
-	// injected datagram loss: both must still pass the 3σ cross-validation
-	// and the exact grant agreement cmdLoad enforces.
+	// The classic transport with connection faults, and the udp transport
+	// with injected datagram loss: both must still pass the 3σ
+	// cross-validation and the exact grant agreement cmdLoad enforces.
 	err := cmdLoad([]string{
 		"-capacity", "10", "-util", "adaptive", "-mean", "10", "-hold", "0.5",
 		"-duration", "30", "-conns", "2", "-seed", "3",
-		"-transport", "mux", "-drop-every", "9",
+		"-transport", "classic", "-drop-every", "9",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -71,9 +71,9 @@ func TestBatchedRunMatchesSingleFrame(t *testing.T) {
 	}
 }
 
-// TestBatchedRunSurvivesDrops exercises the batched drop/reissue path on
-// the mux transport: survivor re-reserves travel as batch bodies and the
-// books still close exactly.
+// TestBatchedRunSurvivesDrops exercises the batched drop/reissue path:
+// survivor re-reserves travel as batch bodies and the books still close
+// exactly.
 func TestBatchedRunSurvivesDrops(t *testing.T) {
 	util := utility.NewAdaptive()
 	const c = 50.0
@@ -83,7 +83,6 @@ func TestBatchedRunSurvivesDrops(t *testing.T) {
 		Util:     util,
 		Workload: stationary(t, 60, 1, 30, 0),
 		Seed1:    11, Seed2: 11,
-		Transport: "mux",
 		DropEvery: 25,
 		Batch:     8,
 	})

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -72,9 +71,9 @@ type Config struct {
 	// Workload drives the run: arrivals, holding times, prefill, phases,
 	// the warmup and the horizon, and per-flow wire classes all come from
 	// the scenario's deterministic stream, seeded from Seed1/Seed2 (see
-	// Stationary for the classic stationary dynamics). Class still applies
-	// when the scenario has no class mixture. Results carry per-phase
-	// breakdowns (Result.Phases).
+	// Stationary for the classic stationary dynamics). A scenario without
+	// a class mixture sends every request in class 0. Results carry
+	// per-phase breakdowns (Result.Phases).
 	Workload *workload.Scenario
 	// WorkloadRecord, when non-nil, observes every consumed workload
 	// record in stream order — the golden-determinism trace hook.
@@ -99,13 +98,6 @@ type Config struct {
 	// deterministic.
 	RetryAttempts int
 
-	// Class tags every reservation request with an admission class
-	// (policy.ClassStandard / ClassCritical / ClassSheddable) for
-	// class-aware server policies. It must fit the wire's class space
-	// (≤ resv.ClassMask) and is incompatible with RetryAttempts > 1: the
-	// retry path is class-blind.
-	Class uint8
-
 	// PolicyDenies declares that the server runs an admission policy that
 	// may deny below the critical threshold kmax — token-bucket shedding,
 	// class tiers, measurement-based gating — so a denial with free
@@ -114,9 +106,8 @@ type Config struct {
 	PolicyDenies bool
 
 	// Transport selects how the harness reaches the server: "classic" (one
-	// stream connection per endpoint, the default), "mux" (the same stream
-	// client under its former name), or "udp" (datagram mode with
-	// client-side retransmission).
+	// stream connection per endpoint, the default) or "udp" (datagram mode
+	// with client-side retransmission).
 	Transport string
 
 	// UDPLossEvery ≥ 2 drops every n-th outgoing and every n-th incoming
@@ -137,11 +128,12 @@ type Config struct {
 	// with the promotion reserves it frees, post-drop re-establishment, and
 	// the final cleanup. The server processes a body in op order, so every
 	// batched run keeps the exact sequential semantics — same grants, same
-	// denials, same statistics — while paying one round trip per body. Lone
-	// ops still travel as classic single frames. Batch framing is
-	// stream-only (classic or mux transport) and the retry path is
-	// single-frame, so Batch is incompatible with Transport "udp" and with
-	// RetryAttempts > 1. 0 or 1 means single-frame operation.
+	// denials, same statistics — while paying one round trip per body. A
+	// lone op, including the last one of a group that fills whole bodies,
+	// travels as the classic single frame. Batch framing is stream-only and
+	// the retry path is single-frame, so Batch is incompatible with
+	// Transport "udp" and with RetryAttempts > 1. 0 or 1 means single-frame
+	// operation: every op is a lone op.
 	Batch int
 }
 
@@ -163,9 +155,6 @@ func (cfg *Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("loadgen: need a Workload scenario")
 	}
 	if len(c.Workload.Classes) > 0 {
-		if c.Class != 0 {
-			return c, fmt.Errorf("loadgen: the workload scenario carries its own class mixture; Class must be zero")
-		}
 		if c.RetryAttempts > 1 {
 			return c, fmt.Errorf("loadgen: a class-mixture workload and RetryAttempts are mutually exclusive (the retry path is class-blind)")
 		}
@@ -184,22 +173,16 @@ func (cfg *Config) withDefaults() (Config, error) {
 	if c.DropEvery < 0 || c.RetryAttempts < 0 {
 		return c, fmt.Errorf("loadgen: DropEvery and RetryAttempts must be nonnegative")
 	}
-	if c.Class > resv.ClassMask {
-		return c, fmt.Errorf("loadgen: class %d does not fit the wire's class space (max %d)", c.Class, resv.ClassMask)
-	}
-	if c.Class != 0 && c.RetryAttempts > 1 {
-		return c, fmt.Errorf("loadgen: Class and RetryAttempts are mutually exclusive (the retry path is class-blind)")
-	}
 	switch c.Transport {
 	case "":
 		c.Transport = "classic"
-	case "classic", "mux":
+	case "classic":
 	case "udp":
 		if c.DropEvery > 0 {
 			return c, fmt.Errorf("loadgen: DropEvery needs a connection to drop; the udp transport has none (its fault model is UDPLossEvery)")
 		}
 	default:
-		return c, fmt.Errorf("loadgen: unknown transport %q (want classic, mux, or udp)", c.Transport)
+		return c, fmt.Errorf("loadgen: unknown transport %q (want classic or udp)", c.Transport)
 	}
 	if c.UDPLossEvery != 0 {
 		if c.Transport != "udp" {
@@ -222,6 +205,9 @@ func (cfg *Config) withDefaults() (Config, error) {
 		if c.RetryAttempts > 1 {
 			return c, fmt.Errorf("loadgen: Batch and RetryAttempts are mutually exclusive (the retry path is single-frame)")
 		}
+	}
+	if c.Batch == 0 {
+		c.Batch = 1
 	}
 	return c, nil
 }
@@ -288,9 +274,9 @@ type Result struct {
 	// transport under UDPLossEvery; 0 otherwise).
 	UDPRetransmits int
 
-	// Batches counts the multi-op bodies issued in batch mode and
-	// BatchedOps the protocol ops they carried (0 in single-frame mode;
-	// lone ops always travel as single frames and are not counted here).
+	// Batches counts the multi-op bodies sent and BatchedOps the protocol
+	// ops they carried. A lone op travels as a single frame and is not
+	// counted here, so both are 0 in single-frame mode.
 	Batches    int
 	BatchedOps int
 
@@ -315,8 +301,8 @@ type flow struct {
 }
 
 // arrival is one workload record as the harness lands it: its holding
-// time, its wire tier (the record's class tier, or the run-wide Class)
-// and its phase.
+// time, its wire tier (its class's tier, 0 without a class mixture) and
+// its phase.
 type arrival struct {
 	hold  float64
 	tier  uint8
@@ -328,11 +314,6 @@ type endpoint struct {
 	client   *resv.Client
 	reserved map[uint64]*flow
 }
-
-// lossDebug (BEQOS_LOSS_DEBUG=1) traces every datagram through the loss
-// layer — direction, pass/drop, decoded type and flow — for diagnosing
-// fault-injection runs frame by frame.
-var lossDebug = os.Getenv("BEQOS_LOSS_DEBUG") != ""
 
 // lossyConn injects deterministic datagram loss in both directions: every
 // n-th outgoing write (request loss — the server never hears it) and every
@@ -348,15 +329,7 @@ type lossyConn struct {
 
 func (lc *lossyConn) Write(b []byte) (int, error) {
 	if lc.sent.Add(1)%lc.every == 0 {
-		if lossDebug {
-			f, _ := resv.DecodeDatagram(b)
-			fmt.Fprintf(os.Stderr, "LOSS send DROP %s flow=%d\n", f.Type, f.FlowID)
-		}
 		return len(b), nil // lost on the wire
-	}
-	if lossDebug {
-		f, _ := resv.DecodeDatagram(b)
-		fmt.Fprintf(os.Stderr, "LOSS send pass %s flow=%d\n", f.Type, f.FlowID)
 	}
 	return lc.Conn.Write(b)
 }
@@ -368,15 +341,7 @@ func (lc *lossyConn) Read(b []byte) (int, error) {
 			return n, err
 		}
 		if lc.received.Add(1)%lc.every == 0 {
-			if lossDebug {
-				f, _ := resv.DecodeDatagram(b[:n])
-				fmt.Fprintf(os.Stderr, "LOSS recv DROP %s flow=%d val=%g\n", f.Type, f.FlowID, f.Value)
-			}
 			continue // the reply is lost; the client's timer handles it
-		}
-		if lossDebug {
-			f, _ := resv.DecodeDatagram(b[:n])
-			fmt.Fprintf(os.Stderr, "LOSS recv pass %s flow=%d val=%g\n", f.Type, f.FlowID, f.Value)
 		}
 		return n, nil
 	}
@@ -514,24 +479,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.advance(horizon)
 
-	// Clean teardown of everything still reserved, then confirm the server
-	// agrees the link is empty.
-	for _, ep := range r.eps {
-		ids := make([]uint64, 0, len(ep.reserved))
-		for id := range ep.reserved {
-			ids = append(ids, id)
+	// Clean teardown of everything still reserved, in flow order and in
+	// chunks of up to Batch, then confirm the server agrees the link is
+	// empty.
+	for ci, ep := range r.eps {
+		held := make([]*flow, 0, len(ep.reserved))
+		for _, f := range ep.reserved {
+			held = append(held, f)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if r.batched() && len(ids) >= 2 {
-			if err := r.teardownBatch(ep, ids); err != nil {
-				return nil, err
-			}
-			continue
+		sort.Slice(held, func(i, j int) bool { return held[i].id < held[j].id })
+		for lo := 0; lo < len(held) && r.err == nil; lo += r.cfg.Batch {
+			r.send(ci, held[lo:min(lo+r.cfg.Batch, len(held))], nil)
 		}
-		for _, id := range ids {
-			if err := r.teardown(ep.reserved[id]); err != nil {
-				return nil, err
-			}
+		if r.err != nil {
+			return nil, r.err
 		}
 	}
 	if _, active, err := r.stats(); err == nil {
@@ -578,7 +539,7 @@ func (r *runner) dial() (*resv.Client, error) {
 			conn = &lossyConn{Conn: nc, every: uint64(cfg.UDPLossEvery), sent: &r.lossSent, received: &r.lossRecv}
 		}
 		return resv.NewUDPClient(conn, resv.UDPConfig{Timeout: cfg.UDPTimeout}), nil
-	default: // classic and mux: the one stream client
+	default:
 		return dialStream(cfg.Server, cfg.Network, cfg.Addr)
 	}
 }
@@ -668,121 +629,33 @@ func (r *runner) advance(to float64) {
 	r.advancePhases(from, to)
 }
 
-// arrive handles one flow arrival: it joins the offered population, issues
-// its first reservation attempt, and schedules its departure.
-func (r *runner) arrive(a arrival) {
-	if r.err != nil {
-		return
-	}
-	r.advance(r.eng.Now())
-	r.nextID++
-	f := &flow{id: r.nextID, conn: r.rrNext, tier: a.tier, phase: a.phase, present: true}
-	r.rrNext = (r.rrNext + 1) % len(r.eps)
-	r.pop++
-	if r.pop > r.peak {
-		r.peak = r.pop
-	}
-	b, counted := r.inWindow()
-	if counted {
-		r.res.Flows++
-		r.firstAtt[b]++
-		r.phaseFirst(f.phase, false)
-	}
-	granted := r.request(f)
-	if r.err != nil {
-		return
-	}
-	if !granted {
-		if counted {
-			r.res.FirstDenied++
-			r.firstDen[b]++
-			r.phaseFirst(f.phase, true)
-		}
-		r.waiting = append(r.waiting, f)
-	}
-	r.eng.Schedule(a.hold, func() { r.depart(f) })
-}
-
-// request issues one reservation attempt (or a retry burst) for f and
-// updates the harness's book-keeping from the server's answer.
-func (r *runner) request(f *flow) bool {
-	ep := r.eps[f.conn]
-	ctx, cancel := rpcCtx()
-	defer cancel()
-	var ok bool
-	var share float64
-	var err error
-	if r.cfg.RetryAttempts > 1 {
-		ok, share, _, err = ep.client.ReserveWithRetry(ctx, f.id, 1, resv.RetryPolicy{
-			MaxAttempts: r.cfg.RetryAttempts,
-			Multiplier:  1,
-			Rand:        r.retryRand,
-		})
-	} else {
-		ok, share, err = ep.client.ReserveClass(ctx, f.id, 1, f.tier)
-	}
-	if err != nil {
-		r.err = fmt.Errorf("loadgen: reserve flow %d: %w", f.id, err)
-		return false
-	}
-	if ok {
-		if r.nres >= r.kmax {
-			r.res.Anomalies++ // grant beyond the admission threshold
-		}
-		if math.Abs(share-r.share) > 1e-9 {
-			r.res.Anomalies++ // share must be the worst-case C/kmax
-		}
-		f.reserved = true
-		r.nres++
-		ep.reserved[f.id] = f
-	} else if r.nres < r.kmax && !r.cfg.PolicyDenies {
-		r.res.Anomalies++ // denial with free capacity
-	}
-	return ok
-}
-
-// batched reports whether multi-op bodies are enabled.
-func (r *runner) batched() bool { return r.cfg.Batch >= 2 }
-
-// arriveGroup handles n flow arrivals at one virtual instant. In
-// single-frame mode (or for a lone arrival) each goes through arrive; in
-// batch mode the group's first attempts coalesce into multi-reserve
-// bodies of up to Batch ops, one connection per body (round-robin moves
-// per body instead of per flow). The server grants a body's ops exactly
-// as it would grant the same frames sent one at a time, and the stream
-// drew the holding times before either, so a batched run reproduces the
-// sequential run's dynamics and statistics bit for bit.
+// arriveGroup lands the flow arrivals of one virtual instant. Their first
+// attempts go out in chunks of up to Batch flows, one connection per chunk
+// in round-robin order, so single-frame mode sends each flow on the next
+// connection. The server grants a body's ops exactly as it would grant the
+// same frames sent one at a time, and the stream drew the holding times
+// before either, so a batched run reproduces the single-frame run's
+// dynamics and statistics bit for bit.
 func (r *runner) arriveGroup(g []arrival) {
-	if !r.batched() || len(g) < 2 {
-		for _, a := range g {
-			r.arrive(a)
-		}
-		return
-	}
 	r.advance(r.eng.Now())
 	b, counted := r.inWindow()
 	for len(g) > 0 && r.err == nil {
-		chunk := len(g)
-		if chunk > r.cfg.Batch {
-			chunk = r.cfg.Batch
-		}
+		n := min(len(g), r.cfg.Batch)
 		ci := r.rrNext
 		r.rrNext = (r.rrNext + 1) % len(r.eps)
-		flows := make([]*flow, chunk)
-		for i := range flows {
+		flows := make([]*flow, n)
+		for i, a := range g[:n] {
 			r.nextID++
-			flows[i] = &flow{id: r.nextID, conn: ci, tier: g[i].tier, phase: g[i].phase, present: true}
+			flows[i] = &flow{id: r.nextID, conn: ci, tier: a.tier, phase: a.phase, present: true}
 			r.pop++
-			if r.pop > r.peak {
-				r.peak = r.pop
-			}
+			r.peak = max(r.peak, r.pop)
 			if counted {
 				r.res.Flows++
 				r.firstAtt[b]++
-				r.phaseFirst(g[i].phase, false)
+				r.phaseFirst(a.phase, false)
 			}
 		}
-		granted := r.requestBatch(ci, flows)
+		granted := r.send(ci, nil, flows)
 		if r.err != nil {
 			return
 		}
@@ -795,186 +668,94 @@ func (r *runner) arriveGroup(g []arrival) {
 				}
 				r.waiting = append(r.waiting, f)
 			}
-			f := f
 			r.eng.Schedule(g[i].hold, func() { r.depart(f) })
 		}
-		g = g[chunk:]
+		g = g[n:]
 	}
 }
 
-// issueBatch sends one multi-op body over ep's connection and tallies it.
-func (r *runner) issueBatch(ep *endpoint, ops []resv.Frame) (resv.BatchVerdict, float64, error) {
-	ctx, cancel := rpcCtx()
-	defer cancel()
-	r.res.Batches++
-	r.res.BatchedOps += len(ops)
-	return ep.client.ReserveBatch(ctx, ops)
-}
-
-// requestBatch issues one multi-reserve body for flows (all assigned to
-// connection ci) and books every verdict bit exactly as request books a
-// single reply: grant and share anomalies, harness reservation state,
-// the endpoint's conn-scoped books. It returns per-flow grants, nil when
-// the run aborted.
-func (r *runner) requestBatch(ci int, flows []*flow) []bool {
+// send makes one exchange on connection ci — a teardown for each flow of
+// tear, then a reservation attempt for each flow of flows — and books
+// every answer: a torn-down flow leaves the harness's books, a granted
+// one enters them. A grant beyond kmax, a grant share that is not C/kmax
+// and (unless PolicyDenies) a denial with capacity free count as
+// anomalies. It returns the grants of flows, nil when the run aborted.
+func (r *runner) send(ci int, tear, flows []*flow) []bool {
 	ep := r.eps[ci]
-	ops := make([]resv.Frame, len(flows))
-	for i, f := range flows {
-		ops[i] = resv.Frame{Type: resv.MsgRequest, Class: f.tier, FlowID: f.id, Value: 1}
+	ops := make([]resv.Frame, 0, len(tear)+len(flows))
+	for _, f := range tear {
+		ops = append(ops, resv.Frame{Type: resv.MsgTeardown, FlowID: f.id})
 	}
-	v, share, err := r.issueBatch(ep, ops)
+	for _, f := range flows {
+		ops = append(ops, resv.Frame{Type: resv.MsgRequest, Class: f.tier, FlowID: f.id, Value: 1})
+	}
+	v, share, err := r.exchange(ep.client, ops)
 	if err != nil {
-		r.err = fmt.Errorf("loadgen: batch reserve (%d flows): %w", len(flows), err)
+		r.err = fmt.Errorf("loadgen: %v flow %d (%d ops): %w", ops[0].Type, ops[0].FlowID, len(ops), err)
 		return nil
 	}
+	for i, f := range tear {
+		if !v.Granted(i) {
+			r.err = fmt.Errorf("loadgen: server rejected teardown of reserved flow %d", f.id)
+			return nil
+		}
+		f.reserved = false
+		r.nres--
+		delete(ep.reserved, f.id)
+	}
 	granted := make([]bool, len(flows))
-	anyGrant := false
 	for i, f := range flows {
-		ok := v.Granted(i)
-		granted[i] = ok
-		if ok {
-			anyGrant = true
+		granted[i] = v.Granted(len(tear) + i)
+		switch {
+		case granted[i]:
 			if r.nres >= r.kmax {
 				r.res.Anomalies++ // grant beyond the admission threshold
 			}
 			f.reserved = true
 			r.nres++
 			ep.reserved[f.id] = f
-		} else if r.nres < r.kmax && !r.cfg.PolicyDenies {
+		case r.nres < r.kmax && !r.cfg.PolicyDenies:
 			r.res.Anomalies++ // denial with free capacity
 		}
 	}
-	if anyGrant && math.Abs(share-r.share) > 1e-9 {
-		r.res.Anomalies++ // the batch share must be the worst-case C/kmax
+	if v>>len(tear) != 0 && math.Abs(share-r.share) > 1e-9 {
+		r.res.Anomalies++ // a reply that grants must carry the worst-case C/kmax
 	}
 	return granted
 }
 
-// teardownPromote is depart's batched tail: the departing flow's teardown
-// and the promotion reserves its slot frees ride one body. A waiting flow
-// has no server-side state, so a promotion candidate is reassigned to the
-// departing flow's connection to share its body; in-order body processing
-// frees the slot before the first reserve claims it. Denied candidates
-// return to the head of the waiting list and end the promotion round,
-// exactly like a sequential promote.
-func (r *runner) teardownPromote(f *flow) {
-	free := r.kmax - (r.nres - 1)
-	limit := r.cfg.Batch - 1
-	if limit > free {
-		limit = free
-	}
-	var cands []*flow
-	for len(cands) < limit {
-		var c *flow
-		for len(r.waiting) > 0 {
-			head := r.waiting[0]
-			r.waiting = r.waiting[1:]
-			if head.present && !head.reserved {
-				c = head
-				break
-			}
-		}
-		if c == nil {
-			break
-		}
-		c.conn = f.conn
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 { // a lone teardown travels as a single frame
-		if err := r.teardown(f); err != nil {
-			r.err = err
-		}
-		return
-	}
-	ep := r.eps[f.conn]
-	ops := make([]resv.Frame, 0, len(cands)+1)
-	ops = append(ops, resv.Frame{Type: resv.MsgTeardown, FlowID: f.id})
-	for _, c := range cands {
-		ops = append(ops, resv.Frame{Type: resv.MsgRequest, Class: c.tier, FlowID: c.id, Value: 1})
-	}
-	v, share, err := r.issueBatch(ep, ops)
-	if err != nil {
-		r.err = fmt.Errorf("loadgen: teardown+promote batch for flow %d: %w", f.id, err)
-		return
-	}
-	if !v.Granted(0) {
-		r.err = fmt.Errorf("loadgen: server rejected teardown of reserved flow %d", f.id)
-		return
-	}
-	f.reserved = false
-	r.nres--
-	delete(ep.reserved, f.id)
-	anyGrant := false
-	var back []*flow
-	for i, c := range cands {
-		if v.Granted(i + 1) {
-			anyGrant = true
-			if r.nres >= r.kmax {
-				r.res.Anomalies++ // grant beyond the admission threshold
-			}
-			c.reserved = true
-			r.nres++
-			ep.reserved[c.id] = c
-		} else {
-			if r.nres < r.kmax && !r.cfg.PolicyDenies {
-				r.res.Anomalies++ // denial with free capacity
-			}
-			back = append(back, c)
-		}
-	}
-	if anyGrant && math.Abs(share-r.share) > 1e-9 {
-		r.res.Anomalies++ // the batch share must be the worst-case C/kmax
-	}
-	if len(back) > 0 {
-		r.waiting = append(back, r.waiting...)
-		return // a denial ends the promotion round, as in promote
-	}
-	// More free slots than one body could carry: finish promoting singly.
-	r.promote()
-}
-
-// teardownBatch releases ep's remaining reservations in multi-teardown
-// bodies; every op's bit must come back set.
-func (r *runner) teardownBatch(ep *endpoint, ids []uint64) error {
-	for lo := 0; lo < len(ids); lo += r.cfg.Batch {
-		hi := lo + r.cfg.Batch
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		chunk := ids[lo:hi]
-		ops := make([]resv.Frame, len(chunk))
-		for i, id := range chunk {
-			ops[i] = resv.Frame{Type: resv.MsgTeardown, FlowID: id}
-		}
-		v, _, err := r.issueBatch(ep, ops)
-		if err != nil {
-			return fmt.Errorf("loadgen: batch teardown: %w", err)
-		}
-		for i, id := range chunk {
-			if !v.Granted(i) {
-				return fmt.Errorf("loadgen: server rejected teardown of reserved flow %d", id)
-			}
-			f := ep.reserved[id]
-			f.reserved = false
-			r.nres--
-			delete(ep.reserved, id)
-		}
-	}
-	return nil
-}
-
-// teardown releases f's reservation.
-func (r *runner) teardown(f *flow) error {
-	ep := r.eps[f.conn]
+// exchange puts ops on the wire and waits for the answer: a lone op as the
+// classic single frame (a reserve through the retry path when
+// RetryAttempts > 1), two or more as one multi-reserve body, which the
+// server processes in op order. Bit i of the verdict reports op i granted
+// or torn down; share is the grant share.
+func (r *runner) exchange(c *resv.Client, ops []resv.Frame) (resv.BatchVerdict, float64, error) {
 	ctx, cancel := rpcCtx()
 	defer cancel()
-	if err := ep.client.Teardown(ctx, f.id); err != nil {
-		return fmt.Errorf("loadgen: teardown flow %d: %w", f.id, err)
+	if len(ops) > 1 {
+		r.res.Batches++
+		r.res.BatchedOps += len(ops)
+		return c.ReserveBatch(ctx, ops)
 	}
-	f.reserved = false
-	r.nres--
-	delete(ep.reserved, f.id)
-	return nil
+	var ok bool
+	var share float64
+	var err error
+	switch op := ops[0]; {
+	case op.Type == resv.MsgTeardown:
+		ok, err = true, c.Teardown(ctx, op.FlowID)
+	case r.cfg.RetryAttempts > 1:
+		ok, share, _, err = c.ReserveWithRetry(ctx, op.FlowID, 1, resv.RetryPolicy{
+			MaxAttempts: r.cfg.RetryAttempts,
+			Multiplier:  1,
+			Rand:        r.retryRand,
+		})
+	default:
+		ok, share, err = c.ReserveClass(ctx, op.FlowID, 1, op.Class)
+	}
+	if !ok {
+		return 0, share, err
+	}
+	return 1, share, err
 }
 
 // depart handles one flow leaving the offered population.
@@ -996,12 +777,40 @@ func (r *runner) depart(f *flow) {
 			return
 		}
 	}
-	if r.batched() {
-		r.teardownPromote(f)
+	r.teardownPromote(f)
+}
+
+// teardownPromote sends a departing flow's teardown with up to Batch−1 of
+// the promotion reserves its slot frees. A waiting flow has no server-side
+// state, so a promotion candidate is reassigned to the departing flow's
+// connection to share its body; in-order body processing frees the slot
+// before the first reserve claims it. Denied candidates return to the head
+// of the waiting list and end the promotion round, exactly like a
+// sequential promote; otherwise promote hands on whatever capacity the
+// body could not carry. In single-frame mode the teardown goes alone.
+func (r *runner) teardownPromote(f *flow) {
+	limit := min(r.cfg.Batch-1, r.kmax-(r.nres-1))
+	var cands []*flow
+	for len(cands) < limit {
+		c := r.nextWaiting()
+		if c == nil {
+			break
+		}
+		c.conn = f.conn
+		cands = append(cands, c)
+	}
+	granted := r.send(f.conn, []*flow{f}, cands)
+	if r.err != nil {
 		return
 	}
-	if err := r.teardown(f); err != nil {
-		r.err = err
+	var back []*flow
+	for i, c := range cands {
+		if !granted[i] {
+			back = append(back, c)
+		}
+	}
+	if len(back) > 0 {
+		r.waiting = append(back, r.waiting...)
 		return
 	}
 	r.promote()
@@ -1010,27 +819,30 @@ func (r *runner) depart(f *flow) {
 // promote hands freed capacity to waiting flows, oldest first.
 func (r *runner) promote() {
 	for r.err == nil && r.nres < r.kmax {
-		var f *flow
-		for len(r.waiting) > 0 {
-			head := r.waiting[0]
-			r.waiting = r.waiting[1:]
-			if head.present && !head.reserved {
-				f = head
-				break
-			}
-		}
+		f := r.nextWaiting()
 		if f == nil {
 			return
 		}
-		if !r.request(f) {
-			if r.err == nil {
-				// Unexpected denial (already counted as an anomaly): put
-				// the flow back and stop promoting this round.
-				r.waiting = append([]*flow{f}, r.waiting...)
-			}
+		if granted := r.send(f.conn, nil, []*flow{f}); r.err == nil && !granted[0] {
+			// Unexpected denial (already counted as an anomaly): put the
+			// flow back and stop promoting this round.
+			r.waiting = append([]*flow{f}, r.waiting...)
 			return
 		}
 	}
+}
+
+// nextWaiting pops the oldest waiting flow still present and unreserved,
+// dropping the stale entries ahead of it; nil when none is left.
+func (r *runner) nextWaiting() *flow {
+	for len(r.waiting) > 0 {
+		f := r.waiting[0]
+		r.waiting = r.waiting[1:]
+		if f.present && !f.reserved {
+			return f
+		}
+	}
+	return nil
 }
 
 // dropConn injects a connection fault: the departing flow's connection is
@@ -1082,35 +894,19 @@ func (r *runner) dropConn(departing *flow) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if r.batched() && len(survivors) >= 2 {
-		for lo := 0; lo < len(survivors); lo += r.cfg.Batch {
-			hi := lo + r.cfg.Batch
-			if hi > len(survivors) {
-				hi = len(survivors)
-			}
-			granted := r.requestBatch(ci, survivors[lo:hi])
-			if r.err != nil {
-				return
-			}
-			for i, f := range survivors[lo:hi] {
-				if !granted[i] {
-					r.waiting = append(r.waiting, f) // anomaly already counted
-					continue
-				}
-				r.res.Reissued++
-			}
+	for lo := 0; lo < len(survivors); lo += r.cfg.Batch {
+		chunk := survivors[lo:min(lo+r.cfg.Batch, len(survivors))]
+		granted := r.send(ci, nil, chunk)
+		if r.err != nil {
+			return
 		}
-		return
-	}
-	for _, f := range survivors {
-		if !r.request(f) {
-			if r.err != nil {
-				return
+		for i, f := range chunk {
+			if !granted[i] {
+				r.waiting = append(r.waiting, f) // anomaly already counted
+				continue
 			}
-			r.waiting = append(r.waiting, f) // anomaly already counted
-			continue
+			r.res.Reissued++
 		}
-		r.res.Reissued++
 	}
 }
 

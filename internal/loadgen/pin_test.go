@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 
+	"beqos/internal/resv"
 	"beqos/internal/utility"
 )
 
@@ -73,8 +76,8 @@ var flagPins = []struct {
 		want: map[string]uint64{
 			"KMax": 40, "Flows": 582, "FirstDenied": 263, "Attempts": 2149, "Denied": 417,
 			"Grants": 1732, "Teardowns": 673, "Retries": 0, "Drops": 105, "Reconnects": 105,
-			"Reissued": 954, "Anomalies": 0, "PeakLoad": 61, "UDPRetransmits": 0, "Batches": 484,
-			"BatchedOps": 1635, "FinalActive": 0,
+			"Reissued": 954, "Anomalies": 0, "PeakLoad": 61, "UDPRetransmits": 0, "Batches": 459,
+			"BatchedOps": 1610, "FinalActive": 0,
 			"DenyRate": 0x3fdcebc42dbee67d, "OverloadFraction": 0x3fd98e16caf025a0,
 			"MeanUtility": 0x3fdced64c88fd509, "MeasuredMeanLoad": 0x404449d12c80f77c,
 			"OverloadSigma": 0x3fb9d8c962a38eef, "DenySigma": 0x3fba0150fddb3174,
@@ -126,6 +129,110 @@ func TestFlagRunsPinned(t *testing.T) {
 			got := pin(t, res)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("run diverged from its pin:\ngot  %v\nwant %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// recordingConn is the server end of a connection that keeps a copy of
+// every byte the server reads: the client's side of the conversation.
+type recordingConn struct {
+	net.Conn
+	mu  *sync.Mutex
+	buf *[]byte
+}
+
+func (c recordingConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	*c.buf = append(*c.buf, b[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// TestLoneOpsTravelAsSingleFrames runs the flag pins against a TCP server
+// that records what each connection sends, and decodes it: every
+// multi-reserve body carries 2..Batch ops (a lone op, including a group's
+// last, is a single frame), the bodies on the wire are exactly the ones
+// Result.Batches and Result.BatchedOps count, and a run without Batch
+// sends no body at all. The remote runs must also reproduce the pins.
+func TestLoneOpsTravelAsSingleFrames(t *testing.T) {
+	for _, tc := range flagPins {
+		t.Run(tc.name, func(t *testing.T) {
+			var util utility.Function = utility.NewAdaptive()
+			if tc.rigid {
+				r, err := utility.NewRigid(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				util = r
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			srv := newServer(t, tc.capacity, util)
+			var mu sync.Mutex
+			var streams []*[]byte
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					buf := new([]byte)
+					mu.Lock()
+					streams = append(streams, buf)
+					mu.Unlock()
+					go srv.HandleConn(recordingConn{Conn: nc, mu: &mu, buf: buf})
+				}
+			}()
+			res, err := Run(Config{
+				Addr:      ln.Addr().String(),
+				Capacity:  tc.capacity,
+				Util:      util,
+				Workload:  stationary(t, tc.rate, tc.hold, tc.duration, tc.warmup),
+				Batch:     tc.batch,
+				DropEvery: tc.dropEvery,
+				Seed1:     tc.seed1, Seed2: tc.seed2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pin(t, res); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("remote run diverged from its pin:\ngot  %v\nwant %v", got, tc.want)
+			}
+
+			// Every byte was read before the server answered it, and Run
+			// waits for every answer, so the streams are complete.
+			mu.Lock()
+			defer mu.Unlock()
+			bodies, ops := 0, 0
+			for _, buf := range streams {
+				frames, rest, err := resv.DecodeFrames(nil, *buf)
+				if err != nil || len(rest) != 0 {
+					t.Fatalf("client stream does not decode: %v (%d bytes left)", err, len(rest))
+				}
+				for j := 0; j < len(frames); j++ {
+					if frames[j].Type != resv.MsgReserveBatch {
+						continue
+					}
+					n := int(frames[j].FlowID)
+					if n < 2 || n > tc.batch {
+						t.Errorf("body of %d ops on the wire, want 2..%d", n, tc.batch)
+					}
+					bodies++
+					ops += n
+					j += n
+				}
+			}
+			if bodies != res.Batches || ops != res.BatchedOps {
+				t.Errorf("wire carried %d bodies of %d ops, Result counts %d of %d",
+					bodies, ops, res.Batches, res.BatchedOps)
+			}
+			if tc.batch < 2 && bodies != 0 {
+				t.Errorf("single-frame run sent %d bodies", bodies)
 			}
 		})
 	}

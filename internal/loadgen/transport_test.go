@@ -26,15 +26,14 @@ func rigidConfig(t *testing.T) (Config, utility.Function) {
 	}, util
 }
 
-// TestMuxTransportMatchesModel runs the harness over the flow-multiplexed
-// stream transport: the cross-validation must hold exactly as on the
-// classic transport, and the server's counters must agree with the
-// client's — the multiplexer may not lose, duplicate, or misroute a reply.
-func TestMuxTransportMatchesModel(t *testing.T) {
+// TestStreamTransportMatchesModel runs the harness over the stream
+// transport, whose client multiplexes the flows of two connections: the
+// cross-validation must hold, and the server's counters must agree with
+// the client's — the client may not lose, duplicate, or misroute a reply.
+func TestStreamTransportMatchesModel(t *testing.T) {
 	cfg, util := rigidConfig(t)
 	srv := newServer(t, cfg.Capacity, util)
 	cfg.Server = srv
-	cfg.Transport = "mux"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +61,14 @@ func TestMuxTransportMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMuxTransportWithDrops runs the connection-fault injection over the
-// mux transport: closing a multiplexed connection must release every flow
-// it carried (mux fate-sharing), and the harness must recover on a fresh
-// multiplexed connection.
-func TestMuxTransportWithDrops(t *testing.T) {
+// TestStreamTransportWithDrops runs the connection-fault injection over
+// the stream transport: closing a connection must release every flow it
+// carried (fate-sharing), and the harness must recover on a fresh
+// connection.
+func TestStreamTransportWithDrops(t *testing.T) {
 	cfg, util := rigidConfig(t)
 	srv := newServer(t, cfg.Capacity, util)
 	cfg.Server = srv
-	cfg.Transport = "mux"
 	cfg.DropEvery = 40
 	res, err := Run(cfg)
 	if err != nil {
@@ -184,7 +182,6 @@ func TestTransportConfigValidation(t *testing.T) {
 		{"unknown transport", func(c *Config) { c.Transport = "quic" }},
 		{"udp with DropEvery", func(c *Config) { c.Transport = "udp"; c.DropEvery = 5 }},
 		{"loss on classic", func(c *Config) { c.UDPLossEvery = 10 }},
-		{"loss on mux", func(c *Config) { c.Transport = "mux"; c.UDPLossEvery = 10 }},
 		{"loss every packet", func(c *Config) { c.Transport = "udp"; c.UDPLossEvery = 1 }},
 		{"negative loss", func(c *Config) { c.Transport = "udp"; c.UDPLossEvery = -3 }},
 	}

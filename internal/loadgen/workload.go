@@ -78,10 +78,9 @@ func (r *runner) pull() {
 }
 
 // toArrival maps one workload record to a harness arrival: the wire tier
-// comes from the scenario's class mixture when it has one, else from the
-// run-wide Class.
+// comes from the scenario's class mixture when it has one, else it is 0.
 func (r *runner) toArrival(rec workload.Flow) arrival {
-	tier := r.cfg.Class
+	var tier uint8
 	if cls := r.cfg.Workload.Classes; len(cls) > 0 {
 		tier = cls[rec.Class].Tier
 	}

@@ -419,7 +419,6 @@ func TestWorkloadConfigErrors(t *testing.T) {
 		want string
 	}{
 		{"no-workload", func(c *Config) { c.Workload = nil }, "need a Workload"},
-		{"class-vs-mixture", func(c *Config) { c.Workload, c.Class = mixed, 1 }, "class mixture"},
 		{"retries-vs-mixture", func(c *Config) { c.Workload, c.RetryAttempts = mixed, 3 }, "class-blind"},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,10 @@
 package resv
 
 import (
+	"context"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +43,45 @@ func TestBatchMixedOpsBitmap(t *testing.T) {
 	}
 	if a := s.Active(); a != 3 {
 		t.Fatalf("active = %d after the mixed body, want 3 (flows 1, 3, 4)", a)
+	}
+}
+
+// TestReserveBatchRefusesOtherOps: a body carries only reserves and
+// teardowns. The client refuses any other op before it sends anything —
+// the server would abort the body and answer its frames one by one, so no
+// batch reply would ever come — and stays usable afterwards.
+func TestReserveBatchRefusesOtherOps(t *testing.T) {
+	s := newServer(t, 8)
+	defer s.Close()
+	cl := pipeClient(t, s)
+	for _, typ := range []MsgType{MsgStats, MsgRefresh, MsgGossip, MsgReserveBatch} {
+		c, cancel := context.WithTimeout(context.Background(), time.Second)
+		v, _, err := cl.ReserveBatch(c, []Frame{
+			{Type: MsgRequest, FlowID: 1, Value: 1},
+			{Type: typ, FlowID: 1},
+			{Type: MsgRequest, FlowID: 2, Value: 1},
+		})
+		cancel()
+		switch {
+		case err == nil:
+			t.Errorf("%s op in a body: verdict %b and no error", typ, uint64(v))
+		case !strings.Contains(err.Error(), typ.String()):
+			t.Errorf("%s op in a body: error %q does not name the type", typ, err)
+		}
+		if n := s.Active(); n != 0 {
+			t.Errorf("%s op in a body: server holds %d reservations, want 0", typ, n)
+		}
+	}
+	c := ctx(t)
+	if kmax, active, err := cl.Stats(c); err != nil || kmax != 8 || active != 0 {
+		t.Fatalf("stats after the refused bodies: kmax %d, active %d, err %v; want 8, 0, nil", kmax, active, err)
+	}
+	v, _, err := cl.ReserveBatch(c, []Frame{
+		{Type: MsgRequest, FlowID: 1, Value: 1},
+		{Type: MsgTeardown, FlowID: 1},
+	})
+	if err != nil || v.Count() != 2 {
+		t.Fatalf("body after the refused ones: verdict %b, err %v; want both ops done", uint64(v), err)
 	}
 }
 

@@ -804,12 +804,19 @@ func (c *Client) reserve(ctx context.Context, flowID uint64, bandwidth float64, 
 // single ops would pay N. Bit i of the verdict reports op i (granted /
 // torn down); share is the server's count-mode worst-case share, 0 in
 // bandwidth mode. The ops are encoded before the call waits, so the
-// caller may reuse the slice once it returns. Stream transports only: the
-// datagram transport has no retransmit story for partially-applied
-// batches, so it refuses.
+// caller may reuse the slice once it returns. An op of any other type is
+// refused before anything is sent: the server would abort the body and
+// answer its frames one by one, so no batch reply would come. Stream
+// transports only: the datagram transport has no retransmit story for
+// partially-applied batches, so it refuses.
 func (c *Client) ReserveBatch(ctx context.Context, ops []Frame) (BatchVerdict, float64, error) {
 	if len(ops) < 1 || len(ops) > MaxBatch {
 		return 0, 0, fmt.Errorf("resv: batch of %d ops (want 1..%d)", len(ops), MaxBatch)
+	}
+	for i, op := range ops {
+		if op.Type != MsgRequest && op.Type != MsgTeardown {
+			return 0, 0, fmt.Errorf("resv: batch op %d is a %s frame (want %s or %s)", i, op.Type, MsgRequest, MsgTeardown)
+		}
 	}
 	if c.udp != nil {
 		return 0, 0, fmt.Errorf("resv: batched reserve needs a stream transport")

@@ -251,59 +251,3 @@ func (m *ClientMetrics) observeBatch(ops []Frame, v BatchVerdict, rtt time.Durat
 		m.Errors.Add(errs)
 	}
 }
-
-// TraceKind tags a TraceEvent with the admission-path decision it reports.
-type TraceKind uint8
-
-const (
-	// TraceGrant and TraceDeny report admission decisions; Value carries
-	// the granted share (or rate) and the active count respectively.
-	TraceGrant TraceKind = iota + 1
-	TraceDeny
-	// TraceTeardown reports an explicit release, TraceExpire a soft-state
-	// TTL expiry, TraceRelease a connection-scoped release.
-	TraceTeardown
-	TraceExpire
-	TraceRelease
-	// TraceRefresh reports a soft-state renewal.
-	TraceRefresh
-	// TraceError reports an error reply (bad request, duplicate flow,
-	// unknown flow); Value carries the ErrorCode.
-	TraceError
-)
-
-// String implements fmt.Stringer.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceGrant:
-		return "grant"
-	case TraceDeny:
-		return "deny"
-	case TraceTeardown:
-		return "teardown"
-	case TraceExpire:
-		return "expire"
-	case TraceRelease:
-		return "release"
-	case TraceRefresh:
-		return "refresh"
-	case TraceError:
-		return "error"
-	default:
-		return "trace(?)"
-	}
-}
-
-// TraceEvent is one admission-path decision, delivered synchronously to
-// the Server.Trace hook. The struct is passed by value — installing a hook
-// adds a call and a branch to the hot path but no allocation, so tests and
-// the load harness can observe decisions without log scraping.
-type TraceEvent struct {
-	Kind   TraceKind
-	FlowID uint64
-	// Value is kind-dependent: the granted share or rate (grant), the
-	// active count at denial (deny), or the ErrorCode (error).
-	Value float64
-	// Active is the live reservation count after the event.
-	Active int64
-}

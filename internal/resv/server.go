@@ -84,12 +84,6 @@ type Server struct {
 	// Logf, if non-nil, receives one line per protocol event; defaults to
 	// silent. Set before calling Serve.
 	Logf func(format string, args ...interface{})
-
-	// Trace, if non-nil, receives one TraceEvent per admission-path
-	// decision (grant, deny, teardown, refresh, expire, release, error),
-	// synchronously from the serving goroutine. The hook must be fast and
-	// must not call back into the server. Set before calling Serve.
-	Trace func(TraceEvent)
 }
 
 const (
@@ -348,9 +342,6 @@ func (s *Server) expired(id uint64, c *conn, last bool) {
 	if last && c.datagram {
 		s.expPeers = append(s.expPeers, c)
 	}
-	if s.Trace != nil {
-		s.Trace(TraceEvent{Kind: TraceExpire, FlowID: id, Active: s.pol.Active()})
-	}
 	if s.Logf != nil {
 		s.logf("resv: expired flow %d (active %d)", id, s.pol.Active())
 	}
@@ -495,11 +486,6 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 	bs.reserves += uint64(n)
 	if s.badRate(run[0].Value) {
 		bs.errs += uint64(n)
-		if s.Trace != nil {
-			for _, f := range run {
-				s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest), Active: s.pol.Active()})
-			}
-		}
 		return 0
 	}
 	var granted, held BatchVerdict
@@ -510,18 +496,6 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 	bs.grants += uint64(installed)
 	bs.errs += uint64(dups)
 	bs.denials += uint64(n - installed - dups)
-	if s.Trace != nil {
-		for i, f := range run {
-			switch bit := BatchVerdict(1) << uint(base+i); {
-			case granted&bit != 0:
-				s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: dec.Share, Active: s.pol.Active()})
-			case held&bit != 0:
-				s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow), Active: s.pol.Active()})
-			default:
-				s.Trace(TraceEvent{Kind: TraceDeny, FlowID: f.FlowID, Value: dec.Load, Active: s.pol.Active()})
-			}
-		}
-	}
 	if installed == 0 || s.kmax == 0 {
 		return 0
 	}
@@ -541,9 +515,6 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 // retransmits of live admissions from the entry rather than re-admitting.
 func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 	if s.badRate(f.Value) {
-		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest), Active: s.pol.Active()})
-		}
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}, false
 	}
 	sh := s.shardFor(f.FlowID)
@@ -559,9 +530,6 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 				return s.duplicate(c, f, HeldOwn, rate)
 			}
 		}
-		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: TraceDeny, FlowID: f.FlowID, Value: dec.Load, Active: s.pol.Active()})
-		}
 		if s.Logf != nil {
 			s.logf("resv: deny flow %d (%s: load %g)", f.FlowID, s.pol.Name(), dec.Load)
 		}
@@ -576,9 +544,6 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 	// C/kmax — the instantaneous share C/min(k, kmax) would be stale the
 	// moment another flow is admitted — and in bandwidth mode exactly the
 	// requested rate; either way dec.Share is the policy's word.
-	if s.Trace != nil {
-		s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: dec.Share, Active: s.pol.Active()})
-	}
 	if s.Logf != nil {
 		s.logf("resv: grant flow %d (share %g, allocated %g/%g)", f.FlowID, dec.Share, s.pol.Allocated(), s.capacity)
 	}
@@ -595,16 +560,10 @@ func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
 func (s *Server) duplicate(c *conn, f Frame, out Outcome, rate float64) (Frame, bool) {
 	if c.datagram && out == HeldOwn {
 		value := s.pol.Share(rate)
-		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: TraceGrant, FlowID: f.FlowID, Value: value, Active: s.pol.Active()})
-		}
 		if s.Logf != nil {
 			s.logf("resv: re-grant flow %d (retransmitted reserve)", f.FlowID)
 		}
 		return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: value}, true
-	}
-	if s.Trace != nil {
-		s.Trace(TraceEvent{Kind: TraceError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow), Active: s.pol.Active()})
 	}
 	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow)}, false
 }
@@ -614,9 +573,6 @@ func (s *Server) teardown(c *conn, f Frame) Frame {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
 	active := s.pol.Active()
-	if s.Trace != nil {
-		s.Trace(TraceEvent{Kind: TraceTeardown, FlowID: f.FlowID, Active: active})
-	}
 	if s.Logf != nil {
 		s.logf("resv: teardown flow %d (active %d)", f.FlowID, active)
 	}
@@ -629,20 +585,13 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 	if !s.shardFor(f.FlowID).Refresh(Now, f.FlowID, &c.flows) {
 		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
 	}
-	if s.Trace != nil {
-		s.Trace(TraceEvent{Kind: TraceRefresh, FlowID: f.FlowID, Value: s.ttl.Seconds(), Active: s.pol.Active()})
-	}
 	return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: s.ttl.Seconds()}
 }
 
 // release frees every reservation held by a departing connection.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	n := c.flows.Drain(Now, s.shard, func(id uint64, _ *conn) {
-		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: TraceRelease, FlowID: id, Active: s.pol.Active()})
-		}
-	})
+	n := c.flows.Drain(Now, s.shard, nil)
 	if n > 0 {
 		s.metrics.Releases.Add(uint64(n))
 		s.logf("resv: released %d reservations from %v", n, c.nc.RemoteAddr())
