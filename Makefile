@@ -30,12 +30,12 @@ BENCH_FLOOR = BenchmarkServerHighConcurrency=req/s:20000,BenchmarkServerHighConc
 # Packages with concurrency worth racing: the single source of truth for
 # both `make race` and CI (which calls `make race`), so the two can never
 # drift apart again.
-RACE_PKGS = ./internal/core/ ./internal/resv/ ./internal/policy/ ./internal/search/ ./internal/loadgen/ ./internal/sim/ ./internal/sched/ ./internal/sweep/ ./internal/obs/ ./internal/cluster/ ./internal/workload/ ./cmd/beqos/ .
+RACE_PKGS = ./internal/core/ ./internal/resv/ ./internal/policy/ ./internal/search/ ./internal/loadgen/ ./internal/sim/ ./internal/sched/ ./internal/sweep/ ./internal/obs/ ./internal/obs/obshttp/ ./internal/cluster/ ./internal/workload/ ./cmd/beqos/ .
 
 # Coverage floor (percent) enforced by cover-gate on the serving,
 # admission-policy, observability, cluster and workload planes and the
 # load harness.
-COVER_PKGS  = ./internal/resv/ ./internal/policy/ ./internal/obs/ ./internal/cluster/ ./internal/workload/ ./internal/loadgen/
+COVER_PKGS  = ./internal/resv/ ./internal/policy/ ./internal/obs/ ./internal/obs/obshttp/ ./internal/cluster/ ./internal/workload/ ./internal/loadgen/
 COVER_FLOOR = 70
 
 all: build vet test
@@ -54,9 +54,10 @@ race:
 
 # The release paths — teardown, rollback, connection drop, TTL expiry —
 # and the callers' hop flushes, raced ten times over: every claim must go
-# back exactly once however they interleave. Timing-dependent failures
-# here show up only under repetition.
-RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires
+# back exactly once however they interleave. The gossip view's writers are
+# raced too: a link's occupancy snapshot must never roll back. Timing-
+# dependent failures here show up only under repetition.
+RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone
 
 race-soak:
 	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/

@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"time"
 
-	"beqos/internal/obs"
+	"beqos/internal/obs/obshttp"
 	"beqos/internal/resv"
 )
 
@@ -93,7 +93,7 @@ func (a *AdmissionServer) SetLogf(logf func(format string, args ...interface{}))
 // -debug-addr`). The underlying instruments are lock-free; scraping them
 // never perturbs the admission path.
 func (a *AdmissionServer) DebugHandler() http.Handler {
-	return obs.DebugMux(a.s.Registry())
+	return obshttp.DebugMux(a.s.Registry())
 }
 
 // AdmissionClient requests reservations from an AdmissionServer.

@@ -2,8 +2,13 @@ package beqos_test
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +225,54 @@ func TestFacadeAdmissionProtocol(t *testing.T) {
 	})
 	if err != nil || !ok || retries != 0 {
 		t.Fatalf("retry reserve: ok=%v retries=%d err=%v", ok, retries, err)
+	}
+}
+
+// TestFacadeDebugHandler serves AdmissionServer.DebugHandler over HTTP
+// after one granted reservation: both metric formats count the grant, and
+// the liveness probe answers.
+func TestFacadeDebugHandler(t *testing.T) {
+	srv, err := beqos.NewAdmissionServer(2, beqos.RigidUtility())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cEnd, sEnd := net.Pipe()
+	go srv.HandleConn(sEnd)
+	client := beqos.NewAdmissionClient(cEnd)
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if ok, _, err := client.Reserve(ctx, 1, 1); err != nil || !ok {
+		t.Fatalf("reserve: ok=%v err=%v", ok, err)
+	}
+
+	hs := httptest.NewServer(srv.DebugHandler())
+	defer hs.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := hs.Client().Get(hs.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, read error %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	if body := get("/metrics"); !strings.Contains(body, "\nresv_grants_total 1\n") {
+		t.Errorf("/metrics does not count one grant:\n%s", body)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
+		t.Fatalf("/metrics.json: %v", err)
+	}
+	if g := snap["resv_grants_total"]; g != 1.0 {
+		t.Errorf("/metrics.json resv_grants_total = %v, want 1", g)
+	}
+	if body := get("/healthz"); body != "ok\n" {
+		t.Errorf("/healthz = %q, want \"ok\\n\"", body)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"beqos/internal/cluster"
-	"beqos/internal/obs"
+	"beqos/internal/obs/obshttp"
 )
 
 // cmdCluster runs an N-node admission cluster in one process: every node
@@ -142,7 +142,7 @@ func cmdCluster(args []string) error {
 			}
 			lns = append(lns, dln)
 			go func(n *cluster.Node, dln net.Listener) {
-				_ = http.Serve(dln, obs.DebugMux(n.Registry()))
+				_ = http.Serve(dln, obshttp.DebugMux(n.Registry()))
 			}(cl.Node(i), dln)
 			fmt.Printf("beqos: node %-8s observability on http://%s (/metrics, /healthz, /debug/pprof/)\n",
 				topo.Nodes[i], dln.Addr())

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"beqos"
-	"beqos/internal/obs"
+	"beqos/internal/obs/obshttp"
 	"beqos/internal/report"
 	"beqos/internal/resv"
 	"beqos/internal/sim"
@@ -366,7 +366,7 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		fmt.Printf("beqos: observability on http://%s (/metrics, /healthz, /debug/pprof/)\n", dln.Addr())
-		go func() { _ = http.Serve(dln, obs.DebugMux(srv.Registry())) }()
+		go func() { _ = http.Serve(dln, obshttp.DebugMux(srv.Registry())) }()
 	}
 	go func() {
 		<-ctx.Done()

@@ -100,6 +100,9 @@ func cmdLoad(args []string) error {
 		}
 		cfg.Server = srv
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if scn != nil {
 		fmt.Printf("beqos: load harness vs %s (capacity %g, util %s, scenario %q: %d phases over %g time units, %d conns, %s transport, seed %d)\n",
 			target, *capacity, util.Name(), scn.Name, len(scn.Phases), scn.Duration(), cfg.Conns, cfg.Transport, *seed)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -212,8 +213,14 @@ func TestCmdLoadTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLoad([]string{"-transport", "quic"}); err == nil {
-		t.Error("unknown transport should fail")
+	for _, tr := range []string{"quic", "mux"} {
+		out, err := captureStdout(t, func() error { return cmdLoad([]string{"-transport", tr}) })
+		if err == nil || !strings.Contains(err.Error(), "unknown transport") {
+			t.Errorf("-transport %s: got %v, want an unknown transport error", tr, err)
+		}
+		if out != "" {
+			t.Errorf("-transport %s printed %q before failing", tr, out)
+		}
 	}
 	if err := cmdLoad([]string{"-udp-loss", "10"}); err == nil {
 		t.Error("-udp-loss without -transport udp should fail")
@@ -317,4 +324,26 @@ func TestCmdExtension(t *testing.T) {
 	if err := cmdExtension([]string{"-samples", "5", "-retry-alpha", "0.1"}); err == nil {
 		t.Error("both extensions selected should fail")
 	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a pipe and returns
+// what it printed along with its error.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	printed := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = saved
+	_ = w.Close()
+	return <-printed, err
 }

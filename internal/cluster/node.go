@@ -520,7 +520,7 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.linkCell, nil) })
+	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.linkCell) })
 }
 
 // serve runs one inbound connection through the resv serving loop, closes

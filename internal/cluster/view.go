@@ -1,6 +1,9 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // view is a node's eventually-consistent picture of every remote link's
 // occupancy, fed by gossip (MsgGossip frames piggybacked on forwarded
@@ -9,16 +12,21 @@ import "sync/atomic"
 // a frame that arrives out of order (an anti-entropy burst overtaking a
 // piggyback on another connection) can never roll occupancy backwards.
 //
-// Each link's cell has a single writer — gossip for link g only arrives on
-// the one inbound connection from g's owner — so the three fields need no
-// joint atomicity: the version gate alone keeps updates monotone, and the
-// router reading active/updated mid-store sees either the old or the new
-// snapshot, both of which were true recently.
+// A remote link's snapshots reach a node on more than one goroutine: the
+// owner's posted gossip on the inbound peer connection, the gossip riding
+// its batch replies on this node's outbound client to it, and any a client
+// sends on the client plane. So apply serializes a cell's writers with the
+// cell's lock, which only apply takes: the version check and the three
+// stores are one step, and a later version is never overwritten by an
+// earlier one. The router reads without the lock; reading active and
+// updated mid-store, it sees either the old or the new snapshot, both of
+// which were true recently.
 type view struct {
 	cells []viewCell
 }
 
 type viewCell struct {
+	mu      sync.Mutex // serializes apply
 	active  atomic.Int64
 	version atomic.Uint64
 	// updated is the local receive time (nanoseconds on the viewing node's
@@ -35,13 +43,20 @@ func newView(nlinks int) *view {
 // whether the snapshot was fresh.
 func (v *view) apply(link int, version uint64, active int64, now int64) bool {
 	c := &v.cells[link]
+	// Versions only grow, so a snapshot stale now stays stale: it needs
+	// no lock.
 	if version <= c.version.Load() {
 		return false
 	}
-	c.active.Store(active)
-	c.version.Store(version)
-	c.updated.Store(now)
-	return true
+	c.mu.Lock()
+	fresh := version > c.version.Load()
+	if fresh {
+		c.active.Store(active)
+		c.version.Store(version)
+		c.updated.Store(now)
+	}
+	c.mu.Unlock()
+	return fresh
 }
 
 // load returns the link's last gossiped active count and when it arrived

@@ -137,6 +137,14 @@ type Config struct {
 	Batch int
 }
 
+// Validate returns the error Run would return for cfg's configuration,
+// without running anything, so a caller can check cfg before it
+// announces a run.
+func (cfg *Config) Validate() error {
+	_, err := cfg.withDefaults()
+	return err
+}
+
 func (cfg *Config) withDefaults() (Config, error) {
 	c := *cfg
 	if c.Server == nil && c.Addr == "" {

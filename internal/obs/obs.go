@@ -1,6 +1,7 @@
 // Package obs is the observability plane for the serving stack: a
 // zero-allocation, lock-free metrics registry with a pull-based snapshot
-// API and HTTP exposition (Prometheus text, expvar-style JSON, pprof).
+// API and writers for Prometheus text and expvar-style JSON. It imports no
+// net package; obs/obshttp serves a registry over HTTP, with pprof.
 //
 // Design rules (DESIGN.md §9):
 //

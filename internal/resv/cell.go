@@ -80,11 +80,10 @@ func (o *Owner[P]) remove(i int, s *Slot[*Hold[P]]) bool {
 }
 
 // Drain drops every hold o owns, one cell at a time — lock cell i, drop
-// o's list there, unlock — calls gone (if non-nil) on each with its cell
-// locked, and returns how many it dropped. cell names cell i of o's group.
-// o must gain no holds meanwhile — its connection is gone — so the pass
-// stops once o is empty.
-func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P], gone func(key uint64, val P)) int {
+// o's list there, unlock — and returns how many it dropped. cell names
+// cell i of o's group. o must gain no holds meanwhile — its connection is
+// gone — so the pass stops once o is empty.
+func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P]) int {
 	n := 0
 	for i := range o.lists {
 		if o.Empty() {
@@ -93,12 +92,8 @@ func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P], gone func(key uin
 		c, l := cell(i), &o.lists[i]
 		c.Lock()
 		for h := l.Front(); h != nil; h = l.Front() {
-			key, val := h.slot.key, h.Val
 			c.Drop(now, h)
 			n++
-			if gone != nil {
-				gone(key, val)
-			}
 		}
 		c.Unlock()
 	}

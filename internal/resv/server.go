@@ -291,7 +291,7 @@ func (s *Server) Shards() int { return len(s.shards) }
 func (s *Server) Metrics() *ServerMetrics { return s.metrics }
 
 // Registry returns the server's metrics registry, for snapshotting or
-// mounting at /metrics (obs.DebugMux).
+// mounting at /metrics (obshttp.DebugMux).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Close stops the soft-state expiry goroutine (if any). It does not close
@@ -591,7 +591,7 @@ func (s *Server) refresh(c *conn, f Frame) Frame {
 // release frees every reservation held by a departing connection.
 func (s *Server) release(c *conn) {
 	_ = c.nc.Close()
-	n := c.flows.Drain(Now, s.shard, nil)
+	n := c.flows.Drain(Now, s.shard)
 	if n > 0 {
 		s.metrics.Releases.Add(uint64(n))
 		s.logf("resv: released %d reservations from %v", n, c.nc.RemoteAddr())
