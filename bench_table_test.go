@@ -129,7 +129,7 @@ var cellSink bool
 
 // BenchmarkSoftStateCell measures the admission cell — one lock, the
 // table, a TTL wheel, an owner list and a counting policy, as a resv shard
-// or a cluster link runs them — with no wire. churn is one Admit of a
+// or a cluster link runs them — with no wire. churn is one Reserve of a
 // fresh key plus one Release of a resident one, on a window of n
 // sequential keys sliding up by one, at 10^2 keys (in cache) and 10^5
 // (beyond it). refresh re-arms a live timer to a later deadline. advance
@@ -148,7 +148,8 @@ func BenchmarkSoftStateCell(b *testing.B) {
 		return c, o
 	}
 	admit := func(b *testing.B, c *resv.Cell[uint64], o *resv.Owner[uint64], now int64, key uint64) {
-		if _, out, _ := c.Admit(now, key, 1, 0, o, key); out != resv.Granted {
+		f := resv.Frame{Type: resv.MsgRequest, FlowID: key, Value: 1}
+		if _, out, _ := c.Reserve(now, f, ^uint64(0), o, key); out != resv.Granted {
 			b.Fatalf("admit %d: outcome %d", key, out)
 		}
 	}

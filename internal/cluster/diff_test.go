@@ -12,18 +12,21 @@ import (
 	"beqos/internal/utility"
 )
 
-// TestResvMatchesOneLinkCluster drives a resv server and a one-node,
-// one-link cluster's client plane, one connection each, with one seeded
-// sequence of single frames and batch bodies, and compares every reply
-// bit for bit: the single-link server is the one-link case of a cluster
-// link. Flow IDs stay below 2^48, so on the cluster plane every request
-// addresses pair 0; bodies repeat flow IDs near the bound.
+// TestResvMatchesOneLinkCluster drives a resv server, a one-node,
+// one-link cluster's client plane and another such cluster's peer plane,
+// one connection each, with one seeded sequence of single frames and batch
+// bodies, and compares every reply bit for bit: the single-link server is
+// the one-link case of a cluster link, and resv and the peer plane give
+// one link answer. Flow IDs stay below 2^48, so on the client plane every
+// request addresses pair 0 and on the peer plane link 0 under the flow ID
+// as its hop key; bodies repeat flow IDs near the bound.
 //
 // One difference is by design and asserted, not skipped: a duplicate
-// reserve at a full link is denied by resv, whose policy decides before
-// its shard is read, while the cluster answers duplicate-flow, because it
-// reads the connection's path flows first. In a batch body both leave the
-// op's bit clear, but resv counts a denial and the cluster an error.
+// reserve at a full link is denied by resv and the peer plane, whose
+// policy decides before the cell is read, while the client plane answers
+// duplicate-flow, because it reads the connection's path flows first. In a
+// batch body all three leave the op's bit clear, but resv counts a denial
+// and the client plane an error.
 func TestResvMatchesOneLinkCluster(t *testing.T) {
 	const capacity, ids, seeds, steps = 8, 12, 40, 400
 	rigid, err := utility.NewRigid(1)
@@ -37,15 +40,17 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl := startCluster(t, "node a\nlink l a 8\npath p l\npair x a a p\n", Config{Util: rigid, AntiEntropy: -1})
-		node := cl.Node(0)
+		cl := startCluster(t, singleSpec, Config{Util: rigid, AntiEntropy: -1})
+		pcl := startCluster(t, singleSpec, Config{Util: rigid, AntiEntropy: -1})
+		node, owner := cl.Node(0), pcl.Node(0)
 		if b := cl.Bounds()[0]; b != capacity || srv.KMax() != capacity {
 			t.Fatalf("bounds: cluster %d, resv %d, want %d", b, srv.KMax(), capacity)
 		}
-		planes := [2]net.Conn{diffConn(t, srv.HandleConn), diffConn(t, node.HandleClientConn)}
+		planes := [3]net.Conn{diffConn(t, srv.HandleConn), diffConn(t, node.HandleClientConn), diffConn(t, owner.HandlePeerConn)}
+		gossiped := int64(-1) // the active count the peer plane last piggybacked
 
 		rng := rand.New(rand.NewPCG(seed, 17))
-		held := make(map[uint64]bool) // the flows both planes hold
+		held := make(map[uint64]bool) // the flows every plane holds
 		known := 0                    // reserves of a held flow at a full link
 		// reserve accounts one reserve op of a valid rate in body order.
 		reserve := func(id uint64, granted bool) {
@@ -82,7 +87,10 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 					frames = append(frames, op)
 				}
 			}
-			r, c := diffRoundTrip(t, planes[0], frames), diffRoundTrip(t, planes[1], frames)
+			r, c, p := diffRoundTrip(t, planes[0], frames), diffRoundTrip(t, planes[1], frames), diffRoundTrip(t, planes[2], frames)
+			if !sameFrame(r, p) {
+				t.Fatalf("seed %d step %d: %v: resv %+v, peer plane %+v", seed, step, frames, r, p)
+			}
 
 			f := frames[0]
 			if f.Type == resv.MsgRequest && f.Value >= 0 && !math.IsInf(f.Value, 0) && held[id] && len(held) == capacity {
@@ -94,7 +102,7 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 				}
 				continue
 			}
-			if r.Type != c.Type || r.FlowID != c.FlowID || math.Float64bits(r.Value) != math.Float64bits(c.Value) {
+			if !sameFrame(r, c) {
 				t.Fatalf("seed %d step %d: %v: resv %+v, cluster %+v", seed, step, frames, r, c)
 			}
 			switch {
@@ -117,9 +125,19 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 					}
 				}
 			}
-			if a := int64(len(held)); a != srv.Policy().Active() || a != node.LinkActive(0) {
-				t.Fatalf("seed %d step %d: model holds %d flows, resv %d, cluster %d",
-					seed, step, a, srv.Policy().Active(), node.LinkActive(0))
+			a := int64(len(held))
+			if a != srv.Policy().Active() || a != node.LinkActive(0) || a != owner.LinkActive(0) {
+				t.Fatalf("seed %d step %d: model holds %d flows, resv %d, cluster %d, peer plane %d",
+					seed, step, a, srv.Policy().Active(), node.LinkActive(0), owner.LinkActive(0))
+			}
+			// A peer-plane batch reply carries a snapshot of the link when
+			// its occupancy moved since the last one it carried.
+			if f.Type == resv.MsgReserveBatch && a != gossiped {
+				g := diffRead(t, planes[2])
+				if g.Type != resv.MsgGossip || g.FlowID>>idxShift != 0 || g.Value != float64(a) {
+					t.Fatalf("seed %d step %d: peer plane piggybacked %+v, want a snapshot of link 0 at %d", seed, step, g, a)
+				}
+				gossiped = a
 			}
 		}
 
@@ -135,9 +153,12 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 		for _, nc := range planes {
 			_ = nc.Close()
 		}
-		waitFor(t, "both planes to drain", func() bool { return srv.Active() == 0 && node.LinkActive(0) == 0 })
+		waitFor(t, "the planes to drain", func() bool {
+			return srv.Active() == 0 && node.LinkActive(0) == 0 && owner.LinkActive(0) == 0
+		})
 		srv.Close()
 		cl.Close()
+		pcl.Close()
 	}
 	t.Logf("%d grants, %d denials, %d of them duplicates at a full link", grants, denials, knownAll)
 }
@@ -151,7 +172,7 @@ func diffConn(t *testing.T, serve func(net.Conn)) net.Conn {
 	return cEnd
 }
 
-// diffRoundTrip writes frames in one segment and reads the one reply.
+// diffRoundTrip writes frames in one segment and reads the first reply.
 func diffRoundTrip(t *testing.T, nc net.Conn, frames []resv.Frame) resv.Frame {
 	t.Helper()
 	var buf []byte
@@ -162,6 +183,18 @@ func diffRoundTrip(t *testing.T, nc net.Conn, frames []resv.Frame) resv.Frame {
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
+	return diffRead(t, nc)
+}
+
+// sameFrame reports whether two replies are equal bit for bit.
+func sameFrame(a, b resv.Frame) bool {
+	return a.Type == b.Type && a.FlowID == b.FlowID && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+}
+
+// diffRead reads one reply.
+func diffRead(t *testing.T, nc net.Conn) resv.Frame {
+	t.Helper()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
 	reply := make([]byte, resv.FrameSize)
 	if _, err := io.ReadFull(nc, reply); err != nil {
 		t.Fatalf("read: %v", err)

@@ -31,9 +31,6 @@ func newLinkState(i int, l Link, bound int, ttl time.Duration, epoch time.Time) 
 	return ls, nil
 }
 
-// cell is the cell every hop key of the link lives in, for resv.AdmitRun.
-func (ls *linkState) cell(uint64) *resv.Cell[struct{}] { return &ls.Cell }
-
 // peerSess lists the claims an inbound peer connection owns, one list per
 // local link, so dropping the connection (a crashed or partitioned entry
 // node) releases them without waiting for their TTL. It is also the
@@ -58,3 +55,13 @@ func newPeerSess(n *Node) *peerSess {
 
 // linkCell is local link i's cell, for a peer session's drain.
 func (n *Node) linkCell(i int) *resv.Cell[struct{}] { return &n.links[i].Cell }
+
+// hopCell is the cell of the local link a peer-plane FlowID names
+// (linkIdx<<48 | hopKey), nil when that link is out of range or owned
+// elsewhere.
+func (n *Node) hopCell(id uint64) *resv.Cell[struct{}] {
+	if g := id >> idxShift; g < uint64(len(n.byGlobal)) && n.byGlobal[g] != nil {
+		return &n.byGlobal[g].Cell
+	}
+	return nil
+}

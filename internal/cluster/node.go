@@ -611,10 +611,9 @@ func (n *Node) dispatchClient(c *cconn, f resv.Frame, now int64) resv.Frame {
 		return n.refreshPath(c, f, now)
 	case resv.MsgStats:
 		return n.statsReply(f)
-	case resv.MsgGossip:
-		n.applyGossip(f, now)
-		return resv.Frame{}
 	default:
+		// Gossip lands here too: owners gossip on the peer plane, and a
+		// client's forged version could freeze the view of a link.
 		n.metrics.Errors.Inc()
 		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 	}
@@ -662,14 +661,16 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	var denyLoad float64
 	claimed, failed := 0, false
 	for _, g := range path.Links {
+		hop := resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: uint64(g)<<idxShift | hopKey, Value: f.Value}
 		if ls := n.byGlobal[g]; ls != nil {
-			dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, struct{}{})
+			r, out, _ := ls.Reserve(now, hop, keyMask, nil, struct{}{})
 			if out != resv.Granted {
-				denyLoad, failed = dec.Load, true
+				// A fresh hop key is never held: this is a denial.
+				denyLoad, failed = r.Value, true
 				break
 			}
-			if dec.Share < minShare {
-				minShare = dec.Share
+			if r.Value < minShare {
+				minShare = r.Value
 			}
 		} else {
 			p := n.peers[n.topo.Links[g].Owner].Load()
@@ -678,9 +679,8 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 				failed = true
 				break
 			}
-			wireID := uint64(g)<<idxShift | hopKey
 			t0 := n.nowNanos()
-			op := p.co.enqueue(resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: wireID, Value: f.Value})
+			op := p.co.enqueue(hop)
 			if op == nil {
 				n.metrics.ForwardErrors.Inc()
 				failed = true
@@ -965,23 +965,24 @@ func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *
 			bf.pf, bf.hopKey, bf.pathIdx = pf, hopKey, int32(pathIdx)
 			bf.minShare = math.MaxFloat64
 			for pos, g := range n.topo.Paths[pathIdx].Links {
+				hop := resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: uint64(g)<<idxShift | hopKey, Value: f.Value}
 				if ls := n.byGlobal[g]; ls != nil {
-					dec, out, _ := ls.Admit(now, hopKey, f.Value, f.Class, nil, struct{}{})
+					r, out, _ := ls.Reserve(now, hop, keyMask, nil, struct{}{})
 					if out != resv.Granted {
 						bf.failed = true
 						break
 					}
 					bf.ops[pos] = nil
 					bf.nlinks = pos + 1
-					if dec.Share < bf.minShare {
-						bf.minShare = dec.Share
+					if r.Value < bf.minShare {
+						bf.minShare = r.Value
 					}
 					continue
 				}
 				owner := n.topo.Links[g].Owner
 				var op *hopOp
 				if p := n.peers[owner].Load(); p != nil {
-					op = p.co.enqueue(resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: uint64(g)<<idxShift | hopKey, Value: f.Value})
+					op = p.co.enqueue(hop)
 				}
 				if op == nil {
 					n.metrics.ForwardErrors.Inc()
@@ -1141,42 +1142,20 @@ func (p *peerSess) Served(frames int, elapsed time.Duration) { p.n.served(frames
 
 func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame {
 	switch f.Type {
-	case resv.MsgRequest:
-		ls := n.localLink(f.FlowID)
-		if ls == nil || !(f.Value >= 0) || math.IsInf(f.Value, 0) {
+	case resv.MsgRequest, resv.MsgTeardown, resv.MsgRefresh:
+		c := n.hopCell(f.FlowID)
+		if c == nil {
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		dec, out, _ := ls.Admit(now, f.FlowID&keyMask, f.Value, f.Class, &sess.claims, struct{}{})
-		switch out {
-		case resv.Granted:
-			return resv.Frame{Type: resv.MsgGrant, FlowID: f.FlowID, Value: dec.Share}
-		case resv.Denied:
-			return resv.Frame{Type: resv.MsgDeny, FlowID: f.FlowID, Value: dec.Load}
-		default:
+		reply := c.Answer(now, f, keyMask, &sess.claims, struct{}{})
+		// An unknown flow is no protocol error: an entry's teardown finds
+		// the claim gone when the owner expired it first, the release-once
+		// outcome.
+		if reply.Type == resv.MsgError && reply.Value != float64(resv.ErrCodeUnknownFlow) {
 			n.metrics.Errors.Inc()
-			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeDuplicateFlow)}
 		}
-	case resv.MsgTeardown:
-		ls := n.localLink(f.FlowID)
-		if ls == nil {
-			n.metrics.Errors.Inc()
-			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
-		}
-		if !ls.Release(now, f.FlowID&keyMask, nil) {
-			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
-		}
-		return resv.Frame{Type: resv.MsgTeardownOK, FlowID: f.FlowID, Value: float64(ls.Policy().Active())}
-	case resv.MsgRefresh:
-		ls := n.localLink(f.FlowID)
-		if ls == nil {
-			n.metrics.Errors.Inc()
-			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
-		}
-		if !ls.Refresh(now, f.FlowID&keyMask, nil) {
-			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
-		}
-		return resv.Frame{Type: resv.MsgRefreshOK, FlowID: f.FlowID, Value: n.ttl.Seconds()}
+		return reply
 	case resv.MsgStats:
 		return n.statsReply(f)
 	case resv.MsgGossip:
@@ -1188,50 +1167,17 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 	}
 }
 
-// dispatchPeerBatch serves one batched peer-plane body in order: runs of
-// consecutive claims on the same link with identical rate and class go
-// through one vectored link admission (one policy CAS for the whole run),
-// teardowns release singly, and the reply is one verdict bitmap. Value
-// carries the minimum granted share across the batch's runs — entry nodes
-// compute per-link shares from cluster-wide knowledge and ignore it.
+// dispatchPeerBatch answers one batched peer-plane body on the node's link
+// cells: a hop on a link the node does not own fails as an error. Runs
+// break at link boundaries, each link having its own policy. Entry nodes
+// compute per-link shares from cluster-wide knowledge and ignore the
+// reply's Value.
 func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) resv.Frame {
-	var verdict resv.BatchVerdict
-	share := math.MaxFloat64
-	for i := 0; i < len(ops); {
-		f := ops[i]
-		if f.Type == resv.MsgTeardown {
-			if ls := n.localLink(f.FlowID); ls != nil && ls.Release(now, f.FlowID&keyMask, nil) {
-				verdict |= 1 << uint(i)
-			} else {
-				n.metrics.Errors.Inc()
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(ops) && ops[j].Type == resv.MsgRequest &&
-			ops[j].FlowID>>idxShift == f.FlowID>>idxShift &&
-			ops[j].Value == f.Value && ops[j].Class == f.Class {
-			j++
-		}
-		ls := n.localLink(f.FlowID)
-		if ls == nil || !(f.Value >= 0) || math.IsInf(f.Value, 0) {
-			n.metrics.Errors.Add(uint64(j - i))
-			i = j
-			continue
-		}
-		var granted resv.BatchVerdict
-		dec := resv.AdmitRun(ls.cell, now, ops[i:j], keyMask, &sess.claims, struct{}{}, i, &granted, nil)
-		verdict |= granted
-		if granted != 0 && dec.Share < share {
-			share = dec.Share
-		}
-		i = j
+	reply, errs := resv.AnswerBatch(n.hopCell, now, ops, keyMask, &sess.claims, struct{}{})
+	if errs != 0 {
+		n.metrics.Errors.Add(uint64(errs.Count()))
 	}
-	if share == math.MaxFloat64 {
-		share = 0
-	}
-	return resv.Frame{Type: resv.MsgReserveBatchReply, FlowID: uint64(verdict), Value: share}
+	return reply
 }
 
 // appendReplyGossip piggybacks occupancy snapshots of local links whose
@@ -1255,16 +1201,6 @@ func (n *Node) appendReplyGossip(sess *peerSess, out []resv.Frame) []resv.Frame 
 		n.metrics.GossipOut.Inc()
 	}
 	return out
-}
-
-// localLink resolves a peer-plane FlowID's link index to local state, nil
-// when out of range or owned elsewhere.
-func (n *Node) localLink(flowID uint64) *linkState {
-	g := int(flowID >> idxShift)
-	if g >= len(n.byGlobal) {
-		return nil
-	}
-	return n.byGlobal[g]
 }
 
 // ---- in-process client handle ----

@@ -25,9 +25,6 @@ func TestServeConnFraming(t *testing.T) {
 		name     string
 		segments [][]resv.Frame
 		want     []resv.MsgType
-		// cluster, when set, is the client plane's answer where it
-		// differs from the resv server's.
-		cluster []resv.MsgType
 	}{
 		{
 			name:     "batch body split across reads",
@@ -48,7 +45,6 @@ func TestServeConnFraming(t *testing.T) {
 			name:     "gossip frame",
 			segments: [][]resv.Frame{{{Type: resv.MsgGossip, FlowID: 1, Value: 0}, stats}},
 			want:     []resv.MsgType{resv.MsgError, resv.MsgStatsReply},
-			cluster:  []resv.MsgType{resv.MsgStatsReply},
 		},
 	}
 
@@ -72,11 +68,7 @@ func TestServeConnFraming(t *testing.T) {
 	for _, tc := range cases {
 		for _, pl := range planes {
 			t.Run(tc.name+"/"+pl.name, func(t *testing.T) {
-				want := tc.want
-				if pl.name == "cluster" && tc.cluster != nil {
-					want = tc.cluster
-				}
-				want = append(want[:len(want):len(want)], resv.MsgStatsReply)
+				want := append(tc.want[:len(tc.want):len(tc.want)], resv.MsgStatsReply)
 				segments := append(tc.segments[:len(tc.segments):len(tc.segments)], []resv.Frame{stats})
 				cEnd, sEnd := net.Pipe()
 				served := make(chan struct{})

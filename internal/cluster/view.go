@@ -12,13 +12,13 @@ import (
 // a frame that arrives out of order (an anti-entropy burst overtaking a
 // piggyback on another connection) can never roll occupancy backwards.
 //
-// A remote link's snapshots reach a node on more than one goroutine: the
-// owner's posted gossip on the inbound peer connection, the gossip riding
-// its batch replies on this node's outbound client to it, and any a client
-// sends on the client plane. So apply serializes a cell's writers with the
-// cell's lock, which only apply takes: the version check and the three
-// stores are one step, and a later version is never overwritten by an
-// earlier one. The router reads without the lock; reading active and
+// A remote link's snapshots reach a node on two goroutines: the owner's
+// posted gossip on the inbound peer connection, and the gossip riding its
+// batch replies on this node's outbound client to it. (The client plane
+// refuses gossip: a forged version could freeze the view.) So apply
+// serializes a cell's writers with the cell's lock, which only apply
+// takes: the version check and the three stores are one step, and a later
+// version is never overwritten by an earlier one. The router reads without the lock; reading active and
 // updated mid-store, it sees either the old or the new snapshot, both of
 // which were true recently.
 type view struct {

@@ -65,6 +65,36 @@ func TestViewApplyMonotone(t *testing.T) {
 	}
 }
 
+// TestClientPlaneRefusesGossip checks that a gossip frame on the client
+// plane is answered with bad-request and not applied. Were it applied, a
+// forged version of 2^48−1 would freeze the node's view of the link: every
+// later snapshot of its owner would be older.
+func TestClientPlaneRefusesGossip(t *testing.T) {
+	cl := startCluster(t, "node a\nnode b\nlink l b 8\npath p l\npair x a b p\n", Config{AntiEntropy: -1})
+	a, b := cl.Node(0), cl.Node(1)
+	nc := diffConn(t, a.HandleClientConn)
+	forged := resv.Frame{Type: resv.MsgGossip, FlowID: 0<<idxShift | keyMask, Value: 7}
+	if r := diffRoundTrip(t, nc, []resv.Frame{forged, {Type: resv.MsgStats}}); r.Type != resv.MsgError || r.Value != float64(resv.ErrCodeBadRequest) {
+		t.Fatalf("client-plane gossip answered %+v, want a bad-request error", r)
+	}
+	if r := diffRead(t, nc); r.Type != resv.MsgStatsReply {
+		t.Fatalf("stats after the gossip frame answered %+v", r)
+	}
+
+	l := a.NewLocal()
+	defer l.Close()
+	for seq := uint64(1); seq <= 3; seq++ {
+		if ok, _, err := l.Reserve(0, seq, 1); err != nil || !ok {
+			t.Fatalf("reserve %d: granted %v, %v", seq, ok, err)
+		}
+	}
+	b.gossipAll(b.peers[a.Index()].Load())
+	waitFor(t, "the owner's snapshot to land", func() bool {
+		active, _ := a.view.load(0)
+		return active == 3
+	})
+}
+
 // BenchmarkGossipApply times one occupancy snapshot landing in a node's
 // gossip view through Node.applyGossip: a fresh one advances the link's
 // version under the cell's writer lock, a stale one is turned away by the

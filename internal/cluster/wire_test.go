@@ -154,3 +154,37 @@ func TestWireMultiNodeEntry(t *testing.T) {
 		t.Fatal("grant past the shared bound via a second entry node")
 	}
 }
+
+// TestPeerHopsSessionScoped checks that a hop claim answers to the peer
+// session that made it alone. A teardown or refresh of its key on another
+// session, single or in a batch body, gets unknown-flow and leaves the
+// claim held; the claiming session's refresh and teardown work.
+func TestPeerHopsSessionScoped(t *testing.T) {
+	n := startCluster(t, singleSpec, Config{AntiEntropy: -1}).Node(0)
+	own, other := diffConn(t, n.HandlePeerConn), diffConn(t, n.HandlePeerConn)
+	const key = 1<<entryShift | 7 // entry node 1's hop 7, on link 0
+	hop := func(typ resv.MsgType) resv.Frame { return resv.Frame{Type: typ, FlowID: key, Value: 1} }
+	expect := func(nc net.Conn, frames []resv.Frame, want resv.Frame) {
+		t.Helper()
+		if r := diffRoundTrip(t, nc, frames); !sameFrame(r, want) {
+			t.Fatalf("%v: reply %+v, want %+v", frames, r, want)
+		}
+	}
+	unknown := resv.Frame{Type: resv.MsgError, FlowID: key, Value: float64(resv.ErrCodeUnknownFlow)}
+
+	expect(own, []resv.Frame{hop(resv.MsgRequest)}, resv.Frame{Type: resv.MsgGrant, FlowID: key, Value: 1})
+	expect(other, []resv.Frame{hop(resv.MsgTeardown)}, unknown)
+	expect(other, []resv.Frame{hop(resv.MsgRefresh)}, unknown)
+	expect(other, []resv.Frame{resv.BatchHeader(1), hop(resv.MsgTeardown)}, resv.Frame{Type: resv.MsgReserveBatchReply})
+	if g := diffRead(t, other); g.Type != resv.MsgGossip || g.Value != 1 {
+		t.Fatalf("batch reply piggybacked %+v, want a snapshot of link 0 at 1", g)
+	}
+	if a := n.LinkActive(0); a != 1 {
+		t.Fatalf("another session's teardowns left %d claims, want the 1 it did not make", a)
+	}
+	expect(own, []resv.Frame{hop(resv.MsgRefresh)}, resv.Frame{Type: resv.MsgRefreshOK, FlowID: key})
+	expect(own, []resv.Frame{hop(resv.MsgTeardown)}, resv.Frame{Type: resv.MsgTeardownOK, FlowID: key})
+	if a := n.LinkActive(0); a != 0 {
+		t.Fatalf("the claiming session's teardown left %d claims", a)
+	}
+}

@@ -104,30 +104,41 @@ func BenchmarkBatchCollector(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchWindow), "ns/frame")
 }
 
-// BenchmarkDispatch is the admission layer under the stream serving loop:
-// a stream connection's handler serving one reserve and one teardown (one
-// op) at the paper's operating point kmax = C = 100, with dispatchHeld
-// flows held on the connection across the server's shards (16 at
-// GOMAXPROCS ≤ 2, reported as shards). Each reserve takes a policy claim
-// and a shard lock, each teardown the shard lock and the policy release;
-// 0 allocs/op.
-func BenchmarkDispatch(b *testing.B) {
-	const dispatchHeld = 50
+// dispatchHeld is the flows the dispatch benchmarks keep held on their
+// connection across the server's shards.
+const dispatchHeld = 50
+
+// benchDispatcher is a stream connection's handler on a counting server
+// at the paper's operating point kmax = C = 100, holding flows 1 through
+// dispatchHeld.
+func benchDispatcher(b *testing.B) (*Server, *streamConn) {
 	s, err := NewServer(100, utility.NewAdaptive())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
+	b.Cleanup(s.Close)
 	h := &streamConn{s: s, c: s.newConn(nil)}
+	for id := uint64(1); id <= dispatchHeld; id++ {
+		if r := h.Serve(Frame{Type: MsgRequest, FlowID: id, Value: 1}, time.Time{}); r.Type != MsgGrant {
+			b.Fatalf("reserve flow %d: reply %+v", id, r)
+		}
+	}
+	return s, h
+}
+
+// BenchmarkDispatch is the admission layer under the stream serving loop:
+// a stream connection's handler serving one reserve and one teardown (one
+// op) with dispatchHeld flows held (16 shards at GOMAXPROCS ≤ 2, reported
+// as shards). Each reserve takes a policy claim and a shard lock, each
+// teardown the shard lock and the policy release; 0 allocs/op.
+func BenchmarkDispatch(b *testing.B) {
+	s, h := benchDispatcher(b)
 	serve := func(f Frame, want MsgType) {
 		if r := h.Serve(f, time.Time{}); r.Type != want {
 			b.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
 		}
 	}
-	next := uint64(1)
-	for ; next <= dispatchHeld; next++ {
-		serve(Frame{Type: MsgRequest, FlowID: next, Value: 1}, MsgGrant)
-	}
+	next := uint64(dispatchHeld + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -137,6 +148,36 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(s.Shards()), "shards")
+}
+
+// BenchmarkDispatchBatch is the batch answer under the stream serving
+// loop: a stream connection's handler serving one benchWindow-op body (one
+// op) with dispatchHeld flows held. The body is twice 8 teardowns of the
+// oldest flows, then 8 reserves of new ones, so AdmitRun admits two runs
+// of 8 with one policy claim each. Every op succeeds; 0 allocs/op.
+func BenchmarkDispatchBatch(b *testing.B) {
+	_, h := benchDispatcher(b)
+	body := make([]Frame, benchWindow)
+	out := make([]Frame, 0, 1)
+	oldest, next := uint64(1), uint64(dispatchHeld+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range body {
+			if j%16 < 8 {
+				body[j] = Frame{Type: MsgTeardown, FlowID: oldest}
+				oldest++
+			} else {
+				body[j] = Frame{Type: MsgRequest, FlowID: next, Value: 1}
+				next++
+			}
+		}
+		out = h.ServeBatch(body, time.Time{}, out[:0])
+		if r := out[0]; r.Type != MsgReserveBatchReply || r.FlowID != 1<<benchWindow-1 || r.Value != 1 {
+			b.Fatalf("batch reply %+v, want every op granted at share 1", r)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchWindow), "ns/frame")
 }
 
 // BenchmarkClientFanIn is the stream client under fan-in: fanInCallers

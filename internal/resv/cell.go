@@ -104,11 +104,11 @@ func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P]) int {
 // holds expire and a policy when they claim admission slots. Set a cell up
 // with Init; do not copy it after.
 //
-// Admit, Release, Refresh, Owned and Advance take the cell's lock
-// themselves, as do AdmitRun and Owner.Drain. Get, Insert, Arm, Drop, Each
-// and Len are for a plane that must keep its own state consistent with the
-// table (a connection's closed flag, a pending path flow): it calls them
-// between Lock and Unlock.
+// Reserve, Answer, Release, Refresh, Owned and Advance take the cell's
+// lock themselves, as do AdmitRun, AnswerBatch and Owner.Drain.
+// Get, Insert, Arm, Drop, Each and Len are for a plane that must keep its
+// own state consistent with the table (a connection's closed flag, a
+// pending path flow): it calls them between Lock and Unlock.
 type Cell[P any] struct {
 	sync.Mutex
 	// idx is the cell's index in its group: the list its holds go on in
@@ -118,6 +118,9 @@ type Cell[P any] struct {
 	wheel *Wheel[*Hold[P]] // nil without a TTL
 	ttl   int64
 	pol   policy.Policy // nil for a cell that only records
+	// rates records that pol accounts rates (policy.ModeBandwidth): a
+	// reserve must then carry a positive rate, and a batch reply no share.
+	rates bool
 	// clock records that pol implements policy.ClockUser and asked for the
 	// clock. A clockless policy is handed 0, so a cell with no TTL never
 	// uses the now its callers pass.
@@ -138,6 +141,7 @@ const Now int64 = math.MinInt64
 // after it is armed. The cell's clock counts nanoseconds since epoch.
 func (c *Cell[P]) Init(i int, pol policy.Policy, ttl time.Duration, epoch time.Time) {
 	c.idx, c.pol, c.ttl, c.epoch = i, pol, int64(ttl), epoch
+	c.rates = pol != nil && pol.Mode() == policy.ModeBandwidth
 	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
 		c.clock = true
 	}
@@ -231,47 +235,24 @@ const (
 	HeldOwn
 	// HeldOther: the key is already held by another owner, as for HeldOwn.
 	HeldOther
+	// Refused: the request's rate is one no reserve may carry (badRate).
+	// The policy never saw it.
+	Refused
 )
-
-// Admit claims one slot from the policy and installs a hold under key,
-// owned by o (nil for none), claiming rate, and armed one TTL after now.
-// The policy decides first, so a full cell denies without taking its lock.
-// When key is already held the claim goes back, and the rate the live hold
-// claimed is returned with its Outcome.
-func (c *Cell[P]) Admit(now int64, key uint64, rate float64, class uint8, o *Owner[P], val P) (policy.Decision, Outcome, float64) {
-	pnow := c.polNow(now)
-	dec := c.pol.Admit(pnow, key, rate, class)
-	if !dec.Admit {
-		return dec, Denied, 0
-	}
-	c.Lock()
-	if h := c.holds.Get(key); h != nil {
-		out, held := HeldOther, h.rate
-		if h.owner == o {
-			out = HeldOwn
-		}
-		c.Unlock()
-		c.pol.Release(pnow, rate)
-		return dec, out, held
-	}
-	c.Arm(now, c.Insert(key, o, rate, val))
-	c.Unlock()
-	return dec, Granted, 0
-}
 
 // AdmitRun admits a run of identical requests — one rate and class, keys
 // run[i].FlowID&mask — on cells sharing one policy, each op in the cell
-// cellOf names for its key, as Admit admits each op but with one vectored
-// policy claim per pass. The policy grants a prefix of the run; each
-// granted op installs, or returns its claim when its key is held. A pass
-// that returned claims freed slots the ops past its prefix would have been
-// granted had they been sent singly, so the rest of the run is admitted
-// again: a run answers exactly as its ops sent one at a time. Op i sets
-// bit base+i of granted when it installed, and of held (if non-nil) when
-// its key was held. The Decision carries the share of the last pass that
-// granted and the load the last pass observed.
-func AdmitRun[P any](cellOf func(key uint64) *Cell[P], now int64, run []Frame, mask uint64, o *Owner[P], val P, base int, granted, held *BatchVerdict) (dec policy.Decision) {
-	first := cellOf(run[0].FlowID & mask)
+// cellOf names for its flow ID, as Reserve admits each op but with one
+// vectored policy claim per pass. The policy grants a prefix of the run;
+// each granted op installs, or returns its claim when its key is held. A
+// pass that returned claims freed slots the ops past its prefix would have
+// been granted had they been sent singly, so the rest of the run is
+// admitted again: a run answers exactly as its ops sent one at a time. Op
+// i sets bit base+i of granted when it installed, and of held when its key
+// was held. The Decision carries the share of the last pass that granted
+// and the load the last pass observed.
+func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, mask uint64, o *Owner[P], val P, base int, granted, held *BatchVerdict) (dec policy.Decision) {
+	first := cellOf(run[0].FlowID)
 	pol, pnow := first.pol, first.polNow(now)
 	rate, class := run[0].Value, run[0].Class
 	for i := 0; i < len(run); {
@@ -287,7 +268,7 @@ func AdmitRun[P any](cellOf func(key uint64) *Cell[P], now int64, run []Frame, m
 		var locked *Cell[P]
 		for end := i + n; i < end; i++ {
 			key := run[i].FlowID & mask
-			if c := cellOf(key); c != locked {
+			if c := cellOf(run[i].FlowID); c != locked {
 				if locked != nil {
 					locked.Unlock()
 				}
@@ -296,9 +277,7 @@ func AdmitRun[P any](cellOf func(key uint64) *Cell[P], now int64, run []Frame, m
 			}
 			if locked.holds.Get(key) != nil {
 				returned++
-				if held != nil {
-					*held |= 1 << uint(base+i)
-				}
+				*held |= 1 << uint(base+i)
 				continue
 			}
 			locked.Arm(now, locked.Insert(key, o, rate, val))
@@ -313,12 +292,12 @@ func AdmitRun[P any](cellOf func(key uint64) *Cell[P], now int64, run []Frame, m
 	return dec
 }
 
-// Release drops the hold under key if o owns it — any hold when o is nil —
+// Release drops the hold under key if o owns it (nil: if it has no owner)
 // and reports whether one went.
 func (c *Cell[P]) Release(now int64, key uint64, o *Owner[P]) bool {
 	c.Lock()
 	h := c.holds.Get(key)
-	ok := h != nil && (o == nil || h.owner == o)
+	ok := h != nil && h.owner == o
 	if ok {
 		c.Drop(now, h)
 	}
@@ -326,12 +305,12 @@ func (c *Cell[P]) Release(now int64, key uint64, o *Owner[P]) bool {
 	return ok
 }
 
-// Refresh re-arms the hold under key one TTL after now if o owns it — any
-// hold when o is nil — and reports whether it lives.
+// Refresh re-arms the hold under key one TTL after now if o owns it (nil:
+// if it has no owner) and reports whether it lives.
 func (c *Cell[P]) Refresh(now int64, key uint64, o *Owner[P]) bool {
 	c.Lock()
 	h := c.holds.Get(key)
-	ok := h != nil && (o == nil || h.owner == o)
+	ok := h != nil && h.owner == o
 	if ok {
 		c.Arm(now, h)
 	}
@@ -370,4 +349,121 @@ func (c *Cell[P]) Advance(now int64, gone func(key uint64, val P, ownerEmpty boo
 	})
 	c.Unlock()
 	return n
+}
+
+// The link answer: a reservation-capable link's reply to each frame, given
+// from its cells. The single-link server answers for its shards and a
+// cluster node's peer plane for its links, so both planes give one answer.
+// A frame's key is its FlowID&mask; only the key's owner o may tear its
+// hold down or refresh it.
+
+// badRate reports a requested rate no reserve may carry: negative, NaN or
+// infinite, or — under a policy that accounts rates — not positive.
+func (c *Cell[P]) badRate(v float64) bool {
+	return !(v >= 0) || math.IsInf(v, 0) || (c.rates && !(v > 0))
+}
+
+// Reserve answers a reserve f for o. It claims one slot from the policy
+// and installs a hold under key f.FlowID&mask, owned by o (nil for none),
+// claiming f.Value and armed one TTL after now. The policy decides first,
+// so a full cell denies without taking its lock. The reply is ERROR
+// bad-request for a bad rate (Refused), GRANT with the policy's share,
+// DENY with the load the policy saw, or ERROR duplicate-flow when the key
+// is already held: the claim goes back, and the rate the live hold
+// claimed is returned with the Outcome. In count mode the share is the
+// guaranteed worst case C/kmax, since the instantaneous C/min(k, kmax)
+// would be stale the moment another flow is admitted; in bandwidth mode
+// it is the requested rate.
+func (c *Cell[P]) Reserve(now int64, f Frame, mask uint64, o *Owner[P], val P) (Frame, Outcome, float64) {
+	if c.badRate(f.Value) {
+		return errorReply(f, ErrCodeBadRequest), Refused, 0
+	}
+	key, pnow := f.FlowID&mask, c.polNow(now)
+	dec := c.pol.Admit(pnow, key, f.Value, f.Class)
+	if !dec.Admit {
+		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, Denied, 0
+	}
+	c.Lock()
+	if h := c.holds.Get(key); h != nil {
+		out, held := HeldOther, h.rate
+		if h.owner == o {
+			out = HeldOwn
+		}
+		c.Unlock()
+		c.pol.Release(pnow, f.Value)
+		return errorReply(f, ErrCodeDuplicateFlow), out, held
+	}
+	c.Arm(now, c.Insert(key, o, f.Value, val))
+	c.Unlock()
+	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, Granted, 0
+}
+
+// Answer answers a reserve as Reserve does, a teardown with TEARDOWN-OK
+// and the policy's active count, and a refresh with REFRESH-OK and the TTL
+// in seconds; a teardown or refresh of a key o does not hold gets ERROR
+// unknown-flow, and any other frame ERROR bad-request.
+func (c *Cell[P]) Answer(now int64, f Frame, mask uint64, o *Owner[P], val P) Frame {
+	switch key := f.FlowID & mask; f.Type {
+	case MsgTeardown:
+		if c.Release(now, key, o) {
+			return Frame{Type: MsgTeardownOK, FlowID: f.FlowID, Value: float64(c.pol.Active())}
+		}
+	case MsgRefresh:
+		if c.Refresh(now, key, o) {
+			return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: time.Duration(c.ttl).Seconds()}
+		}
+	case MsgRequest:
+		reply, _, _ := c.Reserve(now, f, mask, o, val)
+		return reply
+	default:
+		return errorReply(f, ErrCodeBadRequest)
+	}
+	return errorReply(f, ErrCodeUnknownFlow)
+}
+
+// AnswerBatch answers one MsgReserveBatch body for o on the cells cellOf
+// names by flow ID (nil for an ID no cell serves), in body order: a
+// teardown releases as Answer's does, and each run of consecutive requests
+// with one rate and class, on cells sharing one policy, goes through one
+// AdmitRun, so the body answers exactly as its ops sent singly. Flow IDs
+// that agree outside mask must name cells sharing one policy (or none):
+// a run breaks where they do not agree. Bit i of the reply's verdict
+// reports op i, and of errs that op i failed as an error (a bad rate, a
+// held key, an unknown flow or cell), not a denial. The reply's Value is
+// the smallest share granted: 0 when none was, and under a policy that
+// accounts rates.
+func AnswerBatch[P any](cellOf func(id uint64) *Cell[P], now int64, ops []Frame, mask uint64, o *Owner[P], val P) (reply Frame, errs BatchVerdict) {
+	var verdict BatchVerdict
+	share := math.MaxFloat64
+	for i := 0; i < len(ops); {
+		f, c := ops[i], cellOf(ops[i].FlowID)
+		if f.Type == MsgTeardown {
+			if c != nil && c.Release(now, f.FlowID&mask, o) {
+				verdict |= 1 << uint(i)
+			} else {
+				errs |= 1 << uint(i)
+			}
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(ops) && ops[j].Type == MsgRequest && ops[j].Value == f.Value && ops[j].Class == f.Class && (ops[j].FlowID^f.FlowID)&^mask == 0 {
+			j++
+		}
+		if c == nil || c.badRate(f.Value) {
+			errs |= (BatchVerdict(1)<<uint(j-i) - 1) << uint(i)
+		} else {
+			var granted BatchVerdict
+			dec := AdmitRun(cellOf, now, ops[i:j], mask, o, val, i, &granted, &errs)
+			verdict |= granted
+			if granted != 0 && !c.rates && dec.Share < share {
+				share = dec.Share
+			}
+		}
+		i = j
+	}
+	if share == math.MaxFloat64 {
+		share = 0
+	}
+	return Frame{Type: MsgReserveBatchReply, FlowID: uint64(verdict), Value: share}, errs
 }

@@ -12,7 +12,7 @@ import (
 
 // TestCellAdmitRunMatchesSingles admits seeded runs — keys repeating, some
 // already held, at and below the bound — through AdmitRun on one cell and
-// through single Admits on a twin, and checks that every op comes to the
+// through single Reserves on a twin, and checks that every op comes to the
 // same outcome and both policies hold the same count.
 func TestCellAdmitRunMatchesSingles(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -29,7 +29,7 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 		for k := uint64(1); k <= 12; k++ {
 			if rng.IntN(3) == 0 {
 				for i := range cells {
-					cells[i].Admit(0, k, 1, 0, nil, 0)
+					cells[i].Reserve(0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), nil, 0)
 				}
 			}
 		}
@@ -40,7 +40,7 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 		var granted, held BatchVerdict
 		AdmitRun(func(uint64) *Cell[int] { return &cells[0] }, 0, run, ^uint64(0), nil, 0, 0, &granted, &held)
 		for i, f := range run {
-			_, out, _ := cells[1].Admit(0, f.FlowID, 1, 0, nil, 0)
+			_, out, _ := cells[1].Reserve(0, f, ^uint64(0), nil, 0)
 			if granted.Granted(i) != (out == Granted) || held.Granted(i) != (out == HeldOwn || out == HeldOther) {
 				t.Fatalf("trial %d, bound %d, op %d (key %d): run granted=%v held=%v, single outcome %d",
 					trial, bound, i, f.FlowID, granted.Granted(i), held.Granted(i), out)
@@ -74,7 +74,7 @@ func TestCellReleasesOnce(t *testing.T) {
 		var o Owner[uint64]
 		o.Init(ncells)
 		for k := uint64(0); k < nholds; k++ {
-			if _, out, _ := cellOf(k).Admit(0, k, 1, 0, &o, k); out != Granted {
+			if _, out, _ := cellOf(k).Reserve(0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), &o, k); out != Granted {
 				t.Fatalf("admit %d: outcome %d", k, out)
 			}
 		}

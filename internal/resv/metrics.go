@@ -104,6 +104,26 @@ func (b *batchStats) count(req, reply Frame) {
 	}
 }
 
+// countBody classifies the ops of one batch body: bit i of verdict
+// reports op i, and of errs that it failed as an error.
+func (b *batchStats) countBody(ops []Frame, verdict, errs BatchVerdict) {
+	for i, f := range ops {
+		if f.Type == MsgRequest {
+			b.reserves++
+		}
+		switch {
+		case errs.Granted(i):
+			b.errs++
+		case f.Type == MsgTeardown:
+			b.teardowns++
+		case verdict.Granted(i):
+			b.grants++
+		default:
+			b.denials++
+		}
+	}
+}
+
 // flushBatch folds one batch into the shared instruments: one atomic add
 // per touched counter, one histogram sample for the batch size, and the
 // batch's service time spread evenly over its frames (RecordN — a single

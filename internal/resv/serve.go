@@ -80,7 +80,7 @@ func ServeConn(nc net.Conn, h Handler) error {
 					// fails as a whole and the offending frame is then served
 					// on its own terms.
 					h.BadBatch()
-					wbuf = AppendFrame(wbuf, badRequest(f))
+					wbuf = AppendFrame(wbuf, errorReply(f, ErrCodeBadRequest))
 					wbuf = appendReply(wbuf, h.Serve(f, start))
 				case done:
 					replies = h.ServeBatch(bc.Ops(), start, replies[:0])
@@ -91,7 +91,7 @@ func ServeConn(nc net.Conn, h Handler) error {
 			case f.Type == MsgReserveBatch:
 				if bc.Begin(f) != nil {
 					h.BadBatch()
-					wbuf = AppendFrame(wbuf, badRequest(f))
+					wbuf = AppendFrame(wbuf, errorReply(f, ErrCodeBadRequest))
 				}
 			default:
 				wbuf = appendReply(wbuf, h.Serve(f, start))
@@ -119,9 +119,9 @@ func ServeConn(nc net.Conn, h Handler) error {
 	}
 }
 
-// badRequest is the error reply to a frame the serving loop refuses.
-func badRequest(f Frame) Frame {
-	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}
+// errorReply is the error reply to f.
+func errorReply(f Frame, code ErrorCode) Frame {
+	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(code)}
 }
 
 // appendReply encodes r unless it is the zero frame (no reply).

@@ -409,18 +409,19 @@ func (s *Server) dispatch(c *conn, f Frame, bs *batchStats) Frame {
 	switch f.Type {
 	case MsgRequest:
 		reply, dup = s.reserve(c, f)
-	case MsgTeardown:
-		reply = s.teardown(c, f)
-	case MsgRefresh:
-		reply = s.refresh(c, f)
+	case MsgTeardown, MsgRefresh:
+		reply = s.shardFor(f.FlowID).Answer(Now, f, ^uint64(0), &c.flows, c)
+		if reply.Type == MsgTeardownOK && s.Logf != nil {
+			s.logf("resv: teardown flow %d (active %d)", f.FlowID, int64(reply.Value))
+		}
 	case MsgStats:
 		var err error
 		reply, err = StatsReplyFrame(s.kmax, s.pol.Active())
 		if err != nil { // a policy bound beyond 2^53 flows; unreachable for the built-ins
-			reply = Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}
+			reply = errorReply(f, ErrCodeBadRequest)
 		}
 	default:
-		reply = Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}
+		reply = errorReply(f, ErrCodeBadRequest)
 	}
 	bs.count(f, reply)
 	if dup {
@@ -433,78 +434,20 @@ func (s *Server) dispatch(c *conn, f Frame, bs *batchStats) Frame {
 	return reply
 }
 
-// dispatchBatch serves one completed MsgReserveBatch body: runs of
-// consecutive requests with identical rate and class are admitted through
-// one vectored policy claim (policy.AdmitBatch — a single CAS for the
-// built-in count/bandwidth/tiered policies), teardown ops go through the
-// ordinary teardown path in order, and the whole body is answered with a
-// single bitmap reply. Ops are processed in body order, so a batch is
-// semantically identical to its ops sent one frame at a time — only the
-// admission arithmetic and the reply framing are amortized.
+// dispatchBatch serves one completed MsgReserveBatch body through
+// AnswerBatch and tallies its ops into bs. A batch is semantically
+// identical to its ops sent one frame at a time — only the admission
+// arithmetic and the reply framing are amortized. Batch framing is
+// stream-only, so a duplicate in a body is an error, never a re-grant.
 func (s *Server) dispatchBatch(c *conn, ops []Frame, bs *batchStats) Frame {
-	var verdict BatchVerdict
-	share := 0.0
-	for i := 0; i < len(ops); {
-		f := ops[i]
-		if f.Type == MsgTeardown {
-			reply := s.teardown(c, f)
-			bs.count(f, reply)
-			if reply.Type == MsgTeardownOK {
-				verdict |= 1 << uint(i)
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(ops) && ops[j].Type == MsgRequest && ops[j].Value == f.Value && ops[j].Class == f.Class {
-			j++
-		}
-		if sh := s.reserveRun(c, ops[i:j], i, &verdict, bs); sh != 0 {
-			share = sh
-		}
-		i = j
-	}
-	return Frame{Type: MsgReserveBatchReply, FlowID: uint64(verdict), Value: share}
+	reply, errs := AnswerBatch(s.shardFor, Now, ops, ^uint64(0), &c.flows, c)
+	bs.countBody(ops, BatchVerdict(reply.FlowID), errs)
+	return reply
 }
 
-// badRate reports a requested rate no reserve may carry: negative, NaN or
-// infinite, or — on a server with no flow bound, which accounts rates —
-// not positive.
-func (s *Server) badRate(v float64) bool {
-	return !(v >= 0) || math.IsInf(v, 0) || (s.kmax == 0 && !(v > 0))
-}
-
-// reserveRun admits one run of identical batched requests (same rate and
-// class) through AdmitRun, setting each installed op's bit in verdict. A
-// granted op whose flow ID is already installed returns its claim and
-// keeps its bit clear (batch framing is stream-only, so there is no
-// datagram-retransmit re-grant case — a duplicate in a batch is simply an
-// error outcome). It returns the count-mode grant share when anything was
-// installed, 0 otherwise.
-func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdict, bs *batchStats) float64 {
-	n := len(run)
-	bs.reserves += uint64(n)
-	if s.badRate(run[0].Value) {
-		bs.errs += uint64(n)
-		return 0
-	}
-	var granted, held BatchVerdict
-	dec := AdmitRun(s.shardFor, Now, run, ^uint64(0), &c.flows, c, base, &granted, &held)
-	*verdict |= granted
-	installed := granted.Count()
-	dups := held.Count()
-	bs.grants += uint64(installed)
-	bs.errs += uint64(dups)
-	bs.denials += uint64(n - installed - dups)
-	if installed == 0 || s.kmax == 0 {
-		return 0
-	}
-	return dec.Share
-}
-
-// reserve runs admission control for one request. dup reports that the
-// reply is a re-sent grant for an already-installed flow (datagram
-// retransmit), not a fresh admission.
+// reserve answers one request through its shard's cell. Its bool reports
+// that the reply is a re-sent grant for an already-installed flow
+// (datagram retransmit), not a fresh admission.
 //
 // The decision itself belongs to the policy: the built-ins claim a slot
 // with a CAS bounded by kmax (or capacity, in bandwidth mode), so the
@@ -513,79 +456,39 @@ func (s *Server) reserveRun(c *conn, run []Frame, base int, verdict *BatchVerdic
 // shard's job is the soft state around the decision: install the admitted
 // flow, roll the claim back on a duplicate; the server's, to answer
 // retransmits of live admissions from the entry rather than re-admitting.
-func (s *Server) reserve(c *conn, f Frame) (reply Frame, dup bool) {
-	if s.badRate(f.Value) {
-		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeBadRequest)}, false
-	}
+func (s *Server) reserve(c *conn, f Frame) (Frame, bool) {
 	sh := s.shardFor(f.FlowID)
-	dec, out, rate := sh.Admit(Now, f.FlowID, f.Value, f.Class, &c.flows, c)
-	switch out {
-	case Denied:
-		// A denial must not reject a datagram retransmit of a live
-		// admission — possibly the very admission that filled the link
-		// (grant lost, client re-sent). Only the deny path pays the shard
+	reply, out, rate := sh.Reserve(Now, f, ^uint64(0), &c.flows, c)
+	if c.datagram {
+		// A datagram peer's reserve of a flow it holds is a retransmit whose
+		// grant was lost in flight: re-send the grant from the live flow of
+		// the original admission, so a retransmit can never double-admit.
+		// It carries what that admission granted (its stored rate, or the
+		// worst-case share), which need not equal this request's. A denial
+		// must not hide a retransmit either — possibly of the very
+		// admission that filled the link. Only the deny path pays the shard
 		// lookup; fresh admissions stay lock-free in the policy.
-		if c.datagram {
-			if rate, ok := sh.Owned(f.FlowID, &c.flows); ok {
-				return s.duplicate(c, f, HeldOwn, rate)
+		if out == Denied {
+			if held, ok := sh.Owned(f.FlowID, &c.flows); ok {
+				out, rate = HeldOwn, held
 			}
 		}
-		if s.Logf != nil {
-			s.logf("resv: deny flow %d (%s: load %g)", f.FlowID, s.pol.Name(), dec.Load)
+		if out == HeldOwn {
+			if s.Logf != nil {
+				s.logf("resv: re-grant flow %d (retransmitted reserve)", f.FlowID)
+			}
+			return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: s.pol.Share(rate)}, true
 		}
-		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, false
-	case HeldOwn, HeldOther:
-		// A retransmit is answered with what the original admission
-		// granted (its stored rate, or the worst-case share), which need
-		// not equal this request's.
-		return s.duplicate(c, f, out, rate)
 	}
-	// In count mode the grant carries the guaranteed worst-case share
-	// C/kmax — the instantaneous share C/min(k, kmax) would be stale the
-	// moment another flow is admitted — and in bandwidth mode exactly the
-	// requested rate; either way dec.Share is the policy's word.
 	if s.Logf != nil {
-		s.logf("resv: grant flow %d (share %g, allocated %g/%g)", f.FlowID, dec.Share, s.pol.Allocated(), s.capacity)
-	}
-	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, false
-}
-
-// duplicate resolves a reserve that found its flow ID already installed,
-// after its claim went back to the policy; rate is what the live flow
-// claimed. On a datagram connection whose own live flow it is, the reserve
-// is a client retransmit whose grant was lost in flight: re-send the grant
-// — the reply comes from the live flow of the original admission, so the
-// retransmit can never double-admit. Everything else is a genuine
-// duplicate-flow error.
-func (s *Server) duplicate(c *conn, f Frame, out Outcome, rate float64) (Frame, bool) {
-	if c.datagram && out == HeldOwn {
-		value := s.pol.Share(rate)
-		if s.Logf != nil {
-			s.logf("resv: re-grant flow %d (retransmitted reserve)", f.FlowID)
+		switch reply.Type {
+		case MsgGrant:
+			s.logf("resv: grant flow %d (share %g, allocated %g/%g)", f.FlowID, reply.Value, s.pol.Allocated(), s.capacity)
+		case MsgDeny:
+			s.logf("resv: deny flow %d (%s: load %g)", f.FlowID, s.pol.Name(), reply.Value)
 		}
-		return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: value}, true
 	}
-	return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeDuplicateFlow)}, false
-}
-
-func (s *Server) teardown(c *conn, f Frame) Frame {
-	if !s.shardFor(f.FlowID).Release(Now, f.FlowID, &c.flows) {
-		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
-	}
-	active := s.pol.Active()
-	if s.Logf != nil {
-		s.logf("resv: teardown flow %d (active %d)", f.FlowID, active)
-	}
-	return Frame{Type: MsgTeardownOK, FlowID: f.FlowID, Value: float64(active)}
-}
-
-// refresh renews a reservation's soft-state deadline, an O(1) update: the
-// wheel re-files the flow when its old bucket comes due.
-func (s *Server) refresh(c *conn, f Frame) Frame {
-	if !s.shardFor(f.FlowID).Refresh(Now, f.FlowID, &c.flows) {
-		return Frame{Type: MsgError, FlowID: f.FlowID, Value: float64(ErrCodeUnknownFlow)}
-	}
-	return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: s.ttl.Seconds()}
+	return reply, false
 }
 
 // release frees every reservation held by a departing connection.
