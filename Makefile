@@ -52,12 +52,13 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The release paths — teardown, rollback, connection drop, TTL expiry —
+# The release paths — teardown, rollback, connection drop, TTL expiry,
+# closing a serving plane —
 # and the callers' hop flushes, raced ten times over: every claim must go
 # back exactly once however they interleave. The gossip view's writers are
 # raced too: a link's occupancy snapshot must never roll back. Timing-
 # dependent failures here show up only under repetition.
-RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone
+RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone|TestCloseReleasesStreamFlows|TestHandleConnAfterClose|TestCloseEndsLoops|TestPeerTeardownOfExpiredClaimNoError
 
 race-soak:
 	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/

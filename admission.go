@@ -39,7 +39,10 @@ func NewAdmissionServerTTL(capacity float64, util Utility, ttl time.Duration) (*
 	return &AdmissionServer{s: s}, nil
 }
 
-// Close stops the server's soft-state expiry goroutine (if any).
+// Close ends the server: it stops the soft-state expiry goroutine (if
+// any), closes every stream connection it serves, and returns once their
+// reservations are released. It does not close a listener passed to Serve
+// or a PacketConn passed to ServePacket.
 func (a *AdmissionServer) Close() { a.s.Close() }
 
 // NewAdmissionServerBandwidth returns a server that admits by traffic

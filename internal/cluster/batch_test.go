@@ -314,7 +314,7 @@ func TestClusterBatchRepeatedFlowID(t *testing.T) {
 			n := startCluster(t, "node a\nlink l a 8\npath p l\npair x a a p\n", Config{AntiEntropy: -1}).Node(0)
 			l := n.NewLocal()
 			defer l.Close()
-			r := n.dispatchClientBatch(l.c, tc.ops, n.nowNanos())
+			r := n.dispatchClientBatch(l.c, tc.ops, n.lc.Now())
 			if v := resv.BatchVerdict(r.FlowID); v != tc.verdict {
 				t.Fatalf("verdict %0*b, want %0*b", len(tc.ops), uint64(v), len(tc.ops), uint64(tc.verdict))
 			}

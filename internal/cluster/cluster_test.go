@@ -439,12 +439,12 @@ func TestTwoChoiceAvoidsLoadedPath(t *testing.T) {
 			}
 			// Let the entry node's view of both links go fresh.
 			waitFor(t, "fresh load signal for lb", func() bool {
-				now := cl.Node(0).nowNanos()
+				now := cl.Node(0).lc.Now()
 				load, fresh := cl.Node(0).pathLoad(topo.pathIdx["via-b"], now)
 				return fresh && load >= 1
 			})
 			waitFor(t, "fresh load signal for lc", func() bool {
-				_, fresh := cl.Node(0).pathLoad(topo.pathIdx["via-c"], cl.Node(0).nowNanos())
+				_, fresh := cl.Node(0).pathLoad(topo.pathIdx["via-c"], cl.Node(0).lc.Now())
 				return fresh
 			})
 
@@ -498,7 +498,7 @@ func TestBurstPlacementBalances(t *testing.T) {
 	// Wait until both links' (empty) snapshots have arrived, so no
 	// placement falls back to plain hashing.
 	waitFor(t, "both load signals fresh", func() bool {
-		now := cl.Node(0).nowNanos()
+		now := cl.Node(0).lc.Now()
 		_, fb := cl.Node(0).pathLoad(topo.pathIdx["via-b"], now)
 		_, fc := cl.Node(0).pathLoad(topo.pathIdx["via-c"], now)
 		return fb && fc

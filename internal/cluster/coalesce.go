@@ -79,7 +79,7 @@ func newCoalescer(n *Node, mc *resv.Client) *coalescer {
 // must wait on the op — an op nobody waits on ships only with another
 // caller's flush — then read the results and return it with put.
 func (co *coalescer) enqueue(f resv.Frame) *hopOp {
-	if co.n.stopping() {
+	if co.n.lc.Stopping() {
 		return nil
 	}
 	co.mu.Lock()

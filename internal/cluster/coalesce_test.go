@@ -14,7 +14,7 @@ import (
 )
 
 // stubPeer is a hand-served link owner for one node's coalescer: served by
-// resv.ServeConn, it grants a claim on an even flow ID, denies one on an
+// a resv.Lifecycle's ServeConn, it grants a claim on an even flow ID, denies one on an
 // odd flow ID, and confirms every teardown. With rec set it records each
 // request as it came off the wire; holdNext makes it keep one reply back.
 type stubPeer struct {
@@ -51,7 +51,7 @@ func (s *stubPeer) took(batch bool, frames []resv.Frame) {
 	}
 }
 
-func (s *stubPeer) Serve(f resv.Frame, _ time.Time) resv.Frame {
+func (s *stubPeer) Serve(f resv.Frame, _ int64) resv.Frame {
 	s.took(false, []resv.Frame{f})
 	switch {
 	case f.Type == resv.MsgTeardown:
@@ -65,7 +65,7 @@ func (s *stubPeer) Serve(f resv.Frame, _ time.Time) resv.Frame {
 	}
 }
 
-func (s *stubPeer) ServeBatch(ops []resv.Frame, _ time.Time, out []resv.Frame) []resv.Frame {
+func (s *stubPeer) ServeBatch(ops []resv.Frame, _ int64, out []resv.Frame) []resv.Frame {
 	s.took(true, ops)
 	var v resv.BatchVerdict
 	for i, f := range ops {
@@ -115,7 +115,7 @@ func stubbedNode(t testing.TB, stub *stubPeer) (*Node, *coalescer, net.Conn) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		_ = resv.ServeConn(b, stub)
+		_ = resv.NewLifecycle().ServeConn(b, stub)
 	}()
 	t.Cleanup(func() {
 		n.Close()

@@ -61,7 +61,7 @@ func TestExpiryStepOwnerClaim(t *testing.T) {
 		}
 	}
 
-	t0 := owner.nowNanos()
+	t0 := owner.lc.Now()
 	hop(resv.MsgRequest, 1, t0)
 	hop(resv.MsgRequest, 2, t0)
 	d := t0 + int64(expiryTTL)
@@ -114,7 +114,7 @@ func TestExpiryStepEntryPathFlow(t *testing.T) {
 		}
 	}
 
-	t0 := entry.nowNanos()
+	t0 := entry.lc.Now()
 	send(resv.MsgRequest, 1, t0)
 	send(resv.MsgRequest, 2, t0)
 	d := t0 + int64(expiryTTL)

@@ -28,11 +28,11 @@ type Node struct {
 	idx  int
 	name string
 	topo *Topology
+	lc   *resv.Lifecycle // clock, loops, inbound connections: as a resv.Server's
 
 	ttl        time.Duration
 	staleNanos int64
 	routerMode RouterMode
-	epoch      time.Time
 
 	// links are the locally-owned links; byGlobal maps a global link index
 	// to its local state (nil for links other nodes own). bounds holds
@@ -72,18 +72,7 @@ type Node struct {
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
-
-	ctx      context.Context
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	// inbound are the connections being served; handlers counts the
-	// HandleClientConn/HandlePeerConn calls serving them, clean-up
-	// included, which Close waits for.
-	imu      sync.Mutex
-	inbound  map[net.Conn]struct{}
-	handlers sync.WaitGroup
+	ctx     context.Context
 
 	// Logf, if non-nil, receives one line per notable event (rollbacks,
 	// forward errors, expiries). Set before serving.
@@ -127,7 +116,7 @@ type cconn struct {
 // with rollbackConn.
 func (n *Node) openCConn() *cconn {
 	c := &cconn{n: n}
-	c.flows.Init(0, nil, n.ttl, n.epoch)
+	c.flows.Init(0, nil, n.ttl, n.lc.Epoch())
 	n.cmu.Lock()
 	n.cconns[c] = struct{}{}
 	n.cmu.Unlock()
@@ -185,10 +174,10 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		idx:        idx,
 		name:       topo.Nodes[idx],
 		topo:       topo,
+		lc:         resv.NewLifecycle(),
 		ttl:        ttl,
 		staleNanos: int64(stale),
 		routerMode: router,
-		epoch:      time.Now(),
 		byGlobal:   make([]*linkState, len(topo.Links)),
 		bounds:     bounds,
 		peers:      make([]atomic.Pointer[peer], len(topo.Nodes)),
@@ -197,15 +186,13 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		cconns:     make(map[*cconn]struct{}),
 		reg:        obs.New(),
 		ctx:        context.Background(),
-		stop:       make(chan struct{}),
-		inbound:    make(map[net.Conn]struct{}),
 	}
 	for gi := range topo.Links {
 		l := &topo.Links[gi]
 		if l.Owner != idx {
 			continue
 		}
-		ls, err := newLinkState(len(n.links), *l, bounds[gi], ttl, n.epoch)
+		ls, err := newLinkState(len(n.links), *l, bounds[gi], ttl, n.lc.Epoch())
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s link %s: %w", n.name, l.ID, err)
 		}
@@ -267,12 +254,6 @@ func (n *Node) LinkActive(global int) int64 {
 	return n.byGlobal[global].Policy().Active()
 }
 
-// nowNanos is the node's monotonic clock.
-func (n *Node) nowNanos() int64 { return int64(time.Since(n.epoch)) }
-
-// clock converts a wall-clock instant to the node's clock.
-func (n *Node) clock(t time.Time) int64 { return int64(t.Sub(n.epoch)) }
-
 func (n *Node) logf(format string, args ...interface{}) {
 	if n.Logf != nil {
 		n.Logf(format, args...)
@@ -290,90 +271,57 @@ func (n *Node) connectPeer(j int, nc net.Conn) {
 	}
 	// Occupancy snapshots piggybacked on the owner's batch replies arrive
 	// outside any request/reply pairing; route them into the gossip view.
-	p.mc.OnGossip(func(f resv.Frame) { n.applyGossip(f, n.nowNanos()) })
+	p.mc.OnGossip(func(f resv.Frame) { n.applyGossip(f, n.lc.Now()) })
 	p.co = newCoalescer(n, p.mc)
 	n.peers[j].Store(p)
 }
 
 // start launches the node's background loops: the anti-entropy gossip
-// tick and, with a TTL, the expiry loop.
+// tick and, with a TTL, the expiry step at the wheels' resolution.
 func (n *Node) start(antiEntropy time.Duration) {
 	if antiEntropy > 0 {
-		n.wg.Add(1)
-		go n.antiEntropyLoop(antiEntropy)
+		n.lc.Every(antiEntropy, n.gossipAll)
 	}
 	if n.ttl > 0 {
-		n.wg.Add(1)
-		go n.expireLoop()
+		n.lc.Every(resv.WheelRes(n.ttl), n.expire)
 	}
 }
 
-// Close stops the node: background loops, outbound peer transports, and
-// inbound connections, whose handlers it waits for. A hop flush in flight
-// fails with its transport, and so does every hop queued behind it; no
-// hop is queued after Close begins. Claims its outbound flows held on
-// other nodes are released by their connection drops; claims held on this
-// node die with the process (or, for tests, with the link cells).
+// Close stops the node: its outbound peer transports, so a hop flush in
+// flight fails and so does every hop queued behind it or after, then its
+// lifecycle — the loops, and the inbound connections, whose releases it
+// waits for. Claims its outbound flows held on other nodes are released
+// by their connection drops; claims held on this node die with the
+// process (or, for tests, with the link cells).
 func (n *Node) Close() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		for j := range n.peers {
-			if p := n.peers[j].Load(); p != nil {
-				_ = p.mc.Close()
-			}
-		}
-		n.imu.Lock()
-		for nc := range n.inbound {
-			_ = nc.Close()
-		}
-		n.imu.Unlock()
-	})
-	n.handlers.Wait()
-	n.wg.Wait()
-}
-
-// stopping reports whether Close has begun.
-func (n *Node) stopping() bool {
-	select {
-	case <-n.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-func (n *Node) antiEntropyLoop(interval time.Duration) {
-	defer n.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-tick.C:
-			for j := range n.peers {
-				if p := n.peers[j].Load(); p != nil {
-					n.gossipAll(p)
-				}
-			}
+	for j := range n.peers {
+		if p := n.peers[j].Load(); p != nil {
+			_ = p.mc.Close()
 		}
 	}
+	n.lc.Close()
 }
 
-// gossipAll advertises local links to one peer — the anti-entropy tick. A
-// link whose occupancy the peer already holds is suppressed (and counted):
+// gossipAll advertises local links to every peer — the anti-entropy tick.
+// A link whose occupancy a peer already holds is suppressed (and counted):
 // a quiet cluster's anti-entropy traffic collapses to zero frames while a
 // freshly-joined peer, whose lastSent slots are all -1, still gets the
 // full snapshot.
-func (n *Node) gossipAll(p *peer) {
-	for li, ls := range n.links {
-		a := ls.Policy().Active()
-		if p.lastSent[li].Load() == a {
-			n.metrics.GossipSuppressed.Inc()
+func (n *Node) gossipAll(int64) {
+	for j := range n.peers {
+		p := n.peers[j].Load()
+		if p == nil {
 			continue
 		}
-		if n.postGossip(p, ls, a) {
-			p.lastSent[li].Store(a)
+		for li, ls := range n.links {
+			a := ls.Policy().Active()
+			if p.lastSent[li].Load() == a {
+				n.metrics.GossipSuppressed.Inc()
+				continue
+			}
+			if n.postGossip(p, ls, a) {
+				p.lastSent[li].Store(a)
+			}
 		}
 	}
 }
@@ -442,21 +390,6 @@ func (n *Node) activeSum() int64 {
 	return sum
 }
 
-// expireLoop advances the node's wheels once per tick of their resolution.
-func (n *Node) expireLoop() {
-	defer n.wg.Done()
-	tick := time.NewTicker(resv.WheelRes(n.ttl))
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-tick.C:
-			n.expire(n.nowNanos())
-		}
-	}
-}
-
 // expire is one expiry step at node time now. Each local link's cell
 // drops its due claims; each client connection's cell gives up its due
 // path flows, which are then rolled back end to end with no lock held (a
@@ -494,24 +427,19 @@ func (n *Node) expire(now int64) {
 
 // ---- serving ----
 
-// ServeClients accepts client-plane connections until ln closes. It always
-// returns a non-nil error (net.ErrClosed after a clean shutdown).
-func (n *Node) ServeClients(ln net.Listener) error {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go n.HandleClientConn(nc)
-	}
-}
+// ServeClients serves every client-plane connection ln accepts through
+// HandleClientConn until ln closes. It always returns a non-nil error
+// (net.ErrClosed after a clean shutdown).
+func (n *Node) ServeClients(ln net.Listener) error { return n.lc.Accept(ln, n.HandleClientConn) }
 
 // HandleClientConn serves one client-plane connection: path reservations
 // addressed by pair (FlowID = pairIdx<<48 | seq), stats, refreshes, and
 // teardowns. Dropping the connection rolls back every path flow it holds.
 func (n *Node) HandleClientConn(nc net.Conn) {
 	c := n.openCConn()
-	n.serve(nc, c, func() { n.rollbackConn(c) })
+	if err := n.lc.Serve(nc, c, func() { n.rollbackConn(c) }); err != nil {
+		n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
+	}
 }
 
 // HandlePeerConn serves one peer-plane connection: single-link hops
@@ -520,33 +448,9 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	n.serve(nc, sess, func() { sess.claims.Drain(n.nowNanos(), n.linkCell) })
-}
-
-// serve runs one inbound connection through the resv serving loop, closes
-// it, and runs release, the handler's clean-up. A connection that arrives
-// once Close has begun is closed unserved: Close only closes the
-// connections registered before it.
-func (n *Node) serve(nc net.Conn, h resv.Handler, release func()) {
-	n.imu.Lock()
-	if n.stopping() {
-		n.imu.Unlock()
-		_ = nc.Close()
-		release()
-		return
-	}
-	n.inbound[nc] = struct{}{}
-	n.handlers.Add(1)
-	n.imu.Unlock()
-	defer n.handlers.Done()
-	if err := resv.ServeConn(nc, h); err != nil {
+	if err := n.lc.Serve(nc, sess, func() { sess.claims.Drain(n.lc.Now(), n.linkCell) }); err != nil {
 		n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
 	}
-	_ = nc.Close()
-	n.imu.Lock()
-	delete(n.inbound, nc)
-	n.imu.Unlock()
-	release()
 }
 
 // served is both planes' per-read metrics hook (resv.Handler.Served).
@@ -557,12 +461,10 @@ func (n *Node) served(frames int, elapsed time.Duration) {
 // The client plane's resv.Handler: path admissions on the connection's
 // table, at the read's instant on the node clock.
 
-func (c *cconn) Serve(f resv.Frame, start time.Time) resv.Frame {
-	return c.n.dispatchClient(c, f, c.n.clock(start))
-}
+func (c *cconn) Serve(f resv.Frame, now int64) resv.Frame { return c.n.dispatchClient(c, f, now) }
 
-func (c *cconn) ServeBatch(ops []resv.Frame, start time.Time, out []resv.Frame) []resv.Frame {
-	return append(out, c.n.dispatchClientBatch(c, ops, c.n.clock(start)))
+func (c *cconn) ServeBatch(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
+	return append(out, c.n.dispatchClientBatch(c, ops, now))
 }
 
 func (c *cconn) BadBatch() { c.n.metrics.Errors.Inc() }
@@ -577,7 +479,7 @@ func (n *Node) rollbackConn(c *cconn) {
 	n.cmu.Lock()
 	delete(n.cconns, c)
 	n.cmu.Unlock()
-	now := n.nowNanos()
+	now := n.lc.Now()
 	c.flows.Lock()
 	c.closed = true
 	flows := make([]pathFlow, 0, c.flows.Len())
@@ -679,7 +581,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 				failed = true
 				break
 			}
-			t0 := n.nowNanos()
+			t0 := n.lc.Now()
 			op := p.co.enqueue(hop)
 			if op == nil {
 				n.metrics.ForwardErrors.Inc()
@@ -689,7 +591,7 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 			op.wait()
 			granted, err := op.granted, op.err
 			p.co.put(op)
-			n.metrics.HopNS.Record(uint64(n.nowNanos() - t0))
+			n.metrics.HopNS.Record(uint64(n.lc.Now() - t0))
 			n.metrics.Forwards.Inc()
 			n.piggyback(p)
 			if err != nil {
@@ -874,7 +776,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 	sc.granted, sc.minShare = 0, math.MaxFloat64
 	var verdict resv.BatchVerdict
 	for start := 0; start < len(ops); {
-		t0 := n.nowNanos()
+		t0 := n.lc.Now()
 		end := n.claimBatch(c, ops, start, now, sc, &verdict)
 		n.finishBatch(c, start, end, now, t0, sc, &verdict)
 		start = end
@@ -1039,7 +941,7 @@ func (n *Node) finishBatch(c *cconn, start, end int, now, t0 int64, sc *batchScr
 		}
 	}
 	if nremote > 0 {
-		elapsed := n.nowNanos() - t0
+		elapsed := n.lc.Now() - t0
 		if elapsed < 0 {
 			elapsed = 0
 		}
@@ -1127,12 +1029,10 @@ func (n *Node) statsReply(f resv.Frame) resv.Frame {
 // owned by the session, at the read's instant on the node clock. Batch
 // replies carry piggybacked gossip.
 
-func (p *peerSess) Serve(f resv.Frame, start time.Time) resv.Frame {
-	return p.n.dispatchPeer(p, f, p.n.clock(start))
-}
+func (p *peerSess) Serve(f resv.Frame, now int64) resv.Frame { return p.n.dispatchPeer(p, f, now) }
 
-func (p *peerSess) ServeBatch(ops []resv.Frame, start time.Time, out []resv.Frame) []resv.Frame {
-	out = append(out, p.n.dispatchPeerBatch(p, ops, p.n.clock(start)))
+func (p *peerSess) ServeBatch(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
+	out = append(out, p.n.dispatchPeerBatch(p, ops, now))
 	return p.n.appendReplyGossip(p, out)
 }
 
@@ -1171,10 +1071,16 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 // cells: a hop on a link the node does not own fails as an error. Runs
 // break at link boundaries, each link having its own policy. Entry nodes
 // compute per-link shares from cluster-wide knowledge and ignore the
-// reply's Value.
+// reply's Value. Errors count as dispatchPeer counts them: a teardown on a
+// link this node owns fails only on an unknown flow, which is no error.
 func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) resv.Frame {
 	reply, errs := resv.AnswerBatch(n.hopCell, now, ops, keyMask, &sess.claims, struct{}{})
 	if errs != 0 {
+		for i, f := range ops {
+			if f.Type == resv.MsgTeardown && n.hopCell(f.FlowID) != nil {
+				errs &^= 1 << uint(i)
+			}
+		}
 		n.metrics.Errors.Add(uint64(errs.Count()))
 	}
 	return reply
@@ -1224,7 +1130,7 @@ func (n *Node) NewLocal() *Local {
 // the path was granted and the granted worst-case share.
 func (l *Local) Reserve(pair int, seq uint64, bandwidth float64) (granted bool, share float64, err error) {
 	f := resv.Frame{Type: resv.MsgRequest, FlowID: FlowID(pair, seq), Value: bandwidth}
-	r := l.n.dispatchClient(l.c, f, l.n.nowNanos())
+	r := l.n.dispatchClient(l.c, f, l.n.lc.Now())
 	switch r.Type {
 	case resv.MsgGrant:
 		return true, r.Value, nil
@@ -1238,7 +1144,7 @@ func (l *Local) Reserve(pair int, seq uint64, bandwidth float64) (granted bool, 
 // Teardown releases (pair, seq)'s path reservation.
 func (l *Local) Teardown(pair int, seq uint64) error {
 	f := resv.Frame{Type: resv.MsgTeardown, FlowID: FlowID(pair, seq)}
-	r := l.n.dispatchClient(l.c, f, l.n.nowNanos())
+	r := l.n.dispatchClient(l.c, f, l.n.lc.Now())
 	if r.Type != resv.MsgTeardownOK {
 		return fmt.Errorf("cluster: teardown pair %d seq %d: error code %d", pair, seq, uint64(r.Value))
 	}
@@ -1257,7 +1163,7 @@ func (l *Local) ReserveBatch(pair int, seqs []uint64, bandwidth float64) (resv.B
 	for i, s := range seqs {
 		ops[i] = resv.Frame{Type: resv.MsgRequest, FlowID: FlowID(pair, s), Value: bandwidth}
 	}
-	r := l.n.dispatchClientBatch(l.c, ops[:len(seqs)], l.n.nowNanos())
+	r := l.n.dispatchClientBatch(l.c, ops[:len(seqs)], l.n.lc.Now())
 	if r.Type != resv.MsgReserveBatchReply {
 		return 0, 0, fmt.Errorf("cluster: batch reserve pair %d: error code %d", pair, uint64(r.Value))
 	}
@@ -1275,7 +1181,7 @@ func (l *Local) TeardownBatch(pair int, seqs []uint64) (resv.BatchVerdict, error
 	for i, s := range seqs {
 		ops[i] = resv.Frame{Type: resv.MsgTeardown, FlowID: FlowID(pair, s)}
 	}
-	r := l.n.dispatchClientBatch(l.c, ops[:len(seqs)], l.n.nowNanos())
+	r := l.n.dispatchClientBatch(l.c, ops[:len(seqs)], l.n.lc.Now())
 	if r.Type != resv.MsgReserveBatchReply {
 		return 0, fmt.Errorf("cluster: batch teardown pair %d: error code %d", pair, uint64(r.Value))
 	}
@@ -1285,7 +1191,7 @@ func (l *Local) TeardownBatch(pair int, seqs []uint64) (resv.BatchVerdict, error
 // Refresh renews (pair, seq)'s soft state end to end.
 func (l *Local) Refresh(pair int, seq uint64) error {
 	f := resv.Frame{Type: resv.MsgRefresh, FlowID: FlowID(pair, seq)}
-	r := l.n.dispatchClient(l.c, f, l.n.nowNanos())
+	r := l.n.dispatchClient(l.c, f, l.n.lc.Now())
 	if r.Type != resv.MsgRefreshOK {
 		return fmt.Errorf("cluster: refresh pair %d seq %d: error code %d", pair, seq, uint64(r.Value))
 	}
@@ -1295,7 +1201,7 @@ func (l *Local) Refresh(pair int, seq uint64) error {
 // Stats returns the cluster-wide admission threshold (Σ link bounds) and
 // the active claim total as this node sees it.
 func (l *Local) Stats() (kmax, active int64, err error) {
-	r := l.n.dispatchClient(l.c, resv.Frame{Type: resv.MsgStats}, l.n.nowNanos())
+	r := l.n.dispatchClient(l.c, resv.Frame{Type: resv.MsgStats}, l.n.lc.Now())
 	return resv.ParseStatsReply(r)
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestServeConnFraming runs the same frame sequences through the resv
 // server's stream plane and a cluster node's client plane — both served
-// by resv.ServeConn — and checks that they answer with the same reply
-// types in the same order. Flow IDs stay below 2^48, so on the cluster
+// by resv.Lifecycle.ServeConn — and checks that they answer with the same
+// reply types in the same order. Flow IDs stay below 2^48, so on the cluster
 // plane every request addresses pair 0. Each segment is one Write on a
 // net.Pipe, which returns only once the server has read all of it, so a
 // case's segments reach the serving loop as separate reads. A stats probe

@@ -88,7 +88,7 @@ func TestClientPlaneRefusesGossip(t *testing.T) {
 			t.Fatalf("reserve %d: granted %v, %v", seq, ok, err)
 		}
 	}
-	b.gossipAll(b.peers[a.Index()].Load())
+	b.gossipAll(0)
 	waitFor(t, "the owner's snapshot to land", func() bool {
 		active, _ := a.view.load(0)
 		return active == 3

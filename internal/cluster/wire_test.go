@@ -188,3 +188,45 @@ func TestPeerHopsSessionScoped(t *testing.T) {
 		t.Fatalf("the claiming session's teardown left %d claims", a)
 	}
 }
+
+// TestPeerTeardownOfExpiredClaimNoError: an entry's teardown of a hop
+// whose claim the owner already expired answers unknown-flow, the
+// release-once outcome, and is no protocol error whether it travels as a
+// lone frame or in a batch body: cluster_errors_total reads 0 after each.
+func TestPeerTeardownOfExpiredClaimNoError(t *testing.T) {
+	cl, err := New(Config{Topology: mustTopo(t, singleSpec), TTL: expiryTTL, AntiEntropy: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	n := cl.Node(0)
+	nc := diffConn(t, n.HandlePeerConn)
+	for i, body := range []bool{false, true} {
+		key := uint64(1<<entryShift | i) // entry node 1's hop i, on link 0
+		claim := resv.Frame{Type: resv.MsgRequest, FlowID: key, Value: 1}
+		if r := diffRoundTrip(t, nc, []resv.Frame{claim}); r.Type != resv.MsgGrant {
+			t.Fatalf("claim %d answered %+v", i, r)
+		}
+		n.expire(n.lc.Now() + int64(i+1)*2*int64(expiryTTL)) // past the last step
+		if a := n.LinkActive(0); a != 0 {
+			t.Fatalf("the expiry step left %d claims", a)
+		}
+		teardown := []resv.Frame{{Type: resv.MsgTeardown, FlowID: key}}
+		want := resv.Frame{Type: resv.MsgError, FlowID: key, Value: float64(resv.ErrCodeUnknownFlow)}
+		if body {
+			teardown = append([]resv.Frame{resv.BatchHeader(1)}, teardown...)
+			want = resv.Frame{Type: resv.MsgReserveBatchReply}
+		}
+		if r := diffRoundTrip(t, nc, teardown); !sameFrame(r, want) {
+			t.Fatalf("teardown (body %v) answered %+v, want %+v", body, r, want)
+		}
+		if body {
+			if g := diffRead(t, nc); g.Type != resv.MsgGossip {
+				t.Fatalf("batch reply piggybacked %+v, want a snapshot of link 0", g)
+			}
+		}
+		if e := n.Metrics().Errors.Load(); e != 0 {
+			t.Fatalf("teardown of an expired claim (body %v): cluster_errors_total = %d, want 0", body, e)
+		}
+	}
+}

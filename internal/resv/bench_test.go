@@ -117,9 +117,9 @@ func benchDispatcher(b *testing.B) (*Server, *streamConn) {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.Close)
-	h := &streamConn{s: s, c: s.newConn(nil)}
+	h := &streamConn{s: s, c: s.newConn()}
 	for id := uint64(1); id <= dispatchHeld; id++ {
-		if r := h.Serve(Frame{Type: MsgRequest, FlowID: id, Value: 1}, time.Time{}); r.Type != MsgGrant {
+		if r := h.Serve(Frame{Type: MsgRequest, FlowID: id, Value: 1}, 0); r.Type != MsgGrant {
 			b.Fatalf("reserve flow %d: reply %+v", id, r)
 		}
 	}
@@ -134,7 +134,7 @@ func benchDispatcher(b *testing.B) (*Server, *streamConn) {
 func BenchmarkDispatch(b *testing.B) {
 	s, h := benchDispatcher(b)
 	serve := func(f Frame, want MsgType) {
-		if r := h.Serve(f, time.Time{}); r.Type != want {
+		if r := h.Serve(f, 0); r.Type != want {
 			b.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
 		}
 	}
@@ -172,7 +172,7 @@ func BenchmarkDispatchBatch(b *testing.B) {
 				next++
 			}
 		}
-		out = h.ServeBatch(body, time.Time{}, out[:0])
+		out = h.ServeBatch(body, 0, out[:0])
 		if r := out[0]; r.Type != MsgReserveBatchReply || r.FlowID != 1<<benchWindow-1 || r.Value != 1 {
 			b.Fatalf("batch reply %+v, want every op granted at share 1", r)
 		}

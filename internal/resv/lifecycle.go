@@ -1,0 +1,127 @@
+package resv
+
+import (
+	"net"
+	"sync"
+	"time"
+)
+
+// Lifecycle is what a serving plane (a Server, a cluster node) owns besides
+// its admission state: its clock, its background loops, its accept loops
+// and its inbound stream connections. Close ends all of them, so a closed
+// plane holds nothing: every connection it served is closed, and its
+// release has run. The clock counts nanoseconds since the plane's epoch on
+// the monotonic clock; serving code reads it (Now), and the plane's cells
+// count from the same epoch (Epoch).
+type Lifecycle struct {
+	epoch time.Time
+	stop  chan struct{} // closed once Close begins
+
+	// mu guards conns and orders registration against Close: a loop or a
+	// connection registers only while the plane is not stopping, so wg
+	// gains nothing once Close waits on it.
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup // running loops and handlers, releases included
+}
+
+// NewLifecycle returns a running lifecycle whose clock starts now.
+func NewLifecycle() *Lifecycle {
+	return &Lifecycle{epoch: time.Now(), stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+}
+
+// Now is the plane's clock: nanoseconds since its epoch.
+func (l *Lifecycle) Now() int64 { return int64(time.Since(l.epoch)) }
+
+// Epoch is the origin of the plane's clock, for the cells that read it.
+func (l *Lifecycle) Epoch() time.Time { return l.epoch }
+
+// Stopping reports whether Close has begun.
+func (l *Lifecycle) Stopping() bool {
+	select {
+	case <-l.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// Every runs tick every interval, at the plane's time, on a goroutine of
+// its own until Close, which waits for it. Once Close has begun it starts
+// nothing.
+func (l *Lifecycle) Every(interval time.Duration, tick func(now int64)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.Stopping() {
+		return
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-t.C:
+				tick(l.Now())
+			}
+		}
+	}()
+}
+
+// Accept hands every connection ln accepts to serve, each on a goroutine
+// of its own, until ln is closed. It always returns a non-nil error
+// (net.ErrClosed after a clean shutdown). Close does not close ln: serve
+// should run its connection through Serve, which closes a connection
+// accepted once Close has begun unserved.
+func (l *Lifecycle) Accept(ln net.Listener, serve func(net.Conn)) error {
+	for {
+		nc, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		go serve(nc)
+	}
+}
+
+// Serve runs nc through ServeConn with h, then closes nc and runs release,
+// the handler's clean-up. It registers nc first, so Close closes it and
+// waits for Serve to return, release included. A connection that arrives
+// once Close has begun is closed unserved, and its release still runs.
+// Serve returns what ServeConn did, for the caller to log.
+func (l *Lifecycle) Serve(nc net.Conn, h Handler, release func()) (err error) {
+	l.mu.Lock()
+	serving := !l.Stopping()
+	if serving {
+		l.conns[nc] = struct{}{}
+		l.wg.Add(1)
+		defer l.wg.Done()
+	}
+	l.mu.Unlock()
+	if serving {
+		err = l.ServeConn(nc, h)
+	}
+	_ = nc.Close()
+	l.mu.Lock()
+	delete(l.conns, nc)
+	l.mu.Unlock()
+	release()
+	return err
+}
+
+// Close ends the plane: it stops the loops, closes every connection Serve
+// is serving, and returns once the loops have exited and the handlers have
+// returned, their releases included. Later calls just wait.
+func (l *Lifecycle) Close() {
+	l.mu.Lock()
+	if !l.Stopping() {
+		close(l.stop)
+		for nc := range l.conns {
+			_ = nc.Close()
+		}
+	}
+	l.mu.Unlock()
+	l.wg.Wait()
+}

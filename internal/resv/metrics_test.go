@@ -142,7 +142,7 @@ func TestInstrumentedDispatchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.newConn(nil)
+	c := s.newConn()
 	var bs batchStats
 	reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 	teardown := Frame{Type: MsgTeardown, FlowID: 42}

@@ -12,12 +12,13 @@ import (
 // Handler answers the frames ServeConn reads from one connection. Its
 // methods run on the connection's serving goroutine, one read at a time.
 type Handler interface {
-	// Serve answers one frame; a reply of Type 0 sends nothing. start is
-	// when ServeConn began serving the frame's read.
-	Serve(f Frame, start time.Time) Frame
+	// Serve answers one frame; a reply of Type 0 sends nothing. now is
+	// when ServeConn began serving the frame's read, in nanoseconds on the
+	// plane's clock (Lifecycle.Now).
+	Serve(f Frame, now int64) Frame
 	// ServeBatch answers one completed MsgReserveBatch body, appending its
-	// reply frames to out.
-	ServeBatch(ops []Frame, start time.Time, out []Frame) []Frame
+	// reply frames to out. now is as for Serve.
+	ServeBatch(ops []Frame, now int64, out []Frame) []Frame
 	// BadBatch counts one error reply ServeConn sent itself: for a batch
 	// header the collector refused, or for a batch whose body broke off.
 	BadBatch()
@@ -44,9 +45,9 @@ const (
 //
 // ServeConn returns when the connection ends: nil for an orderly close by
 // the peer (EOF at a frame boundary) or a local shutdown (net.ErrClosed),
-// otherwise the read, decode or write error that ended it. It does not
-// close nc.
-func ServeConn(nc net.Conn, h Handler) error {
+// otherwise the read, decode or write error that ended it. It neither
+// registers nor closes nc; Serve does both.
+func (l *Lifecycle) ServeConn(nc net.Conn, h Handler) error {
 	br := bufio.NewReaderSize(nc, readBufSize)
 	wbuf := make([]byte, 0, 1024)
 	var frames, replies []Frame
@@ -66,9 +67,10 @@ func ServeConn(nc net.Conn, h Handler) error {
 		if _, err := br.Discard(len(data) - len(rest)); err != nil {
 			return err
 		}
-		// One pair of clock reads per read: the handler's per-read hook
-		// amortizes them over every frame the read coalesced.
-		start := time.Now()
+		// One pair of monotonic clock reads per read: the first is the
+		// handlers' instant, and the pair times the read for the per-read
+		// hook, which amortizes it over every frame the read coalesced.
+		start := l.Now()
 		var werr error
 		for _, f := range frames {
 			switch {
@@ -103,7 +105,7 @@ func ServeConn(nc net.Conn, h Handler) error {
 			}
 		}
 		if len(frames) > 0 {
-			h.Served(len(frames), time.Since(start))
+			h.Served(len(frames), time.Duration(l.Now()-start))
 		}
 		if werr == nil {
 			// Flush-on-idle: the read is fully served and the next read

@@ -43,9 +43,7 @@ type Server struct {
 	capacity float64
 	kmax     int
 	ttl      time.Duration
-
-	// epoch anchors the wheels' monotonic nanosecond clock.
-	epoch time.Time
+	lc       *Lifecycle // clock, expiry loop and stream connections
 
 	// pol owns the admission counters: reserve claims a slot through
 	// pol.Admit (the built-ins CAS a single atomic bounded by kmax or
@@ -78,9 +76,6 @@ type Server struct {
 	reg     *obs.Registry
 	metrics *ServerMetrics
 
-	stop     chan struct{}
-	stopOnce sync.Once
-
 	// Logf, if non-nil, receives one line per protocol event; defaults to
 	// silent. Set before calling Serve.
 	Logf func(format string, args ...interface{})
@@ -98,12 +93,11 @@ const (
 // holds are flows, each holding its connection.
 type shard = Cell[*conn]
 
-// conn tracks one client connection's reservations. Stream transports own
-// a net.Conn; datagram peers are virtual connections keyed by source
-// address (nc nil, datagram true), created on first datagram and reaped
-// once they hold no flows and no dispatch is in flight.
+// conn tracks one client connection's reservations: a stream connection
+// HandleConn serves, or a datagram peer, a virtual connection keyed by
+// source address (datagram true), created on first datagram and reaped
+// once it holds no flows and no dispatch is in flight.
 type conn struct {
-	nc net.Conn
 	// datagram marks a UDP virtual connection: its client retransmits
 	// requests, so a duplicate reserve is answered from the live grant
 	// instead of erroring (see reserve).
@@ -118,10 +112,9 @@ type conn struct {
 	flows Owner[*conn]
 }
 
-// newConn makes a connection record for nc (nil for a datagram peer) with
-// a flow list for each shard.
-func (s *Server) newConn(nc net.Conn) *conn {
-	c := &conn{nc: nc}
+// newConn makes a connection record with a flow list for each shard.
+func (s *Server) newConn() *conn {
+	c := &conn{}
 	c.flows.Init(len(s.shards))
 	return c
 }
@@ -148,11 +141,6 @@ func (s *Server) shardFor(id uint64) *shard {
 	return &s.shards[(id*0x9e3779b97f4a7c15)>>s.shardShift]
 }
 
-// now is the wheel clock: nanoseconds since the server's epoch.
-func (s *Server) now() int64 {
-	return int64(time.Since(s.epoch))
-}
-
 // NewServer returns an admission controller for a link of the given
 // capacity whose clients run applications with the given utility function.
 // Reservations persist until torn down or their connection drops.
@@ -162,7 +150,7 @@ func NewServer(capacity float64, util utility.Function) (*Server, error) {
 
 // NewServerTTL is NewServer with RSVP-style soft state: reservations not
 // refreshed within ttl are released. ttl = 0 disables expiry. Servers with
-// a TTL run a background expiry goroutine; call Close when done with them.
+// a TTL run a background expiry goroutine, which Close stops.
 func NewServerTTL(capacity float64, util utility.Function, ttl time.Duration) (*Server, error) {
 	if !(capacity > 0) || math.IsInf(capacity, 0) {
 		return nil, fmt.Errorf("resv: capacity must be positive and finite, got %g", capacity)
@@ -228,15 +216,14 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		kmax:     pol.Bound(),
 		ttl:      ttl,
 		pol:      pol,
-		epoch:    time.Now(),
-		stop:     make(chan struct{}),
+		lc:       NewLifecycle(),
 		reg:      obs.New(),
 	}
 	nshards := shardCountFor(runtime.GOMAXPROCS(0))
 	s.shards = make([]shard, nshards)
 	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
 	for i := range s.shards {
-		s.shards[i].Init(i, pol, ttl, s.epoch)
+		s.shards[i].Init(i, pol, ttl, s.lc.Epoch())
 	}
 	s.metrics = newServerMetrics(s.reg)
 	s.reg.GaugeFunc("resv_active_flows", "live reservations", func() float64 {
@@ -252,7 +239,7 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		}
 	}
 	if ttl > 0 {
-		go s.expireLoop()
+		s.lc.Every(WheelRes(ttl), s.expire)
 	}
 	return s, nil
 }
@@ -294,31 +281,19 @@ func (s *Server) Metrics() *ServerMetrics { return s.metrics }
 // mounting at /metrics (obshttp.DebugMux).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close stops the soft-state expiry goroutine (if any). It does not close
-// client connections or the listener.
-func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
-}
+// Close ends the server: it stops the expiry loop (if any), closes every
+// stream connection HandleConn is serving, and returns once their flows
+// are released. A connection handed to HandleConn after Close is closed
+// unserved. Close does not close the listener Serve accepts on, nor the
+// PacketConn ServePacket reads: their owners close them, and datagram
+// peers' flows stay until then.
+func (s *Server) Close() { s.lc.Close() }
 
-// expireLoop drives every shard's timing wheel at the wheel resolution.
-// Per tick it does work proportional to the flows actually expiring, plus
-// one O(1) bucket visit per shard — never a scan of all flows.
-func (s *Server) expireLoop() {
-	tick := time.NewTicker(WheelRes(s.ttl))
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.expire(s.now())
-		}
-	}
-}
-
-// expire is one expiry step at server time now: every shard drops its due
-// flows. Datagram peers left holding no flows are reaped afterwards, so
-// udpMu is never taken under a shard's lock.
+// expire is one expiry step at server time now, run once per wheel tick:
+// every shard drops its due flows, work proportional to the flows expiring
+// plus one bucket visit per shard, never a scan of all flows. Datagram
+// peers left holding no flows are reaped afterwards, so udpMu is never
+// taken under a shard's lock.
 func (s *Server) expire(now int64) {
 	for i := range s.shards {
 		s.shards[i].Advance(now, s.expired)
@@ -347,27 +322,26 @@ func (s *Server) expired(id uint64, c *conn, last bool) {
 	}
 }
 
-// Serve accepts connections on ln until ln is closed. It always returns a
-// non-nil error (net.ErrClosed after a clean shutdown).
-func (s *Server) Serve(ln net.Listener) error {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go s.HandleConn(nc)
-	}
-}
+// Serve accepts connections on ln and serves each through HandleConn until
+// ln is closed. It always returns a non-nil error (net.ErrClosed after a
+// clean shutdown).
+func (s *Server) Serve(ln net.Listener) error { return s.lc.Accept(ln, s.HandleConn) }
 
 // HandleConn serves a single already-established connection (e.g. one end
 // of a net.Pipe) through ServeConn. It returns when the connection fails
-// or closes, releasing every reservation the connection holds.
+// or closes, or the server closes, once it has released every reservation
+// the connection held.
 func (s *Server) HandleConn(nc net.Conn) {
-	c := s.newConn(nc)
-	defer s.release(c)
+	c := s.newConn()
 	s.metrics.Connections.Inc()
 	defer s.metrics.Connections.Dec()
-	if err := ServeConn(nc, &streamConn{s: s, c: c}); err != nil {
+	err := s.lc.Serve(nc, &streamConn{s: s, c: c}, func() {
+		if n := c.flows.Drain(Now, s.shard); n > 0 {
+			s.metrics.Releases.Add(uint64(n))
+			s.logf("resv: released %d reservations from %v", n, nc.RemoteAddr())
+		}
+	})
+	if err != nil {
 		s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
 	}
 }
@@ -387,9 +361,9 @@ type streamConn struct {
 	bs batchStats
 }
 
-func (h *streamConn) Serve(f Frame, _ time.Time) Frame { return h.s.dispatch(h.c, f, &h.bs) }
+func (h *streamConn) Serve(f Frame, _ int64) Frame { return h.s.dispatch(h.c, f, &h.bs) }
 
-func (h *streamConn) ServeBatch(ops []Frame, _ time.Time, out []Frame) []Frame {
+func (h *streamConn) ServeBatch(ops []Frame, _ int64, out []Frame) []Frame {
 	return append(out, h.s.dispatchBatch(h.c, ops, &h.bs))
 }
 
@@ -489,16 +463,6 @@ func (s *Server) reserve(c *conn, f Frame) (Frame, bool) {
 		}
 	}
 	return reply, false
-}
-
-// release frees every reservation held by a departing connection.
-func (s *Server) release(c *conn) {
-	_ = c.nc.Close()
-	n := c.flows.Drain(Now, s.shard)
-	if n > 0 {
-		s.metrics.Releases.Add(uint64(n))
-		s.logf("resv: released %d reservations from %v", n, c.nc.RemoteAddr())
-	}
 }
 
 // shard returns shard i.

@@ -129,7 +129,7 @@ func (s *Server) acquireUDPPeer(addr net.Addr) *conn {
 			s.udpFree[n-1] = nil
 			s.udpFree = s.udpFree[:n-1]
 		} else {
-			c = s.newConn(nil)
+			c = s.newConn()
 			c.datagram = true
 		}
 		c.key = key

@@ -603,7 +603,7 @@ func TestUDPPeerAcrossShardsReapedOnExpiry(t *testing.T) {
 	c := s.udpPeers[addr.String()]
 	s.udpMu.Unlock()
 	res := int64(WheelRes(s.TTL()))
-	t0 := s.now() + res
+	t0 := s.lc.Now() + res
 	due := func(i int) int64 { return t0 + int64(i)*8*res + int64(s.TTL()) }
 	for i, id := range ids {
 		if !s.shardFor(id).Refresh(t0+int64(i)*8*res, id, &c.flows) {
