@@ -58,7 +58,7 @@ race:
 # back exactly once however they interleave. The gossip view's writers are
 # raced too: a link's occupancy snapshot must never roll back. Timing-
 # dependent failures here show up only under repetition.
-RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone|TestCloseReleasesStreamFlows|TestHandleConnAfterClose|TestCloseEndsLoops|TestPeerTeardownOfExpiredClaimNoError
+RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone|TestCloseReleasesStreamFlows|TestHandleConnAfterClose|TestCloseEndsLoops|TestPeerTeardownOfExpiredClaimNoError|TestClientPost|TestCloseEndsDatagramServing
 
 race-soak:
 	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/

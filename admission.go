@@ -40,9 +40,10 @@ func NewAdmissionServerTTL(capacity float64, util Utility, ttl time.Duration) (*
 }
 
 // Close ends the server: it stops the soft-state expiry goroutine (if
-// any), closes every stream connection it serves, and returns once their
-// reservations are released. It does not close a listener passed to Serve
-// or a PacketConn passed to ServePacket.
+// any), closes every stream connection and PacketConn it serves, and
+// returns once their reservations are released. A connection or
+// PacketConn handed over after Close is closed unserved. It does not close
+// a listener passed to Serve.
 func (a *AdmissionServer) Close() { a.s.Close() }
 
 // NewAdmissionServerBandwidth returns a server that admits by traffic
@@ -68,8 +69,8 @@ func (a *AdmissionServer) Serve(ln net.Listener) error { return a.s.Serve(ln) }
 // ServePacket serves the reservation protocol in datagram mode on pc: one
 // frame per datagram, no connection state, client retransmissions answered
 // from the live reservation so a re-sent reserve never admits twice (see
-// DESIGN.md §11). It blocks until pc closes. A server may serve stream and
-// datagram transports at once.
+// DESIGN.md §11). It blocks until pc closes or the server closes. A server
+// may serve stream and datagram transports at once.
 func (a *AdmissionServer) ServePacket(pc net.PacketConn) error { return a.s.ServePacket(pc) }
 
 // HandleConn serves one established connection (useful with net.Pipe).

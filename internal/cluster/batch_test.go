@@ -267,8 +267,7 @@ func TestClusterGossipSuppression(t *testing.T) {
 		t.Fatalf("gossip out moved %d → %d while occupancy was stable", out, now)
 	}
 
-	// Occupancy moves: the next tick (or the batch reply's piggyback)
-	// re-advertises the link.
+	// Occupancy moves: the next tick re-advertises the link.
 	l := cl.Node(0).NewLocal()
 	verdict, _, err := l.ReserveBatch(0, []uint64{1, 2, 3}, 1)
 	if err != nil || verdict.Count() != 3 {

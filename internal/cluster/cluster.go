@@ -21,7 +21,8 @@ type Config struct {
 	// Router selects the placement strategy. Defaults to RouteTwoChoice.
 	Router RouterMode
 	// AntiEntropy is the periodic full-gossip interval. Defaults to 25ms;
-	// negative disables the tick (piggybacked gossip still flows).
+	// negative disables the tick, leaving only the gossip an owner
+	// piggybacks on hops it forwards.
 	AntiEntropy time.Duration
 	// Stale bounds how old a gossiped load signal may be before two-choice
 	// falls back to hashed placement. Defaults to 8× AntiEntropy; negative

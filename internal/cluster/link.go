@@ -38,17 +38,10 @@ func newLinkState(i int, l Link, bound int, ttl time.Duration, epoch time.Time) 
 type peerSess struct {
 	n      *Node
 	claims resv.Owner[struct{}]
-	// lastGossip is the last active count piggybacked on a batch reply to
-	// this connection, per local link (indexed like Node.links, -1 = never
-	// sent). Only the serving goroutine touches it, so no lock.
-	lastGossip []int64
 }
 
 func newPeerSess(n *Node) *peerSess {
-	s := &peerSess{n: n, lastGossip: make([]int64, len(n.links))}
-	for i := range s.lastGossip {
-		s.lastGossip[i] = -1
-	}
+	s := &peerSess{n: n}
 	s.claims.Init(len(n.links))
 	return s
 }

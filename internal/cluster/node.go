@@ -269,9 +269,6 @@ func (n *Node) connectPeer(j int, nc net.Conn) {
 	for i := range p.lastSent {
 		p.lastSent[i].Store(-1)
 	}
-	// Occupancy snapshots piggybacked on the owner's batch replies arrive
-	// outside any request/reply pairing; route them into the gossip view.
-	p.mc.OnGossip(func(f resv.Frame) { n.applyGossip(f, n.lc.Now()) })
 	p.co = newCoalescer(n, p.mc)
 	n.peers[j].Store(p)
 }
@@ -327,8 +324,10 @@ func (n *Node) gossipAll(int64) {
 }
 
 // piggyback advertises local links whose occupancy moved since the last
-// snapshot this peer got — called on the forward path, so gossip rides the
-// writes request traffic already pays for.
+// snapshot this peer got — called on the forward path, right after hops to
+// this peer, so a peer that hears from this node hears its load too. A
+// snapshot Post drops, finding a write in progress, leaves lastSent stale
+// for the next hop or tick to retry.
 func (n *Node) piggyback(p *peer) {
 	for li, ls := range n.links {
 		a := ls.Policy().Active()
@@ -367,7 +366,7 @@ func (n *Node) applyGossip(f resv.Frame, now int64) {
 	if math.IsNaN(a) || a < 0 || a > float64(maxGossipActive) || a != math.Trunc(a) {
 		return
 	}
-	if n.view.apply(g, f.FlowID&keyMask, int64(a), now) {
+	if n.view.apply(g, f.FlowID&keyMask, int64(a), n.own[g].Load(), now) {
 		n.metrics.GossipIn.Inc()
 	}
 }
@@ -783,7 +782,7 @@ func (n *Node) dispatchClientBatch(c *cconn, ops []resv.Frame, now int64) resv.F
 	}
 
 	// One piggyback pass per touched peer: gossip about this node's own
-	// links rides the coalesced writes the batch already paid for.
+	// links follows the batch's hops to it.
 	for j := range n.peers {
 		if sc.peers[j>>6]&(1<<uint(j&63)) == 0 {
 			continue
@@ -1026,14 +1025,14 @@ func (n *Node) statsReply(f resv.Frame) resv.Frame {
 // ---- peer-plane dispatch ----
 
 // The peer plane's resv.Handler: link hops in this node's link cells,
-// owned by the session, at the read's instant on the node clock. Batch
-// replies carry piggybacked gossip.
+// owned by the session, at the read's instant on the node clock. A reply
+// is the hop's answer alone: occupancy travels the other way, posted by
+// the link's owner on its own outbound peer client.
 
 func (p *peerSess) Serve(f resv.Frame, now int64) resv.Frame { return p.n.dispatchPeer(p, f, now) }
 
 func (p *peerSess) ServeBatch(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-	out = append(out, p.n.dispatchPeerBatch(p, ops, now))
-	return p.n.appendReplyGossip(p, out)
+	return append(out, p.n.dispatchPeerBatch(p, ops, now))
 }
 
 func (p *peerSess) BadBatch() { p.n.metrics.Errors.Inc() }
@@ -1084,29 +1083,6 @@ func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) re
 		n.metrics.Errors.Add(uint64(errs.Count()))
 	}
 	return reply
-}
-
-// appendReplyGossip piggybacks occupancy snapshots of local links whose
-// active count moved since this connection last saw one — batch replies
-// carry the freshest load signal straight back to the entry node whose
-// burst just changed it, so the two-choice router sharpens under batched
-// load instead of staling until the next anti-entropy tick.
-func (n *Node) appendReplyGossip(sess *peerSess, out []resv.Frame) []resv.Frame {
-	for li, ls := range n.links {
-		a := ls.Policy().Active()
-		if sess.lastGossip[li] == a {
-			continue
-		}
-		sess.lastGossip[li] = a
-		v := n.gossipSeq.Add(1)
-		out = append(out, resv.Frame{
-			Type:   resv.MsgGossip,
-			FlowID: uint64(ls.link.Index)<<idxShift | v&keyMask,
-			Value:  float64(a),
-		})
-		n.metrics.GossipOut.Inc()
-	}
-	return out
 }
 
 // ---- in-process client handle ----

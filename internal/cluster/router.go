@@ -67,13 +67,14 @@ func (n *Node) route(pr *Pair, flowID uint64, now int64) (pathIdx int, fallback,
 
 // pathLoad is a path's bottleneck utilization: the maximum over its links
 // of active/bound. Locally-owned links read their policy directly (always
-// fresh); remote links read the gossip view sharpened by this node's own
-// outstanding claims on the link — a lower bound no gossip lag can stale,
-// so a burst of placements from one entry node sees its own effect
-// immediately instead of herding onto the last advertised empty path. A
-// snapshot older than the staleness bound (or never received) still makes
-// the whole path's signal untrustworthy: the own-claim count says nothing
-// about other entry nodes.
+// fresh); remote links read the gossip view less this node's releases
+// since the snapshot (view.estimate), never below its own outstanding
+// claims — a bound no gossip lag can stale — so a burst of placements
+// from one entry node sees its own effect immediately instead of herding
+// onto the last advertised empty path, and its departures count at once.
+// A snapshot older than the staleness bound (or never received) still
+// makes the whole path's signal untrustworthy: the own-claim count says
+// nothing about other entry nodes.
 func (n *Node) pathLoad(pathIdx int, now int64) (load float64, fresh bool) {
 	p := &n.topo.Paths[pathIdx]
 	for _, g := range p.Links {
@@ -81,12 +82,13 @@ func (n *Node) pathLoad(pathIdx int, now int64) (load float64, fresh bool) {
 		if ls := n.byGlobal[g]; ls != nil {
 			active = ls.Policy().Active()
 		} else {
+			own := n.own[g].Load()
 			var updated int64
-			active, updated = n.view.load(g)
+			active, updated = n.view.estimate(g, own)
 			if updated == 0 || (n.staleNanos > 0 && now-updated > n.staleNanos) {
 				return 0, false
 			}
-			if own := n.own[g].Load(); own > active {
+			if own > active {
 				active = own
 			}
 		}

@@ -33,7 +33,7 @@ func TestViewApplyMonotone(t *testing.T) {
 			go func(first uint64) {
 				defer wg.Done()
 				for ver := first; ver <= last; ver += 2 {
-					v.apply(0, ver, int64(ver), 1)
+					v.apply(0, ver, int64(ver), 0, 1)
 				}
 			}(w)
 		}
@@ -93,6 +93,46 @@ func TestClientPlaneRefusesGossip(t *testing.T) {
 		active, _ := a.view.load(0)
 		return active == 3
 	})
+}
+
+// TestViewEstimateFollowsOwnClaims: between snapshots, a node's estimate of
+// a remote link follows its own claims on it. The entry fills via-b, the
+// owner's snapshot lands, and the entry then releases every flow: with no
+// newer snapshot, via-b reads empty, not full, and a new claim reads as
+// one.
+func TestViewEstimateFollowsOwnClaims(t *testing.T) {
+	cl := startCluster(t, twoPathSpec, Config{AntiEntropy: -1, Stale: -1})
+	a, lb := cl.Node(0), cl.topo.LinkIndex("lb")
+	viaB, bound := cl.topo.pathIdx["via-b"], cl.Bounds()[lb]
+	l := a.NewLocal()
+	defer l.Close()
+	for seq := 0; seq < bound; seq++ {
+		if ok, _, err := l.Reserve(1, uint64(seq), 1); err != nil || !ok {
+			t.Fatalf("fill %d: granted %v, %v", seq, ok, err)
+		}
+	}
+	cl.Node(1).gossipAll(0)
+	waitFor(t, "the owner's snapshot of a full lb", func() bool {
+		active, _ := a.view.load(lb)
+		return active == int64(bound)
+	})
+	if load, fresh := a.pathLoad(viaB, 0); !fresh || load != 1 {
+		t.Fatalf("via-b after the snapshot: load %g (fresh %v), want 1", load, fresh)
+	}
+	for seq := 0; seq < bound; seq++ {
+		if err := l.Teardown(1, uint64(seq)); err != nil {
+			t.Fatalf("teardown %d: %v", seq, err)
+		}
+	}
+	if load, fresh := a.pathLoad(viaB, 0); !fresh || load != 0 {
+		t.Fatalf("via-b once the entry released its flows: load %g (fresh %v), want 0", load, fresh)
+	}
+	if ok, _, err := l.Reserve(1, 0, 1); err != nil || !ok {
+		t.Fatalf("reserve after the releases: granted %v, %v", ok, err)
+	}
+	if load, _ := a.pathLoad(viaB, 0); load != 1/float64(bound) {
+		t.Fatalf("via-b holding one flow: load %g, want %g", load, 1/float64(bound))
+	}
 }
 
 // BenchmarkGossipApply times one occupancy snapshot landing in a node's

@@ -24,10 +24,9 @@ import (
 // decodes to its waiter, and hands the read role to another waiting caller
 // once its own reply is in: one call in flight costs one write and one
 // read on the caller's goroutine, as a plain request/reply client would. A
-// goroutine reads instead while replies can arrive that no caller waits
-// for: from OnGossip or Post until Close, and after a call gave up with
-// its frame on the wire while nobody else reads. At most one request may
-// be in flight per flow ID.
+// goroutine reads instead only while replies are due that no caller waits
+// for: after a call gave up with its frame on the wire while nobody else
+// reads. At most one request may be in flight per flow ID.
 //
 // Over a datagram transport (NewUDPClient/DialUDP) one request is in
 // flight at a time, and the client owns reliability: it retransmits the
@@ -40,9 +39,6 @@ type Client struct {
 	// metrics, if non-nil, observes every round trip (atomics-only; a set
 	// may be shared across clients). Install with SetMetrics before use.
 	metrics *ClientMetrics
-	// onGossip receives the one-way MsgGossip frames a cluster peer
-	// piggybacks on its replies; see OnGossip.
-	onGossip func(Frame)
 	// udp, when non-nil, switches round trips to datagram mode with the
 	// given retransmit parameters.
 	udp *UDPConfig
@@ -73,11 +69,10 @@ type Client struct {
 	spare   *call
 	// reading: a goroutine holds the read role. nwait counts the callers
 	// parked for their reply or the role, orphans the replies due that no
-	// caller waits for, and listening keeps a reader until Close.
-	reading   bool
-	nwait     int
-	orphans   int
-	listening bool
+	// caller waits for.
+	reading bool
+	nwait   int
+	orphans int
 	// rdl: a read deadline may be set on nc, by interrupt or fail.
 	rdl bool
 	// turn (1-buffered) wakes a parked caller to take the free read role.
@@ -237,28 +232,15 @@ func (c *Client) Close() error {
 // disables instrumentation. Not safe to call concurrently with requests.
 func (c *Client) SetMetrics(m *ClientMetrics) { c.metrics = m }
 
-// OnGossip installs a hook receiving the one-way MsgGossip frames arriving
-// on this connection (reply-piggybacked occupancy from a cluster peer),
-// and starts a reader that runs until Close, so gossip is read even while
-// no call waits. The hook runs on the reading goroutine and must be fast.
-// Not safe to call concurrently with traffic: set it right after
-// NewClient.
-func (c *Client) OnGossip(h func(Frame)) {
-	c.onGossip = h
-	c.mu.Lock()
-	c.listening = true
-	c.kick()
-	c.mu.Unlock()
-}
-
-// Post sends a one-way frame (MsgGossip) that the peer never answers: no
-// call waits for it, and it rides the write in progress when there is one,
-// so piggybacked gossip costs its 20 bytes and no extra syscall. When that
-// write has stalled with a full queue behind it, the frame is dropped —
-// gossip is refreshed continuously, so dropping one snapshot is always
-// safe — and queued reports false, so senders tracking what the peer has
-// seen don't mark it delivered. Post starts a reader that runs until
-// Close, for whatever the peer sends back.
+// Post sends a one-way frame (MsgGossip) that the peer never answers, on
+// an idle connection only: while a write is in progress the frame is
+// dropped (gossip is refreshed continuously) and queued reports false, so
+// senders tracking what the peer has seen don't mark it delivered. That
+// writer may be the only caller due a reply, and a peer that answers
+// before it reads on (a server on a net.Pipe) would wait for the reply to
+// be read while the writer waits to hand it the frame. Post starts no
+// reader: a reply the peer sends anyway (a resv server answers gossip with
+// bad-request) waits for the next call's read, which drops it.
 func (c *Client) Post(f Frame) (queued bool, err error) {
 	if c.udp != nil {
 		return false, errors.New("resv: post needs a stream transport")
@@ -268,11 +250,9 @@ func (c *Client) Post(f Frame) (queued bool, err error) {
 	if c.err != nil {
 		return false, c.err
 	}
-	if c.writing && len(c.wq) >= clientReadFrames*FrameSize {
+	if c.writing {
 		return false, nil
 	}
-	c.listening = true
-	c.kick()
 	c.wq = AppendFrame(c.wq, f)
 	c.write()
 	return c.err == nil, c.err
@@ -435,14 +415,14 @@ func (c *Client) read(ctx context.Context, cl *call) {
 }
 
 // readLoop is the reader goroutine kick starts: it reads while replies are
-// due that no caller waits for (listening: until Close), routing the
-// parked callers' replies meanwhile.
+// due that no caller waits for, routing the parked callers' replies
+// meanwhile.
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clearDeadline()
-	for c.err == nil && (c.listening || c.orphans > 0) {
+	for c.err == nil && c.orphans > 0 {
 		c.readOnce(nil)
 	}
 	c.reading = false
@@ -461,7 +441,7 @@ func (c *Client) kick() {
 		case c.turn <- struct{}{}:
 		default: // a turn is already posted
 		}
-	} else if c.listening || c.orphans > 0 {
+	} else if c.orphans > 0 {
 		c.reading = true
 		c.wg.Add(1)
 		go c.readLoop()
@@ -469,19 +449,13 @@ func (c *Client) kick() {
 }
 
 // readOnce reads the connection once and routes the replies that came in;
-// me is the reading caller's call (nil for readLoop). Gossip goes to the
-// hook before c.mu is retaken. c.mu is held on entry and on return, and
-// released across the read.
+// me is the reading caller's call (nil for readLoop). c.mu is held on
+// entry and on return, and released across the read.
 func (c *Client) readOnce(me *call) {
 	c.mu.Unlock()
 	n, err := c.nc.Read(c.rbuf[c.rn:])
 	frames, rest, derr := DecodeFrames(c.frames[:0], c.rbuf[:c.rn+n])
 	c.frames, c.rn = frames, copy(c.rbuf[:], rest)
-	for _, f := range frames {
-		if f.Type == MsgGossip && c.onGossip != nil {
-			c.onGossip(f)
-		}
-	}
 	c.mu.Lock()
 	for _, f := range frames {
 		c.route(f, me)
@@ -507,8 +481,6 @@ func (c *Client) readOnce(me *call) {
 func (c *Client) route(f Frame, me *call) {
 	var cl *call
 	switch f.Type {
-	case MsgGossip:
-		return // one-way; the hook already has it
 	case MsgStatsReply, MsgReserveBatchReply:
 		cl = c.queue.pop()
 	default:

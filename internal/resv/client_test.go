@@ -126,6 +126,54 @@ func TestClientAbandonedCallNoWaiter(t *testing.T) {
 	within(t, served, "peer")
 }
 
+// TestClientPostLeavesBusyWrite: a frame posted while a call's write is in
+// progress is dropped, not left to that writer. The peer answers the call
+// before it reads on, as a resv server on a net.Pipe does, so a writer
+// handed the posted frame would wait on the peer while the peer waits for
+// the writer to read its reply.
+func TestClientPostLeavesBusyWrite(t *testing.T) {
+	c, peer := pipePeer(t)
+	read, served, reserved := make(chan struct{}), make(chan error, 1), make(chan error, 1)
+	go func() {
+		<-read
+		err := expectFrame(peer, MsgRequest, 1)
+		if err == nil {
+			_, err = peer.Write(AppendFrame(nil, Frame{Type: MsgGrant, FlowID: 1, Value: 1}))
+		}
+		served <- err
+	}()
+	cctx := ctx(t)
+	go func() {
+		ok, _, err := c.Reserve(cctx, 1, 1)
+		if err == nil && !ok {
+			err = errors.New("reserve denied")
+		}
+		reserved <- err
+	}()
+	// The peer reads nothing until read closes, so the reserve's write
+	// stays in progress.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		c.mu.Lock()
+		writing := c.writing
+		c.mu.Unlock()
+		if writing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reserve never began its write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := c.Post(Frame{Type: MsgGossip, FlowID: 1 << 48, Value: 3})
+	close(read)
+	if err != nil || queued {
+		t.Fatalf("post during a write: queued=%v err=%v, want the frame dropped", queued, err)
+	}
+	within(t, served, "peer")
+	within(t, reserved, "reserve")
+}
+
 // TestClientRoundTripZeroAlloc pins a depth-1 round trip at zero
 // allocations, client and server together: reserve + teardown over
 // net.Pipe, and a datagram reserve against a stub peer that answers
@@ -240,17 +288,51 @@ func TestClientSharedConn(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	noClientGoroutine(t, "after Close")
+}
+
+// noClientGoroutine fails the test unless, within two seconds, no
+// goroutine runs the client's code.
+func noClientGoroutine(t *testing.T, when string) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		buf := make([]byte, 1<<20)
-		if !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("resv.(*Client)")) {
-			break
+		buf = buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(buf, []byte("resv.(*Client)")) {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("client goroutines left after Close:\n%s", buf)
+			t.Fatalf("client goroutines left %s:\n%s", when, buf)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestClientPostStartsNoReader: Post only writes, so once a posted frame
+// and a round trip are done no goroutine runs the client's code: the
+// caller read its own reply.
+func TestClientPostStartsNoReader(t *testing.T) {
+	c, peer := pipePeer(t)
+	served := make(chan error, 1)
+	go func() {
+		err := expectFrame(peer, MsgGossip, 1<<48)
+		if err == nil {
+			err = expectFrame(peer, MsgRequest, 1)
+		}
+		if err == nil {
+			_, err = peer.Write(AppendFrame(nil, Frame{Type: MsgGrant, FlowID: 1, Value: 1}))
+		}
+		served <- err
+	}()
+	if queued, err := c.Post(Frame{Type: MsgGossip, FlowID: 1 << 48, Value: 3}); err != nil || !queued {
+		t.Fatalf("post: queued=%v err=%v", queued, err)
+	}
+	if ok, _, err := c.Reserve(ctx(t), 1, 1); err != nil || !ok {
+		t.Fatalf("reserve after a post: ok=%v err=%v", ok, err)
+	}
+	within(t, served, "peer")
+	noClientGoroutine(t, "after a post and a round trip")
 }
 
 // sharedConnRound runs one of TestClientSharedConn's operation mixes under

@@ -1,6 +1,7 @@
 package resv
 
 import (
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -8,11 +9,12 @@ import (
 
 // Lifecycle is what a serving plane (a Server, a cluster node) owns besides
 // its admission state: its clock, its background loops, its accept loops
-// and its inbound stream connections. Close ends all of them, so a closed
-// plane holds nothing: every connection it served is closed, and its
-// release has run. The clock counts nanoseconds since the plane's epoch on
-// the monotonic clock; serving code reads it (Now), and the plane's cells
-// count from the same epoch (Epoch).
+// and the connections it serves, inbound streams and datagram sockets.
+// Close ends all of them, so a closed plane holds nothing: every
+// connection it served is closed, and its release has run. The clock
+// counts nanoseconds since the plane's epoch on the monotonic clock;
+// serving code reads it (Now), and the plane's cells count from the same
+// epoch (Epoch).
 type Lifecycle struct {
 	epoch time.Time
 	stop  chan struct{} // closed once Close begins
@@ -21,13 +23,13 @@ type Lifecycle struct {
 	// connection registers only while the plane is not stopping, so wg
 	// gains nothing once Close waits on it.
 	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns map[io.Closer]struct{}
 	wg    sync.WaitGroup // running loops and handlers, releases included
 }
 
 // NewLifecycle returns a running lifecycle whose clock starts now.
 func NewLifecycle() *Lifecycle {
-	return &Lifecycle{epoch: time.Now(), stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	return &Lifecycle{epoch: time.Now(), stop: make(chan struct{}), conns: make(map[io.Closer]struct{})}
 }
 
 // Now is the plane's clock: nanoseconds since its epoch.
@@ -87,31 +89,37 @@ func (l *Lifecycle) Accept(ln net.Listener, serve func(net.Conn)) error {
 }
 
 // Serve runs nc through ServeConn with h, then closes nc and runs release,
-// the handler's clean-up. It registers nc first, so Close closes it and
-// waits for Serve to return, release included. A connection that arrives
-// once Close has begun is closed unserved, and its release still runs.
-// Serve returns what ServeConn did, for the caller to log.
+// the handler's clean-up, as run does. It returns what ServeConn did, for
+// the caller to log.
 func (l *Lifecycle) Serve(nc net.Conn, h Handler, release func()) (err error) {
+	l.run(nc, func() { err = l.ServeConn(nc, h) }, release)
+	return err
+}
+
+// run serves the connection c with serve, then closes c and runs release.
+// It registers c first, so Close closes it, which must end serve, and
+// waits for run to return, release included. A connection that arrives
+// once Close has begun is closed unserved, and its release still runs.
+func (l *Lifecycle) run(c io.Closer, serve, release func()) {
 	l.mu.Lock()
 	serving := !l.Stopping()
 	if serving {
-		l.conns[nc] = struct{}{}
+		l.conns[c] = struct{}{}
 		l.wg.Add(1)
 		defer l.wg.Done()
 	}
 	l.mu.Unlock()
 	if serving {
-		err = l.ServeConn(nc, h)
+		serve()
 	}
-	_ = nc.Close()
+	_ = c.Close()
 	l.mu.Lock()
-	delete(l.conns, nc)
+	delete(l.conns, c)
 	l.mu.Unlock()
 	release()
-	return err
 }
 
-// Close ends the plane: it stops the loops, closes every connection Serve
+// Close ends the plane: it stops the loops, closes every connection run
 // is serving, and returns once the loops have exited and the handlers have
 // returned, their releases included. Later calls just wait.
 func (l *Lifecycle) Close() {

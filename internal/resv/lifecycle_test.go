@@ -83,6 +83,59 @@ func TestHandleConnAfterClose(t *testing.T) {
 	}
 }
 
+// TestCloseEndsDatagramServing: closing a server ends ServePacket, and
+// Close returns only once every datagram peer's flows are released, each
+// counted once in resv_releases_total. A PacketConn handed over after
+// Close is closed unserved.
+func TestCloseEndsDatagramServing(t *testing.T) {
+	s := newServer(t, 8)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	var serr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serr = s.ServePacket(pc)
+	}()
+	c, err := DialUDP(ctx(t), pc.LocalAddr().String(), UDPConfig{Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const held = 3
+	for id := uint64(1); id <= held; id++ {
+		if granted, _, err := c.Reserve(ctx(t), id, 1); err != nil || !granted {
+			t.Fatalf("reserve %d: granted=%v err=%v", id, granted, err)
+		}
+	}
+	s.Close()
+	returned(t, "ServePacket", done)
+	if !errors.Is(serr, net.ErrClosed) {
+		t.Fatalf("ServePacket returned %v, want %v", serr, net.ErrClosed)
+	}
+	if a := s.Active(); a != 0 {
+		t.Fatalf("%d flows held once Close returned", a)
+	}
+	if r, p := s.Metrics().Releases.Load(), s.Metrics().UDPPeers.Load(); r != held || p != 0 {
+		t.Fatalf("resv_releases_total = %d and %d datagram peers, want the %d flows the peer held and none", r, p, held)
+	}
+
+	late, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	if err := s.ServePacket(late); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ServePacket after Close returned %v, want %v", err, net.ErrClosed)
+	}
+	if err := late.SetReadDeadline(time.Now()); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("a PacketConn handed over after Close is still open: %v", err)
+	}
+}
+
 // lifecycleGoroutines counts the goroutines running code in lifecycle.go:
 // loops the runner started and connections being served.
 func lifecycleGoroutines() (int, string) {

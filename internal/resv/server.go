@@ -282,12 +282,15 @@ func (s *Server) Metrics() *ServerMetrics { return s.metrics }
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Close ends the server: it stops the expiry loop (if any), closes every
-// stream connection HandleConn is serving, and returns once their flows
-// are released. A connection handed to HandleConn after Close is closed
-// unserved. Close does not close the listener Serve accepts on, nor the
-// PacketConn ServePacket reads: their owners close them, and datagram
-// peers' flows stay until then.
-func (s *Server) Close() { s.lc.Close() }
+// stream connection HandleConn is serving and every PacketConn
+// ServePacket is serving, and returns once their flows are released, each
+// counted in resv_releases_total. A connection or PacketConn handed over
+// after Close is closed unserved. Close does not close the listener Serve
+// accepts on: its owner closes it.
+func (s *Server) Close() {
+	s.lc.Close()
+	s.releaseUDPPeers()
+}
 
 // expire is one expiry step at server time now, run once per wheel tick:
 // every shard drops its due flows, work proportional to the flows expiring

@@ -48,26 +48,31 @@ func udpReaderCount() int {
 }
 
 // ServePacket serves the resv protocol in datagram mode on pc until pc is
-// closed or fails. It always returns a non-nil error (net.ErrClosed after
-// a clean shutdown). A small fixed pool of reader goroutines feeds the
-// sharded admission plane; replies go back to each datagram's source
-// address. ServePacket may run concurrently with Serve on the same
-// Server — stream and datagram clients share one admission state.
+// closed or fails, or the server closes. It always returns a non-nil
+// error (net.ErrClosed after a clean shutdown). A small fixed pool of
+// reader goroutines feeds the sharded admission plane; replies go back to
+// each datagram's source address. ServePacket may run concurrently with
+// Serve on the same Server — stream and datagram clients share one
+// admission state. A pc handed over once Close has begun is closed
+// unserved.
 func (s *Server) ServePacket(pc net.PacketConn) error {
-	readers := udpReaderCount()
-	errc := make(chan error, readers)
-	var wg sync.WaitGroup
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errc <- s.readPackets(pc)
-		}()
-	}
-	err := <-errc
-	// The first failure wins; closing pc unblocks the remaining readers.
-	_ = pc.Close()
-	wg.Wait()
+	err := net.ErrClosed
+	s.lc.run(pc, func() {
+		readers := udpReaderCount()
+		errc := make(chan error, readers)
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errc <- s.readPackets(pc)
+			}()
+		}
+		err = <-errc
+		// The first failure wins; closing pc unblocks the remaining readers.
+		_ = pc.Close()
+		wg.Wait()
+	}, func() {})
 	return err
 }
 
@@ -142,6 +147,17 @@ func (s *Server) acquireUDPPeer(addr net.Addr) *conn {
 	c.inflight++
 	s.udpMu.Unlock()
 	return c
+}
+
+// releaseUDPPeers releases and reaps every datagram peer, as a dropped
+// stream connection is; Close runs it once no reader serves.
+func (s *Server) releaseUDPPeers() {
+	s.udpMu.Lock()
+	defer s.udpMu.Unlock()
+	for _, c := range s.udpPeers {
+		s.metrics.Releases.Add(uint64(c.flows.Drain(Now, s.shard)))
+		s.reapUDPPeerLocked(c)
+	}
 }
 
 // releaseUDPPeer ends a dispatch and reaps the peer if it is now idle.
