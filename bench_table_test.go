@@ -143,7 +143,7 @@ func BenchmarkSoftStateCell(b *testing.B) {
 			b.Fatal(err)
 		}
 		c, o := new(resv.Cell[uint64]), new(resv.Owner[uint64])
-		c.Init(0, pol, ttl, time.Now())
+		c.Init(0, pol, ttl, 0)
 		o.Init(1)
 		return c, o
 	}

@@ -30,8 +30,7 @@ func cmdCluster(args []string) error {
 	utilName := fs.String("util", "adaptive", "utility function deriving each link's kmax: rigid, adaptive")
 	ttl := fs.Duration("ttl", 0, "soft-state TTL: unrefreshed path reservations expire on every hop (0 = never)")
 	routerName := fs.String("router", "two-choice", "path placement: two-choice (balanced allocation), hash (consistent hash)")
-	antiEntropy := fs.Duration("anti-entropy", cluster.DefaultAntiEntropy, "periodic full-gossip interval (negative = only the gossip an owner piggybacks on hops it forwards)")
-	stale := fs.Duration("stale", 0, "gossip staleness bound before two-choice falls back to hashing (0 = 8x anti-entropy)")
+	antiEntropy := fs.Duration("anti-entropy", cluster.DefaultAntiEntropy, "periodic gossip interval; a load signal 8 intervals old is stale (negative = only the gossip an owner piggybacks on hops it forwards)")
 	listen := fs.String("listen", "127.0.0.1:4750", "client-plane base address; node i listens on port+i")
 	debugAddr := fs.String("debug-addr", "", "per-node /metrics, /healthz, /debug/pprof base address, port+i per node (empty = off)")
 	printOnly := fs.Bool("print", false, "validate and describe the topology, then exit without serving")
@@ -72,7 +71,6 @@ func cmdCluster(args []string) error {
 		TTL:         *ttl,
 		Router:      router,
 		AntiEntropy: *antiEntropy,
-		Stale:       *stale,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, a ...interface{}) {

@@ -20,20 +20,28 @@ type Config struct {
 	TTL time.Duration
 	// Router selects the placement strategy. Defaults to RouteTwoChoice.
 	Router RouterMode
-	// AntiEntropy is the periodic full-gossip interval. Defaults to 25ms;
+	// AntiEntropy is the periodic gossip interval. Defaults to 25ms;
 	// negative disables the tick, leaving only the gossip an owner
-	// piggybacks on hops it forwards.
+	// piggybacks on hops it forwards. A gossiped load signal older than 8
+	// intervals (8 default intervals with the tick off) is stale:
+	// two-choice then falls back to hashed placement. Every 4th tick
+	// re-sends every link, so a quiet link's signal stays fresh.
 	AntiEntropy time.Duration
-	// Stale bounds how old a gossiped load signal may be before two-choice
-	// falls back to hashed placement. Defaults to 8× AntiEntropy; negative
-	// disables the check (signals never go stale).
-	Stale time.Duration
 	// Logf, if non-nil, receives one line per notable node event.
 	Logf func(format string, args ...interface{})
 }
 
-// DefaultAntiEntropy is the default full-gossip interval.
+// DefaultAntiEntropy is the default gossip interval.
 const DefaultAntiEntropy = 25 * time.Millisecond
+
+// staleTicks is the staleness bound on a gossiped load signal, in
+// anti-entropy intervals. sweepTicks is how often, in ticks, anti-entropy
+// re-sends every link whether or not it moved: half the bound, so a quiet
+// link's snapshot never ages past it.
+const (
+	staleTicks = 8
+	sweepTicks = staleTicks / 2
+)
 
 // Cluster is an assembled set of nodes sharing a topology, with the peer
 // plane wired over in-process pipes. Use New + Start for tests, benchmarks
@@ -74,19 +82,10 @@ func New(cfg Config) (*Cluster, error) {
 	if ae == 0 {
 		ae = DefaultAntiEntropy
 	}
+	stale := staleTicks * ae
 	if ae < 0 {
 		ae = 0 // no periodic tick; piggybacked gossip only
-	}
-	stale := cfg.Stale
-	if stale == 0 {
-		if ae > 0 {
-			stale = 8 * ae
-		} else {
-			stale = 8 * DefaultAntiEntropy
-		}
-	}
-	if stale < 0 {
-		stale = 0 // router treats 0 as "never stale"
+		stale = staleTicks * DefaultAntiEntropy
 	}
 	c := &Cluster{topo: topo, bounds: bounds, nodes: make([]*Node, len(topo.Nodes)), ae: ae}
 	for i := range topo.Nodes {

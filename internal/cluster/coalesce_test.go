@@ -65,7 +65,7 @@ func (s *stubPeer) Serve(f resv.Frame, _ int64) resv.Frame {
 	}
 }
 
-func (s *stubPeer) ServeBatch(ops []resv.Frame, _ int64, out []resv.Frame) []resv.Frame {
+func (s *stubPeer) ServeBatch(ops []resv.Frame, _ int64) resv.Frame {
 	s.took(true, ops)
 	var v resv.BatchVerdict
 	for i, f := range ops {
@@ -73,7 +73,7 @@ func (s *stubPeer) ServeBatch(ops []resv.Frame, _ int64, out []resv.Frame) []res
 			v |= 1 << uint(i)
 		}
 	}
-	return append(out, resv.Frame{Type: resv.MsgReserveBatchReply, FlowID: uint64(v)})
+	return resv.Frame{Type: resv.MsgReserveBatchReply, FlowID: uint64(v)}
 }
 
 func (s *stubPeer) BadBatch()                 {}

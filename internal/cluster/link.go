@@ -20,14 +20,14 @@ type linkState struct {
 	link Link
 }
 
-// newLinkState makes local link i of its node.
-func newLinkState(i int, l Link, bound int, ttl time.Duration, epoch time.Time) (*linkState, error) {
+// newLinkState makes local link i of its node, whose clock reads start.
+func newLinkState(i int, l Link, bound int, ttl time.Duration, start int64) (*linkState, error) {
 	pol, err := policy.NewCounting(l.Capacity, bound)
 	if err != nil {
 		return nil, err
 	}
 	ls := &linkState{link: l}
-	ls.Init(i, pol, ttl, epoch)
+	ls.Init(i, pol, ttl, start)
 	return ls, nil
 }
 

@@ -31,7 +31,7 @@ type Node struct {
 	lc   *resv.Lifecycle // clock, loops, inbound connections: as a resv.Server's
 
 	ttl        time.Duration
-	staleNanos int64
+	staleNanos int64 // the staleness bound on a gossiped load signal
 	routerMode RouterMode
 
 	// links are the locally-owned links; byGlobal maps a global link index
@@ -116,7 +116,7 @@ type cconn struct {
 // with rollbackConn.
 func (n *Node) openCConn() *cconn {
 	c := &cconn{n: n}
-	c.flows.Init(0, nil, n.ttl, n.lc.Epoch())
+	c.flows.Init(0, nil, n.ttl, n.lc.Now())
 	n.cmu.Lock()
 	n.cconns[c] = struct{}{}
 	n.cmu.Unlock()
@@ -187,12 +187,13 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		reg:        obs.New(),
 		ctx:        context.Background(),
 	}
+	start := n.lc.Now()
 	for gi := range topo.Links {
 		l := &topo.Links[gi]
 		if l.Owner != idx {
 			continue
 		}
-		ls, err := newLinkState(len(n.links), *l, bounds[gi], ttl, n.lc.Epoch())
+		ls, err := newLinkState(len(n.links), *l, bounds[gi], ttl, start)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s link %s: %w", n.name, l.ID, err)
 		}
@@ -274,10 +275,15 @@ func (n *Node) connectPeer(j int, nc net.Conn) {
 }
 
 // start launches the node's background loops: the anti-entropy gossip
-// tick and, with a TTL, the expiry step at the wheels' resolution.
+// tick, every sweepTicks-th of which is a full sweep, and, with a TTL, the
+// expiry step at the wheels' resolution.
 func (n *Node) start(antiEntropy time.Duration) {
 	if antiEntropy > 0 {
-		n.lc.Every(antiEntropy, n.gossipAll)
+		ticks := 0
+		n.lc.Every(antiEntropy, func(int64) {
+			ticks++
+			n.gossipAll(ticks%sweepTicks == 0)
+		})
 	}
 	if n.ttl > 0 {
 		n.lc.Every(resv.WheelRes(n.ttl), n.expire)
@@ -300,11 +306,13 @@ func (n *Node) Close() {
 }
 
 // gossipAll advertises local links to every peer — the anti-entropy tick.
-// A link whose occupancy a peer already holds is suppressed (and counted):
-// a quiet cluster's anti-entropy traffic collapses to zero frames while a
-// freshly-joined peer, whose lastSent slots are all -1, still gets the
-// full snapshot.
-func (n *Node) gossipAll(int64) {
+// A link whose occupancy a peer already holds is suppressed (and counted),
+// so a quiet cluster's anti-entropy traffic falls to one frame per link
+// and sweep, while a freshly-joined peer, whose lastSent slots are all -1,
+// still gets the full snapshot. A full sweep re-sends every link: a
+// snapshot's age is its receive time, so a link that never moves would
+// otherwise go stale at its peers and send two-choice back to the hash.
+func (n *Node) gossipAll(full bool) {
 	for j := range n.peers {
 		p := n.peers[j].Load()
 		if p == nil {
@@ -312,7 +320,7 @@ func (n *Node) gossipAll(int64) {
 		}
 		for li, ls := range n.links {
 			a := ls.Policy().Active()
-			if p.lastSent[li].Load() == a {
+			if !full && p.lastSent[li].Load() == a {
 				n.metrics.GossipSuppressed.Inc()
 				continue
 			}
@@ -436,9 +444,10 @@ func (n *Node) ServeClients(ln net.Listener) error { return n.lc.Accept(ln, n.Ha
 // teardowns. Dropping the connection rolls back every path flow it holds.
 func (n *Node) HandleClientConn(nc net.Conn) {
 	c := n.openCConn()
-	if err := n.lc.Serve(nc, c, func() { n.rollbackConn(c) }); err != nil {
-		n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
-	}
+	n.lc.Serve(nc, c, func(err error) {
+		n.rollbackConn(c)
+		n.logClosed(nc, err)
+	})
 }
 
 // HandlePeerConn serves one peer-plane connection: single-link hops
@@ -447,7 +456,15 @@ func (n *Node) HandleClientConn(nc net.Conn) {
 // crashed entry node frees its downstream hops without waiting for TTL.
 func (n *Node) HandlePeerConn(nc net.Conn) {
 	sess := newPeerSess(n)
-	if err := n.lc.Serve(nc, sess, func() { sess.claims.Drain(n.lc.Now(), n.linkCell) }); err != nil {
+	n.lc.Serve(nc, sess, func(err error) {
+		sess.claims.Drain(n.lc.Now(), n.linkCell)
+		n.logClosed(nc, err)
+	})
+}
+
+// logClosed logs the error, if any, that ended a connection's serving.
+func (n *Node) logClosed(nc net.Conn, err error) {
+	if err != nil {
 		n.logf("cluster %s: connection %v closed: %v", n.name, nc.RemoteAddr(), err)
 	}
 }
@@ -462,8 +479,8 @@ func (n *Node) served(frames int, elapsed time.Duration) {
 
 func (c *cconn) Serve(f resv.Frame, now int64) resv.Frame { return c.n.dispatchClient(c, f, now) }
 
-func (c *cconn) ServeBatch(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-	return append(out, c.n.dispatchClientBatch(c, ops, now))
+func (c *cconn) ServeBatch(ops []resv.Frame, now int64) resv.Frame {
+	return c.n.dispatchClientBatch(c, ops, now)
 }
 
 func (c *cconn) BadBatch() { c.n.metrics.Errors.Inc() }
@@ -1031,8 +1048,8 @@ func (n *Node) statsReply(f resv.Frame) resv.Frame {
 
 func (p *peerSess) Serve(f resv.Frame, now int64) resv.Frame { return p.n.dispatchPeer(p, f, now) }
 
-func (p *peerSess) ServeBatch(ops []resv.Frame, now int64, out []resv.Frame) []resv.Frame {
-	return append(out, p.n.dispatchPeerBatch(p, ops, now))
+func (p *peerSess) ServeBatch(ops []resv.Frame, now int64) resv.Frame {
+	return p.n.dispatchPeerBatch(p, ops, now)
 }
 
 func (p *peerSess) BadBatch() { p.n.metrics.Errors.Inc() }

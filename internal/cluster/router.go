@@ -85,7 +85,7 @@ func (n *Node) pathLoad(pathIdx int, now int64) (load float64, fresh bool) {
 			own := n.own[g].Load()
 			var updated int64
 			active, updated = n.view.estimate(g, own)
-			if updated == 0 || (n.staleNanos > 0 && now-updated > n.staleNanos) {
+			if updated == 0 || now-updated > n.staleNanos {
 				return 0, false
 			}
 			if own > active {

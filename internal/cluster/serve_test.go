@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,5 +118,69 @@ func TestServeConnFraming(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// slowLog is a Logf whose calls take 10 ms. It counts the calls in flight,
+// and the calls that start once closed is set.
+type slowLog struct {
+	calls, inFlight, late atomic.Int32
+	closed                atomic.Bool
+}
+
+func (l *slowLog) logf(string, ...interface{}) {
+	l.calls.Add(1)
+	// In flight before the check: a call starting after Close returned is
+	// either in flight when the test looks or sees closed.
+	l.inFlight.Add(1)
+	if l.closed.Load() {
+		l.late.Add(1)
+	}
+	time.Sleep(10 * time.Millisecond)
+	l.inFlight.Add(-1)
+}
+
+// TestCloseWaitsForConnLog: the line a node logs when a connection's
+// serving ends, on either plane, is part of the connection's release, so
+// Close returns only once it is written: no Logf call is in flight when
+// Close returns, and none starts after.
+func TestCloseWaitsForConnLog(t *testing.T) {
+	cl, err := New(Config{Topology: mustTopo(t, "node a\nlink l a 8\npath p l\npair x a a p\n"), AntiEntropy: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	n := cl.Node(0)
+	var log slowLog
+	n.Logf = log.logf
+	cl.Start()
+	var wg sync.WaitGroup
+	for _, serve := range []func(net.Conn){n.HandleClientConn, n.HandlePeerConn, n.HandleClientConn, n.HandlePeerConn} {
+		cEnd, sEnd := net.Pipe()
+		defer func() { _ = cEnd.Close() }()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serve(sEnd)
+		}()
+		// A round trip, so the connection is being served when Close runs.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, _, err := resv.NewClient(cEnd).Stats(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Close()
+	log.closed.Store(true)
+	if k := log.inFlight.Load(); k != 0 {
+		t.Fatalf("Close returned with %d log calls in flight", k)
+	}
+	wg.Wait()
+	if k := log.late.Load(); k != 0 {
+		t.Fatalf("%d log calls started after Close returned", k)
+	}
+	if k := log.calls.Load(); k < 4 {
+		t.Fatalf("%d log calls for 4 connections closed under the node", k)
 	}
 }

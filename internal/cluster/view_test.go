@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"beqos/internal/resv"
 )
@@ -88,7 +89,7 @@ func TestClientPlaneRefusesGossip(t *testing.T) {
 			t.Fatalf("reserve %d: granted %v, %v", seq, ok, err)
 		}
 	}
-	b.gossipAll(0)
+	b.gossipAll(true)
 	waitFor(t, "the owner's snapshot to land", func() bool {
 		active, _ := a.view.load(0)
 		return active == 3
@@ -101,7 +102,7 @@ func TestClientPlaneRefusesGossip(t *testing.T) {
 // newer snapshot, via-b reads empty, not full, and a new claim reads as
 // one.
 func TestViewEstimateFollowsOwnClaims(t *testing.T) {
-	cl := startCluster(t, twoPathSpec, Config{AntiEntropy: -1, Stale: -1})
+	cl := startCluster(t, twoPathSpec, Config{AntiEntropy: -1})
 	a, lb := cl.Node(0), cl.topo.LinkIndex("lb")
 	viaB, bound := cl.topo.pathIdx["via-b"], cl.Bounds()[lb]
 	l := a.NewLocal()
@@ -111,7 +112,7 @@ func TestViewEstimateFollowsOwnClaims(t *testing.T) {
 			t.Fatalf("fill %d: granted %v, %v", seq, ok, err)
 		}
 	}
-	cl.Node(1).gossipAll(0)
+	cl.Node(1).gossipAll(true)
 	waitFor(t, "the owner's snapshot of a full lb", func() bool {
 		active, _ := a.view.load(lb)
 		return active == int64(bound)
@@ -133,6 +134,25 @@ func TestViewEstimateFollowsOwnClaims(t *testing.T) {
 	if load, _ := a.pathLoad(viaB, 0); load != 1/float64(bound) {
 		t.Fatalf("via-b holding one flow: load %g, want %g", load, 1/float64(bound))
 	}
+}
+
+// TestQuietLinkStaysFresh: a link whose occupancy never moves is still
+// re-sent by the anti-entropy sweeps, so 50 ms after its first snapshot
+// (25 anti-entropy ticks, over three staleness bounds) a peer's load
+// signal for it is fresh, and two-choice still routes on it.
+func TestQuietLinkStaysFresh(t *testing.T) {
+	cl := startCluster(t, twoPathSpec, Config{AntiEntropy: 2 * time.Millisecond})
+	a, lc, viaC := cl.Node(0), cl.topo.LinkIndex("lc"), cl.topo.pathIdx["via-c"]
+	var first int64
+	waitFor(t, "the first snapshot of lc", func() bool {
+		_, first = a.view.load(lc)
+		return first != 0
+	})
+	waitFor(t, "a fresh load signal for lc 50 ms after its first snapshot", func() bool {
+		now := a.lc.Now()
+		_, fresh := a.pathLoad(viaC, now)
+		return fresh && now-first > int64(50*time.Millisecond)
+	})
 }
 
 // BenchmarkGossipApply times one occupancy snapshot landing in a node's

@@ -77,9 +77,6 @@ func (p *Measured) Bound() int { return int(p.bound) }
 // Capacity implements Policy.
 func (p *Measured) Capacity() float64 { return p.capacity }
 
-// NeedsClock implements ClockUser: the EWMA window is a time constant.
-func (p *Measured) NeedsClock() bool { return true }
-
 // Admit implements Policy.
 func (p *Measured) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
 	est := p.observe(now)

@@ -21,6 +21,10 @@
 // Policies must be safe for concurrent use and, for the default counting
 // and bandwidth policies, allocation-free at steady state — the serving
 // plane's reserve→grant path stays at 0 allocs/op.
+//
+// A policy reads no clock: every call is handed its instant, now, by the
+// plane that serves it. The clocked built-ins (token-bucket, measured)
+// run on it; the others ignore it.
 package policy
 
 // Mode distinguishes how a policy accounts the link.
@@ -74,10 +78,10 @@ type Decision struct {
 
 // Policy is one link's admission rule.
 //
-// now is a monotonic clock in nanoseconds. Servers read it only for
-// policies that implement ClockUser with NeedsClock() == true; clockless
-// policies receive 0, keeping the default hot path free of time syscalls.
-// The simulator passes virtual nanoseconds (1 virtual time unit = 1s), so
+// now is a monotonic clock in nanoseconds: the serving plane's instant
+// for the read, datagram, tick or connection release the call is part of,
+// so every frame of one read reaches the policy at one instant. The
+// simulator passes virtual nanoseconds (1 virtual time unit = 1s), so
 // clocked policies' rates are per-second in both settings.
 type Policy interface {
 	// Name identifies the policy ("counting", "token-bucket", ...).
@@ -158,13 +162,6 @@ func ReleaseBatch(p Policy, now int64, rate float64, n int) {
 	for i := 0; i < n; i++ {
 		p.Release(now, rate)
 	}
-}
-
-// ClockUser is optionally implemented by policies whose decisions depend
-// on time (token refill, occupancy smoothing). Servers skip the per-request
-// clock read for policies that do not implement it or return false.
-type ClockUser interface {
-	NeedsClock() bool
 }
 
 // Gauge is one policy-specific observable, exported by Instrumented

@@ -84,9 +84,6 @@ func (p *TokenBucket) Bound() int { return p.inner.Bound() }
 // Capacity implements Policy.
 func (p *TokenBucket) Capacity() float64 { return p.inner.Capacity() }
 
-// NeedsClock implements ClockUser: refill is driven by the server clock.
-func (p *TokenBucket) NeedsClock() bool { return true }
-
 // Admit implements Policy.
 func (p *TokenBucket) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
 	p.decisions.Add(1)

@@ -17,6 +17,11 @@ import (
 // Each record is a Hold: its slot in the table and on its owner's list, its
 // timer in the wheel, the rate it claimed, and the plane's own fields.
 //
+// A cell reads no clock. Every method that arms a timer, expires holds or
+// calls the policy takes its instant, now, from its caller: nanoseconds on
+// the plane's clock (Lifecycle.Now), read once per read, datagram, tick or
+// connection release.
+//
 // Drop is the one release funnel. It is the only code that stops a hold's
 // timer, takes it out of its table and off its owner's list, and returns
 // its claim to the policy. Teardown, rollback, expiry and owner drains all
@@ -121,54 +126,22 @@ type Cell[P any] struct {
 	// rates records that pol accounts rates (policy.ModeBandwidth): a
 	// reserve must then carry a positive rate, and a batch reply no share.
 	rates bool
-	// clock records that pol implements policy.ClockUser and asked for the
-	// clock. A clockless policy is handed 0, so a cell with no TTL never
-	// uses the now its callers pass.
-	clock bool
-	// epoch is the origin of the cell's clock, in nanoseconds.
-	epoch time.Time
 }
-
-// Now, passed to a cell method as its now, has the cell read its own clock
-// at the moment it needs one, and not at all when it needs none. The read
-// then follows the table lookup: on a table far beyond the cache, a clock
-// read before the lookup made a refresh measurably slower. Every other now
-// is the caller's instant on the same clock.
-const Now int64 = math.MinInt64
 
 // Init sets c up as cell i of its group (0 for a cell in none): pol, if
 // non-nil, decides its admissions, and with ttl > 0 a hold expires one ttl
-// after it is armed. The cell's clock counts nanoseconds since epoch.
-func (c *Cell[P]) Init(i int, pol policy.Policy, ttl time.Duration, epoch time.Time) {
-	c.idx, c.pol, c.ttl, c.epoch = i, pol, int64(ttl), epoch
+// after it is armed, on a wheel that starts at start, the plane's instant
+// now.
+func (c *Cell[P]) Init(i int, pol policy.Policy, ttl time.Duration, start int64) {
+	c.idx, c.pol, c.ttl = i, pol, int64(ttl)
 	c.rates = pol != nil && pol.Mode() == policy.ModeBandwidth
-	if cu, ok := pol.(policy.ClockUser); ok && cu.NeedsClock() {
-		c.clock = true
-	}
 	if ttl > 0 {
-		c.wheel = NewWheel[*Hold[P]](WheelRes(ttl), c.at(Now))
+		c.wheel = NewWheel[*Hold[P]](WheelRes(ttl), start)
 	}
 }
 
 // Policy returns the cell's admission policy, nil for none.
 func (c *Cell[P]) Policy() policy.Policy { return c.pol }
-
-// at resolves a now argument: the caller's instant, or for Now the cell's
-// clock read this moment.
-func (c *Cell[P]) at(now int64) int64 {
-	if now == Now {
-		return int64(time.Since(c.epoch))
-	}
-	return now
-}
-
-// polNow is the clock handed to the policy.
-func (c *Cell[P]) polNow(now int64) int64 {
-	if c.clock {
-		return c.at(now)
-	}
-	return 0
-}
 
 // Len returns the number of holds in c. The caller holds c's lock.
 func (c *Cell[P]) Len() int { return c.holds.Len() }
@@ -200,7 +173,7 @@ func (c *Cell[P]) Insert(key uint64, o *Owner[P], rate float64, val P) *Hold[P] 
 // does nothing without a TTL. The caller holds c's lock.
 func (c *Cell[P]) Arm(now int64, h *Hold[P]) {
 	if c.wheel != nil {
-		c.wheel.Schedule(&h.timer, h, c.at(now)+c.ttl)
+		c.wheel.Schedule(&h.timer, h, now+c.ttl)
 	}
 }
 
@@ -215,7 +188,7 @@ func (c *Cell[P]) Drop(now int64, h *Hold[P]) (ownerEmpty bool) {
 		h.owner = nil
 	}
 	if c.pol != nil {
-		c.pol.Release(c.polNow(now), h.rate)
+		c.pol.Release(now, h.rate)
 	}
 	var zero P
 	h.Val = zero
@@ -252,11 +225,10 @@ const (
 // was held. The Decision carries the share of the last pass that granted
 // and the load the last pass observed.
 func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, mask uint64, o *Owner[P], val P, base int, granted, held *BatchVerdict) (dec policy.Decision) {
-	first := cellOf(run[0].FlowID)
-	pol, pnow := first.pol, first.polNow(now)
+	pol := cellOf(run[0].FlowID).pol
 	rate, class := run[0].Value, run[0].Class
 	for i := 0; i < len(run); {
-		n, d := policy.AdmitBatch(pol, pnow, run[i].FlowID&mask, rate, class, len(run)-i)
+		n, d := policy.AdmitBatch(pol, now, run[i].FlowID&mask, rate, class, len(run)-i)
 		dec.Load = d.Load
 		if n == 0 {
 			break
@@ -287,7 +259,7 @@ func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, ma
 		if returned == 0 {
 			break
 		}
-		policy.ReleaseBatch(pol, pnow, rate, returned)
+		policy.ReleaseBatch(pol, now, rate, returned)
 	}
 	return dec
 }
@@ -338,7 +310,6 @@ func (c *Cell[P]) Advance(now int64, gone func(key uint64, val P, ownerEmpty boo
 	}
 	n := 0
 	c.Lock()
-	now = c.at(now)
 	c.wheel.Advance(now, func(h *Hold[P]) {
 		key, val := h.slot.key, h.Val
 		last := c.Drop(now, h)
@@ -378,8 +349,8 @@ func (c *Cell[P]) Reserve(now int64, f Frame, mask uint64, o *Owner[P], val P) (
 	if c.badRate(f.Value) {
 		return errorReply(f, ErrCodeBadRequest), Refused, 0
 	}
-	key, pnow := f.FlowID&mask, c.polNow(now)
-	dec := c.pol.Admit(pnow, key, f.Value, f.Class)
+	key := f.FlowID & mask
+	dec := c.pol.Admit(now, key, f.Value, f.Class)
 	if !dec.Admit {
 		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, Denied, 0
 	}
@@ -390,7 +361,7 @@ func (c *Cell[P]) Reserve(now int64, f Frame, mask uint64, o *Owner[P], val P) (
 			out = HeldOwn
 		}
 		c.Unlock()
-		c.pol.Release(pnow, f.Value)
+		c.pol.Release(now, f.Value)
 		return errorReply(f, ErrCodeDuplicateFlow), out, held
 	}
 	c.Arm(now, c.Insert(key, o, f.Value, val))

@@ -24,7 +24,7 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells[i].Init(0, pol, 0, time.Now())
+			cells[i].Init(0, pol, 0, 0)
 		}
 		for k := uint64(1); k <= 12; k++ {
 			if rng.IntN(3) == 0 {
@@ -67,7 +67,7 @@ func TestCellReleasesOnce(t *testing.T) {
 		}
 		cells := make([]Cell[uint64], ncells)
 		for i := range cells {
-			cells[i].Init(i, pol, ttl, time.Now())
+			cells[i].Init(i, pol, ttl, 0)
 		}
 		cell := func(i int) *Cell[uint64] { return &cells[i] }
 		cellOf := func(key uint64) *Cell[uint64] { return &cells[key%ncells] }

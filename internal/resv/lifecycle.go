@@ -12,9 +12,10 @@ import (
 // and the connections it serves, inbound streams and datagram sockets.
 // Close ends all of them, so a closed plane holds nothing: every
 // connection it served is closed, and its release has run. The clock
-// counts nanoseconds since the plane's epoch on the monotonic clock;
-// serving code reads it (Now), and the plane's cells count from the same
-// epoch (Epoch).
+// counts nanoseconds since the plane's epoch on the monotonic clock, and
+// it is the only clock serving code reads (Now): once per read, datagram,
+// tick or connection release, whose instant every cell and policy call
+// under it then takes.
 type Lifecycle struct {
 	epoch time.Time
 	stop  chan struct{} // closed once Close begins
@@ -34,9 +35,6 @@ func NewLifecycle() *Lifecycle {
 
 // Now is the plane's clock: nanoseconds since its epoch.
 func (l *Lifecycle) Now() int64 { return int64(time.Since(l.epoch)) }
-
-// Epoch is the origin of the plane's clock, for the cells that read it.
-func (l *Lifecycle) Epoch() time.Time { return l.epoch }
 
 // Stopping reports whether Close has begun.
 func (l *Lifecycle) Stopping() bool {
@@ -89,11 +87,12 @@ func (l *Lifecycle) Accept(ln net.Listener, serve func(net.Conn)) error {
 }
 
 // Serve runs nc through ServeConn with h, then closes nc and runs release,
-// the handler's clean-up, as run does. It returns what ServeConn did, for
-// the caller to log.
-func (l *Lifecycle) Serve(nc net.Conn, h Handler, release func()) (err error) {
-	l.run(nc, func() { err = l.ServeConn(nc, h) }, release)
-	return err
+// the handler's clean-up, as run does, with what ServeConn returned (nil
+// for a connection closed unserved). Close waits for release, so anything
+// the handler does on its way out, a log line included, belongs there.
+func (l *Lifecycle) Serve(nc net.Conn, h Handler, release func(err error)) {
+	var err error
+	l.run(nc, func() { err = l.ServeConn(nc, h) }, func() { release(err) })
 }
 
 // run serves the connection c with serve, then closes c and runs release.

@@ -2,10 +2,15 @@ package resv
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,5 +187,144 @@ func TestCloseEndsLoops(t *testing.T) {
 			t.Fatalf("%d goroutines in lifecycle.go after Close, %d before the server:\n%s", n, base, stacks)
 		}
 		runtime.Gosched()
+	}
+}
+
+// slowLog is a Logf whose calls take 10 ms. It counts the calls in flight,
+// and the calls that start once closed is set.
+type slowLog struct {
+	calls, inFlight, late atomic.Int32
+	closed                atomic.Bool
+}
+
+func (l *slowLog) logf(string, ...interface{}) {
+	l.calls.Add(1)
+	// In flight before the check: a call starting after Close returned is
+	// either in flight when the test looks or sees closed.
+	l.inFlight.Add(1)
+	if l.closed.Load() {
+		l.late.Add(1)
+	}
+	time.Sleep(10 * time.Millisecond)
+	l.inFlight.Add(-1)
+}
+
+// TestCloseWaitsForConnLog: the line a server logs when a connection's
+// serving ends is part of the connection's release, so Close returns only
+// once it is written: no Logf call is in flight when Close returns, and
+// none starts after.
+func TestCloseWaitsForConnLog(t *testing.T) {
+	s := newServer(t, 8)
+	var log slowLog
+	s.Logf = log.logf
+	var dones []<-chan struct{}
+	for i := 0; i < 4; i++ {
+		cEnd, done := serveConn(s)
+		defer func() { _ = cEnd.Close() }()
+		// A round trip, so the connection is being served when Close runs.
+		if _, _, err := NewClient(cEnd).Stats(ctx(t)); err != nil {
+			t.Fatal(err)
+		}
+		dones = append(dones, done)
+	}
+	s.Close()
+	log.closed.Store(true)
+	if n := log.inFlight.Load(); n != 0 {
+		t.Fatalf("Close returned with %d log calls in flight", n)
+	}
+	for _, done := range dones {
+		returned(t, "HandleConn", done)
+	}
+	if n := log.late.Load(); n != 0 {
+		t.Fatalf("%d log calls started after Close returned", n)
+	}
+	if n := log.calls.Load(); n < 4 {
+		t.Fatalf("%d log calls for 4 connections closed under the server", n)
+	}
+	if n := s.Metrics().Connections.Load(); n != 0 {
+		t.Fatalf("%d connections counted once Close returned", n)
+	}
+}
+
+// TestServerArmsAtReadInstant: a TTL server arms a reserve's timer one TTL
+// after the instant its stream handler is given, the read's, and reads no
+// clock of its own for it: the flow outlives an expiry step one tick short
+// of that deadline and goes at the step one tick past it.
+func TestServerArmsAtReadInstant(t *testing.T) {
+	const ttl = time.Second
+	s, err := NewServerTTL(8, utility.NewAdaptive(), ttl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := &streamConn{s: s, c: s.newConn()}
+	// Ten TTLs on: an instant the server's own clock does not reach here.
+	read := 10 * int64(ttl)
+	tick := int64(WheelRes(ttl))
+	if r := h.Serve(Frame{Type: MsgRequest, FlowID: 1, Value: 1}, read); r.Type != MsgGrant {
+		t.Fatalf("reserve: reply %+v", r)
+	}
+	s.expire(read + int64(ttl) - tick)
+	if a := s.Active(); a != 1 {
+		t.Fatalf("%d flows one tick before the TTL after the read's instant, want 1", a)
+	}
+	s.expire(read + int64(ttl) + tick)
+	if a, e := s.Active(), s.Metrics().Expiries.Load(); a != 0 || e != 1 {
+		t.Fatalf("one tick past the TTL after the read's instant: %d flows, %d expiries, want 0 and 1", a, e)
+	}
+}
+
+// TestServingClockOneSeam: time enters the serving planes through the
+// Lifecycle alone. No non-test file of internal/resv or internal/cluster
+// but lifecycle.go and client.go (the stream client's deadlines run on its
+// net.Conn) refers to the time package's clock or timer functions.
+func TestServingClockOneSeam(t *testing.T) {
+	clock := map[string]bool{"Now": true, "Since": true, "Until": true, "NewTicker": true, "NewTimer": true, "After": true, "AfterFunc": true, "Tick": true, "Sleep": true}
+	seam := map[string]bool{"lifecycle.go": true, "client.go": true}
+	fset := token.NewFileSet()
+	seamReads := 0
+	for _, dir := range []string{".", "../cluster"} {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"time"` {
+					pkg = "time"
+					if imp.Name != nil {
+						pkg = imp.Name.Name
+					}
+				}
+			}
+			if pkg == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !clock[sel.Sel.Name] {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
+					if seam[filepath.Base(name)] {
+						seamReads++
+					} else {
+						t.Errorf("%s: time.%s outside the lifecycle's clock", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if seamReads == 0 {
+		t.Fatal("no clock read found in lifecycle.go or client.go: the scan saw nothing")
 	}
 }

@@ -147,8 +147,8 @@ func TestInstrumentedDispatchZeroAlloc(t *testing.T) {
 	reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 	teardown := Frame{Type: MsgTeardown, FlowID: 42}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.dispatch(c, reserve, &bs)
-		s.dispatch(c, teardown, &bs)
+		s.dispatch(c, reserve, 0, &bs)
+		s.dispatch(c, teardown, 0, &bs)
 		s.metrics.flushBatch(&bs, 2, 1500*time.Nanosecond)
 	})
 	if allocs != 0 {

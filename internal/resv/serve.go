@@ -14,11 +14,12 @@ import (
 type Handler interface {
 	// Serve answers one frame; a reply of Type 0 sends nothing. now is
 	// when ServeConn began serving the frame's read, in nanoseconds on the
-	// plane's clock (Lifecycle.Now).
+	// plane's clock (Lifecycle.Now): the instant the handler's soft state
+	// and policy take for every frame of that read.
 	Serve(f Frame, now int64) Frame
-	// ServeBatch answers one completed MsgReserveBatch body, appending its
-	// reply frames to out. now is as for Serve.
-	ServeBatch(ops []Frame, now int64, out []Frame) []Frame
+	// ServeBatch answers one completed MsgReserveBatch body with its one
+	// reply frame. now is as for Serve.
+	ServeBatch(ops []Frame, now int64) Frame
 	// BadBatch counts one error reply ServeConn sent itself: for a batch
 	// header the collector refused, or for a batch whose body broke off.
 	BadBatch()
@@ -50,7 +51,7 @@ const (
 func (l *Lifecycle) ServeConn(nc net.Conn, h Handler) error {
 	br := bufio.NewReaderSize(nc, readBufSize)
 	wbuf := make([]byte, 0, 1024)
-	var frames, replies []Frame
+	var frames []Frame
 	var bc BatchCollector
 	for {
 		// Block until at least one full frame is buffered.
@@ -85,10 +86,7 @@ func (l *Lifecycle) ServeConn(nc net.Conn, h Handler) error {
 					wbuf = AppendFrame(wbuf, errorReply(f, ErrCodeBadRequest))
 					wbuf = appendReply(wbuf, h.Serve(f, start))
 				case done:
-					replies = h.ServeBatch(bc.Ops(), start, replies[:0])
-					for _, r := range replies {
-						wbuf = appendReply(wbuf, r)
-					}
+					wbuf = appendReply(wbuf, h.ServeBatch(bc.Ops(), start))
 				}
 			case f.Type == MsgReserveBatch:
 				if bc.Begin(f) != nil {

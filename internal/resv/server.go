@@ -39,6 +39,11 @@ import (
 //   - frame I/O is batched per connection (ServeConn): one read can yield
 //     many requests, and their replies coalesce into one write
 //     (flush-on-idle).
+//
+// Time enters through the server's Lifecycle alone. Each read of a stream
+// connection, each datagram, each expiry tick and each connection drop
+// reads its clock once, and every soft-state and policy call under it
+// takes that instant: a reserve's TTL is armed at its read's instant.
 type Server struct {
 	capacity float64
 	kmax     int
@@ -192,8 +197,9 @@ func NewServerBandwidth(capacity float64, ttl time.Duration) (*Server, error) {
 // admission policy — the policy owns the admit/release counters, the
 // server owns everything else (soft state, TTL wheels, retransmit dedup,
 // transports, metrics). Policies implementing policy.Instrumented have
-// their gauges registered as resv_policy_<name>; policies implementing
-// policy.ClockUser receive the server's monotonic clock on every decision.
+// their gauges registered as resv_policy_<name>. Every decision is handed
+// the server's clock at its read, datagram, expiry tick or connection
+// drop, so the frames of one read all reach the policy at one instant.
 func NewServerPolicy(pol policy.Policy, ttl time.Duration) (*Server, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("resv: policy must be non-nil")
@@ -222,8 +228,9 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 	nshards := shardCountFor(runtime.GOMAXPROCS(0))
 	s.shards = make([]shard, nshards)
 	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
+	start := s.lc.Now()
 	for i := range s.shards {
-		s.shards[i].Init(i, pol, ttl, s.lc.Epoch())
+		s.shards[i].Init(i, pol, ttl, start)
 	}
 	s.metrics = newServerMetrics(s.reg)
 	s.reg.GaugeFunc("resv_active_flows", "live reservations", func() float64 {
@@ -337,16 +344,16 @@ func (s *Server) Serve(ln net.Listener) error { return s.lc.Accept(ln, s.HandleC
 func (s *Server) HandleConn(nc net.Conn) {
 	c := s.newConn()
 	s.metrics.Connections.Inc()
-	defer s.metrics.Connections.Dec()
-	err := s.lc.Serve(nc, &streamConn{s: s, c: c}, func() {
-		if n := c.flows.Drain(Now, s.shard); n > 0 {
+	s.lc.Serve(nc, &streamConn{s: s, c: c}, func(err error) {
+		if n := c.flows.Drain(s.lc.Now(), s.shard); n > 0 {
 			s.metrics.Releases.Add(uint64(n))
 			s.logf("resv: released %d reservations from %v", n, nc.RemoteAddr())
 		}
+		if err != nil {
+			s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
+		}
+		s.metrics.Connections.Dec()
 	})
-	if err != nil {
-		s.logf("resv: connection %v closed: %v", nc.RemoteAddr(), err)
-	}
 }
 
 func (s *Server) logf(format string, args ...interface{}) {
@@ -364,10 +371,10 @@ type streamConn struct {
 	bs batchStats
 }
 
-func (h *streamConn) Serve(f Frame, _ int64) Frame { return h.s.dispatch(h.c, f, &h.bs) }
+func (h *streamConn) Serve(f Frame, now int64) Frame { return h.s.dispatch(h.c, f, now, &h.bs) }
 
-func (h *streamConn) ServeBatch(ops []Frame, _ int64, out []Frame) []Frame {
-	return append(out, h.s.dispatchBatch(h.c, ops, &h.bs))
+func (h *streamConn) ServeBatch(ops []Frame, now int64) Frame {
+	return h.s.dispatchBatch(h.c, ops, now, &h.bs)
 }
 
 func (h *streamConn) BadBatch() { h.bs.errs++ }
@@ -376,18 +383,19 @@ func (h *streamConn) Served(frames int, elapsed time.Duration) {
 	h.s.metrics.flushBatch(&h.bs, frames, elapsed)
 }
 
-// dispatch serves one frame, tallying its outcome into bs. Counting lives
-// here (not in the caller) because only the reserve path can tell a fresh
-// grant from a retransmit answered out of the live entry — the two carry
-// identical reply frames but must land in different counters.
-func (s *Server) dispatch(c *conn, f Frame, bs *batchStats) Frame {
+// dispatch serves one frame at instant now, tallying its outcome into bs.
+// Counting lives here (not in the caller) because only the reserve path
+// can tell a fresh grant from a retransmit answered out of the live entry
+// — the two carry identical reply frames but must land in different
+// counters.
+func (s *Server) dispatch(c *conn, f Frame, now int64, bs *batchStats) Frame {
 	var reply Frame
 	var dup bool
 	switch f.Type {
 	case MsgRequest:
-		reply, dup = s.reserve(c, f)
+		reply, dup = s.reserve(c, f, now)
 	case MsgTeardown, MsgRefresh:
-		reply = s.shardFor(f.FlowID).Answer(Now, f, ^uint64(0), &c.flows, c)
+		reply = s.shardFor(f.FlowID).Answer(now, f, ^uint64(0), &c.flows, c)
 		if reply.Type == MsgTeardownOK && s.Logf != nil {
 			s.logf("resv: teardown flow %d (active %d)", f.FlowID, int64(reply.Value))
 		}
@@ -416,8 +424,8 @@ func (s *Server) dispatch(c *conn, f Frame, bs *batchStats) Frame {
 // identical to its ops sent one frame at a time — only the admission
 // arithmetic and the reply framing are amortized. Batch framing is
 // stream-only, so a duplicate in a body is an error, never a re-grant.
-func (s *Server) dispatchBatch(c *conn, ops []Frame, bs *batchStats) Frame {
-	reply, errs := AnswerBatch(s.shardFor, Now, ops, ^uint64(0), &c.flows, c)
+func (s *Server) dispatchBatch(c *conn, ops []Frame, now int64, bs *batchStats) Frame {
+	reply, errs := AnswerBatch(s.shardFor, now, ops, ^uint64(0), &c.flows, c)
 	bs.countBody(ops, BatchVerdict(reply.FlowID), errs)
 	return reply
 }
@@ -433,9 +441,9 @@ func (s *Server) dispatchBatch(c *conn, ops []Frame, bs *batchStats) Frame {
 // shard's job is the soft state around the decision: install the admitted
 // flow, roll the claim back on a duplicate; the server's, to answer
 // retransmits of live admissions from the entry rather than re-admitting.
-func (s *Server) reserve(c *conn, f Frame) (Frame, bool) {
+func (s *Server) reserve(c *conn, f Frame, now int64) (Frame, bool) {
 	sh := s.shardFor(f.FlowID)
-	reply, out, rate := sh.Reserve(Now, f, ^uint64(0), &c.flows, c)
+	reply, out, rate := sh.Reserve(now, f, ^uint64(0), &c.flows, c)
 	if c.datagram {
 		// A datagram peer's reserve of a flow it holds is a retransmit whose
 		// grant was lost in flight: re-send the grant from the live flow of

@@ -100,11 +100,11 @@ func (s *Server) readPackets(pc net.PacketConn) error {
 			}
 			continue
 		}
-		t0 := time.Now()
+		now := s.lc.Now()
 		c := s.acquireUDPPeer(addr)
-		reply := s.dispatch(c, f, &bs)
+		reply := s.dispatch(c, f, now, &bs)
 		s.releaseUDPPeer(c)
-		s.metrics.flushBatch(&bs, 1, time.Since(t0))
+		s.metrics.flushBatch(&bs, 1, time.Duration(s.lc.Now()-now))
 		putFrame(&wbuf, reply)
 		if _, err := pc.WriteTo(wbuf[:], addr); err != nil {
 			// A reply that cannot be sent is indistinguishable from one
@@ -152,10 +152,11 @@ func (s *Server) acquireUDPPeer(addr net.Addr) *conn {
 // releaseUDPPeers releases and reaps every datagram peer, as a dropped
 // stream connection is; Close runs it once no reader serves.
 func (s *Server) releaseUDPPeers() {
+	now := s.lc.Now()
 	s.udpMu.Lock()
 	defer s.udpMu.Unlock()
 	for _, c := range s.udpPeers {
-		s.metrics.Releases.Add(uint64(c.flows.Drain(Now, s.shard)))
+		s.metrics.Releases.Add(uint64(c.flows.Drain(now, s.shard)))
 		s.reapUDPPeerLocked(c)
 	}
 }

@@ -546,7 +546,7 @@ func udpOp(t *testing.T, s *Server, addr net.Addr, f Frame, want MsgType) {
 	t.Helper()
 	var bs batchStats
 	c := s.acquireUDPPeer(addr)
-	r := s.dispatch(c, f, &bs)
+	r := s.dispatch(c, f, s.lc.Now(), &bs)
 	s.releaseUDPPeer(c)
 	if r.Type != want {
 		t.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
