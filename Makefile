@@ -52,15 +52,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The release paths — teardown, rollback, connection drop, TTL expiry,
-# closing a serving plane (its connections' last log lines included) —
+# The release paths — teardown, rollback (a failed path refresh's
+# included), connection drop, TTL expiry, closing a serving plane (its connections' last log lines included) —
 # and the callers' hop flushes, raced ten times over: every claim must go
 # back exactly once however they interleave. The gossip view's writers are
 # raced too: a link's occupancy snapshot must never roll back. So are the
 # routing tests, which also guard the load signals of a quiet link: the
 # anti-entropy sweeps must keep them inside the staleness bound. Timing-
 # dependent failures here show up only under repetition.
-RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone|TestCloseReleasesStreamFlows|TestHandleConnAfterClose|TestCloseEndsLoops|TestPeerTeardownOfExpiredClaimNoError|TestClientPost|TestCloseEndsDatagramServing|TestCloseWaitsForConnLog|TestTwoChoiceAvoidsLoadedPath|TestBurstPlacementBalances
+RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientSharedConn|TestClientAbandonedCallNoWaiter|TestTableMatchesModel|TestUDPPeerReapedAfterExpiry|TestUDPPeerAcrossShards|TestPathAdmissionConformance|TestRollbackLeavesNoResidue|TestClusterBatchRacedBoundary|TestExpiryStep|TestWireConnDropRollsBack|TestCell|TestResvMatchesOneLinkCluster|TestHopCoalescer|TestKilledNodeReleasesAndExpires|TestViewApplyMonotone|TestCloseReleasesStreamFlows|TestHandleConnAfterClose|TestCloseEndsLoops|TestPeerTeardownOfExpiredClaimNoError|TestClientPost|TestCloseEndsDatagramServing|TestCloseWaitsForConnLog|TestTwoChoiceAvoidsLoadedPath|TestBurstPlacementBalances|TestRefreshOfLostHopRollsBack|TestRefreshRacingTeardownReleasesOnce
 
 race-soak:
 	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/

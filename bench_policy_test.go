@@ -58,10 +58,11 @@ func BenchmarkPolicyAdmit(b *testing.B) {
 }
 
 // BenchmarkPolicyAdmitN measures the vectored admission path — one
-// AdmitBatch(64)→ReleaseBatch(64) cycle per op. Counting, bandwidth, and
-// tiered take their native AdmitN fast path (one CAS for the whole run);
-// token-bucket and measured fall back to the conformance-tested serial
-// loop. The req-rate comparison against BenchmarkPolicyAdmit is the
+// AdmitN(64)→ReleaseN(64) cycle per op. Counting, tiered and measured
+// claim the whole run from count mode's counter in one CAS (measured once
+// its gate, read once, lets the run through), bandwidth claims it with one
+// CAS of its rate sum, and token-bucket loops its own Admit over the run.
+// The req-rate comparison against BenchmarkPolicyAdmit is the
 // per-decision amortization batching buys below the wire.
 func BenchmarkPolicyAdmitN(b *testing.B) {
 	const capacity = 128.0
@@ -98,11 +99,11 @@ func BenchmarkPolicyAdmitN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 1000
-				granted, _ := policy.AdmitBatch(tc.pol, now, uint64(i), tc.rate, policy.ClassStandard, batch)
+				granted, _ := tc.pol.AdmitN(now, tc.rate, policy.ClassStandard, batch)
 				if granted != batch {
 					b.Fatalf("granted %d/%d with %d slots free", granted, batch, kmax)
 				}
-				policy.ReleaseBatch(tc.pol, now, tc.rate, batch)
+				tc.pol.ReleaseN(now, tc.rate, batch)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 
 	"beqos/internal/resv"
@@ -132,9 +133,9 @@ func (co *coalescer) flush() {
 		// exactly the frames on the wire it always did.
 		op := ops[0]
 		if op.frame.Type == resv.MsgRequest {
-			op.granted, _, op.err = co.mc.ReserveClass(co.n.ctx, op.frame.FlowID, op.frame.Value, op.frame.Class)
+			op.granted, _, op.err = co.mc.ReserveClass(context.Background(), op.frame.FlowID, op.frame.Value, op.frame.Class)
 		} else {
-			op.err = co.mc.Teardown(co.n.ctx, op.frame.FlowID)
+			op.err = co.mc.Teardown(context.Background(), op.frame.FlowID)
 			op.granted = op.err == nil
 		}
 	} else {
@@ -142,7 +143,7 @@ func (co *coalescer) flush() {
 		for _, op := range ops {
 			body = append(body, op.frame)
 		}
-		v, _, err := co.mc.ReserveBatch(co.n.ctx, body)
+		v, _, err := co.mc.ReserveBatch(context.Background(), body)
 		for i, op := range ops {
 			op.granted, op.err = err == nil && v.Granted(i), err
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,6 +24,12 @@ const expiryTTL = time.Second
 // newExpiryCluster wires entry → owner over a pipe without starting either
 // node's background loops: only the test advances their wheels.
 func newExpiryCluster(t *testing.T) (entry, owner *Node, g int) {
+	return wireExpiryCluster(t, func(owner *Node, nc net.Conn) { go owner.HandlePeerConn(nc) })
+}
+
+// wireExpiryCluster is newExpiryCluster with the owner's end of the pipe
+// handed to serve.
+func wireExpiryCluster(t *testing.T, serve func(owner *Node, nc net.Conn)) (entry, owner *Node, g int) {
 	t.Helper()
 	topo := mustTopo(t, expirySpec)
 	cl, err := New(Config{Topology: topo, TTL: expiryTTL, AntiEntropy: -1, Logf: t.Logf})
@@ -32,7 +39,7 @@ func newExpiryCluster(t *testing.T) (entry, owner *Node, g int) {
 	entry, owner = cl.Node(topo.NodeIndex("entry")), cl.Node(topo.NodeIndex("owner"))
 	a, b := net.Pipe()
 	entry.connectPeer(owner.Index(), a)
-	go owner.HandlePeerConn(b)
+	serve(owner, b)
 	t.Cleanup(cl.Close)
 	return entry, owner, topo.LinkIndex("l")
 }
@@ -133,5 +140,103 @@ func TestExpiryStepEntryPathFlow(t *testing.T) {
 	}
 	if n := owner.Metrics().Expiries.Load(); n != 0 {
 		t.Fatalf("owner counted %d expiries; the entry's rollback released its claims", n)
+	}
+}
+
+// TestRefreshOfLostHopRollsBack checks that a path refresh answers for
+// every hop: once the owner's claim is gone — expired there, or the owner
+// closed — the entry answers unknown-flow, counts the error and rolls the
+// path back, so its own-claim count comes down and a teardown finds
+// nothing left to release.
+func TestRefreshOfLostHopRollsBack(t *testing.T) {
+	for _, lose := range []struct {
+		name string
+		hop  func(owner *Node)
+	}{
+		{"expired", func(owner *Node) { owner.expire(owner.lc.Now() + 2*int64(expiryTTL)) }},
+		{"closed", func(owner *Node) { owner.Close() }},
+	} {
+		t.Run(lose.name, func(t *testing.T) {
+			entry, owner, g := newExpiryCluster(t)
+			l := entry.NewLocal()
+			defer l.Close()
+			if ok, _, err := l.Reserve(0, 1, 1); !ok || err != nil {
+				t.Fatalf("reserve: granted %v, err %v", ok, err)
+			}
+			if own := entry.own[g].Load(); own != 1 {
+				t.Fatalf("entry counts %d own claims on the link, want 1", own)
+			}
+			lose.hop(owner)
+			errs := entry.Metrics().Errors.Load()
+			if err := l.Refresh(0, 1); err == nil {
+				t.Fatal("refresh answered REFRESH-OK for a path whose hop is gone")
+			}
+			if n := entry.Metrics().Errors.Load() - errs; n != 1 {
+				t.Fatalf("refresh counted %d errors, want 1", n)
+			}
+			l.c.flows.Lock()
+			flows := l.c.flows.Len()
+			l.c.flows.Unlock()
+			if own := entry.own[g].Load(); own != 0 || flows != 0 {
+				t.Fatalf("after the failed refresh: %d own claims and %d path flows held, want 0 and 0", own, flows)
+			}
+			if err := l.Teardown(0, 1); err == nil {
+				t.Fatal("teardown found the rolled-back path still held")
+			}
+		})
+	}
+}
+
+// gatedPeer serves an owner's peer plane but holds its answer to a
+// refresh: it closes refreshed when the refresh arrives, then waits for
+// gate.
+type gatedPeer struct {
+	*peerSess
+	refreshed, gate chan struct{}
+}
+
+func (s *gatedPeer) Serve(f resv.Frame, now int64) resv.Frame {
+	if f.Type == resv.MsgRefresh {
+		close(s.refreshed)
+		<-s.gate
+	}
+	return s.peerSess.Serve(f, now)
+}
+
+// TestRefreshRacingTeardownReleasesOnce tears a path down while its
+// refresh waits on the owner, whose claim has expired: the teardown drops
+// the path flow and releases its hops, so the failed refresh must release
+// nothing more, and the entry's own-claim count ends at zero, not below.
+func TestRefreshRacingTeardownReleasesOnce(t *testing.T) {
+	var peer *gatedPeer
+	entry, owner, g := wireExpiryCluster(t, func(owner *Node, nc net.Conn) {
+		peer = &gatedPeer{newPeerSess(owner), make(chan struct{}), make(chan struct{})}
+		go owner.lc.Serve(nc, peer, func(error) {})
+	})
+	l := entry.NewLocal()
+	defer l.Close()
+	if ok, _, err := l.Reserve(0, 1, 1); !ok || err != nil {
+		t.Fatalf("reserve: granted %v, err %v", ok, err)
+	}
+	owner.expire(owner.lc.Now() + 2*int64(expiryTTL))
+	refreshed, tornDown := make(chan error, 1), make(chan error, 1)
+	go func() { refreshed <- l.Refresh(0, 1) }()
+	<-peer.refreshed
+	go func() { tornDown <- l.Teardown(0, 1) }()
+	for deadline := time.Now().Add(5 * time.Second); entry.own[g].Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the teardown never released its hop")
+		}
+		runtime.Gosched()
+	}
+	close(peer.gate)
+	if err := <-refreshed; err == nil {
+		t.Fatal("refresh answered REFRESH-OK for a path whose hop is gone")
+	}
+	if err := <-tornDown; err != nil {
+		t.Fatalf("teardown: %v", err)
+	}
+	if own := entry.own[g].Load(); own != 0 {
+		t.Fatalf("entry counts %d own claims after the race, want 0", own)
 	}
 }

@@ -72,7 +72,6 @@ type Node struct {
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
-	ctx     context.Context
 
 	// Logf, if non-nil, receives one line per notable event (rollbacks,
 	// forward errors, expiries). Set before serving.
@@ -185,7 +184,6 @@ func newNode(idx int, topo *Topology, bounds []int, ttl time.Duration, router Ro
 		own:        make([]atomic.Int64, len(topo.Links)),
 		cconns:     make(map[*cconn]struct{}),
 		reg:        obs.New(),
-		ctx:        context.Background(),
 	}
 	start := n.lc.Now()
 	for gi := range topo.Links {
@@ -722,14 +720,43 @@ func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	c.flows.Arm(now, h)
 	pf := h.Val
 	c.flows.Unlock()
-	for _, g := range n.topo.Paths[pf.path].Links {
-		if ls := n.byGlobal[g]; ls != nil {
-			ls.Refresh(now, pf.hopKey, nil)
-		} else if p := n.peers[n.topo.Links[g].Owner].Load(); p != nil {
-			_, _ = p.mc.Refresh(n.ctx, uint64(g)<<idxShift|pf.hopKey)
+	links := n.topo.Paths[pf.path].Links
+	for _, g := range links {
+		if n.refreshHop(g, pf.hopKey, now) {
+			continue
 		}
+		// The path no longer holds on every link, so it is rolled back.
+		// Only the admission that still holds the flow releases its hops:
+		// a teardown or expiry that dropped it first has released them.
+		c.flows.Lock()
+		h := c.flows.Get(f.FlowID)
+		held := h != nil && !h.Val.pending && h.Val.hopKey == pf.hopKey
+		if held {
+			c.flows.Drop(now, h)
+		}
+		c.flows.Unlock()
+		if held {
+			n.releaseHops(int(pf.path), pf.hopKey, len(links), now)
+		}
+		n.metrics.Errors.Inc()
+		return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeUnknownFlow)}
 	}
 	return resv.Frame{Type: resv.MsgRefreshOK, FlowID: f.FlowID, Value: n.ttl.Seconds()}
+}
+
+// refreshHop re-arms link g's claim under hopKey and reports whether it
+// lives: false when its owner released or expired it, or cannot be
+// reached.
+func (n *Node) refreshHop(g int, hopKey uint64, now int64) bool {
+	if ls := n.byGlobal[g]; ls != nil {
+		return ls.Refresh(now, hopKey, nil)
+	}
+	p := n.peers[n.topo.Links[g].Owner].Load()
+	if p == nil {
+		return false
+	}
+	_, err := p.mc.Refresh(context.Background(), uint64(g)<<idxShift|hopKey)
+	return err == nil
 }
 
 // ---- client-plane batch dispatch ----

@@ -54,10 +54,9 @@ const batches = 16
 // Config describes one load-harness run.
 type Config struct {
 	// Server is an in-process target, reached over net.Pipe. When nil,
-	// Network/Addr name a remote server instead.
-	Server  *resv.Server
-	Network string
-	Addr    string
+	// Addr names a remote server instead.
+	Server *resv.Server
+	Addr   string
 
 	// Capacity and Util describe the link under test; they must match the
 	// server's configuration for the cross-validation to be meaningful.
@@ -548,25 +547,21 @@ func (r *runner) dial() (*resv.Client, error) {
 		}
 		return resv.NewUDPClient(conn, resv.UDPConfig{Timeout: cfg.UDPTimeout}), nil
 	default:
-		return dialStream(cfg.Server, cfg.Network, cfg.Addr)
+		return dialStream(cfg.Server, cfg.Addr)
 	}
 }
 
 // dialStream opens one stream connection: net.Pipe into an in-process
-// server, or a network dial. The soft-state probe always uses this
-// transport.
-func dialStream(server *resv.Server, network, addr string) (*resv.Client, error) {
+// server, or a TCP dial. The soft-state probe always uses this transport.
+func dialStream(server *resv.Server, addr string) (*resv.Client, error) {
 	if server != nil {
 		cEnd, sEnd := net.Pipe()
 		go server.HandleConn(sEnd)
 		return resv.NewClient(cEnd), nil
 	}
-	if network == "" {
-		network = "tcp"
-	}
 	ctx, cancel := rpcCtx()
 	defer cancel()
-	return resv.Dial(ctx, network, addr)
+	return resv.Dial(ctx, "tcp", addr)
 }
 
 // connect opens one harness endpoint wired into the shared instrument set.

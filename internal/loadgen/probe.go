@@ -12,6 +12,11 @@ import (
 // (which count up from 1).
 const probeFlowBase uint64 = 1 << 32
 
+// probeKeepers is the number of reservations the probe keeps alive with
+// refreshes; the rest of the link's free capacity is stalled and must
+// expire.
+const probeKeepers = 2
+
 // probeStats and probeRefresh are Stats/Refresh with a per-call deadline.
 func probeStats(c *resv.Client) (kmax, active int, err error) {
 	ctx, cancel := rpcCtx()
@@ -29,15 +34,9 @@ func probeRefresh(c *resv.Client, id uint64) (time.Duration, error) {
 // server (resv.NewServerTTL); probing a server without expiry is an error
 // because nothing the probe asserts could happen.
 type ProbeConfig struct {
-	// Server is an in-process target; when nil, Network/Addr name a remote
-	// one.
-	Server  *resv.Server
-	Network string
-	Addr    string
-	// Keepers is the number of reservations kept alive with refreshes
-	// (default 2). The rest of the link's free capacity is filled with
-	// stalled reservations that must expire.
-	Keepers int
+	// Server is an in-process target; when nil, Addr names a remote one.
+	Server *resv.Server
+	Addr   string
 }
 
 // ProbeResult reports one soft-state probe.
@@ -80,13 +79,7 @@ func (p *ProbeResult) OK() bool {
 // granted once expiry frees a stalled slot.
 func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	start := time.Now()
-	if cfg.Keepers == 0 {
-		cfg.Keepers = 2
-	}
-	if cfg.Keepers < 1 {
-		return nil, fmt.Errorf("loadgen: probe needs at least one keeper, got %d", cfg.Keepers)
-	}
-	client, err := dialStream(cfg.Server, cfg.Network, cfg.Addr)
+	client, err := dialStream(cfg.Server, cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
@@ -97,13 +90,13 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 		return nil, fmt.Errorf("loadgen: probe stats: %w", err)
 	}
 	free := kmax - active
-	if free < cfg.Keepers+1 {
-		return nil, fmt.Errorf("loadgen: probe needs ≥ %d free slots (keepers + one stall), server has %d", cfg.Keepers+1, free)
+	if free < probeKeepers+1 {
+		return nil, fmt.Errorf("loadgen: probe needs ≥ %d free slots (keepers + one stall), server has %d", probeKeepers+1, free)
 	}
-	res := &ProbeResult{KMax: kmax, Keepers: cfg.Keepers, Stalled: free - cfg.Keepers}
+	res := &ProbeResult{KMax: kmax, Keepers: probeKeepers, Stalled: free - probeKeepers}
 
-	// Fill every free slot; the first Keepers flows will be refreshed, the
-	// rest stalled.
+	// Fill every free slot; the first probeKeepers flows will be
+	// refreshed, the rest stalled.
 	for i := 0; i < free; i++ {
 		ctx, cancel := rpcCtx()
 		ok, _, err := client.Reserve(ctx, probeFlowBase+uint64(i), 1)
@@ -131,8 +124,8 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 
 	kaCtx, kaCancel := context.WithCancel(context.Background())
 	defer kaCancel()
-	kaErr := make(chan error, cfg.Keepers)
-	for i := 0; i < cfg.Keepers; i++ {
+	kaErr := make(chan error, probeKeepers)
+	for i := 0; i < probeKeepers; i++ {
 		id := probeFlowBase + uint64(i)
 		go func() { kaErr <- client.KeepAlive(kaCtx, id, interval) }()
 	}
@@ -160,7 +153,7 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	// stalled flow would resurrect it, so watch the aggregate count instead:
 	// the link should settle at the keepers plus the newcomer (plus whatever
 	// was active before the probe).
-	want := active + cfg.Keepers
+	want := active + probeKeepers
 	if granted {
 		want++
 	}
@@ -184,12 +177,12 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	// returns nil on cancellation, an error if a refresh ever failed) and
 	// confirm each reservation is still known to the server.
 	kaCancel()
-	for i := 0; i < cfg.Keepers; i++ {
+	for i := 0; i < probeKeepers; i++ {
 		if err := <-kaErr; err != nil {
 			return nil, fmt.Errorf("loadgen: probe keep-alive: %w", err)
 		}
 	}
-	for i := 0; i < cfg.Keepers; i++ {
+	for i := 0; i < probeKeepers; i++ {
 		if _, err := probeRefresh(client, probeFlowBase+uint64(i)); err == nil {
 			res.Kept++
 		}
@@ -198,7 +191,7 @@ func ProbeSoftState(cfg ProbeConfig) (*ProbeResult, error) {
 	// Cleanup: release everything the probe still holds.
 	ctx, cancel := rpcCtx()
 	defer cancel()
-	for i := 0; i < cfg.Keepers; i++ {
+	for i := 0; i < probeKeepers; i++ {
 		_ = client.Teardown(ctx, probeFlowBase+uint64(i))
 	}
 	if granted {

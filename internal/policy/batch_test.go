@@ -65,7 +65,7 @@ func TestAdmitBatchPrefixAtBoundary(t *testing.T) {
 					t.Fatalf("prefill admit %d denied: %+v", i, d)
 				}
 			}
-			granted, dec := AdmitBatch(tc.pol, 0, 1000, tc.rate, tc.class, n)
+			granted, dec := tc.pol.AdmitN(0, tc.rate, tc.class, n)
 			if granted != j {
 				t.Fatalf("batch of %d against %d free slots granted %d, want exactly %d", n, j, granted, j)
 			}
@@ -79,11 +79,11 @@ func TestAdmitBatchPrefixAtBoundary(t *testing.T) {
 				t.Fatalf("active = %d after the boundary batch, want %d", a, bound)
 			}
 			// A follow-up batch against the full link grants nothing.
-			if g, d := AdmitBatch(tc.pol, 0, 2000, tc.rate, tc.class, n); g != 0 || d.Admit {
+			if g, d := tc.pol.AdmitN(0, tc.rate, tc.class, n); g != 0 || d.Admit {
 				t.Fatalf("batch against a full link granted %d (%+v)", g, d)
 			}
-			ReleaseBatch(tc.pol, 0, tc.rate, j)
-			ReleaseBatch(tc.pol, 0, tc.rate, bound-j)
+			tc.pol.ReleaseN(0, tc.rate, j)
+			tc.pol.ReleaseN(0, tc.rate, bound-j)
 			if a := tc.pol.Active(); a != 0 {
 				t.Fatalf("active = %d after releasing everything, want 0", a)
 			}
@@ -112,7 +112,7 @@ func TestAdmitBatchBoundaryRaced(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					granted, _ := AdmitBatch(tc.pol, 0, uint64(1000+w), tc.rate, tc.class, n)
+					granted, _ := tc.pol.AdmitN(0, tc.rate, tc.class, n)
 					total.Add(int64(granted))
 				}(w)
 			}
@@ -123,7 +123,7 @@ func TestAdmitBatchBoundaryRaced(t *testing.T) {
 			if a := tc.pol.Active(); a != int64(bound) {
 				t.Fatalf("active = %d after the race, want %d", a, bound)
 			}
-			ReleaseBatch(tc.pol, 0, tc.rate, bound)
+			tc.pol.ReleaseN(0, tc.rate, bound)
 			if a := tc.pol.Active(); a != 0 {
 				t.Fatalf("active = %d after releasing everything, want 0", a)
 			}
@@ -159,13 +159,72 @@ func TestAdmitBatchMatchesSerialSingles(t *testing.T) {
 					want++
 				}
 			}
-			got, _ := AdmitBatch(b.pol, 0, 1, b.rate, b.class, n)
+			got, _ := b.pol.AdmitN(0, b.rate, b.class, n)
 			if got != want {
 				t.Fatalf("batch granted %d, serial singles granted %d", got, want)
 			}
 			if sa, ba := s.pol.Active(), b.pol.Active(); sa != ba {
 				t.Fatalf("active diverged: serial %d, batched %d", sa, ba)
 			}
+		})
+	}
+}
+
+// TestAdmitNGatesHoldOnRuns pins one run cut by a gate in front of the
+// count, at one instant: each gate grants fewer ops than the free slots
+// under kmax, which a claim at kmax alone would grant, and books the cut
+// as n single Admits would.
+func TestAdmitNGatesHoldOnRuns(t *testing.T) {
+	tb, err := NewTokenBucket(newCounting(t, 8, 8), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := NewTiered(16, 16, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meas, err := NewMeasured(8, 8, 3, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ms = int64(1e6)
+	cases := []struct {
+		name    string
+		pol     Policy
+		prefill []int64 // instants of single standard admits before the run
+		at      int64   // the run's instant
+		n       int
+		granted int
+		load    float64
+		books   func(t *testing.T)
+	}{
+		{"token-bucket", tb, nil, 0, 6, 3, 3, func(t *testing.T) {
+			if c := tb.Calibration(); c.Decisions != 4 || c.Sheds != 1 || c.Blocks != 0 {
+				t.Errorf("calibration %+v, want 4 decisions, 1 shed, 0 blocks", c)
+			}
+		}},
+		{"tiered", tiered, []int64{0, 0, 0, 0, 0, 0}, 0, 12, 4, 10, func(t *testing.T) {
+			if g := tiered.Gauges()[0]; g.Name != "denied_standard" || g.Value() != 8 {
+				t.Errorf("%s = %g, want denied_standard = 8", g.Name, g.Value())
+			}
+		}},
+		{"measured", meas, []int64{ms, 2 * ms, 3 * ms}, 4 * ms, 4, 0, 3, func(*testing.T) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, now := range tc.prefill {
+				if !tc.pol.Admit(now, uint64(i+1), 0, ClassStandard).Admit {
+					t.Fatalf("prefill admit %d denied", i)
+				}
+			}
+			granted, dec := tc.pol.AdmitN(tc.at, 0, ClassStandard, tc.n)
+			if granted != tc.granted || dec.Load != tc.load {
+				t.Fatalf("run of %d granted %d with load %g, want %d with load %g", tc.n, granted, dec.Load, tc.granted, tc.load)
+			}
+			if a, want := tc.pol.Active(), int64(len(tc.prefill)+tc.granted); a != want {
+				t.Fatalf("active = %d after the run, want %d", a, want)
+			}
+			tc.books(t)
 		})
 	}
 }

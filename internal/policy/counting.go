@@ -6,81 +6,56 @@ import (
 	"sync/atomic"
 )
 
-// Counting is the paper's reservation rule: admit iff active < kmax(C),
-// where kmax is the largest population the utility function still serves
-// acceptably at capacity C. It is the default policy of counting-mode
-// servers and preserves their pre-policy wire behavior bit for bit: grants
-// carry the worst-case share C/kmax, denials carry the observed active
-// count.
-//
-// Admission is a CAS loop on a single atomic counter — the exact discipline
-// the sharded serving plane used before policies were pluggable — so
-// concurrent reserves can never over-admit and the deny path stays a pure
-// atomic load. Admit/Release are allocation-free.
-type Counting struct {
+// counter is count mode's admission counter: the one active count the
+// paper's rule bounds, claimed with a single CAS. Counting, Tiered and
+// Measured embed it, so admit-while-active-below-the-limit is written
+// once. Its own Admit and AdmitN claim at the bound with no gate, which
+// is Counting; a gated policy defines every admit and release method its
+// gate must see, since a promoted one would skip the gate. The deny path
+// is a pure atomic load, and nothing here allocates.
+type counter struct {
 	capacity float64
 	bound    int64
 	share    float64
 	active   atomic.Int64
 }
 
-// NewCounting returns a counting policy admitting at most kmax concurrent
-// flows on a link of the given capacity.
-func NewCounting(capacity float64, kmax int) (*Counting, error) {
+// checkCapacity rejects a link capacity no policy can guard.
+func checkCapacity(capacity float64) error {
 	if !(capacity > 0) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("policy: capacity must be positive and finite, got %v", capacity)
+		return fmt.Errorf("policy: capacity must be positive and finite, got %v", capacity)
+	}
+	return nil
+}
+
+// init bounds c at kmax concurrent flows on a link of the given capacity.
+func (c *counter) init(capacity float64, kmax int) error {
+	if err := checkCapacity(capacity); err != nil {
+		return err
 	}
 	if kmax < 1 {
-		return nil, fmt.Errorf("policy: kmax must be ≥ 1, got %d", kmax)
+		return fmt.Errorf("policy: kmax must be ≥ 1, got %d", kmax)
 	}
-	return &Counting{
-		capacity: capacity,
-		bound:    int64(kmax),
-		share:    capacity / float64(kmax),
-	}, nil
+	c.capacity, c.bound, c.share = capacity, int64(kmax), capacity/float64(kmax)
+	return nil
 }
 
-// Name implements Policy.
-func (p *Counting) Name() string { return "counting" }
-
-// Mode implements Policy.
-func (p *Counting) Mode() Mode { return ModeCount }
-
-// Bound implements Policy.
-func (p *Counting) Bound() int { return int(p.bound) }
-
-// Capacity implements Policy.
-func (p *Counting) Capacity() float64 { return p.capacity }
-
-// Admit implements Policy.
-func (p *Counting) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
+// claim takes min(n, limit−active) slots in one CAS, so a run straddling
+// the limit grants exactly the free slots and denies the rest — the same
+// winners a serial race would pick. The Decision is the run's, as AdmitN
+// returns it.
+func (c *counter) claim(limit int64, n int) (int, Decision) {
 	for {
-		cur := p.active.Load()
-		if cur >= p.bound {
-			return Decision{Load: float64(cur)}
-		}
-		if p.active.CompareAndSwap(cur, cur+1) {
-			return Decision{Admit: true, Share: p.share}
-		}
-	}
-}
-
-// AdmitN implements BatchPolicy: one CAS claims min(n, kmax−active)
-// slots, so a batch straddling the boundary grants exactly the free slots
-// and denies the rest — the same winners a serial race would pick, n
-// admissions cheaper.
-func (p *Counting) AdmitN(now int64, rate float64, class uint8, n int) (int, Decision) {
-	for {
-		cur := p.active.Load()
-		j := p.bound - cur
+		cur := c.active.Load()
+		j := limit - cur
 		if j <= 0 {
 			return 0, Decision{Load: float64(cur)}
 		}
 		if int64(n) < j {
 			j = int64(n)
 		}
-		if p.active.CompareAndSwap(cur, cur+j) {
-			d := Decision{Admit: true, Share: p.share}
+		if c.active.CompareAndSwap(cur, cur+j) {
+			d := Decision{Admit: true, Share: c.share}
 			if int(j) < n {
 				d.Load = float64(cur + j)
 			}
@@ -89,20 +64,63 @@ func (p *Counting) AdmitN(now int64, rate float64, class uint8, n int) (int, Dec
 	}
 }
 
-// ReleaseN implements BatchPolicy.
-func (p *Counting) ReleaseN(now int64, rate float64, n int) { p.active.Add(-int64(n)) }
+// Admit implements Policy.
+func (c *counter) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
+	_, d := c.AdmitN(now, rate, class, 1)
+	return d
+}
+
+// AdmitN implements Policy.
+func (c *counter) AdmitN(now int64, rate float64, class uint8, n int) (int, Decision) {
+	return c.claim(c.bound, n)
+}
+
+// Mode implements Policy.
+func (c *counter) Mode() Mode { return ModeCount }
+
+// Bound implements Policy.
+func (c *counter) Bound() int { return int(c.bound) }
+
+// Capacity implements Policy.
+func (c *counter) Capacity() float64 { return c.capacity }
 
 // Release implements Policy.
-func (p *Counting) Release(now int64, rate float64) { p.active.Add(-1) }
+func (c *counter) Release(now int64, rate float64) { c.ReleaseN(now, rate, 1) }
+
+// ReleaseN implements Policy.
+func (c *counter) ReleaseN(now int64, rate float64, n int) { c.active.Add(-int64(n)) }
 
 // Share implements Policy.
-func (p *Counting) Share(rate float64) float64 { return p.share }
+func (c *counter) Share(rate float64) float64 { return c.share }
 
 // Active implements Policy.
-func (p *Counting) Active() int64 { return p.active.Load() }
+func (c *counter) Active() int64 { return c.active.Load() }
 
 // Allocated implements Policy.
-func (p *Counting) Allocated() float64 { return float64(p.active.Load()) }
+func (c *counter) Allocated() float64 { return float64(c.active.Load()) }
+
+// Counting is the paper's reservation rule: admit iff active < kmax(C),
+// where kmax is the largest population the utility function still serves
+// acceptably at capacity C. It is the default policy of counting-mode
+// servers and preserves their pre-policy wire behavior bit for bit: grants
+// carry the worst-case share C/kmax, denials carry the observed active
+// count. It is the counter with no gate in front, claimed at kmax, so
+// concurrent reserves can never over-admit. Admit/Release are
+// allocation-free.
+type Counting struct{ counter }
+
+// NewCounting returns a counting policy admitting at most kmax concurrent
+// flows on a link of the given capacity.
+func NewCounting(capacity float64, kmax int) (*Counting, error) {
+	p := &Counting{}
+	if err := p.init(capacity, kmax); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Name implements Policy.
+func (p *Counting) Name() string { return "counting" }
 
 // Bandwidth admits by literal traffic specification: a request for rate r
 // is admitted iff the running rate sum stays within capacity (with a small
@@ -127,8 +145,8 @@ const bwTolerance = 1e-12
 // NewBandwidth returns a bandwidth-accounting policy for a link of the
 // given capacity.
 func NewBandwidth(capacity float64) (*Bandwidth, error) {
-	if !(capacity > 0) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("policy: capacity must be positive and finite, got %v", capacity)
+	if err := checkCapacity(capacity); err != nil {
+		return nil, err
 	}
 	return &Bandwidth{capacity: capacity}, nil
 }
@@ -147,20 +165,11 @@ func (p *Bandwidth) Capacity() float64 { return p.capacity }
 
 // Admit implements Policy.
 func (p *Bandwidth) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
-	for {
-		bits := p.allocBits.Load()
-		cur := math.Float64frombits(bits)
-		if cur+rate > p.capacity+bwTolerance {
-			return Decision{Load: cur}
-		}
-		if p.allocBits.CompareAndSwap(bits, math.Float64bits(cur+rate)) {
-			p.active.Add(1)
-			return Decision{Admit: true, Share: rate}
-		}
-	}
+	_, d := p.AdmitN(now, rate, class, 1)
+	return d
 }
 
-// AdmitN implements BatchPolicy: the largest prefix whose cumulative rate
+// AdmitN implements Policy: the largest prefix whose cumulative rate
 // still fits under capacity is claimed with one CAS of the rate-sum word,
 // accumulating the sum in the same left-to-right order n single Admits
 // would, so the cut lands on exactly the same request.
@@ -188,8 +197,11 @@ func (p *Bandwidth) AdmitN(now int64, rate float64, class uint8, n int) (int, De
 	}
 }
 
-// ReleaseN implements BatchPolicy, mirroring AdmitN's sequential
-// accumulation so a batch admit+release round-trips the rate sum exactly.
+// Release implements Policy.
+func (p *Bandwidth) Release(now int64, rate float64) { p.ReleaseN(now, rate, 1) }
+
+// ReleaseN implements Policy, mirroring AdmitN's sequential accumulation
+// so a run's admit+release round-trips the rate sum exactly.
 func (p *Bandwidth) ReleaseN(now int64, rate float64, n int) {
 	for {
 		bits := p.allocBits.Load()
@@ -202,21 +214,6 @@ func (p *Bandwidth) ReleaseN(now int64, rate float64, n int) {
 		}
 		if p.allocBits.CompareAndSwap(bits, math.Float64bits(next)) {
 			p.active.Add(-int64(n))
-			return
-		}
-	}
-}
-
-// Release implements Policy.
-func (p *Bandwidth) Release(now int64, rate float64) {
-	for {
-		bits := p.allocBits.Load()
-		next := math.Float64frombits(bits) - rate
-		if next < 0 {
-			next = 0 // float drift must never leave a phantom allocation
-		}
-		if p.allocBits.CompareAndSwap(bits, math.Float64bits(next)) {
-			p.active.Add(-1)
 			return
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Measured is measurement-based admission: instead of trusting the
@@ -13,9 +12,10 @@ import (
 // admits a request only while the smoothed occupancy leaves room under a
 // target (the capacity-region-oblivious style of admission control in
 // PAPERS.md: act on what the link measures, not on what the operator
-// declared). kmax remains a hard CAS-enforced ceiling — the estimator can
-// only be more conservative than Counting, never less, so the
-// no-over-admit invariant is inherited unchanged.
+// declared). The estimate is a gate in front of the same counter Counting
+// claims at kmax — it can only make the policy more conservative than
+// Counting, never less, so the no-over-admit invariant is inherited
+// unchanged.
 //
 // The EWMA update ewma += (1 - exp(-dt/tau)) · (active - ewma) is
 // time-correct for irregular observation instants: back-to-back bursts
@@ -28,12 +28,9 @@ import (
 // exactly to Counting — the calibration corner the sweep harness
 // cross-validates against the analytical model.
 type Measured struct {
-	capacity float64
-	bound    int64
-	share    float64
-	target   float64
-	tauNs    float64
-	active   atomic.Int64
+	counter
+	target float64
+	tauNs  float64
 
 	mu     sync.Mutex
 	ewma   float64
@@ -44,11 +41,9 @@ type Measured struct {
 // concurrent flows, additionally gated on the EWMA occupancy (window tau,
 // in seconds) staying below target after admitting one more flow.
 func NewMeasured(capacity float64, kmax int, target, tau float64) (*Measured, error) {
-	if !(capacity > 0) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("policy: capacity must be positive and finite, got %v", capacity)
-	}
-	if kmax < 1 {
-		return nil, fmt.Errorf("policy: kmax must be ≥ 1, got %d", kmax)
+	p := &Measured{target: target, tauNs: tau * 1e9}
+	if err := p.init(capacity, kmax); err != nil {
+		return nil, err
 	}
 	if !(target > 0) || math.IsInf(target, 0) {
 		return nil, fmt.Errorf("policy: occupancy target must be positive and finite, got %v", target)
@@ -56,42 +51,26 @@ func NewMeasured(capacity float64, kmax int, target, tau float64) (*Measured, er
 	if !(tau > 0) || math.IsInf(tau, 0) {
 		return nil, fmt.Errorf("policy: averaging window tau must be positive and finite, got %v", tau)
 	}
-	return &Measured{
-		capacity: capacity,
-		bound:    int64(kmax),
-		share:    capacity / float64(kmax),
-		target:   target,
-		tauNs:    tau * 1e9,
-	}, nil
+	return p, nil
 }
 
 // Name implements Policy.
 func (p *Measured) Name() string { return "measured" }
 
-// Mode implements Policy.
-func (p *Measured) Mode() Mode { return ModeCount }
-
-// Bound implements Policy.
-func (p *Measured) Bound() int { return int(p.bound) }
-
-// Capacity implements Policy.
-func (p *Measured) Capacity() float64 { return p.capacity }
-
 // Admit implements Policy.
 func (p *Measured) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
-	est := p.observe(now)
-	if est+1 > p.target {
-		return Decision{Load: float64(p.active.Load())}
+	_, d := p.AdmitN(now, rate, class, 1)
+	return d
+}
+
+// AdmitN implements Policy. The gate is read once: at one instant the
+// estimate cannot move, so n single requests would all pass it or all
+// fail it. A run that passes is cut at kmax by the counter.
+func (p *Measured) AdmitN(now int64, rate float64, class uint8, n int) (int, Decision) {
+	if p.observe(now)+1 > p.target {
+		return 0, Decision{Load: float64(p.active.Load())}
 	}
-	for {
-		cur := p.active.Load()
-		if cur >= p.bound {
-			return Decision{Load: float64(cur)}
-		}
-		if p.active.CompareAndSwap(cur, cur+1) {
-			return Decision{Admit: true, Share: p.share}
-		}
-	}
+	return p.counter.AdmitN(now, rate, class, n)
 }
 
 // observe folds the current occupancy into the EWMA and returns the
@@ -111,21 +90,16 @@ func (p *Measured) observe(now int64) float64 {
 	return est
 }
 
-// Release implements Policy. The departure is folded into the estimator so
-// freed capacity is observed without waiting for the next arrival.
-func (p *Measured) Release(now int64, rate float64) {
-	p.active.Add(-1)
+// Release implements Policy.
+func (p *Measured) Release(now int64, rate float64) { p.ReleaseN(now, rate, 1) }
+
+// ReleaseN implements Policy. The departures are folded into the
+// estimator so freed capacity is observed without waiting for the next
+// arrival.
+func (p *Measured) ReleaseN(now int64, rate float64, n int) {
+	p.counter.ReleaseN(now, rate, n)
 	p.observe(now)
 }
-
-// Share implements Policy.
-func (p *Measured) Share(rate float64) float64 { return p.share }
-
-// Active implements Policy.
-func (p *Measured) Active() int64 { return p.active.Load() }
-
-// Allocated implements Policy.
-func (p *Measured) Allocated() float64 { return float64(p.active.Load()) }
 
 // Occupancy returns the current smoothed occupancy estimate.
 func (p *Measured) Occupancy() float64 {

@@ -10,13 +10,14 @@
 // the serving plane's tests enforce per policy (DESIGN.md §12):
 //
 //   - no over-admit: concurrent Admit calls never exceed the policy's
-//     bound. The built-ins use the same CAS-claimed atomic counters as the
-//     pre-policy server, so the winners of a race at the boundary are
-//     exactly the first bound-n claims;
-//   - exact release accounting: every admitted claim is returned by exactly
-//     one Release (teardown, connection drop, TTL expiry, or the server
-//     rolling back a duplicate install), so Active/Allocated converge to
-//     zero when the link drains.
+//     bound. Count mode's built-ins claim from one atomic counter with one
+//     CAS (counting at kmax, tiered at the class's threshold, measured at
+//     kmax once its estimate lets the request through), so the winners of
+//     a race at the boundary are exactly the first bound-n claims;
+//   - exact release accounting: every admitted claim is returned exactly
+//     once, by Release or ReleaseN (teardown, connection drop, TTL expiry,
+//     or the server rolling back a duplicate install), so Active/Allocated
+//     converge to zero when the link drains.
 //
 // Policies must be safe for concurrent use and, for the default counting
 // and bandwidth policies, allocation-free at steady state — the serving
@@ -98,10 +99,21 @@ type Policy interface {
 	// class. Implementations must be lock-free or near — Admit is the
 	// serving plane's hot path.
 	Admit(now int64, flowID uint64, rate float64, class uint8) Decision
+	// AdmitN decides a run of n identical requests (same rate and class)
+	// at one instant, exactly as n Admits sent one after another would:
+	// it grants the first `granted` and denies the rest. At the bound the
+	// cut is exact under any concurrency — a run straddling the last j
+	// free slots grants exactly j, because count mode claims all j in one
+	// CAS. When granted > 0 the Decision is the grant verdict (Admit true,
+	// Share set); when granted < n, Load carries the occupancy the denial
+	// observed, as a single denied Admit would report it.
+	AdmitN(now int64, rate float64, class uint8, n int) (granted int, dec Decision)
 	// Release returns one admitted claim (rate is the granted rate in
 	// bandwidth mode, ignored otherwise). Called on teardown, connection
 	// release, TTL expiry, and duplicate-install rollback.
 	Release(now int64, rate float64)
+	// ReleaseN returns n claims of the same granted rate.
+	ReleaseN(now int64, rate float64, n int)
 	// Share is the grant value for a re-sent (deduplicated) grant: the
 	// worst-case share in count mode, the stored rate in bandwidth mode.
 	Share(rate float64) float64
@@ -110,58 +122,6 @@ type Policy interface {
 	// Allocated is the admitted load: Σ granted rates in bandwidth mode,
 	// the active count otherwise. Lock-free.
 	Allocated() float64
-}
-
-// BatchPolicy is optionally implemented by policies that can vector a run
-// of identical admission requests into one atomic transition. AdmitN
-// grants with exact prefix semantics: of n requests it admits the first
-// `granted` and denies the rest, and at the bound the cut is exact — a
-// batch straddling the last kmax−j free slots grants exactly j, under any
-// concurrency, because the built-ins claim all j slots in a single CAS.
-//
-// The returned Decision describes both sides of the cut: when granted > 0
-// it is the grant verdict (Admit true, Share set); when granted < n, Load
-// carries the occupancy the denial observed, exactly as a single denied
-// Admit would report it.
-type BatchPolicy interface {
-	// AdmitN decides n identical requests (same rate and class) at once.
-	AdmitN(now int64, rate float64, class uint8, n int) (granted int, dec Decision)
-	// ReleaseN returns n claims of the same granted rate.
-	ReleaseN(now int64, rate float64, n int)
-}
-
-// AdmitBatch admits a run of n identical requests against p: vectored via
-// BatchPolicy when p implements it, otherwise a serial Admit loop that
-// stops at the first denial. The loop preserves exact prefix semantics for
-// the clocked built-ins (token-bucket, measured) because their gates are
-// frozen at a fixed now — token refill and occupancy smoothing only move
-// when the clock does — so once one request in the batch is denied, every
-// later identical request would be denied too.
-func AdmitBatch(p Policy, now int64, flowID uint64, rate float64, class uint8, n int) (granted int, dec Decision) {
-	if bp, ok := p.(BatchPolicy); ok {
-		return bp.AdmitN(now, rate, class, n)
-	}
-	for i := 0; i < n; i++ {
-		d := p.Admit(now, flowID, rate, class)
-		if !d.Admit {
-			dec.Load = d.Load
-			return i, dec
-		}
-		dec.Admit, dec.Share = true, d.Share
-	}
-	return n, dec
-}
-
-// ReleaseBatch returns n claims of the same granted rate to p, vectored
-// when p implements BatchPolicy.
-func ReleaseBatch(p Policy, now int64, rate float64, n int) {
-	if bp, ok := p.(BatchPolicy); ok {
-		bp.ReleaseN(now, rate, n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		p.Release(now, rate)
-	}
 }
 
 // Gauge is one policy-specific observable, exported by Instrumented

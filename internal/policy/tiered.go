@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -16,32 +15,29 @@ import (
 // load signal being the link's own occupancy rather than an external
 // monitor).
 //
-// Each class's admission is a CAS loop on the shared counter against that
-// class's threshold, so the no-over-admit invariant holds per class and
-// overall: Active can never exceed kmax, and a class-c flow is never
-// admitted at or above limits[c]. The reserved wire class 3 is treated as
-// sheddable. With standardMax == sheddableMax == kmax the policy is
-// exactly Counting.
+// Each class claims from the one counter against that class's threshold,
+// so the no-over-admit invariant holds per class and overall: Active can
+// never exceed kmax, and a class-c flow is never admitted at or above
+// limits[c]. The reserved wire class 3 is treated as sheddable. With
+// standardMax == sheddableMax == kmax the policy is exactly Counting.
 type Tiered struct {
-	capacity float64
-	share    float64
-	limits   [NumClasses]int64
-	active   atomic.Int64
-	denials  [NumClasses]atomic.Uint64
+	counter
+	limits  [NumClasses]int64
+	denials [NumClasses]atomic.Uint64
 }
 
 // NewTiered returns a tiered policy on a link of the given capacity with
 // per-class occupancy thresholds. Thresholds must satisfy
 // 1 ≤ sheddableMax ≤ standardMax ≤ kmax.
 func NewTiered(capacity float64, kmax, standardMax, sheddableMax int) (*Tiered, error) {
-	if !(capacity > 0) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("policy: capacity must be positive and finite, got %v", capacity)
+	p := &Tiered{}
+	if err := p.init(capacity, kmax); err != nil {
+		return nil, err
 	}
 	if sheddableMax < 1 || sheddableMax > standardMax || standardMax > kmax {
 		return nil, fmt.Errorf("policy: tier thresholds need 1 ≤ sheddable (%d) ≤ standard (%d) ≤ kmax (%d)",
 			sheddableMax, standardMax, kmax)
 	}
-	p := &Tiered{capacity: capacity, share: capacity / float64(kmax)}
 	p.limits[ClassStandard] = int64(standardMax)
 	p.limits[ClassCritical] = int64(kmax)
 	p.limits[ClassSheddable] = int64(sheddableMax)
@@ -52,74 +48,25 @@ func NewTiered(capacity float64, kmax, standardMax, sheddableMax int) (*Tiered, 
 // Name implements Policy.
 func (p *Tiered) Name() string { return "tiered" }
 
-// Mode implements Policy.
-func (p *Tiered) Mode() Mode { return ModeCount }
-
-// Bound implements Policy: the critical tier's (full) bound.
-func (p *Tiered) Bound() int { return int(p.limits[ClassCritical]) }
-
-// Capacity implements Policy.
-func (p *Tiered) Capacity() float64 { return p.capacity }
-
 // Limit is the admission threshold for one class.
 func (p *Tiered) Limit(class uint8) int { return int(p.limits[class%NumClasses]) }
 
 // Admit implements Policy.
 func (p *Tiered) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
-	limit := p.limits[class%NumClasses]
-	for {
-		cur := p.active.Load()
-		if cur >= limit {
-			p.denials[class%NumClasses].Add(1)
-			return Decision{Load: float64(cur)}
-		}
-		if p.active.CompareAndSwap(cur, cur+1) {
-			return Decision{Admit: true, Share: p.share}
-		}
-	}
+	_, d := p.AdmitN(now, rate, class, 1)
+	return d
 }
 
-// AdmitN implements BatchPolicy: one CAS on the shared counter claims
-// min(n, limit−active) slots against the class's own threshold, and the
-// denied remainder lands in that class's denial tally exactly as n single
-// Admits would record it.
+// AdmitN implements Policy: the counter is claimed at the class's own
+// threshold, and the denied remainder lands in that class's denial tally
+// exactly as n single Admits would record it.
 func (p *Tiered) AdmitN(now int64, rate float64, class uint8, n int) (int, Decision) {
-	limit := p.limits[class%NumClasses]
-	for {
-		cur := p.active.Load()
-		j := limit - cur
-		if j <= 0 {
-			p.denials[class%NumClasses].Add(uint64(n))
-			return 0, Decision{Load: float64(cur)}
-		}
-		if int64(n) < j {
-			j = int64(n)
-		}
-		if p.active.CompareAndSwap(cur, cur+j) {
-			d := Decision{Admit: true, Share: p.share}
-			if int(j) < n {
-				p.denials[class%NumClasses].Add(uint64(n - int(j)))
-				d.Load = float64(cur + j)
-			}
-			return int(j), d
-		}
+	j, d := p.claim(p.limits[class%NumClasses], n)
+	if j < n {
+		p.denials[class%NumClasses].Add(uint64(n - j))
 	}
+	return j, d
 }
-
-// ReleaseN implements BatchPolicy.
-func (p *Tiered) ReleaseN(now int64, rate float64, n int) { p.active.Add(-int64(n)) }
-
-// Release implements Policy.
-func (p *Tiered) Release(now int64, rate float64) { p.active.Add(-1) }
-
-// Share implements Policy.
-func (p *Tiered) Share(rate float64) float64 { return p.share }
-
-// Active implements Policy.
-func (p *Tiered) Active() int64 { return p.active.Load() }
-
-// Allocated implements Policy.
-func (p *Tiered) Allocated() float64 { return float64(p.active.Load()) }
 
 // Gauges implements Instrumented.
 func (p *Tiered) Gauges() []Gauge {

@@ -99,6 +99,23 @@ func (p *TokenBucket) Admit(now int64, flowID uint64, rate float64, class uint8)
 	return d
 }
 
+// AdmitN implements Policy: Admit over the run, stopping at the first
+// denial. At one instant the bucket only drains and the inner policy only
+// fills, so once one request of the run is denied every later identical
+// request would be too.
+func (p *TokenBucket) AdmitN(now int64, rate float64, class uint8, n int) (int, Decision) {
+	var dec Decision
+	for i := 0; i < n; i++ {
+		d := p.Admit(now, 0, rate, class)
+		if !d.Admit {
+			dec.Load = d.Load
+			return i, dec
+		}
+		dec.Admit, dec.Share = true, d.Share
+	}
+	return n, dec
+}
+
 // take refills the bucket to now and consumes one token if available.
 func (p *TokenBucket) take(now int64) bool {
 	p.mu.Lock()
@@ -128,7 +145,10 @@ func (p *TokenBucket) refund() {
 
 // Release implements Policy. Departures do not return tokens: the bucket
 // meters the admission rate, not the standing population.
-func (p *TokenBucket) Release(now int64, rate float64) { p.inner.Release(now, rate) }
+func (p *TokenBucket) Release(now int64, rate float64) { p.ReleaseN(now, rate, 1) }
+
+// ReleaseN implements Policy.
+func (p *TokenBucket) ReleaseN(now int64, rate float64, n int) { p.inner.ReleaseN(now, rate, n) }
 
 // Share implements Policy.
 func (p *TokenBucket) Share(rate float64) float64 { return p.inner.Share(rate) }

@@ -228,7 +228,7 @@ func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, ma
 	pol := cellOf(run[0].FlowID).pol
 	rate, class := run[0].Value, run[0].Class
 	for i := 0; i < len(run); {
-		n, d := policy.AdmitBatch(pol, now, run[i].FlowID&mask, rate, class, len(run)-i)
+		n, d := pol.AdmitN(now, rate, class, len(run)-i)
 		dec.Load = d.Load
 		if n == 0 {
 			break
@@ -259,7 +259,7 @@ func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, ma
 		if returned == 0 {
 			break
 		}
-		policy.ReleaseBatch(pol, now, rate, returned)
+		pol.ReleaseN(now, rate, returned)
 	}
 	return dec
 }
