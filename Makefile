@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-soak check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
+.PHONY: all build vet test race race-soak deadcode check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
 
 # Benchmarks the regression gate enforces (see bench-diff): the simulator
 # validation runs, the enforcement loop, the SCFQ hot path, the
@@ -29,7 +29,8 @@ BENCH_FLOOR = BenchmarkServerHighConcurrency=req/s:20000,BenchmarkServerHighConc
 
 # Packages with concurrency worth racing: the single source of truth for
 # both `make race` and CI (which calls `make race`), so the two can never
-# drift apart again.
+# drift apart again. The dead-code ratchet's package, ./internal/deadcode/,
+# is left out: it runs no concurrent code (see deadcode).
 RACE_PKGS = ./internal/core/ ./internal/resv/ ./internal/policy/ ./internal/search/ ./internal/loadgen/ ./internal/sim/ ./internal/sched/ ./internal/sweep/ ./internal/obs/ ./internal/obs/obshttp/ ./internal/cluster/ ./internal/workload/ ./cmd/beqos/ .
 
 # Coverage floor (percent) enforced by cover-gate on the serving,
@@ -64,6 +65,14 @@ RACE_SOAK = TestConnectionDrop|TestBatchConnDropReleasesOnce|TestMux|TestClientS
 
 race-soak:
 	$(GO) test -race -count=10 -run '$(RACE_SOAK)' ./internal/resv/ ./internal/cluster/
+
+# The dead-code ratchet alone, uncached: it builds every binary (cmd/*,
+# examples/*, perfbench) with inlining off in beqos packages and fails on a
+# non-test function none of them links that internal/deadcode/allowlist.txt
+# does not name, or on an allowlist entry that is gone or linked. `go test
+# ./...` runs it too, so both CI test legs do and CI needs no step of its own.
+deadcode:
+	$(GO) test -count=1 ./internal/deadcode/
 
 # Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
 # smoke — a live two-cell grid cross-validated against the model — plus

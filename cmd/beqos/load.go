@@ -37,7 +37,7 @@ func cmdLoad(args []string) error {
 	transport := fs.String("transport", "classic", "protocol transport: classic (one stream per endpoint), udp (datagram mode with retransmission)")
 	batch := fs.Int("batch", 0, "coalesce simultaneous protocol ops into multi-reserve bodies of up to n ops; a lone op stays a single frame (classic transport; 0/1 = single-frame)")
 	udpLoss := fs.Int("udp-loss", 0, "drop every n-th datagram in each direction (udp transport; 0 = lossless)")
-	udpTimeout := fs.Duration("udp-timeout", 0, "datagram retransmit flight timeout (0 = 25ms)")
+	udpTimeout := fs.Duration("udp-timeout", 0, fmt.Sprintf("datagram retransmit flight timeout (0 = %v)", loadgen.DefaultUDPTimeout))
 	workloadPath := fs.String("workload", "", "drive the run from a declarative scenario spec file instead of the stationary Poisson dynamics (-mean/-hold/-duration/-warmup are ignored)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -123,7 +123,7 @@ func cmdLoad(args []string) error {
 	if cfg.Transport == "udp" {
 		timeout := cfg.UDPTimeout
 		if timeout == 0 {
-			timeout = 25 * time.Millisecond
+			timeout = loadgen.DefaultUDPTimeout
 		}
 		lossNote := "lossless"
 		if *udpLoss > 0 {

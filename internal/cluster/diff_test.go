@@ -125,9 +125,9 @@ func TestResvMatchesOneLinkCluster(t *testing.T) {
 				}
 			}
 			a := int64(len(held))
-			if a != srv.Policy().Active() || a != node.LinkActive(0) || a != owner.LinkActive(0) {
+			if a != int64(srv.Active()) || a != node.LinkActive(0) || a != owner.LinkActive(0) {
 				t.Fatalf("seed %d step %d: model holds %d flows, resv %d, cluster %d, peer plane %d",
-					seed, step, a, srv.Policy().Active(), node.LinkActive(0), owner.LinkActive(0))
+					seed, step, a, srv.Active(), node.LinkActive(0), owner.LinkActive(0))
 			}
 			// A peer-plane batch reply is the body's answer alone.
 			if f.Type == resv.MsgReserveBatch {

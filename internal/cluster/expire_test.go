@@ -38,7 +38,7 @@ func wireExpiryCluster(t *testing.T, serve func(owner *Node, nc net.Conn)) (entr
 	}
 	entry, owner = cl.Node(topo.NodeIndex("entry")), cl.Node(topo.NodeIndex("owner"))
 	a, b := net.Pipe()
-	entry.connectPeer(owner.Index(), a)
+	entry.connectPeer(owner.idx, a)
 	serve(owner, b)
 	t.Cleanup(cl.Close)
 	return entry, owner, topo.LinkIndex("l")

@@ -235,9 +235,6 @@ func metricName(id string) string {
 // Name returns the node's topology name.
 func (n *Node) Name() string { return n.name }
 
-// Index returns the node's topology index.
-func (n *Node) Index() int { return n.idx }
-
 // Registry returns the node's metrics registry, for /metrics mounting.
 func (n *Node) Registry() *obs.Registry { return n.reg }
 

@@ -119,9 +119,6 @@ func New(load dist.Discrete, util utility.Function) (*Model, error) {
 // wrapping the distribution passed to New).
 func (m *Model) Load() dist.Discrete { return m.load }
 
-// Util returns the model's utility function.
-func (m *Model) Util() utility.Function { return m.util }
-
 // MeanLoad returns k̄, the mean offered load.
 func (m *Model) MeanLoad() float64 { return m.mean }
 

@@ -134,12 +134,6 @@ func NewAlgebraicMean(z, mean float64) (Algebraic, error) {
 	return NewAlgebraic(z, lambda)
 }
 
-// Z returns the tail power z.
-func (a Algebraic) Z() float64 { return a.z }
-
-// Lambda returns the shift parameter λ.
-func (a Algebraic) Lambda() float64 { return a.lambda }
-
 // PMF returns P(k).
 func (a Algebraic) PMF(k int) float64 {
 	if k < 1 {

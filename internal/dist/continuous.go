@@ -34,9 +34,6 @@ func NewExpDensity(beta float64) (ExpDensity, error) {
 	return ExpDensity{beta: beta}, nil
 }
 
-// Beta returns the rate β.
-func (e ExpDensity) Beta() float64 { return e.beta }
-
 // PDF returns β e^(−βx) for x ≥ 0.
 func (e ExpDensity) PDF(x float64) float64 {
 	if x < 0 {
@@ -86,9 +83,6 @@ func NewAlgDensity(z float64) (AlgDensity, error) {
 	}
 	return AlgDensity{z: z}, nil
 }
-
-// Z returns the tail power z.
-func (a AlgDensity) Z() float64 { return a.z }
 
 // PDF returns (z−1) x^(−z) for x ≥ 1.
 func (a AlgDensity) PDF(x float64) float64 {

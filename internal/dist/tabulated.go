@@ -114,9 +114,6 @@ func fillPMF(d Discrete, dst []float64) {
 	}
 }
 
-// Base returns the distribution being tabulated.
-func (t *Tabulated) Base() Discrete { return t.base }
-
 // PMF returns P(k).
 func (t *Tabulated) PMF(k int) float64 {
 	if k < 0 {

@@ -70,9 +70,6 @@ func NewSizeBiased(base Discrete) (SizeBiased, error) {
 	return SizeBiased{base: base, baseMean: m}, nil
 }
 
-// Base returns the underlying distribution.
-func (s SizeBiased) Base() Discrete { return s.base }
-
 // PMF returns Q(k) = k·P(k)/k̄.
 func (s SizeBiased) PMF(k int) float64 {
 	if k < 1 {
@@ -128,9 +125,6 @@ func NewMaxOfS(base Discrete, s int) (MaxOfS, error) {
 	}
 	return MaxOfS{base: base, s: s}, nil
 }
-
-// S returns the number of samples.
-func (m MaxOfS) S() int { return m.s }
 
 // CDF returns F(k)^S.
 func (m MaxOfS) CDF(k int) float64 {

@@ -41,6 +41,11 @@ import (
 // rpcTimeout bounds any single protocol round trip.
 const rpcTimeout = 10 * time.Second
 
+// DefaultUDPTimeout is the datagram retransmit flight timeout a zero
+// Config.UDPTimeout stands for: loopback-fast, so injected loss costs
+// milliseconds, not the client's 250ms wide-area default.
+const DefaultUDPTimeout = 25 * time.Millisecond
+
 // retryJitterStream is the rng.Substream index reserved for retry-backoff
 // jitter, disjoint from the flow-dynamics stream (the base seed itself).
 const retryJitterStream = 0x6a09e667
@@ -116,9 +121,8 @@ type Config struct {
 	// exact — a retransmitted reserve never admits twice. 1 would drop
 	// every retransmission too, so it is rejected.
 	UDPLossEvery int
-	// UDPTimeout is the datagram retransmit flight timeout (default 25ms —
-	// loopback-fast so injected loss costs milliseconds, not the 250ms
-	// wide-area default).
+	// UDPTimeout is the datagram retransmit flight timeout (0 =
+	// DefaultUDPTimeout; negative is rejected).
 	UDPTimeout time.Duration
 
 	// Batch ≥ 2 coalesces protocol ops into multi-reserve bodies of up to
@@ -199,8 +203,11 @@ func (cfg *Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("loadgen: UDPLossEvery must be ≥ 2 (1 would drop every retransmission too), got %d", c.UDPLossEvery)
 		}
 	}
+	if c.UDPTimeout < 0 {
+		return c, fmt.Errorf("loadgen: UDPTimeout must be nonnegative, got %v", c.UDPTimeout)
+	}
 	if c.UDPTimeout == 0 {
-		c.UDPTimeout = 25 * time.Millisecond
+		c.UDPTimeout = DefaultUDPTimeout
 	}
 	if c.Batch < 0 || c.Batch > resv.MaxBatch {
 		return c, fmt.Errorf("loadgen: Batch must be in [0, %d], got %d", resv.MaxBatch, c.Batch)

@@ -184,6 +184,7 @@ func TestTransportConfigValidation(t *testing.T) {
 		{"loss on classic", func(c *Config) { c.UDPLossEvery = 10 }},
 		{"loss every packet", func(c *Config) { c.Transport = "udp"; c.UDPLossEvery = 1 }},
 		{"negative loss", func(c *Config) { c.Transport = "udp"; c.UDPLossEvery = -3 }},
+		{"negative udp timeout", func(c *Config) { c.Transport = "udp"; c.UDPTimeout = -5 * time.Millisecond }},
 	}
 	for _, tc := range cases {
 		cfg := base

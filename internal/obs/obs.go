@@ -20,7 +20,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -48,12 +47,6 @@ type Gauge struct {
 	v atomic.Int64
 	_ [cacheLineBytes - 8]byte
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Inc and Dec adjust the gauge by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
@@ -186,28 +179,4 @@ func (r *Registry) Snapshot() []Metric {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Get returns the named metric from a fresh snapshot (ok = false when the
-// name is not registered). Intended for tests and cross-checks, not hot
-// paths.
-func (r *Registry) Get(name string) (Metric, bool) {
-	for _, m := range r.Snapshot() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.metrics))
-	for i := range r.metrics {
-		names = append(names, r.metrics[i].name)
-	}
-	sort.Strings(names)
-	return names
 }

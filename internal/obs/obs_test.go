@@ -17,30 +17,19 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Errorf("counter = %d, want 42", got)
 	}
-	g.Set(7)
-	g.Add(-3)
+	g.Inc()
 	g.Inc()
 	g.Dec()
-	if got := g.Load(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
+	if got := g.Load(); got != 1 {
+		t.Errorf("gauge = %d, want 1", got)
 	}
 	r.GaugeFunc("gf", "a pulled gauge", func() float64 { return 2.5 })
-	m, ok := r.Get("gf")
-	if !ok || m.Value != 2.5 || m.Kind != KindGauge {
-		t.Errorf("gauge func snapshot = %+v, ok=%v", m, ok)
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[0].Name != "c_total" || snap[1].Name != "g" || snap[2].Name != "gf" {
+		t.Fatalf("snapshot = %+v, want c_total, g, gf in registration order", snap)
 	}
-	if _, ok := r.Get("nope"); ok {
-		t.Error("Get of unregistered name should report false")
-	}
-	want := []string{"c_total", "g", "gf"}
-	got := r.Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", got, want)
-		}
+	if m := snap[2]; m.Value != 2.5 || m.Kind != KindGauge {
+		t.Errorf("gauge func snapshot = %+v", m)
 	}
 }
 
@@ -194,8 +183,8 @@ func TestObservePathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(9)
-		g.Add(-1)
+		g.Inc()
+		g.Dec()
 		h.Record(1234)
 		h.RecordN(77, 32)
 	})
@@ -210,7 +199,9 @@ func TestWritePrometheus(t *testing.T) {
 	g := r.Gauge("beqos_active", "active flows")
 	h := r.Histogram("beqos_lat_ns", "latency")
 	c.Add(5)
-	g.Set(3)
+	for i := 0; i < 3; i++ {
+		g.Inc()
+	}
 	h.RecordN(100, 4)
 	h.Record(5000)
 	var sb strings.Builder

@@ -52,11 +52,11 @@ func batchCases(t *testing.T, bound int) []batchCase {
 	}
 }
 
-// TestAdmitBatchPrefixAtBoundary pins the partial-grant contract on every
+// TestAdmitNPrefixAtBoundary pins the partial-grant contract on every
 // built-in: with j slots left before the bound, a batch of n > j grants
 // exactly the first j ops and denies the other n−j, the grant side of the
 // Decision carries the share, and releasing the batch drains the books.
-func TestAdmitBatchPrefixAtBoundary(t *testing.T) {
+func TestAdmitNPrefixAtBoundary(t *testing.T) {
 	const bound, j, n = 16, 5, 12
 	for _, tc := range batchCases(t, bound) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,13 +91,14 @@ func TestAdmitBatchPrefixAtBoundary(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchBoundaryRaced races concurrent batches at the admission
+// TestAdmitNBoundaryRaced races concurrent batches at the admission
 // boundary: with exactly j free slots and every racer asking for more than
 // its fair share, the grants across all racers must sum to exactly j —
-// the vectored built-ins claim their prefix in a single CAS, and the loop
-// fallback's per-op claims are individually atomic — and the denied
-// remainder must leave no residue. Run under -race in CI.
-func TestAdmitBatchBoundaryRaced(t *testing.T) {
+// counting, tiered, measured and bandwidth claim their prefix in a single
+// CAS, and token-bucket's AdmitN, a loop over its own Admit, claims one
+// atomic op at a time — and the denied remainder must leave no residue.
+// Run under -race in CI.
+func TestAdmitNBoundaryRaced(t *testing.T) {
 	const bound, j, racers, n = 64, 5, 8, 16
 	for _, tc := range batchCases(t, bound) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,16 +132,16 @@ func TestAdmitBatchBoundaryRaced(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchMatchesSerialSingles is the loop-fallback conformance
-// check: for every built-in, a batch decides exactly like the same ops
-// sent one Admit at a time at the same frozen now — same grant count from
-// the same starting state, including a token bucket that sheds mid-batch.
-func TestAdmitBatchMatchesSerialSingles(t *testing.T) {
+// TestAdmitNMatchesSerialSingles holds AdmitN to Admit: for every
+// built-in, a batch decides exactly like the same ops sent one Admit at a
+// time at the same frozen now — same grant count from the same starting
+// state, including a token bucket that sheds mid-batch.
+func TestAdmitNMatchesSerialSingles(t *testing.T) {
 	mk := func(t *testing.T) []batchCase {
 		cases := batchCases(t, 8)
 		// A shedding bucket: 3 tokens, so a batch of 6 cuts at 3 even
-		// though the inner link has room — the fallback loop must stop
-		// exactly where serial singles would.
+		// though the inner link has room — AdmitN must stop exactly
+		// where serial singles would.
 		tb, err := NewTokenBucket(newCounting(t, 8, 8), 1, 3)
 		if err != nil {
 			t.Fatal(err)

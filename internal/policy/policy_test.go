@@ -210,15 +210,18 @@ func TestTieredCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Bound() != 8 || p.Limit(ClassStandard) != 6 || p.Limit(ClassSheddable) != 4 || p.Limit(3) != 4 {
-		t.Fatalf("limits wrong: bound %d std %d shed %d reserved %d",
-			p.Bound(), p.Limit(ClassStandard), p.Limit(ClassSheddable), p.Limit(3))
+	if p.Bound() != 8 {
+		t.Fatalf("bound = %d, want 8", p.Bound())
 	}
-	// Fill to the sheddable threshold with sheddable flows.
-	for i := 0; i < 4; i++ {
+	// Fill to the sheddable threshold with sheddable flows, the last on the
+	// reserved class 3, which is admitted below that threshold too.
+	for i := 0; i < 3; i++ {
 		if !p.Admit(0, uint64(i), 0, ClassSheddable).Admit {
 			t.Fatalf("sheddable admit %d failed", i)
 		}
+	}
+	if !p.Admit(0, 3, 0, 3).Admit {
+		t.Fatal("reserved class 3 denied below the sheddable threshold")
 	}
 	if p.Admit(0, 10, 0, ClassSheddable).Admit {
 		t.Fatal("sheddable admitted at its threshold")

@@ -48,9 +48,6 @@ func NewTiered(capacity float64, kmax, standardMax, sheddableMax int) (*Tiered, 
 // Name implements Policy.
 func (p *Tiered) Name() string { return "tiered" }
 
-// Limit is the admission threshold for one class.
-func (p *Tiered) Limit(class uint8) int { return int(p.limits[class%NumClasses]) }
-
 // Admit implements Policy.
 func (p *Tiered) Admit(now int64, flowID uint64, rate float64, class uint8) Decision {
 	_, d := p.AdmitN(now, rate, class, 1)

@@ -494,8 +494,8 @@ func TestKeepAliveValidatesInterval(t *testing.T) {
 
 func TestNoTTLNeverExpires(t *testing.T) {
 	s := newServer(t, 2) // TTL 0
-	if s.TTL() != 0 {
-		t.Fatalf("TTL = %v", s.TTL())
+	if s.ttl != 0 {
+		t.Fatalf("TTL = %v", s.ttl)
 	}
 	c := pipeClient(t, s)
 	cx := ctx(t)

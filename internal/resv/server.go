@@ -263,17 +263,11 @@ func (s *Server) Active() int {
 	return int(s.pol.Active())
 }
 
-// Policy returns the server's admission policy.
-func (s *Server) Policy() policy.Policy { return s.pol }
-
 // Capacity returns the link capacity.
 func (s *Server) Capacity() float64 { return s.capacity }
 
 // KMax returns the admission threshold.
 func (s *Server) KMax() int { return s.kmax }
-
-// TTL returns the soft-state lifetime (0 = no expiry).
-func (s *Server) TTL() time.Duration { return s.ttl }
 
 // Shards returns the lock-stripe width of the soft-state tables — the
 // runtime-chosen count (shardCountFor of GOMAXPROCS at construction), the

@@ -45,9 +45,6 @@ type Slot[T comparable] struct {
 	oprev **Slot[T]
 }
 
-// Key returns the key the slot was last inserted under.
-func (s *Slot[T]) Key() uint64 { return s.key }
-
 // Table maps uint64 keys to records: a power-of-two array of bucket chains
 // that doubles once it holds as many records as buckets. Removed records
 // are kept for Reuse, so a table at steady state allocates nothing. The

@@ -71,7 +71,7 @@ func (m *tableModel) insert(key uint64, owner int, ttl int64) {
 
 // remove unrecords e: timer (lazily), table, owner list.
 func (m *tableModel) remove(e *rec) {
-	key := e.slot.Key()
+	key := e.slot.key
 	e.timer.Stop()
 	m.tab.Remove(&e.slot)
 	m.lists[e.owner].Remove(&e.slot)
@@ -97,8 +97,8 @@ func (m *tableModel) drain(owner int) {
 	want := len(m.owners[owner])
 	got := 0
 	for e := m.lists[owner].Front(); e != nil; e = m.lists[owner].Front() {
-		if !m.owners[owner][e.slot.Key()] {
-			m.t.Fatalf("owner %d lists key %d it does not hold", owner, e.slot.Key())
+		if !m.owners[owner][e.slot.key] {
+			m.t.Fatalf("owner %d lists key %d it does not hold", owner, e.slot.key)
 		}
 		m.remove(e)
 		got++
@@ -114,11 +114,11 @@ func (m *tableModel) advance(dt int64) {
 	m.t.Helper()
 	m.now += dt
 	m.wheel.Advance(m.now, func(e *rec) {
-		if m.model[e.slot.Key()] != e {
-			m.t.Fatalf("wheel expired key %d, which is not live", e.slot.Key())
+		if m.model[e.slot.key] != e {
+			m.t.Fatalf("wheel expired key %d, which is not live", e.slot.key)
 		}
 		if e.deadline/m.res >= m.now/m.res {
-			m.t.Fatalf("key %d expired at %d, before its deadline %d's tick ended", e.slot.Key(), m.now, e.deadline)
+			m.t.Fatalf("key %d expired at %d, before its deadline %d's tick ended", e.slot.key, m.now, e.deadline)
 		}
 		m.remove(e)
 	})
@@ -137,8 +137,8 @@ func (m *tableModel) check() {
 	}
 	seen := 0
 	m.tab.Each(func(e *rec) {
-		if m.model[e.slot.Key()] != e {
-			m.t.Fatalf("Each visited key %d, which the model does not hold", e.slot.Key())
+		if m.model[e.slot.key] != e {
+			m.t.Fatalf("Each visited key %d, which the model does not hold", e.slot.key)
 		}
 		seen++
 	})
@@ -330,8 +330,8 @@ func TestTableSteadyStateZeroAlloc(t *testing.T) {
 			recs = append(recs, e)
 		}
 		for _, e := range recs {
-			if tab.Get(e.slot.Key()) != e {
-				t.Fatalf("Get(%d) lost its record", e.slot.Key())
+			if tab.Get(e.slot.key) != e {
+				t.Fatalf("Get(%d) lost its record", e.slot.key)
 			}
 			tab.Remove(&e.slot)
 			l.Remove(&e.slot)

@@ -602,9 +602,9 @@ func TestUDPPeerAcrossShardsReapedOnExpiry(t *testing.T) {
 	s.udpMu.Lock()
 	c := s.udpPeers[addr.String()]
 	s.udpMu.Unlock()
-	res := int64(WheelRes(s.TTL()))
+	res := int64(WheelRes(s.ttl))
 	t0 := s.lc.Now() + res
-	due := func(i int) int64 { return t0 + int64(i)*8*res + int64(s.TTL()) }
+	due := func(i int) int64 { return t0 + int64(i)*8*res + int64(s.ttl) }
 	for i, id := range ids {
 		if !s.shardFor(id).Refresh(t0+int64(i)*8*res, id, &c.flows) {
 			t.Fatalf("refresh flow %d failed", id)

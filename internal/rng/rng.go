@@ -47,9 +47,6 @@ func splitmix64(z uint64) uint64 {
 // Float64 returns a uniform variate in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
-// IntN returns a uniform integer in [0, n).
-func (s *Source) IntN(n int) int { return s.r.IntN(n) }
-
 // Exp returns an exponential variate with the given mean.
 func (s *Source) Exp(mean float64) float64 {
 	return s.r.ExpFloat64() * mean

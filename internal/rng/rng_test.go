@@ -87,7 +87,7 @@ func TestSubstreamDecorrelated(t *testing.T) {
 	sa, sb := New(a1, a2), New(b1, b2)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if sa.IntN(1000) == sb.IntN(1000) {
+		if sa.r.IntN(1000) == sb.r.IntN(1000) {
 			same++
 		}
 	}

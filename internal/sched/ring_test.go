@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand/v2"
 	"sort"
 	"testing"
 
@@ -36,8 +37,8 @@ func TestFIFORingWraparound(t *testing.T) {
 				t.Fatalf("step %d: got %+v, want %+v", step, got, want)
 			}
 		}
-		if f.Backlog() != len(ref) {
-			t.Fatalf("step %d: backlog %d, want %d", step, f.Backlog(), len(ref))
+		if f.count != len(ref) {
+			t.Fatalf("step %d: backlog %d, want %d", step, f.count, len(ref))
 		}
 	}
 }
@@ -53,7 +54,7 @@ func TestFIFORingShrinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	peak := f.Cap()
+	peak := len(f.ring)
 	if peak < burst {
 		t.Fatalf("ring capacity %d below backlog %d", peak, burst)
 	}
@@ -62,8 +63,8 @@ func TestFIFORingShrinks(t *testing.T) {
 			t.Fatalf("lost packet %d", i)
 		}
 	}
-	if f.Cap() != fifoMinCap {
-		t.Errorf("ring capacity after drain = %d, want the floor %d (peak was %d)", f.Cap(), fifoMinCap, peak)
+	if len(f.ring) != fifoMinCap {
+		t.Errorf("ring capacity after drain = %d, want the floor %d (peak was %d)", len(f.ring), fifoMinCap, peak)
 	}
 	// Still a working queue after shrinking.
 	if err := f.Enqueue(Packet{Flow: 7, Size: 1}); err != nil {
@@ -126,7 +127,7 @@ func (r *refSCFQ) dequeue() (Packet, bool) {
 func TestSCFQMatchesReferenceOrder(t *testing.T) {
 	s := NewSCFQ()
 	ref := newRefSCFQ()
-	src := rng.New(5, 9)
+	src := rand.New(rand.NewPCG(5, 9)) // the stream rng.New(5, 9) draws
 	weights := []float64{1, 2, 0.5, 3, 1.5}
 	for flow, w := range weights {
 		if err := s.SetWeight(flow, w); err != nil {
@@ -152,8 +153,8 @@ func TestSCFQMatchesReferenceOrder(t *testing.T) {
 				t.Fatalf("step %d: scfq (%+v, %v) vs reference (%+v, %v)", step, got, okGot, want, okWant)
 			}
 		}
-		if s.Backlog() != len(ref.q) {
-			t.Fatalf("step %d: backlog %d, want %d", step, s.Backlog(), len(ref.q))
+		if s.backlog != len(ref.q) {
+			t.Fatalf("step %d: backlog %d, want %d", step, s.backlog, len(ref.q))
 		}
 	}
 	// Drain both completely.
@@ -230,8 +231,8 @@ func TestSCFQManyFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Backlog() != flows {
-		t.Fatalf("backlog = %d", s.Backlog())
+	if s.backlog != flows {
+		t.Fatalf("backlog = %d", s.backlog)
 	}
 	seen := make(map[int]bool, flows)
 	for i := 0; i < flows; i++ {

@@ -39,8 +39,6 @@ type Scheduler interface {
 	Enqueue(p Packet) error
 	// Dequeue pops the next packet to serve, or false when idle.
 	Dequeue() (Packet, bool)
-	// Backlog reports the number of queued packets.
-	Backlog() int
 }
 
 // fifoMinCap is the smallest ring capacity FIFO keeps once allocated;
@@ -97,12 +95,6 @@ func (f *FIFO) resize(capacity int) {
 	f.ring = next
 	f.head = 0
 }
-
-// Backlog implements Scheduler.
-func (f *FIFO) Backlog() int { return f.count }
-
-// Cap reports the ring's current capacity (exported for the shrink test).
-func (f *FIFO) Cap() int { return len(f.ring) }
 
 // scfqItem is a queued packet with its SCFQ finish tag. seq preserves
 // global FIFO order among equal tags.
@@ -235,9 +227,6 @@ func (s *SCFQ) Dequeue() (Packet, bool) {
 	}
 	return it.pkt, true
 }
-
-// Backlog implements Scheduler.
-func (s *SCFQ) Backlog() int { return s.backlog }
 
 // heapLess orders backlogged flows by their head packet's (finish, seq).
 func (s *SCFQ) heapLess(a, b int32) bool {

@@ -13,8 +13,8 @@ func TestFIFOOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Backlog() != 3 {
-		t.Errorf("backlog = %d", f.Backlog())
+	if f.count != 3 {
+		t.Errorf("backlog = %d", f.count)
 	}
 	for i := 1; i <= 3; i++ {
 		p, ok := f.Dequeue()

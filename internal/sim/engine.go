@@ -70,15 +70,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Dispatched reports the total number of events dispatched so far: those
 // popped, and those the caller dispatched itself (advanceTo).
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
-
-// MaxQueued reports the event queue's high-water mark.
-func (e *Engine) MaxQueued() int { return e.maxQueued }
 
 // Schedule runs fn after the given delay; a negative, −0 or NaN delay
 // counts as 0. Events scheduled for the same instant run in scheduling

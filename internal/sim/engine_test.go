@@ -3,10 +3,9 @@ package sim
 import (
 	"cmp"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"beqos/internal/rng"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -72,8 +71,8 @@ func TestEngineHorizonCutoff(t *testing.T) {
 	if ran {
 		t.Error("event past horizon should not run")
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if len(e.pq) != 1 {
+		t.Errorf("pending = %d, want 1", len(e.pq))
 	}
 	e.Run(5)
 	if !ran {
@@ -116,7 +115,7 @@ func TestEngineCounters(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(float64(i), func() {})
 	}
-	if got := e.MaxQueued(); got != 5 {
+	if got := e.maxQueued; got != 5 {
 		t.Errorf("max queued = %d, want 5", got)
 	}
 	if got := e.Dispatched(); got != 0 {
@@ -126,7 +125,7 @@ func TestEngineCounters(t *testing.T) {
 	if got := e.Dispatched(); got != 5 {
 		t.Errorf("dispatched = %d, want 5", got)
 	}
-	if got := e.MaxQueued(); got != 5 {
+	if got := e.maxQueued; got != 5 {
 		t.Errorf("max queued = %d after drain, want 5 (high-water mark)", got)
 	}
 }
@@ -146,8 +145,8 @@ func TestEngineClosureSlots(t *testing.T) {
 			held++
 		}
 	}
-	if held != e.Pending() || held != 4 {
-		t.Errorf("closure table holds %d closures with %d events queued, want 4 and 4", held, e.Pending())
+	if held != len(e.pq) || held != 4 {
+		t.Errorf("closure table holds %d closures with %d events queued, want 4 and 4", held, len(e.pq))
 	}
 	e.Run(10)
 	for i, fn := range e.fns {
@@ -172,8 +171,8 @@ func TestEngineRunSkipsTaggedAndNil(t *testing.T) {
 	e.Schedule(2, nil)
 	e.Schedule(3, func() { ran++ })
 	e.Run(5)
-	if ran != 1 || e.Dispatched() != 3 || e.Pending() != 0 {
-		t.Errorf("ran %d closures of %d dispatched events (%d pending), want 1 of 3 (0)", ran, e.Dispatched(), e.Pending())
+	if ran != 1 || e.Dispatched() != 3 || len(e.pq) != 0 {
+		t.Errorf("ran %d closures of %d dispatched events (%d pending), want 1 of 3 (0)", ran, e.Dispatched(), len(e.pq))
 	}
 }
 
@@ -197,7 +196,7 @@ func TestEngineOrderMatchesStableSort(t *testing.T) {
 	}
 	ties := []float64{0, 0.5, 1, 2}
 	for seed := uint64(1); seed <= 2; seed++ {
-		src := rng.New(seed, 0x0de7)
+		src := rand.New(rand.NewPCG(seed, 0x0de7)) // the stream rng.New(seed, 0x0de7) draws
 		for _, depth := range []int{1, 2, 3, 4, 5, 6, 13, 50, 64, 341, 1365, 5000} {
 			e := NewEngine()
 			var ref []rec // the queue's records; ref[:sorted] is sorted
@@ -214,11 +213,11 @@ func TestEngineOrderMatchesStableSort(t *testing.T) {
 					case u < 60:
 						d = ties[src.IntN(len(ties))]
 					case u < 85:
-						d = src.Exp(1)
+						d = src.ExpFloat64()
 					case u < 90:
 						d = math.Copysign(0, -1)
 					case u < 97:
-						d = -src.Exp(1)
+						d = -src.ExpFloat64()
 					default:
 						d = math.Inf(1)
 					}
@@ -256,8 +255,8 @@ func TestEngineOrderMatchesStableSort(t *testing.T) {
 					t.Fatalf("seed %d depth %d op %d: popped (at %v, seq %d, ref %d), clock %v; want (at %v, seq %d, ref %d)",
 						seed, depth, op, ev.at, ev.seq, ev.ref, e.Now(), want.at, want.seq, want.ref)
 				}
-				if e.Pending() != len(ref) {
-					t.Fatalf("seed %d depth %d op %d: %d pending, want %d", seed, depth, op, e.Pending(), len(ref))
+				if len(e.pq) != len(ref) {
+					t.Fatalf("seed %d depth %d op %d: %d pending, want %d", seed, depth, op, len(e.pq), len(ref))
 				}
 			}
 		}

@@ -19,28 +19,18 @@ type Summary struct {
 	N int
 }
 
-// String renders mean ± stderr.
-func (s Summary) String() string {
-	return fmt.Sprintf("%.6g ± %.2g", s.Mean, s.StdErr)
-}
-
-// Replication reports the replicated metrics of RunReplications.
+// Replication reports the replicated metrics of RunReplicationsWorkers.
 type Replication struct {
 	MeanUtility  Summary
 	AvgOccupancy Summary
 	BlockingRate Summary
 }
 
-// RunReplications runs n independent replications of cfg and reports
-// across-replication means with standard errors — the defensible way to
-// quote simulator numbers against the analytical model. Replications fan
-// out over all available cores; see RunReplicationsWorkers for control.
-func RunReplications(cfg Config, n int) (Replication, error) {
-	return RunReplicationsWorkers(cfg, n, 0)
-}
-
-// RunReplicationsWorkers is RunReplications on an explicit worker budget
-// (0 = GOMAXPROCS, 1 = sequential). Each replication i draws its seeds
+// RunReplicationsWorkers runs n independent replications of cfg and
+// reports across-replication means with standard errors — the defensible
+// way to quote simulator numbers against the analytical model.
+// Replications fan out over the worker budget (0 = GOMAXPROCS,
+// 1 = sequential). Each replication i draws its seeds
 // from rng.Substream(cfg.Seed1, cfg.Seed2, i) — a pure function of the
 // base seed and the index — and results are reduced in index order, so
 // the output is byte-identical for every worker count.

@@ -64,24 +64,6 @@ func TestParallelReplicationsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunReplicationsDefaultIsParallel pins the public entry point to the
-// worker-pool path (workers = GOMAXPROCS) without changing its output.
-func TestRunReplicationsDefaultIsParallel(t *testing.T) {
-	cfg := mmInfConfig(t, 110, Reservation, 3)
-	cfg.Workload = mmInf(t, 1500, 100)
-	def, err := RunReplications(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunReplicationsWorkers(cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != seq {
-		t.Errorf("default path differs from sequential:\n  def %+v\n  seq %+v", def, seq)
-	}
-}
-
 // TestParallelReplicationsSpeedup measures the fan-out win on multi-core
 // hosts. Timing-based, so it only runs where the win must exist (≥ 4
 // cores) and asserts a conservative 2x for an embarrassingly parallel

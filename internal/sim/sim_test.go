@@ -574,7 +574,7 @@ func TestMGInfInsensitivity(t *testing.T) {
 func TestRunReplications(t *testing.T) {
 	cfg := mmInfConfig(t, 110, Reservation, 3)
 	cfg.Workload = mmInf(t, 4000, 200)
-	rep, err := RunReplications(cfg, 5)
+	rep, err := RunReplicationsWorkers(cfg, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,10 +592,7 @@ func TestRunReplications(t *testing.T) {
 	if math.Abs(rep.BlockingRate.Mean-want) > 4*rep.BlockingRate.StdErr+0.01 {
 		t.Errorf("blocking %v ± %v vs Erlang B %v", rep.BlockingRate.Mean, rep.BlockingRate.StdErr, want)
 	}
-	if rep.MeanUtility.String() == "" {
-		t.Error("empty summary string")
-	}
-	if _, err := RunReplications(cfg, 1); err == nil {
+	if _, err := RunReplicationsWorkers(cfg, 1, 0); err == nil {
 		t.Error("n = 1 should fail")
 	}
 }

@@ -290,9 +290,6 @@ func (s *Scenario) PhaseAt(t float64) int {
 	return 0
 }
 
-// MeanHold returns the holding distribution's mean.
-func (h HoldSpec) MeanHold() float64 { return h.Mean }
-
 // Tractable reports the phase's stationary offered mean when the phase is
 // analytically tractable as an M/G/∞ segment: Poisson arrivals with no
 // rate events. By M/G/∞ insensitivity the offered population depends on
