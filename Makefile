@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-soak deadcode check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
+.PHONY: all build vet test race race-soak deadcode check cli-check workload-check perfbench-check bench bench-diff bench-server bench-cluster figures examples cover cover-gate clean
 
 # Benchmarks the regression gate enforces (see bench-diff): the simulator
 # validation runs, the enforcement loop, the SCFQ hot path, the
@@ -74,16 +74,21 @@ race-soak:
 deadcode:
 	$(GO) test -count=1 ./internal/deadcode/
 
-# Full pre-merge gate: vet, the race-enabled test suite, the policy sweep
-# smoke — a live two-cell grid cross-validated against the model — plus
-# the workload spec corpus, a scenario-driven live-harness smoke, a
-# live-harness smoke with batch bodies and connection drops, the
-# end-to-end benchmark's build and correctness smoke, and every runnable
-# example.
-check: vet race workload-check perfbench-check examples
+# Full pre-merge gate: vet, the race-enabled test suite, the workload
+# spec corpus, the end-to-end benchmark's build and correctness smoke,
+# every runnable example and the CLI oracles.
+check: vet race workload-check perfbench-check examples cli-check
 	$(GO) test ./...
+
+# The CLI oracles, each of which exits non-zero when a check leaves its
+# bound: the policy sweep smoke (a live two-cell grid cross-validated
+# against the model) and the live load harness on a stationary spec (the
+# run battery), on a flash-crowd spec (the per-phase battery) and with
+# batch bodies and connection drops.
+cli-check:
 	$(GO) run ./cmd/beqos sweep-policy -quick
 	$(GO) run ./cmd/beqos load -workload specs/baseline.spec
+	$(GO) run ./cmd/beqos load -workload specs/flashcrowd.spec
 	$(GO) run ./cmd/beqos load -batch 8 -drop-every 7
 
 # Validate the bundled workload spec corpus: every spec must parse (with

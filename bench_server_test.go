@@ -24,7 +24,7 @@ import (
 
 // benchServer returns a flow-count admission server with kmax = capacity
 // (rigid unit demand), no TTL.
-func benchServer(b *testing.B, capacity float64) *resv.Server {
+func benchServer(b testing.TB, capacity float64) *resv.Server {
 	b.Helper()
 	r, err := utility.NewRigid(1)
 	if err != nil {

@@ -3,16 +3,21 @@ package beqos_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"beqos"
+	"beqos/internal/core"
+	"beqos/internal/dist"
+	"beqos/internal/utility"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -146,6 +151,41 @@ func TestFacadeExtensions(t *testing.T) {
 	if eq.EffectiveMean < 100 {
 		t.Errorf("inflated mean %v below k̄", eq.EffectiveMean)
 	}
+	if b, want := rt.BestEffort(200), m.BestEffort(200); b != want {
+		t.Errorf("retry B(200) = %v, want the basic model's %v: best effort never retries", b, want)
+	}
+	// γ(p) under each extension is its internal twin's.
+	exp, err := dist.NewExponentialMean(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := core.New(exp, utility.NewAdaptive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	csp, err := core.NewSampling(cm, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crt, err := core.NewRetry(cm, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name      string
+		got, want func(float64) (float64, error)
+	}{
+		{"sampling", sp.GammaEqualize, csp.GammaEqualize},
+		{"retry", rt.GammaEqualize, crt.GammaEqualize},
+	} {
+		got, err := g.got(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := g.want(0.1); err != nil || got != want {
+			t.Errorf("%s γ(0.1) = %v, internal twin %v (%v)", g.name, got, want, err)
+		}
+	}
 	if _, err := m.Sampling(0); err == nil {
 		t.Error("S = 0 should fail")
 	}
@@ -199,6 +239,16 @@ func TestFacadeAdmissionProtocol(t *testing.T) {
 	if srv.KMax() != 2 {
 		t.Errorf("kmax = %d", srv.KMax())
 	}
+	if twin := benchServer(t, 2); srv.Shards() != twin.Shards() {
+		t.Errorf("shards = %d, internal twin %d", srv.Shards(), twin.Shards())
+	}
+	var mu sync.Mutex
+	var logged []string
+	srv.SetLogf(func(format string, args ...interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
 	cEnd, sEnd := net.Pipe()
 	go srv.HandleConn(sEnd)
 	client := beqos.NewAdmissionClient(cEnd)
@@ -216,6 +266,13 @@ func TestFacadeAdmissionProtocol(t *testing.T) {
 	if err != nil || kmax != 2 || active != 1 {
 		t.Fatalf("stats: %d %d %v", kmax, active, err)
 	}
+	// The server logged the grant before it answered the stats request
+	// that followed it on the connection.
+	mu.Lock()
+	if len(logged) == 0 || !strings.Contains(logged[0], "grant flow 1") {
+		t.Errorf("log = %q, want the grant of flow 1 first", logged)
+	}
+	mu.Unlock()
 	if err := client.Teardown(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +480,19 @@ func TestFacadeAdmissionSoftState(t *testing.T) {
 	}
 	if ttl, err := client.Refresh(ctx, 1); err != nil || ttl != 80*time.Millisecond {
 		t.Fatalf("refresh: ttl=%v err=%v", ttl, err)
+	}
+	// KeepAlive holds the reservation for three TTLs, and returns nil
+	// once its context ends.
+	kctx, stop := context.WithCancel(ctx)
+	kept := make(chan error, 1)
+	go func() { kept <- client.KeepAlive(kctx, 1, 20*time.Millisecond) }()
+	time.Sleep(3 * 80 * time.Millisecond)
+	if n := srv.Active(); n != 1 {
+		t.Errorf("active = %d after three TTLs of keep-alive, want 1", n)
+	}
+	stop()
+	if err := <-kept; err != nil {
+		t.Fatalf("keep-alive: %v", err)
 	}
 	// Stop refreshing; the reservation must lapse.
 	deadline := time.Now().Add(2 * time.Second)

@@ -46,16 +46,9 @@ func modelFlags(fs *flag.FlagSet) func() (*beqos.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		var util beqos.Utility
-		switch *utilName {
-		case "rigid":
-			util = beqos.RigidUtility()
-		case "adaptive":
-			util = beqos.AdaptiveUtility()
-		case "elastic":
-			util = beqos.ElasticUtility()
-		default:
-			return nil, fmt.Errorf("unknown utility %q", *utilName)
+		util, err := modelUtility(*utilName, true)
+		if err != nil {
+			return nil, err
 		}
 		return beqos.NewModel(load, util)
 	}
@@ -209,9 +202,9 @@ func cmdSim(args []string) error {
 	if *workloadPath != "" {
 		return simWorkload(*workloadPath, *capacity, *utilName, *reserve, *samples, *seed)
 	}
-	util := beqos.RigidUtility()
-	if *utilName == "adaptive" {
-		util = beqos.AdaptiveUtility()
+	util, err := modelUtility(*utilName, false)
+	if err != nil {
+		return err
 	}
 	traffic, err := beqos.PoissonTraffic(*rate, *hold)
 	if err != nil {
@@ -504,16 +497,9 @@ func cmdFixedLoad(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var util beqos.Utility
-	switch *utilName {
-	case "rigid":
-		util = beqos.RigidUtility()
-	case "adaptive":
-		util = beqos.AdaptiveUtility()
-	case "elastic":
-		util = beqos.ElasticUtility()
-	default:
-		return fmt.Errorf("unknown utility %q", *utilName)
+	util, err := modelUtility(*utilName, true)
+	if err != nil {
+		return err
 	}
 	kmax, v, finite := beqos.FixedLoadOptimum(util, *capacity)
 	if !finite {

@@ -6,12 +6,9 @@ import (
 	"os"
 	"time"
 
-	"beqos/internal/core"
-	"beqos/internal/dist"
 	"beqos/internal/loadgen"
 	"beqos/internal/report"
 	"beqos/internal/resv"
-	"beqos/internal/utility"
 	"beqos/internal/workload"
 )
 
@@ -42,18 +39,9 @@ func cmdLoad(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var util utility.Function
-	switch *utilName {
-	case "rigid":
-		r, err := utility.NewRigid(1)
-		if err != nil {
-			return err
-		}
-		util = r
-	case "adaptive":
-		util = utility.NewAdaptive()
-	default:
-		return fmt.Errorf("unknown utility %q (the load harness needs admission control; elastic has none)", *utilName)
+	util, err := parseUtility(*utilName)
+	if err != nil {
+		return err
 	}
 	if !(*hold > 0) || !(*mean > 0) {
 		return fmt.Errorf("need positive -mean and -hold")
@@ -148,53 +136,9 @@ func cmdLoad(args []string) error {
 		fmt.Println()
 	}
 
-	// The oracle: per-phase checks against the model wherever the scenario
-	// is analytically tractable, the classic whole-run battery otherwise
-	// (and additionally when the whole scenario is one stationary segment).
-	var cr *loadgen.CheckReport
-	if scn != nil {
-		r, err := loadgen.CrossCheckWorkload(res, scn, util, *capacity)
-		if err != nil {
-			return err
-		}
-		cr = r
-		if smean, ok := scn.Stationary(); ok {
-			load, err := dist.NewPoisson(smean)
-			if err != nil {
-				return err
-			}
-			m, err := core.New(load, util)
-			if err != nil {
-				return err
-			}
-			classic, err := loadgen.CrossCheck(res, m, *capacity)
-			if err != nil {
-				return err
-			}
-			seen := map[string]bool{}
-			for _, ck := range cr.Checks {
-				seen[ck.Name] = true
-			}
-			for _, ck := range classic.Checks {
-				if !seen[ck.Name] {
-					cr.Checks = append(cr.Checks, ck)
-				}
-			}
-		}
-	} else {
-		load, err := dist.NewPoisson(*mean)
-		if err != nil {
-			return err
-		}
-		m, err := core.New(load, util)
-		if err != nil {
-			return err
-		}
-		r, err := loadgen.CrossCheck(res, m, *capacity)
-		if err != nil {
-			return err
-		}
-		cr = r
+	cr, err := loadgen.CrossCheck(res, cfg.Workload, util, *capacity)
+	if err != nil {
+		return err
 	}
 	tb := report.NewTable("statistic", "measured", "model", "sigma", "z", "ok")
 	for _, ck := range cr.Checks {

@@ -58,6 +58,11 @@ func TestCmdSim(t *testing.T) {
 	if err := cmdSim([]string{"-capacity", "0"}); err == nil {
 		t.Error("zero capacity should fail")
 	}
+	for _, name := range []string{"typo", "elastic"} {
+		if err := cmdSim([]string{"-util", name}); err == nil || err.Error() != utilityError(name).Error() {
+			t.Errorf("sim -util %s: error %v, want %q", name, err, utilityError(name))
+		}
+	}
 }
 
 func TestServeAndReserveOverLoopback(t *testing.T) {
@@ -111,6 +116,12 @@ func TestCmdLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A light run at C = 100 sees no blocking and no denial at all while
+	// the model predicts ~1e-24: the tail checks must take the binomial
+	// fallback rather than fail as exact mismatches.
+	if err := cmdLoad([]string{"-mean", "30", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := cmdLoad([]string{"-util", "elastic"}); err == nil {
 		t.Error("elastic utility should fail (no admission threshold)")
 	}
@@ -156,11 +167,14 @@ func TestCmdSimWorkload(t *testing.T) {
 }
 
 func TestCmdLoadWorkload(t *testing.T) {
-	// The per-phase oracle is live here: a nil error means every
-	// tractable phase sat within 3σ of the model.
-	spec := filepath.Join("..", "..", "specs", "baseline.spec")
-	if err := cmdLoad([]string{"-capacity", "100", "-util", "adaptive", "-workload", spec, "-seed", "7"}); err != nil {
-		t.Fatal(err)
+	// The oracle is live here: a nil error means baseline.spec, one
+	// stationary segment, passed the run battery, and every enforceable
+	// phase of flashcrowd.spec its per-phase battery, all within 3σ.
+	for _, spec := range []string{"baseline.spec", "flashcrowd.spec"} {
+		path := filepath.Join("..", "..", "specs", spec)
+		if err := cmdLoad([]string{"-capacity", "100", "-util", "adaptive", "-workload", path, "-seed", "7"}); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
 	}
 	if err := cmdLoad([]string{"-capacity", "100", "-workload", "no-such.spec"}); err == nil {
 		t.Error("missing spec should fail")

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"beqos"
 	"beqos/internal/policy"
 	"beqos/internal/report"
 	"beqos/internal/search"
@@ -21,9 +22,31 @@ func parseUtility(name string) (utility.Function, error) {
 		return utility.NewRigid(1)
 	case "adaptive":
 		return utility.NewAdaptive(), nil
-	default:
-		return nil, fmt.Errorf("unknown utility %q (admission control needs a finite kmax; elastic has none)", name)
 	}
+	return nil, utilityError(name)
+}
+
+// modelUtility is parseUtility's twin for the subcommands built on the
+// facade, and returns its type. With elastic set it also takes elastic:
+// the analytical subcommands' model does without a finite kmax.
+func modelUtility(name string, elastic bool) (beqos.Utility, error) {
+	switch {
+	case name == "rigid":
+		return beqos.RigidUtility(), nil
+	case name == "adaptive":
+		return beqos.AdaptiveUtility(), nil
+	case name == "elastic" && elastic:
+		return beqos.ElasticUtility(), nil
+	}
+	return beqos.Utility{}, utilityError(name)
+}
+
+// utilityError is every subcommand's answer to a -util name it refuses.
+func utilityError(name string) error {
+	if name == "elastic" {
+		return fmt.Errorf("utility elastic has no finite kmax; admission control needs one")
+	}
+	return fmt.Errorf("unknown utility %q (want rigid, adaptive or elastic)", name)
 }
 
 // policyKnobs carries the per-policy tuning flags of `serve -policy`.

@@ -91,6 +91,9 @@ func TestExpRampClosedFormVsQuadrature(t *testing.T) {
 			if x, y := cf.Reservation(c), num.Reservation(c); math.Abs(x-y) > 1e-6 {
 				t.Errorf("a=%g R(%g): closed %v vs quadrature %v", a, c, x, y)
 			}
+			if x, y := cf.PerformanceGap(c), num.PerformanceGap(c); math.Abs(x-y) > 1e-6 {
+				t.Errorf("a=%g δ(%g): closed %v vs quadrature %v", a, c, x, y)
+			}
 		}
 	}
 }
@@ -111,6 +114,9 @@ func TestAlgRigidClosedFormVsQuadrature(t *testing.T) {
 			}
 			if x, y := cf.Reservation(c), num.Reservation(c); math.Abs(x-y) > 1e-6 {
 				t.Errorf("z=%g R(%g): closed %v vs quadrature %v", z, c, x, y)
+			}
+			if x, y := cf.PerformanceGap(c), num.PerformanceGap(c); math.Abs(x-y) > 1e-6 {
+				t.Errorf("z=%g δ(%g): closed %v vs quadrature %v", z, c, x, y)
 			}
 		}
 	}
@@ -133,6 +139,16 @@ func TestAlgRampClosedFormVsQuadrature(t *testing.T) {
 				}
 				if x, y := cf.Reservation(c), num.Reservation(c); math.Abs(x-y) > 1e-6 {
 					t.Errorf("z=%g a=%g R(%g): closed %v vs quadrature %v", z, a, c, x, y)
+				}
+				if x, y := cf.PerformanceGap(c), num.PerformanceGap(c); math.Abs(x-y) > 1e-6 {
+					t.Errorf("z=%g a=%g δ(%g): closed %v vs quadrature %v", z, a, c, x, y)
+				}
+				y, err := num.BandwidthGap(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x := cf.BandwidthGap(c); math.Abs(x-y) > 1e-6*(1+y) {
+					t.Errorf("z=%g a=%g Δ(%g): closed %v vs quadrature %v", z, a, c, x, y)
 				}
 			}
 		}

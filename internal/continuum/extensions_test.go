@@ -91,6 +91,39 @@ func TestAlgRigidSamplingAsymptoticRatio(t *testing.T) {
 	}
 }
 
+// TestAlgRigidSamplingReducesToBasic: with S = 1 the sampling curves are
+// the basic closed forms (δ against its own formula, not R − B), and with
+// S = 5 the gap follows δ_S(C) ≈ C^(2−z)·(S − 1/(z−1)) for large C.
+func TestAlgRigidSamplingReducesToBasic(t *testing.T) {
+	base, err := NewAlgRigid(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewAlgRigidSampling(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{2, 50, 800} {
+		if got, want := sp.BestEffort(c), base.BestEffort(c); got != want {
+			t.Errorf("S=1 B(%g) = %v, want %v", c, got, want)
+		}
+		if got, want := sp.Reservation(c), base.Reservation(c); got != want {
+			t.Errorf("S=1 R(%g) = %v, want %v", c, got, want)
+		}
+		if got, want := sp.PerformanceGap(c), base.PerformanceGap(c); math.Abs(got-want) > 1e-12 {
+			t.Errorf("S=1 δ(%g) = %v, want %v", c, got, want)
+		}
+	}
+	sp5, err := NewAlgRigidSampling(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 1e4
+	if got, want := sp5.PerformanceGap(c), math.Pow(c, -1)*(5-0.5); math.Abs(got-want) > 1e-3*want {
+		t.Errorf("S=5 δ(%g) = %v, want ≈ %v", c, got, want)
+	}
+}
+
 func TestAlgRigidSamplingGapExceedsBasic(t *testing.T) {
 	base, err := NewAlgRigid(3)
 	if err != nil {

@@ -181,6 +181,19 @@ func TestPaperRetryGammaGrowsAsBandwidthCheapens(t *testing.T) {
 	if !(g2 > gBasic+0.1) {
 		t.Errorf("retry γ(0.01)=%v should far exceed basic %v", g2, gBasic)
 	}
+	// γ is the price ratio at which reservation-capable bandwidth with
+	// retries buys back best-effort welfare: W_R(γ·p) = W_B(p).
+	pr, err := rt.ProvisionReservation(g2 * 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := m.ProvisionBestEffort(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(pr.Welfare-pb.Welfare) > 1e-4*pb.Welfare {
+		t.Errorf("retry W_R(γ·0.01) = %v, want W_B(0.01) = %v", pr.Welfare, pb.Welfare)
+	}
 }
 
 func TestRetryBandwidthGapExceedsBasic(t *testing.T) {

@@ -40,6 +40,32 @@ func TestSamplingOneReducesToBasicModel(t *testing.T) {
 			}
 		}
 	}
+	// So must its provisioning at a price, C(p) and W(p) of each
+	// architecture; on one model, as the welfare scan is costly.
+	m := model(t, exponential(t), utility.NewAdaptive())
+	sp, err := NewSampling(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []struct {
+		name       string
+		one, basic func(float64) (Provision, error)
+	}{
+		{"best-effort", sp.ProvisionBestEffort, m.ProvisionBestEffort},
+		{"reservation", sp.ProvisionReservation, m.ProvisionReservation},
+	} {
+		p1, err := arch.one(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := arch.basic(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(p1.Welfare-p.Welfare) > 1e-6*p.Welfare || math.Abs(p1.Capacity-p.Capacity) > 1e-3*p.Capacity {
+			t.Errorf("%s provisioning at S = 1 %+v vs basic %+v", arch.name, p1, p)
+		}
+	}
 }
 
 func TestSamplingReservationDominates(t *testing.T) {

@@ -4,10 +4,10 @@
 // harness's classic stationary Poisson dynamics into one), exercises the
 // full protocol surface — reserve, teardown, refresh/keep-alive under TTL,
 // retry backoff, connection drops, stalled clients — and measures
-// blocking, occupancy, per-flow utility and request latency. CrossCheck
-// and CrossCheckWorkload then compare the measurements against the
-// analytical model's P(k > kmax) and R(C): a live, end-to-end oracle for
-// the admission server.
+// blocking, occupancy, per-flow utility and request latency, over the
+// whole measurement window and over each phase alike. CrossCheck then
+// compares the measurements against the analytical model's P(k > kmax)
+// and R(C): a live, end-to-end oracle for the admission server.
 //
 // Flow dynamics run in deterministic virtual time (a discrete-event clock
 // shared with internal/sim), while every reservation decision is a real
@@ -50,11 +50,15 @@ const DefaultUDPTimeout = 25 * time.Millisecond
 // jitter, disjoint from the flow-dynamics stream (the base seed itself).
 const retryJitterStream = 0x6a09e667
 
-// batches is the number of equal time slices used for batch-means standard
-// errors. Batch means absorb the serial correlation of occupancy samples
+// batches and phaseSlices are the numbers of equal time slices that cut
+// the measurement window and each phase for batch-means standard errors.
+// Batch means absorb the serial correlation of occupancy samples
 // (correlation time ≈ one holding time) that a naive binomial sigma would
-// ignore.
-const batches = 16
+// ignore; a phase is shorter than the run, so it gets fewer slices.
+const (
+	batches     = 16
+	phaseSlices = 8
+)
 
 // Config describes one load-harness run.
 type Config struct {
@@ -394,28 +398,18 @@ type runner struct {
 	// piTimes[n] = n·π(C/n) for n in [0, kmax], the total-utility table.
 	piTimes []float64
 
-	// Per-batch accumulators over the measurement window.
-	last     float64
-	time     []float64
-	overload []float64
-	popInt   []float64
-	utilInt  []float64
-	firstAtt []float64
-	firstDen []float64
-	occ      []float64
-	peak     int
+	// run measures the window [warmup, horizon) and phases[i] the part of
+	// phase i inside it, each integrated up to the instant last.
+	last   float64
+	run    accum
+	phases []accum
+	peak   int
 
-	// warmup and duration bound the measurement window [warmup,
-	// warmup+duration).
-	warmup, duration float64
-
-	// The scenario stream, its one-record lookahead (so simultaneous
-	// records group into one virtual instant), and the per-phase
-	// accumulators.
+	// The scenario stream and its one-record lookahead (so simultaneous
+	// records group into one virtual instant).
 	wl     *workload.Stream
 	wlNext workload.Flow
 	wlOK   bool
-	phases []phaseAccum
 
 	res Result
 	err error // first RPC/transport failure; aborts the run
@@ -428,17 +422,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	r := &runner{
-		cfg:      c,
-		eng:      sim.NewEngine(),
-		warmup:   c.Workload.Warmup,
-		duration: c.Workload.Duration() - c.Workload.Warmup,
-		time:     make([]float64, batches),
-		overload: make([]float64, batches),
-		popInt:   make([]float64, batches),
-		utilInt:  make([]float64, batches),
-		firstAtt: make([]float64, batches),
-		firstDen: make([]float64, batches),
+	scn := c.Workload
+	w := scn.Warmup
+	d := scn.Duration() - w
+	r := &runner{cfg: c, eng: sim.NewEngine(), run: newAccum(w, d, batches, w, w+d)}
+	r.run.occ = &r.res.OccupancyWeights
+	for i := range scn.Phases {
+		ph := &scn.Phases[i]
+		r.phases = append(r.phases, newAccum(ph.Start, ph.Duration, phaseSlices, w, w+d))
 	}
 	r.cm = resv.NewClientMetrics(obs.New())
 	js1, js2 := rng.Substream(c.Seed1, c.Seed2, retryJitterStream)
@@ -478,20 +469,18 @@ func Run(cfg Config) (*Result, error) {
 
 	// The stream owns all randomness. The t=0 group (prefill plus any
 	// zero-time arrivals) lands before the event loop starts.
-	r.wl = c.Workload.Stream(c.Seed1, c.Seed2)
-	r.phases = make([]phaseAccum, len(c.Workload.Phases))
+	r.wl = scn.Stream(c.Seed1, c.Seed2)
 	r.pull()
 	r.arriveGroup(r.takeGroup(0))
 	if r.err != nil {
 		return nil, r.err
 	}
 	r.pump()
-	horizon := r.warmup + r.duration
-	r.eng.Run(horizon)
+	r.eng.Run(r.run.hi)
 	if r.err != nil {
 		return nil, r.err
 	}
-	r.advance(horizon)
+	r.advance(r.run.hi)
 
 	// Clean teardown of everything still reserved, in flow order and in
 	// chunks of up to Batch, then confirm the server agrees the link is
@@ -592,51 +581,27 @@ func (r *runner) stats() (int, int, error) {
 	return r.eps[0].client.Stats(ctx)
 }
 
-// inWindow reports whether the current instant is measured, and its batch.
-func (r *runner) inWindow() (int, bool) {
-	now := r.eng.Now()
-	if now < r.warmup || now >= r.warmup+r.duration {
-		return 0, false
-	}
-	b := int((now - r.warmup) / (r.duration / batches))
-	if b >= batches {
-		b = batches - 1
-	}
-	return b, true
-}
-
-// advance integrates the piecewise-constant state up to virtual time `to`,
-// splitting across batch boundaries.
+// advance integrates the piecewise-constant state up to virtual time to,
+// into the run and into every phase.
 func (r *runner) advance(to float64) {
 	from := r.last
 	r.last = to
-	w, d := r.warmup, r.duration
-	lo := math.Max(from, w)
-	hi := math.Min(to, w+d)
-	if hi <= lo {
+	r.run.integrate(r, from, to)
+	for i := range r.phases {
+		r.phases[i].integrate(r, from, to)
+	}
+}
+
+// first tallies a first attempt at the current instant, or its denial,
+// when the instant is measured: in the run and in the phase the stream
+// drew the arrival in, even at the instant that phase ends.
+func (r *runner) first(phase int, denied bool) {
+	now := r.eng.Now()
+	if now < r.run.lo || now >= r.run.hi {
 		return
 	}
-	bd := d / batches
-	for lo < hi {
-		b := int((lo - w) / bd)
-		if b >= batches {
-			b = batches - 1
-		}
-		end := math.Min(w+float64(b+1)*bd, hi)
-		dt := end - lo
-		r.time[b] += dt
-		r.popInt[b] += dt * float64(r.pop)
-		if r.pop > r.kmax {
-			r.overload[b] += dt
-		}
-		r.utilInt[b] += dt * r.piTimes[r.nres]
-		for len(r.occ) <= r.pop {
-			r.occ = append(r.occ, 0)
-		}
-		r.occ[r.pop] += dt
-		lo = end
-	}
-	r.advancePhases(from, to)
+	r.run.first(now, denied)
+	r.phases[phase].first(now, denied)
 }
 
 // arriveGroup lands the flow arrivals of one virtual instant. Their first
@@ -648,7 +613,6 @@ func (r *runner) advance(to float64) {
 // dynamics and statistics bit for bit.
 func (r *runner) arriveGroup(g []arrival) {
 	r.advance(r.eng.Now())
-	b, counted := r.inWindow()
 	for len(g) > 0 && r.err == nil {
 		n := min(len(g), r.cfg.Batch)
 		ci := r.rrNext
@@ -659,11 +623,7 @@ func (r *runner) arriveGroup(g []arrival) {
 			flows[i] = &flow{id: r.nextID, conn: ci, tier: a.tier, phase: a.phase, present: true}
 			r.pop++
 			r.peak = max(r.peak, r.pop)
-			if counted {
-				r.res.Flows++
-				r.firstAtt[b]++
-				r.phaseFirst(a.phase, false)
-			}
+			r.first(a.phase, false)
 		}
 		granted := r.send(ci, nil, flows)
 		if r.err != nil {
@@ -671,11 +631,7 @@ func (r *runner) arriveGroup(g []arrival) {
 		}
 		for i, f := range flows {
 			if !granted[i] {
-				if counted {
-					r.res.FirstDenied++
-					r.firstDen[b]++
-					r.phaseFirst(f.phase, true)
-				}
+				r.first(f.phase, true)
 				r.waiting = append(r.waiting, f)
 			}
 			r.eng.Schedule(g[i].hold, func() { r.depart(f) })
@@ -920,6 +876,100 @@ func (r *runner) dropConn(departing *flow) {
 	}
 }
 
+// accum measures one window of a run — the measurement window, or one
+// phase's part of it — cut into equal slices: slice s covers
+// [start + s·step, start + (s+1)·step), and only the part inside [lo, hi)
+// is measured. Per slice it integrates time, overloaded time (offered
+// population above kmax), offered population and total utility, and
+// tallies first attempts and their denials.
+type accum struct {
+	start, step float64
+	lo, hi      float64
+
+	time, overload, popInt, utilInt, firstAtt, firstDen []float64
+
+	// occ, set on the run's accumulator alone, is the occupancy
+	// histogram each measured segment's time is added to.
+	occ *[]float64
+}
+
+// newAccum cuts [start, start+length) into n slices and measures the part
+// of it inside [lo, hi).
+func newAccum(start, length float64, n int, lo, hi float64) accum {
+	return accum{
+		start: start, step: length / float64(n),
+		lo: math.Max(start, lo), hi: math.Min(start+length, hi),
+		time:     make([]float64, n),
+		overload: make([]float64, n),
+		popInt:   make([]float64, n),
+		utilInt:  make([]float64, n),
+		firstAtt: make([]float64, n),
+		firstDen: make([]float64, n),
+	}
+}
+
+// slice maps the instant t to its slice, clamped into the window.
+func (a *accum) slice(t float64) int {
+	return max(0, min(int((t-a.start)/a.step), len(a.time)-1))
+}
+
+// integrate adds r's piecewise-constant state over [from, to), clipped to
+// the measured part and split at slice boundaries.
+func (a *accum) integrate(r *runner, from, to float64) {
+	lo, hi := math.Max(from, a.lo), math.Min(to, a.hi)
+	for lo < hi {
+		s := a.slice(lo)
+		end := math.Min(a.start+float64(s+1)*a.step, hi)
+		if !(end > lo) {
+			// Floating-point corner: a boundary rounded onto lo. Force
+			// minimal progress so the walk terminates.
+			end = math.Nextafter(lo, math.Inf(1))
+			if end > hi {
+				return
+			}
+		}
+		dt := end - lo
+		a.time[s] += dt
+		a.popInt[s] += dt * float64(r.pop)
+		if r.pop > r.kmax {
+			a.overload[s] += dt
+		}
+		a.utilInt[s] += dt * r.piTimes[r.nres]
+		if a.occ != nil {
+			for len(*a.occ) <= r.pop {
+				*a.occ = append(*a.occ, 0)
+			}
+			(*a.occ)[r.pop] += dt
+		}
+		lo = end
+	}
+}
+
+// first tallies a first attempt at t, or its denial.
+func (a *accum) first(t float64, denied bool) {
+	s := a.slice(t)
+	if denied {
+		a.firstDen[s]++
+	} else {
+		a.firstAtt[s]++
+	}
+}
+
+// fold sums the tallies and folds the slices into the ratio statistics,
+// each with its batch-means standard error.
+func (a *accum) fold() PhaseStats {
+	var ps PhaseStats
+	for s := range a.time {
+		ps.Flows += int(a.firstAtt[s])
+		ps.FirstDenied += int(a.firstDen[s])
+	}
+	ps.DenyRate, ps.DenySigma = ratio(a.firstDen, a.firstAtt)
+	ps.OverloadFraction, ps.OverloadSigma = ratio(a.overload, a.time)
+	ps.MeanLoad, ps.LoadSigma = ratio(a.popInt, a.time)
+	ps.MeanUtility, ps.UtilitySigma = ratio(a.utilInt, a.popInt)
+	return ps
+}
+
 // ratio folds per-batch numerators/denominators into an overall ratio and
 // its batch-means standard error.
 func ratio(num, den []float64) (v, sigma float64) {
@@ -953,8 +1003,8 @@ func ratio(num, den []float64) (v, sigma float64) {
 	return v, sigma
 }
 
-// finish derives the summary statistics from the batch accumulators and
-// the shared client instruments.
+// finish folds the run's and the phases' accumulators into the Result
+// and reads the rest off the shared client instruments.
 func (r *runner) finish() {
 	r.res.Attempts = int(r.cm.Requests.Load())
 	r.res.Denied = int(r.cm.Denials.Load())
@@ -963,11 +1013,18 @@ func (r *runner) finish() {
 	r.res.Retries = int(r.cm.Retries.Load())
 	r.res.UDPRetransmits = int(r.cm.Retransmits.Load())
 	r.res.Latency = r.cm.RTT.Snapshot()
-	r.res.OverloadFraction, r.res.OverloadSigma = ratio(r.overload, r.time)
-	r.res.DenyRate, r.res.DenySigma = ratio(r.firstDen, r.firstAtt)
-	r.res.MeanUtility, r.res.UtilitySigma = ratio(r.utilInt, r.popInt)
-	r.res.MeasuredMeanLoad, r.res.LoadSigma = ratio(r.popInt, r.time)
 	r.res.PeakLoad = r.peak
-	r.res.OccupancyWeights = append([]float64(nil), r.occ...)
-	r.finishPhases()
+	run := r.run.fold()
+	r.res.Flows, r.res.FirstDenied = run.Flows, run.FirstDenied
+	r.res.DenyRate, r.res.DenySigma = run.DenyRate, run.DenySigma
+	r.res.OverloadFraction, r.res.OverloadSigma = run.OverloadFraction, run.OverloadSigma
+	r.res.MeasuredMeanLoad, r.res.LoadSigma = run.MeanLoad, run.LoadSigma
+	r.res.MeanUtility, r.res.UtilitySigma = run.MeanUtility, run.UtilitySigma
+	r.res.Phases = make([]PhaseStats, len(r.phases))
+	for i := range r.phases {
+		ph := &r.cfg.Workload.Phases[i]
+		ps := r.phases[i].fold()
+		ps.Name, ps.Start, ps.End = ph.Name, ph.Start, ph.Start+ph.Duration
+		r.res.Phases[i] = ps
+	}
 }

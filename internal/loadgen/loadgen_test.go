@@ -54,11 +54,12 @@ func TestLoadHarnessMatchesModel(t *testing.T) {
 	util := utility.NewAdaptive()
 	const c = 100.0
 	srv := newServer(t, c, util)
+	scn := stationary(t, 100, 1, 80, 0)
 	res, err := Run(Config{
 		Server:   srv,
 		Capacity: c,
 		Util:     util,
-		Workload: stationary(t, 100, 1, 80, 0),
+		Workload: scn,
 		Seed1:    2, Seed2: 2,
 	})
 	if err != nil {
@@ -73,8 +74,7 @@ func TestLoadHarnessMatchesModel(t *testing.T) {
 	if res.FinalActive != 0 {
 		t.Errorf("final active = %d, want 0", res.FinalActive)
 	}
-	m := newModel(t, 100, util)
-	cr, err := CrossCheck(res, m, c)
+	cr, err := CrossCheck(res, scn, util, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +87,7 @@ func TestLoadHarnessMatchesModel(t *testing.T) {
 	}
 	// The acceptance criterion spelled out, independent of CrossCheck's
 	// plumbing: measured blocking vs P(k > kmax), measured utility vs R(C).
+	m := newModel(t, 100, util)
 	if z := math.Abs(res.OverloadFraction-m.Load().TailProb(res.KMax)) / res.OverloadSigma; z > 3 {
 		t.Errorf("blocking %.4f is %.1fσ from P(k > kmax) = %.4f", res.OverloadFraction, z, m.Load().TailProb(res.KMax))
 	}
@@ -112,18 +113,19 @@ func TestRigidUtilityScenario(t *testing.T) {
 	}
 	const c = 8.0
 	srv := newServer(t, c, util)
+	scn := stationary(t, 12, 0.5, 60, 0)
 	res, err := Run(Config{
 		Server:   srv,
 		Capacity: c,
 		Util:     util,
 		Conns:    2,
-		Workload: stationary(t, 12, 0.5, 60, 0),
+		Workload: scn,
 		Seed1:    7, Seed2: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := CrossCheck(res, newModel(t, 6, util), c)
+	cr, err := CrossCheck(res, scn, util, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +209,13 @@ func TestRetryRunsDeterministic(t *testing.T) {
 func TestDropFaultsRecover(t *testing.T) {
 	util := utility.NewAdaptive()
 	srv := newServer(t, 10, util)
+	scn := stationary(t, 20, 0.5, 30, 0)
 	res, err := Run(Config{
 		Server:   srv,
 		Capacity: 10,
 		Util:     util,
 		Conns:    2,
-		Workload: stationary(t, 20, 0.5, 30, 0),
+		Workload: scn,
 		Seed1:    5, Seed2: 6,
 		DropEvery: 7,
 	})
@@ -234,7 +237,7 @@ func TestDropFaultsRecover(t *testing.T) {
 	if res.FinalActive != 0 {
 		t.Errorf("final active = %d, want 0", res.FinalActive)
 	}
-	cr, err := CrossCheck(res, newModel(t, 10, util), 10)
+	cr, err := CrossCheck(res, scn, util, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +252,12 @@ func TestDropFaultsRecover(t *testing.T) {
 // observed without perturbing the admission statistics.
 func TestRetryPathExercised(t *testing.T) {
 	util := utility.NewAdaptive()
+	scn := stationary(t, 20, 0.5, 20, 0)
 	res, err := Run(Config{
 		Server:   newServer(t, 10, util),
 		Capacity: 10,
 		Util:     util,
-		Workload: stationary(t, 20, 0.5, 20, 0),
+		Workload: scn,
 		Seed1:    3, Seed2: 4,
 		RetryAttempts: 3,
 	})
@@ -268,7 +272,7 @@ func TestRetryPathExercised(t *testing.T) {
 	if res.Retries*3 != res.Denied*2 {
 		t.Errorf("retries = %d, denied = %d; want a 2:3 ratio", res.Retries, res.Denied)
 	}
-	cr, err := CrossCheck(res, newModel(t, 10, util), 10)
+	cr, err := CrossCheck(res, scn, util, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,9 @@ import (
 	"math"
 
 	"beqos/internal/core"
+	"beqos/internal/dist"
+	"beqos/internal/utility"
+	"beqos/internal/workload"
 )
 
 // SigmaBound is the acceptance threshold for the cross-validation checks:
@@ -73,39 +76,102 @@ func exact(name string, measured, predicted float64) Check {
 	return check(name, measured, predicted, 0)
 }
 
-// CrossCheck compares a run's measurements against the analytical model at
-// capacity c. The load side of m must describe the harness's offered
-// population — for Poisson arrivals at rate λ with mean holding h, a
-// Poisson load with mean k̄ = λ·h — and the utility side must match the
-// server's. It validates:
+// checkRare guards the rare-event corner of the tail checks: a window (the
+// run or a phase) can measure exactly zero denials or overload while the
+// model predicts a vanishing but nonzero tail probability, and the
+// batch-means sigma (also zero — no batch saw the event) cannot absorb
+// the gap. Fall back to the binomial standard error over the window's n
+// trials, which is the right scale for whether zero observed events is
+// consistent with the predicted probability.
+func checkRare(name string, measured, predicted, sigma float64, n int) Check {
+	if sigma == 0 && measured != predicted && n > 0 {
+		if s := math.Sqrt(predicted * (1 - predicted) / float64(n)); s > 0 {
+			sigma = s
+		}
+	}
+	return check(name, measured, predicted, sigma)
+}
+
+// CrossCheck compares a run of scn against the analytical model at
+// capacity c; util must be the server's utility. It validates:
 //
 //   - the admission threshold against kmax(C) (exact);
-//   - the time-weighted overload fraction against the paper's blocking
-//     probability P(k > kmax);
-//   - the arriving-flow denial rate against P(k ≥ kmax) (PASTA: an arrival
-//     finds the link full exactly when the standing population is ≥ kmax);
-//   - the measured per-flow utility against the reservation performance
-//     R(C) = E[min(k, kmax)·π(C/min(k, kmax))] / k̄;
-//   - the time-averaged offered population against k̄;
+//   - when the whole run is one stationary segment (scn.Stationary, as
+//     every run of Stationary's dynamics is), the run's measurements
+//     against the model for its offered mean k̄; otherwise the
+//     measurements of each enforceable phase (Scenario.Enforceable)
+//     against the model for the phase's mean. Bursty and transient phases
+//     get no checks: they are what the analytical model cannot cover;
 //   - protocol hygiene: zero anomalies and zero residual reservations
 //     (exact).
-func CrossCheck(res *Result, m *core.Model, c float64) (*CheckReport, error) {
-	if res == nil || m == nil {
-		return nil, fmt.Errorf("loadgen: CrossCheck needs a result and a model")
+//
+// The measurements checked, at SigmaBound standard errors, are the
+// time-weighted overload fraction against the paper's blocking
+// probability P(k > kmax), the arriving-flow denial rate against
+// P(k ≥ kmax) (PASTA: an arrival finds the link full exactly when the
+// standing population is ≥ kmax), the per-flow utility against the
+// reservation performance R(C) = E[min(k, kmax)·π(C/min(k, kmax))] / k̄,
+// and the time-averaged offered population against k̄.
+func CrossCheck(res *Result, scn *workload.Scenario, util utility.Function, c float64) (*CheckReport, error) {
+	if res == nil || scn == nil || util == nil {
+		return nil, fmt.Errorf("loadgen: CrossCheck needs a result, a scenario and a utility")
 	}
 	if res.KMax < 1 {
 		return nil, fmt.Errorf("loadgen: result has kmax = %d", res.KMax)
 	}
-	load := m.Load()
-	cr := &CheckReport{}
+	if len(res.Phases) != len(scn.Phases) {
+		return nil, fmt.Errorf("loadgen: result has %d phase breakdowns, scenario %d phases", len(res.Phases), len(scn.Phases))
+	}
+	kmax, ok := utility.KMax(util, c)
+	if !ok {
+		kmax = math.MaxInt32
+	}
+	cr := &CheckReport{Checks: []Check{exact("admission threshold kmax", float64(res.KMax), float64(kmax))}}
+	if mean, ok := scn.Stationary(); ok {
+		run := PhaseStats{Flows: res.Flows,
+			DenyRate: res.DenyRate, DenySigma: res.DenySigma,
+			OverloadFraction: res.OverloadFraction, OverloadSigma: res.OverloadSigma,
+			MeanLoad: res.MeasuredMeanLoad, LoadSigma: res.LoadSigma,
+			MeanUtility: res.MeanUtility, UtilitySigma: res.UtilitySigma}
+		if err := cr.battery("", &run, mean, util, c, res.KMax); err != nil {
+			return nil, err
+		}
+	} else {
+		for i, enf := range scn.Enforceable() {
+			if !enf {
+				continue
+			}
+			mean, _ := scn.Phases[i].Tractable()
+			if err := cr.battery("phase "+scn.Phases[i].Name+": ", &res.Phases[i], mean, util, c, res.KMax); err != nil {
+				return nil, err
+			}
+		}
+	}
 	cr.Checks = append(cr.Checks,
-		exact("admission threshold kmax", float64(res.KMax), float64(m.KMax(c))),
-		check("blocking P(k > kmax)", res.OverloadFraction, load.TailProb(res.KMax), res.OverloadSigma),
-		check("arrival denial P(k ≥ kmax)", res.DenyRate, load.TailProb(res.KMax-1), res.DenySigma),
-		check("mean utility R(C)", res.MeanUtility, m.Reservation(c), res.UtilitySigma),
-		check("offered load k̄", res.MeasuredMeanLoad, m.MeanLoad(), res.LoadSigma),
 		exact("protocol anomalies", float64(res.Anomalies), 0),
 		exact("residual reservations", float64(res.FinalActive), 0),
 	)
 	return cr, nil
+}
+
+// battery appends the checks of one stationary window's measurements st
+// against Poisson(mean) offered load, each name prefixed with label. The
+// tail checks take checkRare's fallback over the window's flows.
+func (cr *CheckReport) battery(label string, st *PhaseStats, mean float64, util utility.Function, c float64, kmax int) error {
+	pois, err := dist.NewPoisson(mean)
+	if err != nil {
+		return fmt.Errorf("loadgen: %soffered load: %w", label, err)
+	}
+	m, err := core.New(pois, util)
+	if err != nil {
+		return fmt.Errorf("loadgen: %smodel: %w", label, err)
+	}
+	load := m.Load()
+	cr.Checks = append(cr.Checks,
+		checkRare(label+"blocking P(k > kmax)", st.OverloadFraction, load.TailProb(kmax), st.OverloadSigma, st.Flows),
+		checkRare(label+"arrival denial P(k ≥ kmax)", st.DenyRate, load.TailProb(kmax-1), st.DenySigma, st.Flows),
+		check(label+"mean utility R(C)", st.MeanUtility, m.Reservation(c), st.UtilitySigma),
+		check(label+"offered load k̄", st.MeanLoad, m.MeanLoad(), st.LoadSigma),
+	)
+	return nil
 }

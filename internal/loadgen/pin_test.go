@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // pin renders a Result's deterministic content exactly: integer fields as
 // they are, float fields as their IEEE-754 bits, and the occupancy
 // histogram as an FNV-1a hash of its bits. Latency and Elapsed are wall
-// clock and Phases is the scenario breakdown, so they are left out; any
+// clock, and Phases is pinned by pinPhases, so they are left out; any
 // other field must be covered, so a new one fails the pin until added.
 func pin(t *testing.T, res *Result) map[string]uint64 {
 	t.Helper()
@@ -129,6 +130,90 @@ func TestFlagRunsPinned(t *testing.T) {
 			got := pin(t, res)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("run diverged from its pin:\ngot  %v\nwant %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// pinPhases renders a Result's per-phase breakdown exactly, as pin renders
+// the run: for each phase, keyed by its index and name, an FNV-1a hash of
+// its fields in order, integers as they are and floats as their IEEE-754
+// bits. A field of any other kind fails the pin until covered.
+func pinPhases(t *testing.T, res *Result) map[string]uint64 {
+	t.Helper()
+	out := map[string]uint64{}
+	for p, ps := range res.Phases {
+		h := fnv.New64a()
+		v := reflect.ValueOf(ps)
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			f := v.Field(i)
+			switch {
+			case name == "Name":
+			case f.Kind() == reflect.Int:
+				fmt.Fprintf(h, "%s=%d,", name, f.Int())
+			case f.Kind() == reflect.Float64:
+				fmt.Fprintf(h, "%s=%016x,", name, math.Float64bits(f.Float()))
+			default:
+				t.Fatalf("pinPhases: PhaseStats.%s (%s) is not covered", name, f.Kind())
+			}
+		}
+		out[fmt.Sprintf("%d %s", p, ps.Name)] = h.Sum64()
+	}
+	return out
+}
+
+// phasePins are the per-phase breakdowns of two multi-phase runs, pinned
+// from the harness that measured the run and its phases with two separate
+// accumulators: flashSpec as TestCrossCheckWorkload runs it, and
+// specs/flashcrowd.spec with batch bodies and connection drops.
+var phasePins = []struct {
+	name             string
+	spec             string // a file under specs/; "" runs flashSpec
+	capacity         float64
+	batch, dropEvery int
+	seed1, seed2     uint64
+	want             map[string]uint64
+}{
+	{
+		name: "flash", capacity: 65, seed1: 71, seed2: 72,
+		want: map[string]uint64{
+			"0 calm": 0x31a9b72bf9a26735, "1 crowd": 0xe66f759d8f92d724, "2 recovery": 0x15e44579eb9c1385,
+		},
+	},
+	{
+		name: "flashcrowd-batched-drops", spec: "flashcrowd.spec", capacity: 100, batch: 8, dropEvery: 7, seed1: 1, seed2: 2,
+		want: map[string]uint64{
+			"0 calm": 0xe33cf754dda3c455, "1 crowd": 0x64899fb320446851, "2 recovery": 0x5b4998f5abc0d148,
+		},
+	},
+}
+
+// TestPhasesPinned: multi-phase runs reproduce their pinned per-phase
+// breakdowns bit for bit, the only values the oracle checks on a
+// non-stationary scenario.
+func TestPhasesPinned(t *testing.T) {
+	for _, tc := range phasePins {
+		t.Run(tc.name, func(t *testing.T) {
+			scn := parseSpec(t, flashSpec)
+			if tc.spec != "" {
+				scn = loadSpecFile(t, filepath.Join("..", "..", "specs", tc.spec))
+			}
+			util := utility.NewAdaptive()
+			res, err := Run(Config{
+				Server:    newServer(t, tc.capacity, util),
+				Capacity:  tc.capacity,
+				Util:      util,
+				Workload:  scn,
+				Batch:     tc.batch,
+				DropEvery: tc.dropEvery,
+				Seed1:     tc.seed1, Seed2: tc.seed2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pinPhases(t, res); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("phases diverged from their pin:\ngot  %v\nwant %v", got, tc.want)
 			}
 		})
 	}

@@ -41,7 +41,7 @@ func TestStreamTransportMatchesModel(t *testing.T) {
 	if res.Anomalies != 0 || res.FinalActive != 0 {
 		t.Errorf("anomalies = %d, final active = %d, want 0, 0", res.Anomalies, res.FinalActive)
 	}
-	cr, err := CrossCheck(res, newModel(t, 6, util), cfg.Capacity)
+	cr, err := CrossCheck(res, cfg.Workload, util, cfg.Capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestUDPTransportMatchesModel(t *testing.T) {
 	if res.UDPRetransmits != 0 {
 		t.Errorf("retransmits = %d on a lossless loopback, want 0", res.UDPRetransmits)
 	}
-	cr, err := CrossCheck(res, newModel(t, 6, util), cfg.Capacity)
+	cr, err := CrossCheck(res, cfg.Workload, util, cfg.Capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func TestCrossCheckWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := CrossCheckWorkload(res, scn, util, 65)
+	cr, err := CrossCheck(res, scn, util, 65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +307,10 @@ func TestCrossCheckWorkload(t *testing.T) {
 		t.Logf("%-36s measured %.4f  model %.4f  z %.2f  ok %v",
 			ck.Name, ck.Measured, ck.Predicted, ck.Z, ck.OK)
 	}
-	// 4 statistical checks for the calm phase + 2 exact hygiene checks.
-	if len(cr.Checks) != 6 {
-		t.Fatalf("want 6 checks (one enforceable phase), got %d", len(cr.Checks))
+	// The exact kmax check, 4 statistical checks for the calm phase and 2
+	// exact hygiene checks.
+	if len(cr.Checks) != 7 {
+		t.Fatalf("want 7 checks (one enforceable phase), got %d", len(cr.Checks))
 	}
 	if !cr.AllOK() {
 		t.Fatalf("cross-validation failed: %v", cr.Failed())
@@ -322,37 +323,41 @@ func TestCrossCheckWorkload(t *testing.T) {
 }
 
 // TestCrossCheckWorkloadStationary checks the all-enforceable path on the
-// baseline spec, whose single phase is the stationary M/M/∞ anchor.
+// baseline spec, whose single phase is the stationary M/M/∞ anchor: the
+// whole run is checked once, and its report is the report of the flag
+// run it reproduces.
 func TestCrossCheckWorkloadStationary(t *testing.T) {
 	util := utility.NewAdaptive()
 	scn := loadSpecFile(t, filepath.Join("..", "..", "specs", "baseline.spec"))
 	if mean, ok := scn.Stationary(); !ok || mean != 100 {
 		t.Fatalf("baseline must be stationary at 100, got (%g, %v)", mean, ok)
 	}
-	res, err := Run(Config{
-		Server:   newServer(t, 100, util),
-		Capacity: 100,
-		Util:     util,
-		Workload: scn,
-		Seed1:    81, Seed2: 82,
-	})
-	if err != nil {
-		t.Fatal(err)
+	crossCheck := func(s *workload.Scenario) *CheckReport {
+		res, err := Run(Config{
+			Server:   newServer(t, 100, util),
+			Capacity: 100,
+			Util:     util,
+			Workload: s,
+			Seed1:    81, Seed2: 82,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := CrossCheck(res, s, util, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cr
 	}
-	cr, err := CrossCheckWorkload(res, scn, util, 100)
-	if err != nil {
-		t.Fatal(err)
+	spec, flags := crossCheck(scn), crossCheck(stationary(t, 100, 1, 80, 0))
+	if !spec.AllOK() {
+		t.Fatalf("cross-validation failed: %v", spec.Failed())
 	}
-	if !cr.AllOK() {
-		t.Fatalf("cross-validation failed: %v", cr.Failed())
+	if len(spec.Checks) != 7 {
+		t.Fatalf("want the run battery's 7 checks, got %d", len(spec.Checks))
 	}
-	// The classic whole-run oracle applies too: one stationary segment.
-	classic, err := CrossCheck(res, newModel(t, 100, util), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !classic.AllOK() {
-		t.Fatalf("classic cross-check failed on a stationary workload: %v", classic.Failed())
+	if !reflect.DeepEqual(spec, flags) {
+		t.Fatalf("the baseline spec's report differs from the flag run's:\nspec  %+v\nflags %+v", spec, flags)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"beqos/internal/core"
 	"beqos/internal/dist"
 	"beqos/internal/loadgen"
 	"beqos/internal/policy"
@@ -393,11 +392,7 @@ func (s *Spec) runLive(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2
 		// At full limit the policy must be behaviorally identical to plain
 		// counting admission; hold it to the complete cross-validation
 		// (blocking, utility R(C), offered load, protocol hygiene).
-		m, err := core.New(pois, s.Util)
-		if err != nil {
-			return Cell{}, err
-		}
-		cr, err := loadgen.CrossCheck(res, m, s.Capacity)
+		cr, err := loadgen.CrossCheck(res, scn, s.Util, s.Capacity)
 		if err != nil {
 			return Cell{}, err
 		}

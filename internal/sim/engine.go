@@ -58,10 +58,9 @@ type Engine struct {
 	// freeFns lists the empty slots for reuse.
 	fns     []func()
 	freeFns []int32
-	// dispatched and maxQueued are plain observability tallies (the engine
-	// is single-threaded): events popped and the queue's high-water mark.
+	// dispatched is a plain observability tally (the engine is
+	// single-threaded): the events dispatched.
 	dispatched uint64
-	maxQueued  int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -172,9 +171,6 @@ func before(a, b *event) uint64 {
 // past every parent that orders after ev, then writes ev once.
 func (e *Engine) push(ev event) {
 	e.pq = append(e.pq, ev)
-	if len(e.pq) > e.maxQueued {
-		e.maxQueued = len(e.pq)
-	}
 	i := len(e.pq) - 1
 	for i > 0 {
 		p := (i - 1) >> 2

@@ -77,15 +77,20 @@ func TestAdaptiveAsymptotes(t *testing.T) {
 }
 
 func TestAdaptiveDerivativeMatchesFiniteDifference(t *testing.T) {
-	a := NewAdaptive()
-	prop := func(seed float64) bool {
-		b := 0.01 + math.Mod(math.Abs(seed), 20)
-		h := 1e-6 * (1 + b)
-		fd := (a.Eval(b+h) - a.Eval(b-h)) / (2 * h)
-		return math.Abs(fd-a.Deriv(b)) < 1e-5*(1+math.Abs(fd))
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
+	// Elastic's analytic derivative is held to the same check.
+	for _, f := range []interface {
+		Function
+		Differentiable
+	}{NewAdaptive(), Elastic{}} {
+		prop := func(seed float64) bool {
+			b := 0.01 + math.Mod(math.Abs(seed), 20)
+			h := 1e-6 * (1 + b)
+			fd := (f.Eval(b+h) - f.Eval(b-h)) / (2 * h)
+			return math.Abs(fd-f.Deriv(b)) < 1e-5*(1+math.Abs(fd))
+		}
+		if err := quick.Check(prop, nil); err != nil {
+			t.Errorf("%s: %v", f.Name(), err)
+		}
 	}
 }
 

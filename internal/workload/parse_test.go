@@ -59,9 +59,6 @@ func TestParseGoodSpec(t *testing.T) {
 	if got := s.Phases[1].edges; len(got) != 3 || got[0] != 2 || got[1] != 4 || got[2] != 6 {
 		t.Fatalf("storm edges = %v, want [2 4 6]", got)
 	}
-	if s.PhaseAt(0) != 0 || s.PhaseAt(10) != 1 || s.PhaseAt(23.9) != 2 || s.PhaseAt(99) != 2 {
-		t.Fatalf("PhaseAt wrong")
-	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -279,17 +279,6 @@ func OnePhase(prefill int, warmup, duration float64, arr ArrivalSpec, hold HoldS
 // durations).
 func (s *Scenario) Duration() float64 { return s.total }
 
-// PhaseAt returns the index of the phase containing time t. Times at or
-// past the end map to the last phase; negative times to the first.
-func (s *Scenario) PhaseAt(t float64) int {
-	for i := len(s.Phases) - 1; i > 0; i-- {
-		if t >= s.Phases[i].Start {
-			return i
-		}
-	}
-	return 0
-}
-
 // Tractable reports the phase's stationary offered mean when the phase is
 // analytically tractable as an M/G/∞ segment: Poisson arrivals with no
 // rate events. By M/G/∞ insensitivity the offered population depends on
