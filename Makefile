@@ -82,11 +82,14 @@ check: vet race workload-check perfbench-check examples cli-check
 
 # The CLI oracles, each of which exits non-zero when a check leaves its
 # bound: the policy sweep smoke (a live two-cell grid cross-validated
-# against the model) and the live load harness on a stationary spec (the
-# run battery), on a flash-crowd spec (the per-phase battery) and with
-# batch bodies and connection drops.
+# against the model), a light-load sweep in each mode (cells that measure
+# no blocking, held to the binomial sigma) and the live load harness on a
+# stationary spec (the run battery), on a flash-crowd spec (the per-phase
+# battery) and with batch bodies and connection drops.
 cli-check:
 	$(GO) run ./cmd/beqos sweep-policy -quick
+	$(GO) run ./cmd/beqos sweep-policy -mode live -mean 2
+	$(GO) run ./cmd/beqos sweep-policy -mode sim -mean 1
 	$(GO) run ./cmd/beqos load -workload specs/baseline.spec
 	$(GO) run ./cmd/beqos load -workload specs/flashcrowd.spec
 	$(GO) run ./cmd/beqos load -batch 8 -drop-every 7

@@ -118,8 +118,13 @@ func TestCmdLoad(t *testing.T) {
 	}
 	// A light run at C = 100 sees no blocking and no denial at all while
 	// the model predicts ~1e-24: the tail checks must take the binomial
-	// fallback rather than fail as exact mismatches.
+	// fallback rather than fail as exact mismatches. So must the utility
+	// check of a light rigid run, whose every flow scores 1 against an
+	// R(C) just below 1.
 	if err := cmdLoad([]string{"-mean", "30", "-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdLoad([]string{"-capacity", "8", "-util", "rigid", "-mean", "2", "-hold", "0.5", "-duration", "200", "-seed", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdLoad([]string{"-util", "elastic"}); err == nil {

@@ -325,3 +325,84 @@ func TestClusterBatchRepeatedFlowID(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterBatchMultiHopClaimsTogether pins the client plane's batch
+// contract on multi-hop paths. x1 and y1 hold one flow each, and x1 is
+// full. Sent singly, a reserve on a (x1, y1) is denied at x1 before it
+// claims y1, so a reserve on b (y1) is granted. Sent as one body, a's hops
+// go out with b's before any verdict comes back: a's claim on y1 is in
+// place when b's arrives, so b is denied too, and a's y1 claim is then
+// rolled back. Either way nothing is left held.
+func TestClusterBatchMultiHopClaimsTogether(t *testing.T) {
+	const spec = `
+node e
+node x
+node y
+link x1 x 1
+link y1 y 1
+path pa x1,y1
+path pfill x1
+path pb y1
+pair a e y pa
+pair fill e x pfill
+pair b e y pb
+`
+	const pairA, pairFill, pairB = 0, 1, 2
+	for _, body := range []bool{false, true} {
+		cl := startCluster(t, spec, Config{AntiEntropy: -1})
+		x1, y1 := cl.topo.LinkIndex("x1"), cl.topo.LinkIndex("y1")
+		if b := cl.Bounds(); b[x1] != 1 || b[y1] != 1 {
+			t.Fatalf("link bounds %v, want one flow each", b)
+		}
+		e := cl.Node(0)
+		l := e.NewLocal()
+		if ok, _, err := l.Reserve(pairFill, 0, 1); err != nil || !ok {
+			t.Fatalf("fill x1: granted=%v err=%v", ok, err)
+		}
+		var a, b bool
+		if body {
+			r := e.dispatchClientBatch(l.c, []resv.Frame{
+				{Type: resv.MsgRequest, FlowID: FlowID(pairA, 1), Value: 1},
+				{Type: resv.MsgRequest, FlowID: FlowID(pairB, 1), Value: 1},
+			}, e.lc.Now())
+			v := resv.BatchVerdict(r.FlowID)
+			a, b = v.Granted(0), v.Granted(1)
+		} else {
+			var err error
+			if a, _, err = l.Reserve(pairA, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if b, _, err = l.Reserve(pairB, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Singly, b gets y1; in one body, a's doomed claim holds it.
+		wantB, rollbacks, forwards := true, uint64(0), uint64(3)
+		if body {
+			wantB, rollbacks, forwards = false, 1, 4
+		}
+		if a || b != wantB {
+			t.Errorf("body=%v: a granted %v, b granted %v; want false, %v", body, a, b, wantB)
+		}
+		if got := e.Metrics().Rollbacks.Load(); got != rollbacks {
+			t.Errorf("body=%v: %d rollbacks, want %d", body, got, rollbacks)
+		}
+		if got := e.Metrics().Forwards.Load(); got != forwards {
+			t.Errorf("body=%v: %d forwards, want %d", body, got, forwards)
+		}
+		heldY := int64(0)
+		if b {
+			heldY = 1
+		}
+		if got := cl.Node(1).LinkActive(x1); got != 1 {
+			t.Errorf("body=%v: x1 holds %d claims, want only the fill's", body, got)
+		}
+		if got := cl.Node(2).LinkActive(y1); got != heldY {
+			t.Errorf("body=%v: y1 holds %d claims, want %d", body, got, heldY)
+		}
+		l.Close()
+		if hx, hy := cl.Node(1).LinkActive(x1), cl.Node(2).LinkActive(y1); hx != 0 || hy != 0 {
+			t.Errorf("body=%v: x1 and y1 hold %d and %d claims after the handle closed", body, hx, hy)
+		}
+	}
+}

@@ -801,8 +801,11 @@ var batchScratchPool = sync.Pool{New: func() interface{} {
 //
 // The body is served in segments. A segment ends before an op whose flow
 // an earlier op of it left pending (a reserve then a teardown of one flow
-// ID): that op is served once the ops before it have finished, so the body
-// answers exactly as its ops sent singly.
+// ID): that op is served once the ops before it have finished, so a body
+// of single-hop paths answers exactly as its ops sent singly. The
+// multi-hop flows of a segment claim their hops together, as the flows of
+// concurrent clients do: a flow denied at one hop can still hold another,
+// until its rollback, when a later op of the body asks for it.
 //
 // Per-flow atomicity is exactly the single-op path's: a flow whose hops
 // partially grant — some links full, an owner unreachable, or the client

@@ -76,14 +76,15 @@ func exact(name string, measured, predicted float64) Check {
 	return check(name, measured, predicted, 0)
 }
 
-// checkRare guards the rare-event corner of the tail checks: a window (the
-// run or a phase) can measure exactly zero denials or overload while the
-// model predicts a vanishing but nonzero tail probability, and the
-// batch-means sigma (also zero — no batch saw the event) cannot absorb
-// the gap. Fall back to the binomial standard error over the window's n
-// trials, which is the right scale for whether zero observed events is
-// consistent with the predicted probability.
-func checkRare(name string, measured, predicted, sigma float64, n int) Check {
+// CheckRare checks a measured probability, or a mean of per-flow values
+// in [0, 1] such as utilities, over a window's n trials. When the window
+// (a run, a phase, a policy-search cell) saw no event — zero denials or
+// overload, or full utility for every flow, so its sigma is 0 too — while
+// the model predicts a small nonzero tail, it falls back to the binomial
+// standard error over the n trials: the right scale for whether seeing no
+// event fits the prediction, and a bound on a mean utility's, since
+// values in [0, 1] with mean p have variance at most p(1−p).
+func CheckRare(name string, measured, predicted, sigma float64, n int) Check {
 	if sigma == 0 && measured != predicted && n > 0 {
 		if s := math.Sqrt(predicted * (1 - predicted) / float64(n)); s > 0 {
 			sigma = s
@@ -156,7 +157,8 @@ func CrossCheck(res *Result, scn *workload.Scenario, util utility.Function, c fl
 
 // battery appends the checks of one stationary window's measurements st
 // against Poisson(mean) offered load, each name prefixed with label. The
-// tail checks take checkRare's fallback over the window's flows.
+// tail and utility checks take CheckRare's fallback over the window's
+// flows.
 func (cr *CheckReport) battery(label string, st *PhaseStats, mean float64, util utility.Function, c float64, kmax int) error {
 	pois, err := dist.NewPoisson(mean)
 	if err != nil {
@@ -168,9 +170,9 @@ func (cr *CheckReport) battery(label string, st *PhaseStats, mean float64, util 
 	}
 	load := m.Load()
 	cr.Checks = append(cr.Checks,
-		checkRare(label+"blocking P(k > kmax)", st.OverloadFraction, load.TailProb(kmax), st.OverloadSigma, st.Flows),
-		checkRare(label+"arrival denial P(k ≥ kmax)", st.DenyRate, load.TailProb(kmax-1), st.DenySigma, st.Flows),
-		check(label+"mean utility R(C)", st.MeanUtility, m.Reservation(c), st.UtilitySigma),
+		CheckRare(label+"blocking P(k > kmax)", st.OverloadFraction, load.TailProb(kmax), st.OverloadSigma, st.Flows),
+		CheckRare(label+"arrival denial P(k ≥ kmax)", st.DenyRate, load.TailProb(kmax-1), st.DenySigma, st.Flows),
+		CheckRare(label+"mean utility R(C)", st.MeanUtility, m.Reservation(c), st.UtilitySigma, st.Flows),
 		check(label+"offered load k̄", st.MeanLoad, m.MeanLoad(), st.LoadSigma),
 	)
 	return nil

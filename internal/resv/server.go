@@ -33,7 +33,7 @@ import (
 //   - the admission decision itself is a CAS on a single atomic counter,
 //     so concurrent reserves never over-admit and the reject path (and
 //     Active/Allocated/Stats) never takes a lock;
-//   - TTL expiry is a per-shard hierarchical timing wheel (wheel.go), so a
+//   - TTL expiry is a per-shard one-level timing wheel (wheel.go), so a
 //     refresh is an O(1) deadline update and expiry work is proportional
 //     to the wheel buckets coming due, never to all flows;
 //   - frame I/O is batched per connection (ServeConn): one read can yield

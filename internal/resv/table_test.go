@@ -286,7 +286,7 @@ func TestTableReuseWithLinkedTimer(t *testing.T) {
 	m.insert(7, 0, 500)
 	e := m.model[7]
 	m.delete(7)
-	if e.timer.next == nil {
+	if e.timer.pprev == nil {
 		t.Fatal("a stopped timer should stay linked until its bucket comes due")
 	}
 	// Reinserted under another key for another owner, due earlier and then

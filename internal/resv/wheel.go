@@ -2,20 +2,20 @@ package resv
 
 import "time"
 
-// The soft-state expiry index: a two-level hierarchical timing wheel. The
-// resv server keeps one per shard; the cluster plane one per link (hop
-// claims) and one per client connection (path flows). Every TTL deadline
-// sits in a bucket keyed by its deadline tick, so an advance only touches
-// records whose bucket comes due (plus one coarse-bucket cascade every
-// wheelSlots ticks) — never a scan of the whole table.
+// The soft-state expiry index: a one-level timing wheel. The resv server
+// keeps one per shard; the cluster plane one per link (hop claims) and one
+// per client connection (path flows). Every TTL deadline sits in the bucket
+// of its deadline tick, so an advance only touches records whose bucket
+// comes due — never a scan of the whole table.
 //
-// Level 0 buckets are one resolution tick wide and cover the next
-// wheelSlots ticks; level 1 buckets are wheelSlots ticks wide and cover
-// wheelSlots× that horizon. Deadlines beyond level 1 simply take extra
-// laps: each cascade re-bins them until they fall within a finer window.
-// All buckets are circular lists threaded through Timers embedded in the
-// records themselves (sentinel-headed), so linking and unlinking never
-// allocate.
+// A wheel has wheelSlots buckets, each one tick wide, and a tick is a
+// wheelSlots-th of the TTL, so one lap spans the TTL, the only deadline
+// the cells arm. A deadline is filed in the bucket of its tick modulo the
+// lap, so one a lap or more past the next tick to drain shares its bucket
+// with nearer ones and is re-filed each time that bucket comes due before
+// its tick: once, for a hold armed one TTL of 256 ticks out. Each bucket
+// is a list threaded through Timers embedded in the records themselves,
+// so linking and unlinking never allocate.
 //
 // Cancelling and postponing are lazy. A stopped timer, and a timer whose
 // deadline moved later, stay where they are until their bucket comes due;
@@ -24,22 +24,16 @@ import "time"
 // so cold in cache — on a teardown, a refresh, or the reuse of a recycled
 // record. The advance pays that instead, at most once per timer per bucket.
 
-const (
-	wheelBits  = 6
-	wheelSlots = 1 << wheelBits // 64 buckets per level
-	wheelMask  = wheelSlots - 1
-
-	// wheelResDivisor sets a wheel's resolution to ttl/256, floored at 1ms
-	// so pathological TTLs cannot busy-loop an expiry goroutine or panic
-	// time.NewTicker.
-	wheelResDivisor = 256
-)
+// wheelSlots is both a wheel's lap in ticks and the number of ticks in a
+// TTL (see WheelRes).
+const wheelSlots = 256
 
 // WheelRes returns the tick width of the expiry wheels for a soft-state
-// lifetime ttl > 0: ttl/256, at least 1ms. An expiry goroutine advances its
-// wheels once per tick.
+// lifetime ttl > 0: ttl/256, at least 1ms, so pathological TTLs cannot
+// busy-loop an expiry goroutine or panic time.NewTicker. An expiry
+// goroutine advances its wheels once per tick.
 func WheelRes(ttl time.Duration) time.Duration {
-	if res := ttl / wheelResDivisor; res > time.Millisecond {
+	if res := ttl / wheelSlots; res > time.Millisecond {
 		return res
 	}
 	return time.Millisecond
@@ -55,9 +49,11 @@ type Timer[T comparable] struct {
 	// (or at the first tick not yet processed, for a deadline already
 	// past), which is what lets Schedule postpone it in place.
 	deadline int64
-	// next/prev link the timer into a bucket (circular, sentinel headed);
-	// both are nil while it is unlinked.
-	next, prev *Timer[T]
+	// next links the timer to the one after it in its bucket, and pprev
+	// points at whatever points at it: the bucket's head or the previous
+	// timer's next. The timer is linked iff pprev != nil.
+	next  *Timer[T]
+	pprev **Timer[T]
 }
 
 // Stop cancels t: its record will not be handed to expire. The timer stays
@@ -68,18 +64,21 @@ func (t *Timer[T]) Stop() {
 }
 
 func (t *Timer[T]) unlink() {
-	t.prev.next = t.next
-	t.next.prev = t.prev
-	t.next, t.prev = nil, nil
+	*t.pprev = t.next
+	if t.next != nil {
+		t.next.pprev = t.pprev
+	}
+	t.next, t.pprev = nil, nil
 }
 
-// Wheel is the two-level timing wheel. It does no locking: the owner of the
-// table whose records it indexes serializes every call.
+// Wheel is the timing wheel. It does no locking: the owner of the table
+// whose records it indexes serializes every call.
 type Wheel[T comparable] struct {
-	res  int64 // nanoseconds per level-0 tick
-	tick int64 // next unprocessed tick: every timer with deadline/res < tick has been expired or re-binned
-	// slots are circular-list sentinels; an empty bucket points at itself.
-	slots [2][wheelSlots]Timer[T]
+	res  int64 // nanoseconds per tick
+	tick int64 // next unprocessed tick: every timer with deadline/res < tick has been expired or re-filed
+	// slots are the buckets' heads, nil when empty; tick t's bucket is
+	// slots[t%wheelSlots].
+	slots [wheelSlots]*Timer[T]
 }
 
 // NewWheel returns an empty wheel with the given tick width (see WheelRes)
@@ -87,14 +86,7 @@ type Wheel[T comparable] struct {
 // a wheel made long after the clock's epoch does not replay the ticks
 // before it on its first advance.
 func NewWheel[T comparable](res time.Duration, now int64) *Wheel[T] {
-	w := &Wheel[T]{res: int64(res), tick: now / int64(res)}
-	for l := range w.slots {
-		for i := range w.slots[l] {
-			s := &w.slots[l][i]
-			s.next, s.prev = s, s
-		}
-	}
-	return w
+	return &Wheel[T]{res: int64(res), tick: now / int64(res)}
 }
 
 // Schedule arms t, on behalf of item (which must not be the zero T), to
@@ -102,11 +94,11 @@ func NewWheel[T comparable](res time.Duration, now int64) *Wheel[T] {
 // refresh or on the reuse of a recycled record. A linked timer whose
 // deadline moves later keeps its bucket, which comes due first; only a
 // deadline moved earlier is relinked at once. Deadlines whose tick has
-// already been processed land in the imminent level-0 bucket and expire on
-// the next advance.
+// already been processed land in the imminent bucket and expire on the
+// next advance.
 func (w *Wheel[T]) Schedule(t *Timer[T], item T, deadline int64) {
 	t.item = item
-	if t.next != nil {
+	if t.pprev != nil {
 		if deadline >= t.deadline {
 			t.deadline = deadline
 			return
@@ -122,16 +114,12 @@ func (w *Wheel[T]) link(t *Timer[T]) {
 	if dt < w.tick {
 		dt = w.tick
 	}
-	var s *Timer[T]
-	if dt-w.tick < wheelSlots {
-		s = &w.slots[0][dt&wheelMask]
-	} else {
-		s = &w.slots[1][(dt>>wheelBits)&wheelMask]
+	b := &w.slots[dt&(wheelSlots-1)]
+	t.next, t.pprev = *b, b
+	if *b != nil {
+		(*b).pprev = &t.next
 	}
-	t.prev = s.prev
-	t.next = s
-	s.prev.next = t
-	s.prev = t
+	*b = t
 }
 
 // Advance processes every tick now has fully passed and calls expire for
@@ -145,13 +133,15 @@ func (w *Wheel[T]) Advance(now int64, expire func(T)) {
 	var zero T
 	for nowTick := now / w.res; w.tick < nowTick; w.tick++ {
 		t := w.tick
-		if t&wheelMask == 0 {
-			w.cascade(t)
-		}
-		s := &w.slots[0][t&wheelMask]
-		for e := s.next; e != s; {
+		// Detach the bucket before walking it: a timer re-filed a lap (or a
+		// multiple of one) out lands back in this very bucket and must not
+		// be met again now.
+		b := &w.slots[t&(wheelSlots-1)]
+		e := *b
+		*b = nil
+		for e != nil {
 			next := e.next
-			e.unlink()
+			e.next, e.pprev = nil, nil
 			switch {
 			case e.item == zero:
 			case e.deadline/w.res > t:
@@ -161,26 +151,5 @@ func (w *Wheel[T]) Advance(now int64, expire func(T)) {
 			}
 			e = next
 		}
-	}
-}
-
-// cascade lazily re-bins the level-1 bucket covering the level-0 window
-// that starts at tick t: timers due inside the window drop to level 0,
-// timers a full lap (or more) away go back into level 1, and stopped
-// timers leave the wheel.
-func (w *Wheel[T]) cascade(t int64) {
-	var zero T
-	s := &w.slots[1][(t>>wheelBits)&wheelMask]
-	// Detach the whole list first: a re-binned timer may land back in this
-	// very bucket (another lap out) and must not be rescanned now.
-	head := s.next
-	s.next, s.prev = s, s
-	for e := head; e != s; {
-		next := e.next
-		e.next, e.prev = nil, nil
-		if e.item != zero {
-			w.link(e)
-		}
-		e = next
 	}
 }

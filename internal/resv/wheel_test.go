@@ -48,18 +48,19 @@ func TestWheelRefreshRelinksBeforeExpiry(t *testing.T) {
 	}
 }
 
-func TestWheelCascadeLevels(t *testing.T) {
-	// Deadlines beyond the level-0 horizon (64 ticks) must cascade down
-	// and still expire strictly after their deadline.
+func TestWheelDeadlinesBeyondOneLap(t *testing.T) {
+	// Deadlines more than one lap (256 ticks) out share a bucket with
+	// nearer ones; each must be re-filed until its own tick comes due and
+	// still expire strictly after its deadline.
 	w := NewWheel[uint64](1, 0)
 	for _, tc := range []struct {
 		id       uint64
 		deadline int64
 	}{
-		{1, 10},    // level 0
-		{2, 100},   // level 1
-		{3, 4000},  // level 1, same lap
-		{4, 40000}, // multiple laps through level 1
+		{1, 10},    // first lap
+		{2, 100},   // first lap
+		{3, 4000},  // sixteenth lap
+		{4, 40000}, // more than 150 laps out
 	} {
 		w.Schedule(new(Timer[uint64]), tc.id, tc.deadline)
 	}
@@ -77,7 +78,7 @@ func TestWheelCascadeLevels(t *testing.T) {
 		if at <= dl {
 			t.Errorf("flow %d expired at %d, not strictly after deadline %d", id, at, dl)
 		}
-		if at > dl+wheelSlots+7 {
+		if at > dl+64+7 {
 			t.Errorf("flow %d expired at %d, far past deadline %d", id, at, dl)
 		}
 	}
@@ -106,7 +107,7 @@ func TestWheelLazyRearm(t *testing.T) {
 	w.Schedule(reused, 2, 30)  // ...and its record reused for another flow
 	w.Schedule(earlier, 3, 50) // filed at 50
 	w.Schedule(earlier, 3, 20) // moved earlier: must go at 20, not 50
-	w.Schedule(far, 4, 1000)   // level 1
+	w.Schedule(far, 4, 1000)   // beyond one lap
 	far.Stop()
 	expired := make(map[uint64]int64)
 	for now := int64(0); now <= 2000; now++ {
@@ -120,6 +121,28 @@ func TestWheelLazyRearm(t *testing.T) {
 		if expired[id] != at {
 			t.Errorf("flow %d expired at %d, want %d", id, expired[id], at)
 		}
+	}
+}
+
+func TestWheelPostponeOneLapRefilesIntoDrainedBucket(t *testing.T) {
+	// A timer postponed exactly one lap past the bucket it sits in is
+	// re-filed into the very bucket the advance is draining. It must wait
+	// out that lap, not expire (or be met again) in the same advance.
+	w := NewWheel[uint64](1, 0)
+	tm := new(Timer[uint64])
+	w.Schedule(tm, 1, 10)
+	w.Schedule(tm, 1, 10+wheelSlots) // postponed in place: still in bucket 10
+	if got := collectExpired(w, 11); len(got) != 0 {
+		t.Fatalf("advance(11) expired %v; the deadline is a lap away", got)
+	}
+	if tm.pprev != &w.slots[10] {
+		t.Fatal("the postponed timer was not re-filed into the bucket being drained")
+	}
+	if got := collectExpired(w, 10+wheelSlots); len(got) != 0 {
+		t.Fatalf("advance(%d) expired %v before the deadline tick ended", 10+wheelSlots, got)
+	}
+	if got := collectExpired(w, 11+wheelSlots); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("advance(%d) expired %v, want [1]", 11+wheelSlots, got)
 	}
 }
 

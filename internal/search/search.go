@@ -28,7 +28,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"beqos/internal/dist"
 	"beqos/internal/loadgen"
@@ -98,7 +97,9 @@ type Cell struct {
 	Limit  int
 	// Blocking is the measured blocking probability — arriving-flow denial
 	// rate in live mode, per-attempt rejection rate in sim mode — with its
-	// standard error.
+	// standard error: batch-means live, across replications in sim mode,
+	// or, for a checked cell where that is 0 and Blocking is off its
+	// prediction, the binomial error over Flows (loadgen.CheckRare).
 	Blocking float64
 	Sigma    float64
 	// Predicted is the analytical counterpart when Checked (TailProb(L−1)
@@ -328,23 +329,18 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}, nil
 }
 
-// judge fills a cell's Predicted/Z/OK fields from its measurement.
-func judge(c *Cell, predicted float64) {
+// check fills c's OK and, for a checked cell, its Predicted, Sigma and Z:
+// the load harness's tail check of the measured blocking against
+// predicted over the cell's flows, so a cell that saw no blocking is held
+// to the binomial sigma. A cell with anomalies fails either way.
+func (c *Cell) check(predicted float64) {
+	c.OK = c.Anomalies == 0
 	if !c.Checked {
-		c.OK = c.Anomalies == 0
 		return
 	}
-	c.Predicted = predicted
-	diff := math.Abs(c.Blocking - predicted)
-	switch {
-	case diff == 0:
-		c.Z = 0
-	case c.Sigma > 0:
-		c.Z = diff / c.Sigma
-	default:
-		c.Z = math.Inf(1)
-	}
-	c.OK = c.Z <= SigmaBound && c.Anomalies == 0
+	ck := loadgen.CheckRare("blocking", c.Blocking, predicted, c.Sigma, c.Flows)
+	c.Predicted, c.Sigma, c.Z = predicted, ck.Sigma, ck.Z
+	c.OK = c.OK && ck.OK
 }
 
 // runLive measures one cell against a real server through the load harness.
@@ -387,7 +383,7 @@ func (s *Spec) runLive(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2
 	}
 	// An arriving flow is denied exactly when the standing Poisson
 	// population already fills the limit: P(pop ≥ L) by PASTA.
-	judge(&cell, pois.TailProb(limit-1))
+	cell.check(pois.TailProb(limit - 1))
 	if cell.Checked && limit == kmax {
 		// At full limit the policy must be behaviorally identical to plain
 		// counting admission; hold it to the complete cross-validation
@@ -449,13 +445,12 @@ func (s *Spec) runSim(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2 
 			degenerate = degenerate || cal.Degenerate
 		}
 	}
-	mBlk, seBlk := meanStderr(blk)
-	mUtil, _ := meanStderr(util)
+	b := sim.Summarize(blk)
 	cell := Cell{
 		K1: k1, K2: k2, Limit: limit, Checked: checked,
-		Blocking:    mBlk,
-		Sigma:       seBlk,
-		MeanUtility: mUtil,
+		Blocking:    b.Mean,
+		Sigma:       b.StdErr,
+		MeanUtility: sim.Summarize(util).Mean,
 		Flows:       flows,
 		Degenerate:  degenerate,
 	}
@@ -464,21 +459,6 @@ func (s *Spec) runSim(kmax int, k1, k2 float64, pois dist.Poisson, seed1, seed2 
 	}
 	// Rejected flows leave the system, so admission is the M/M/L/L loss
 	// system and per-attempt blocking is the Erlang loss probability.
-	judge(&cell, pois.PMF(limit)/pois.CDF(limit))
+	cell.check(pois.PMF(limit) / pois.CDF(limit))
 	return cell, nil
-}
-
-// meanStderr is the across-replication mean and standard error.
-func meanStderr(xs []float64) (mean, stderr float64) {
-	n := float64(len(xs))
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= n
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / (n - 1) / n)
 }

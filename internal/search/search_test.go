@@ -75,6 +75,40 @@ func TestSimCountingMatchesErlang(t *testing.T) {
 	}
 }
 
+// TestLightLoadCellsPass runs one counting cell in each mode at a load so
+// light that it measures no blocking at all while the model predicts a
+// small nonzero probability. Its zero batch-means or replication sigma
+// must give way to the binomial one over the cell's flows (the load
+// harness's CheckRare), and the live cell's full cross-validation must
+// hold too.
+func TestLightLoadCellsPass(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		mean float64
+	}{{"live", 2}, {"sim", 1}} {
+		rep, err := Run(context.Background(), Spec{
+			Policy:   "counting",
+			Capacity: 8,
+			Util:     rigid(t, 1),
+			Rate:     tc.mean / 0.5,
+			Hold:     0.5,
+			Duration: 200,
+			Mode:     tc.mode,
+			Seed1:    1, Seed2: 1 ^ 0x9e3779b97f4a7c15,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rep.Cells[0]
+		if c.Blocking != 0 || !(c.Predicted > 0) {
+			t.Fatalf("%s: blocking %g against %g; the case needs a cell that saw none of a nonzero prediction", tc.mode, c.Blocking, c.Predicted)
+		}
+		if !c.OK || !(c.Sigma > 0) || c.Z > SigmaBound {
+			t.Errorf("%s: blocking %.4f ± %.4f vs predicted %.4g (z = %.2f): want a pass on the binomial sigma", tc.mode, c.Blocking, c.Sigma, c.Predicted, c.Z)
+		}
+	}
+}
+
 // TestLiveTieredCrossValidates runs the tiered policy against a real server:
 // the full-limit cell must pass the complete model cross-validation (it is
 // behaviorally plain counting) and the half-limit cell must match the

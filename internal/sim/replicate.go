@@ -67,14 +67,15 @@ func RunReplicationsWorkers(cfg Config, n, workers int) (Replication, error) {
 		util[i], occ[i], blk[i] = m.util, m.occ, m.blk
 	}
 	return Replication{
-		MeanUtility:  summarize(util),
-		AvgOccupancy: summarize(occ),
-		BlockingRate: summarize(blk),
+		MeanUtility:  Summarize(util),
+		AvgOccupancy: Summarize(occ),
+		BlockingRate: Summarize(blk),
 	}, nil
 }
 
-// summarize computes mean and standard error.
-func summarize(xs []float64) Summary {
+// Summarize computes the mean of independent replications' values and its
+// standard error.
+func Summarize(xs []float64) Summary {
 	n := float64(len(xs))
 	var mean float64
 	for _, x := range xs {
