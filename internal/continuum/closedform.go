@@ -58,11 +58,11 @@ func (e ExpRigid) BandwidthGap(c float64) (float64, error) {
 	f := func(d float64) float64 {
 		return e.Beta*d - math.Log1p(e.Beta*(c+d))
 	}
-	hi := 2 / e.Beta * (1 + math.Log1p(e.Beta*c))
-	for f(hi) < 0 {
-		hi *= 2
+	d, err := numeric.Root(f, 0, 2/e.Beta*(1+math.Log1p(e.Beta*c)), math.Inf(1), 1e-12*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("continuum: bandwidth gap diverges at C=%g: %w", c, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-12*(1+c))
+	return d, nil
 }
 
 // ProvisionBestEffort returns the §4 closed form: the optimal capacity
@@ -120,14 +120,11 @@ func (e ExpRigid) GammaEqualize(p float64) (float64, error) {
 		}
 		return pr.Welfare - pb.Welfare
 	}
-	hi := 2.0
-	for f(hi) > 0 {
-		hi *= 2
-		if hi > 1e9 {
-			return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g", p)
-		}
+	gamma, err := numeric.Root(f, 1, 2, 1e9, 1e-12)
+	if err != nil {
+		return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g: %w", p, err)
 	}
-	return numeric.Brent(f, 1, hi, 1e-12)
+	return gamma, nil
 }
 
 // ExpRamp is exponential load with the continuum adaptive (ramp) utility of
@@ -191,11 +188,11 @@ func (e ExpRamp) BandwidthGap(c float64) (float64, error) {
 		ramp := e.A / (1 - e.A) * (-math.Expm1(-e.Beta * (c + d) * (1 - e.A) / e.A))
 		return e.Beta*d - math.Log1p(ramp)
 	}
-	hi := (1 - math.Log(1-e.A)) / e.Beta
-	for f(hi) < 0 {
-		hi *= 2
+	d, err := numeric.Root(f, 0, (1-math.Log(1-e.A))/e.Beta, math.Inf(1), 1e-12*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("continuum: bandwidth gap diverges at C=%g: %w", c, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-12*(1+c))
+	return d, nil
 }
 
 // GapLimit returns lim_{C→∞} Δ(C) = −ln(1−a)/β.
@@ -312,14 +309,11 @@ func (a AlgRigid) GammaEqualize(p float64) (float64, error) {
 		}
 		return pr.Welfare - pb.Welfare
 	}
-	hi := 2.0
-	for f(hi) > 0 {
-		hi *= 2
-		if hi > 1e9 {
-			return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g", p)
-		}
+	gamma, err := numeric.Root(f, 1, 2, 1e9, 1e-12)
+	if err != nil {
+		return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g: %w", p, err)
 	}
-	return numeric.Brent(f, 1, hi, 1e-12)
+	return gamma, nil
 }
 
 // AlgRamp is algebraic load with the ramp utility of parameter a.
@@ -417,12 +411,9 @@ func (r AlgRamp) GammaEqualize(p float64) (float64, error) {
 		}
 		return pr.Welfare - wb
 	}
-	hi := 2.0
-	for f(hi) > 0 {
-		hi *= 2
-		if hi > 1e9 {
-			return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g", p)
-		}
+	gamma, err := numeric.Root(f, 1, 2, 1e9, 1e-12)
+	if err != nil {
+		return 0, fmt.Errorf("continuum: γ bracket exceeded at p=%g: %w", p, err)
 	}
-	return numeric.Brent(f, 1, hi, 1e-12)
+	return gamma, nil
 }

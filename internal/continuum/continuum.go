@@ -123,20 +123,7 @@ func (n *Numeric) PerformanceGap(c float64) float64 {
 
 // BandwidthGap returns Δ(C) solving B(C + Δ) = R(C).
 func (n *Numeric) BandwidthGap(c float64) (float64, error) {
-	r := n.Reservation(c)
-	b := n.BestEffort(c)
-	if r-b <= 1e-10 {
-		return 0, nil
-	}
-	f := func(delta float64) float64 { return n.BestEffort(c+delta) - r }
-	hi := math.Max(c, 1.0)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("continuum: bandwidth gap diverges at C=%g", c)
-		}
-	}
-	return numeric.Brent(f, 0, hi, 1e-9*(1+c))
+	return core.InvertGap(n.BestEffort, n.Reservation(c), c)
 }
 
 // TotalBestEffort returns V_B(C) = k̄·B(C) for the welfare model.

@@ -69,14 +69,11 @@ func (e ExpRigidSampling) BandwidthGap(c float64) (float64, error) {
 		lossB := math.Exp(-bc) * (1 + bc)
 		return float64(e.s)*math.Log1p(-lossB) - target
 	}
-	hi := math.Max(c, 1.0)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("continuum: sampling gap diverges at C=%g", c)
-		}
+	d, err := numeric.Root(f, 0, math.Max(c, 1), 1e12, 1e-10*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("continuum: sampling gap diverges at C=%g: %w", c, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-10*(1+c))
+	return d, nil
 }
 
 // AlgRigidSampling is the continuum sampling model for algebraic load and
@@ -123,14 +120,11 @@ func (a AlgRigidSampling) BandwidthGap(c float64) (float64, error) {
 	f := func(d float64) float64 {
 		return float64(a.s)*math.Log1p(-math.Pow(c+d, 2-a.base.Z)) - target
 	}
-	hi := c * SamplingAlgRigidRatio(a.base.Z, a.s) * 2
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e15 {
-			return 0, fmt.Errorf("continuum: sampling gap diverges at C=%g", c)
-		}
+	d, err := numeric.Root(f, 0, c*SamplingAlgRigidRatio(a.base.Z, a.s)*2, 1e15, 1e-10*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("continuum: sampling gap diverges at C=%g: %w", c, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-10*(1+c))
+	return d, nil
 }
 
 // ExpRigidRetry is the continuum retry model for exponential load and rigid
@@ -165,19 +159,10 @@ func (e ExpRigidRetry) Equilibrium(c float64) (lhat, theta float64, err error) {
 		}
 		return l - e.kbar*(1+th/(1-th))
 	}
-	lo, hi := e.kbar, e.kbar
-	for i := 0; ; i++ {
-		hi *= 2
-		if g(hi) >= 0 {
-			break
-		}
-		if i > 13 {
-			return 0, 0, fmt.Errorf("continuum: retry storm at C=%g", c)
-		}
-	}
-	lhat, err = numeric.Brent(g, lo, hi, 1e-10*lo)
+	// An L̂ past 2^15·k̄, some 8000 retries per flow, is a retry storm.
+	lhat, err = numeric.Root(g, e.kbar, 2*e.kbar, 32768*e.kbar, 1e-10*e.kbar)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("continuum: retry storm at C=%g: %w", c, err)
 	}
 	return lhat, math.Exp(-c / lhat), nil
 }
@@ -251,19 +236,10 @@ func (a AlgRigidRetry) Equilibrium(c float64) (lhat, theta float64, err error) {
 		}
 		return l - a.kbar*(1+th/(1-th))
 	}
-	lo, hi := a.kbar, a.kbar
-	for i := 0; ; i++ {
-		hi *= 2
-		if g(hi) >= 0 {
-			break
-		}
-		if i > 13 {
-			return 0, 0, fmt.Errorf("continuum: retry storm at C=%g", c)
-		}
-	}
-	lhat, err = numeric.Brent(g, lo, hi, 1e-10*lo)
+	// An L̂ past 2^15·k̄ is a retry storm, as in ExpRigidRetry.
+	lhat, err = numeric.Root(g, a.kbar, 2*a.kbar, 32768*a.kbar, 1e-10*a.kbar)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("continuum: retry storm at C=%g: %w", c, err)
 	}
 	return lhat, a.scaledTheta(c, lhat), nil
 }
@@ -308,12 +284,9 @@ func (a AlgRigidRetry) BandwidthGap(c float64) (float64, error) {
 		return 0, fmt.Errorf("continuum: R̃(%g) = %g leaves no solvable gap", c, r)
 	}
 	f := func(d float64) float64 { return a.BestEffort(c+d) - r }
-	hi := c * (RetryAlgRigidRatio(a.z, math.Max(a.alpha, 1e-6)) + 1)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e15 {
-			return 0, fmt.Errorf("continuum: retry gap diverges at C=%g", c)
-		}
+	d, err := numeric.Root(f, 0, c*(RetryAlgRigidRatio(a.z, math.Max(a.alpha, 1e-6))+1), 1e15, 1e-10*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("continuum: retry gap diverges at C=%g: %w", c, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-10*(1+c))
+	return d, nil
 }

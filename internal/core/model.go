@@ -73,7 +73,6 @@ type Model struct {
 	// false (elastic utilities) the reservation network admits everyone
 	// and the two architectures coincide.
 	inelastic bool
-	tol       float64
 	// kcut is the summation index beyond which heavy-tailed loads switch
 	// from term-by-term summation to an integral tail (see dist.RealPMF).
 	// It is far past the bulk of the load mass, so the integrand is smooth
@@ -110,7 +109,6 @@ func New(load dist.Discrete, util utility.Function) (*Model, error) {
 		util:      util,
 		mean:      mean,
 		inelastic: inelastic,
-		tol:       defaultTol,
 		kcut:      kcut,
 	}, nil
 }
@@ -167,7 +165,7 @@ func (m *Model) totalBestEffort(c float64) float64 {
 		// tail-moment evaluation, so test it at geometrically spaced
 		// checkpoints.
 		if k == check || pk == 0 {
-			if bound := m.util.Eval(c/float64(k)) * m.load.TailMean(k); bound <= m.tol*(1+sum.Sum()) {
+			if bound := m.util.Eval(c/float64(k)) * m.load.TailMean(k); bound <= defaultTol*(1+sum.Sum()) {
 				break
 			}
 			check += 32 + check/4
@@ -177,7 +175,7 @@ func (m *Model) totalBestEffort(c float64) float64 {
 			// ≈ ∫_{k+1/2}^∞ x·P(x)·π(C/x) dx.
 			sum.Add(numeric.IntegrateToInf(func(x float64) float64 {
 				return x * rp.PMFAt(x) * m.util.Eval(c/x)
-			}, float64(k)+0.5, m.tol/100))
+			}, float64(k)+0.5, defaultTol/100))
 			break
 		}
 		if k > 1<<26 {
@@ -224,13 +222,13 @@ func (m *Model) totalReservation(c float64) float64 {
 		head = m.kcut
 		sum.Add(numeric.Integrate(func(x float64) float64 {
 			return x * rp.PMFAt(x) * m.util.Eval(c/x)
-		}, float64(head)+0.5, float64(kmax)+0.5, m.tol/100))
+		}, float64(head)+0.5, float64(kmax)+0.5, defaultTol/100))
 	}
 	for k := 1; k <= head; k++ {
 		sum.Add(m.load.PMF(k) * float64(k) * m.util.Eval(c/float64(k)))
 		// Terms are bounded by k·P(k); once the remaining head mass is
 		// negligible (π ≤ 1), skip straight to the overflow term.
-		if k%64 == 0 && m.load.TailMean(k) <= m.tol*(1+sum.Sum()) {
+		if k%64 == 0 && m.load.TailMean(k) <= defaultTol*(1+sum.Sum()) {
 			break
 		}
 	}
@@ -259,26 +257,30 @@ func (m *Model) PerformanceGap(c float64) float64 {
 // BandwidthGap returns Δ(C), the extra capacity the best-effort-only
 // architecture needs to match reservation performance:
 // B(C + Δ) = R(C). B is nondecreasing in capacity, so Δ is found by
-// monotone inversion; it is 0 whenever the gap is already below the model
-// tolerance.
+// monotone inversion (InvertGap); it is 0 whenever the gap is already below
+// the model tolerance.
 func (m *Model) BandwidthGap(c float64) (float64, error) {
-	r := m.Reservation(c)
-	b := m.BestEffort(c)
-	if r-b <= m.tol {
+	return InvertGap(m.BestEffort, m.Reservation(c), c)
+}
+
+// InvertGap returns the bandwidth gap Δ ≥ 0 solving best(c + Δ) = r, for a
+// nondecreasing best-effort utility best and a reservation utility r at
+// capacity c: 0 when r exceeds best(c) by no more than the model tolerance,
+// else the root, bracketed by doubling from max(c, 1). best approaches its
+// supremum (at most 1) from below, and r lies under that supremum for the
+// loads considered; a gap past 1e12 is reported as diverging. The model,
+// its sampling and retrying extensions and the continuum quadrature model
+// all solve their gaps through it.
+func InvertGap(best func(float64) float64, r, c float64) (float64, error) {
+	if r-best(c) <= defaultTol {
 		return 0, nil
 	}
-	f := func(delta float64) float64 { return m.BestEffort(c+delta) - r }
-	// Expand the bracket geometrically: B approaches sup_k π-weighted
-	// mean ≤ 1 from below, and R(C) < that supremum for the distributions
-	// considered, but guard against pathological cases anyway.
-	hi := math.Max(c, 1.0)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("core: bandwidth gap diverges at C=%g (B never reaches R=%g)", c, r)
-		}
+	f := func(delta float64) float64 { return best(c+delta) - r }
+	delta, err := numeric.Root(f, 0, math.Max(c, 1), 1e12, 1e-9*(1+c))
+	if err != nil {
+		return 0, fmt.Errorf("core: bandwidth gap diverges at C=%g (B never reaches R=%g): %w", c, r, err)
 	}
-	return numeric.Brent(f, 0, hi, 1e-9*(1+c))
+	return delta, nil
 }
 
 // Gaps returns B(C), R(C), δ(C) and Δ(C) in one call, sharing the

@@ -192,7 +192,9 @@ func (rt *Retry) solveEquilibrium(kmax int) (FixedPoint, error) {
 	}
 	if !converged {
 		// Bracketed fallback: g(L) = L − k̄(1 + D(L)) crosses zero from
-		// below at the fixed point (if one exists).
+		// below at the fixed point (if one exists). Beyond ~8000 retries
+		// per flow (L past 2^15·k̄) the equilibrium is physically
+		// meaningless: call it a storm.
 		g := func(l float64) float64 {
 			th, err := thetaAt(l)
 			if err != nil || th >= 1 {
@@ -201,22 +203,10 @@ func (rt *Retry) solveEquilibrium(kmax int) (FixedPoint, error) {
 			return l - rt.m.mean*(1+th/(1-th))
 		}
 		lo := rt.m.mean
-		hi := lo
-		for i := 0; ; i++ {
-			hi *= 2
-			if g(hi) >= 0 {
-				break
-			}
-			// Beyond ~8000 retries per flow the equilibrium is physically
-			// meaningless: call it a storm.
-			if i > 13 {
-				return FixedPoint{}, fmt.Errorf("core: retry storm at kmax=%d: no fixed point below %g·k̄", kmax, hi/rt.m.mean)
-			}
-		}
 		var err error
-		l, err = numeric.Brent(g, lo, hi, 1e-6*lo)
+		l, err = numeric.Root(g, lo, 2*lo, 32768*lo, 1e-6*lo)
 		if err != nil {
-			return FixedPoint{}, fmt.Errorf("core: retry fixed point at kmax=%d: %w", kmax, err)
+			return FixedPoint{}, fmt.Errorf("core: retry storm at kmax=%d: %w", kmax, err)
 		}
 		theta, err = thetaAt(l)
 		if err != nil {
@@ -274,19 +264,7 @@ func (rt *Retry) BandwidthGap(c float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	b := rt.m.BestEffort(c)
-	if r-b <= rt.m.tol {
-		return 0, nil
-	}
-	f := func(delta float64) float64 { return rt.m.BestEffort(c+delta) - r }
-	hi := math.Max(c, 1.0)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("core: retry bandwidth gap diverges at C=%g", c)
-		}
-	}
-	return numeric.Brent(f, 0, hi, 1e-9*(1+c))
+	return InvertGap(rt.m.BestEffort, r, c)
 }
 
 // TotalReservation returns k̄·R̃(C) for the welfare model; capacities in a
@@ -301,11 +279,11 @@ func (rt *Retry) TotalReservation(c float64) float64 {
 
 // ProvisionReservation returns C_R(p) and W_R(p) under retries.
 func (rt *Retry) ProvisionReservation(p float64) (Provision, error) {
-	return maximizeWelfare(rt.TotalReservation, p, rt.m.mean)
+	return MaximizeWelfare(rt.TotalReservation, p, rt.m.mean)
 }
 
 // GammaEqualize returns the equalizing price ratio γ(p) with retries on the
 // reservation side.
 func (rt *Retry) GammaEqualize(p float64) (float64, error) {
-	return gammaEqualize(rt.m.TotalBestEffort, rt.TotalReservation, p, rt.m.mean)
+	return GammaFromValues(rt.m.TotalBestEffort, rt.TotalReservation, p, rt.m.mean)
 }

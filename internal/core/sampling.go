@@ -113,7 +113,7 @@ func (sp *Sampling) BestEffort(c float64) float64 {
 		prevPow = pow
 		// Remaining mass is 1 − F^S(k), each term weighted by at most
 		// π(C/(k+1)).
-		if bound := (1 - pow) * sp.m.util.Eval(c/float64(k+1)); bound <= sp.m.tol*(1+sum.Sum()) {
+		if bound := (1 - pow) * sp.m.util.Eval(c/float64(k+1)); bound <= defaultTol*(1+sum.Sum()) {
 			break
 		}
 		if k > 1<<26 {
@@ -164,20 +164,7 @@ func (sp *Sampling) PerformanceGap(c float64) float64 {
 
 // BandwidthGap returns Δ_S(C) solving B_S(C + Δ) = R_S(C).
 func (sp *Sampling) BandwidthGap(c float64) (float64, error) {
-	r := sp.Reservation(c)
-	b := sp.BestEffort(c)
-	if r-b <= sp.m.tol {
-		return 0, nil
-	}
-	f := func(delta float64) float64 { return sp.BestEffort(c+delta) - r }
-	hi := math.Max(c, 1.0)
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("core: sampling bandwidth gap diverges at C=%g", c)
-		}
-	}
-	return numeric.Brent(f, 0, hi, 1e-9*(1+c))
+	return InvertGap(sp.BestEffort, sp.Reservation(c), c)
 }
 
 // TotalBestEffort returns k̄·B_S(C), the total-utility view used by the
@@ -193,15 +180,15 @@ func (sp *Sampling) TotalReservation(c float64) float64 {
 
 // ProvisionBestEffort returns C_B(p) and W_B(p) under sampling.
 func (sp *Sampling) ProvisionBestEffort(p float64) (Provision, error) {
-	return maximizeWelfare(sp.TotalBestEffort, p, sp.m.mean)
+	return MaximizeWelfare(sp.TotalBestEffort, p, sp.m.mean)
 }
 
 // ProvisionReservation returns C_R(p) and W_R(p) under sampling.
 func (sp *Sampling) ProvisionReservation(p float64) (Provision, error) {
-	return maximizeWelfare(sp.TotalReservation, p, sp.m.mean)
+	return MaximizeWelfare(sp.TotalReservation, p, sp.m.mean)
 }
 
 // GammaEqualize returns the equalizing price ratio γ(p) under sampling.
 func (sp *Sampling) GammaEqualize(p float64) (float64, error) {
-	return gammaEqualize(sp.TotalBestEffort, sp.TotalReservation, p, sp.m.mean)
+	return GammaFromValues(sp.TotalBestEffort, sp.TotalReservation, p, sp.m.mean)
 }

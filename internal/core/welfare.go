@@ -23,17 +23,13 @@ type Provision struct {
 // architecture's total-utility function bounded above by vmax (for π ≤ 1,
 // vmax = k̄). The optimum lies in [0, vmax/p]; a log-spaced scan plus local
 // refinement handles objectives that are stepped (rigid utilities) or span
-// several decades of capacity. It is exported for reuse by the continuum
-// model, which shares the §4 welfare machinery.
+// several decades of capacity. The continuum model shares it, as it shares
+// the rest of the §4 welfare machinery.
 func MaximizeWelfare(value func(float64) float64, p, vmax float64) (Provision, error) {
-	return maximizeWelfare(value, p, vmax)
-}
-
-func maximizeWelfare(value func(float64) float64, p, mean float64) (Provision, error) {
 	if !(p > 0) {
 		return Provision{}, fmt.Errorf("core: bandwidth price must be positive, got %g", p)
 	}
-	hi := mean / p
+	hi := vmax / p
 	if hi < 1 {
 		hi = 1
 	}
@@ -49,13 +45,13 @@ func maximizeWelfare(value func(float64) float64, p, mean float64) (Provision, e
 // ProvisionBestEffort returns the best-effort-only provisioning decision at
 // price p: C_B(p) and W_B(p).
 func (m *Model) ProvisionBestEffort(p float64) (Provision, error) {
-	return maximizeWelfare(m.TotalBestEffort, p, m.mean)
+	return MaximizeWelfare(m.TotalBestEffort, p, m.mean)
 }
 
 // ProvisionReservation returns the reservation-capable provisioning decision
 // at price p: C_R(p) and W_R(p).
 func (m *Model) ProvisionReservation(p float64) (Provision, error) {
-	return maximizeWelfare(m.TotalReservation, p, m.mean)
+	return MaximizeWelfare(m.TotalReservation, p, m.mean)
 }
 
 // GammaEqualize returns the equalizing price ratio γ(p) = p̂/p, where p̂ is
@@ -69,52 +65,37 @@ func (m *Model) ProvisionReservation(p float64) (Provision, error) {
 // welfares are zero at p (bandwidth too expensive for either architecture),
 // γ is reported as 1.
 func (m *Model) GammaEqualize(p float64) (float64, error) {
-	return gammaEqualize(m.TotalBestEffort, m.TotalReservation, p, m.mean)
+	return GammaFromValues(m.TotalBestEffort, m.TotalReservation, p, m.mean)
 }
 
 // GammaFromValues computes the equalizing price ratio γ(p) for arbitrary
 // architecture total-utility functions (best-effort and reservation), both
-// bounded above by vmax. It is exported for reuse by the continuum model.
+// bounded above by vmax: the GammaEqualize of the model, of its sampling
+// and retrying extensions and of the continuum quadrature model.
 func GammaFromValues(valueB, valueR func(float64) float64, p, vmax float64) (float64, error) {
-	return gammaEqualize(valueB, valueR, p, vmax)
-}
-
-// gammaEqualize implements GammaEqualize for arbitrary architecture value
-// functions, shared with the sampling and retrying extensions.
-func gammaEqualize(valueB, valueR func(float64) float64, p, mean float64) (float64, error) {
-	pb, err := maximizeWelfare(valueB, p, mean)
+	pb, err := MaximizeWelfare(valueB, p, vmax)
 	if err != nil {
 		return 0, err
 	}
-	wantW := pb.Welfare
-	wr := func(price float64) float64 {
-		pr, perr := maximizeWelfare(valueR, price, mean)
-		if perr != nil {
-			return math.NaN()
-		}
-		return pr.Welfare
-	}
-	if wantW <= 0 {
+	if pb.Welfare <= 0 {
 		return 1, nil
 	}
 	// W_R is continuous and strictly decreasing in price while positive;
-	// W_R(p) ≥ W_B(p), so the equalizing price is ≥ p. Expand the bracket
-	// upward.
-	g := func(price float64) float64 { return wr(price) - wantW }
+	// W_R(p) ≥ W_B(p), so the equalizing price is ≥ p.
+	g := func(price float64) float64 {
+		pr, err := MaximizeWelfare(valueR, price, vmax)
+		if err != nil {
+			return math.NaN()
+		}
+		return pr.Welfare - pb.Welfare
+	}
 	if g(p) < 0 {
 		// Numerical degeneracy (the two architectures coincide): γ = 1.
 		return 1, nil
 	}
-	hi := p * 2
-	for g(hi) > 0 {
-		hi *= 2
-		if hi > p*1e9 {
-			return 0, fmt.Errorf("core: equalizing price beyond %g·p", 1e9)
-		}
-	}
-	phat, err := numeric.Brent(g, p, hi, 1e-9*p)
+	phat, err := numeric.Root(g, p, 2*p, 1e9*p, 1e-9*p)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: equalizing price at p=%g: %w", p, err)
 	}
 	return phat / p, nil
 }

@@ -1,6 +1,7 @@
 // Package numeric provides the numerical substrate used throughout beqos:
-// root finding, maximization, adaptive quadrature, infinite-series summation,
-// and the special functions (Hurwitz zeta, Lambert W) needed by the
+// one bracketed root solve (Root: double the bracket, then Brent),
+// maximization, adaptive quadrature, compensated summation, and the special
+// functions (Hurwitz zeta, the W₋₁ branch of Lambert W) needed by the
 // analytical model of Breslau & Shenker (SIGCOMM 1998).
 //
 // Go's standard library has no scientific-computing package, so this package

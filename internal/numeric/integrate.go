@@ -82,31 +82,6 @@ func IntegrateToInfScaled(f func(float64) float64, a, s, tol float64) float64 {
 	return Integrate(g, 0, 1, tol)
 }
 
-// SumTail sums f(k) for k = start, start+1, … until the running tail becomes
-// negligible: it stops after seeing consecutive terms below tol·(1+|sum|) for
-// a guard window, or after maxTerms terms. Summation is compensated (Kahan).
-func SumTail(f func(k int) float64, start int, tol float64, maxTerms int) float64 {
-	var sum, comp float64
-	small := 0
-	const guard = 32
-	for k, n := start, 0; n < maxTerms; k, n = k+1, n+1 {
-		t := f(k)
-		y := t - comp
-		s := sum + y
-		comp = (s - sum) - y
-		sum = s
-		if math.Abs(t) <= tol*(1+math.Abs(sum)) {
-			small++
-			if small >= guard {
-				break
-			}
-		} else {
-			small = 0
-		}
-	}
-	return sum
-}
-
 // KahanSum accumulates a compensated (Kahan) running sum. The zero value is
 // ready to use.
 type KahanSum struct {

@@ -60,22 +60,6 @@ func TestIntegrateAdditivityProperty(t *testing.T) {
 	}
 }
 
-func TestSumTailGeometric(t *testing.T) {
-	got := SumTail(func(k int) float64 { return math.Pow(0.5, float64(k)) }, 0, 1e-16, 1_000_000)
-	almostEqual(t, got, 2, 1e-12, "Σ 2^(−k)")
-}
-
-func TestSumTailPoissonNormalization(t *testing.T) {
-	// Σ_k ν^k e^(−ν)/k! = 1 for ν = 100, using log-space PMF evaluation.
-	nu := 100.0
-	pmf := func(k int) float64 {
-		lg, _ := math.Lgamma(float64(k) + 1)
-		return math.Exp(float64(k)*math.Log(nu) - nu - lg)
-	}
-	got := SumTail(pmf, 0, 1e-18, 100000)
-	almostEqual(t, got, 1, 1e-10, "Poisson normalization")
-}
-
 func TestKahanSumPrecision(t *testing.T) {
 	var ks KahanSum
 	ks.Add(1e16)

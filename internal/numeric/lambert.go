@@ -2,34 +2,6 @@ package numeric
 
 import "math"
 
-// LambertW0 computes the principal branch W₀ of the Lambert W function:
-// the solution w ≥ −1 of w·e^w = x, defined for x ≥ −1/e.
-// It returns NaN for x < −1/e.
-func LambertW0(x float64) float64 {
-	const negInvE = -1.0 / math.E
-	switch {
-	case math.IsNaN(x) || x < negInvE:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x == negInvE:
-		return -1
-	}
-	// Initial guess.
-	var w float64
-	if x < 1 {
-		// Series around the branch point for x near −1/e, else simple start.
-		p := math.Sqrt(2 * (math.E*x + 1))
-		w = -1 + p - p*p/3 + 11*p*p*p/72
-	} else {
-		w = math.Log(x)
-		if w > 3 {
-			w -= math.Log(w)
-		}
-	}
-	return halleyW(x, w)
-}
-
 // LambertWm1 computes the secondary real branch W₋₁: the solution w ≤ −1 of
 // w·e^w = x, defined for x ∈ [−1/e, 0). It returns NaN outside that domain.
 func LambertWm1(x float64) float64 {

@@ -14,43 +14,34 @@ var ErrNoBracket = errors.New("numeric: no sign change in bracket")
 // budget without meeting its tolerance.
 var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs (zero endpoint values are accepted as roots). The result is
-// accurate to within tol in the argument.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.IsNaN(fa) || math.IsNaN(fb) || fa*fb > 0 {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		if b-a <= tol || m == a || m == b {
-			return m, nil
+// maxBrentSteps is Brent's iteration budget.
+const maxBrentSteps = 200
+
+// Root finds the root of f past lo, for an f that changes sign once there.
+// It doubles hi until f(hi) is zero or differs in sign from f(lo), failing
+// with ErrNoBracket once hi would pass max, then runs Brent on [lo, hi],
+// reusing both end values; tol is the absolute argument tolerance.
+func Root(f func(float64) float64, lo, hi, max, tol float64) (float64, error) {
+	flo, fhi := f(lo), f(hi)
+	for flo < 0 && fhi < 0 || flo > 0 && fhi > 0 {
+		if hi *= 2; hi > max {
+			return 0, fmt.Errorf("%w: f(%g)=%g and no sign change up to %g", ErrNoBracket, lo, flo, max)
 		}
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if fa*fm < 0 {
-			b = m
-		} else {
-			a, fa = m, fm
-		}
+		fhi = f(hi)
 	}
-	return a + (b-a)/2, nil
+	return brent(f, lo, hi, flo, fhi, tol)
 }
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(a) and f(b) must have opposite
-// signs. tol is the absolute argument tolerance.
+// signs. tol is the absolute argument tolerance; Brent also stops once its
+// bracket is two adjacent floats, which no step can narrow, and fails with
+// ErrNoConverge if neither happens within its iteration budget.
 func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
+	return brent(f, a, b, f(a), f(b), tol)
+}
+
+func brent(f func(float64) float64, a, b, fa, fb, tol float64) (float64, error) {
 	if fa == 0 {
 		return a, nil
 	}
@@ -66,8 +57,8 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	c, fc := a, fa
 	mflag := true
 	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) <= tol {
+	for i := 0; i < maxBrentSteps; i++ {
+		if fb == 0 || math.Abs(b-a) <= tol || math.Nextafter(a, b) == b {
 			return b, nil
 		}
 		var s float64
@@ -107,68 +98,5 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 			a, b, fa, fb = b, a, fb, fa
 		}
 	}
-	return b, nil
-}
-
-// BracketUp expands an initial interval [lo, hi] geometrically to the right
-// until f changes sign (or hits max), then returns the bracketing interval.
-// It is intended for monotone f with f(lo) of known sign.
-func BracketUp(f func(float64) float64, lo, hi, max float64) (a, b float64, err error) {
-	flo := f(lo)
-	if flo == 0 {
-		return lo, lo, nil
-	}
-	a = lo
-	for hi <= max {
-		if flo*f(hi) <= 0 {
-			return a, hi, nil
-		}
-		a = hi
-		hi *= 2
-	}
-	if flo*f(max) <= 0 {
-		return a, max, nil
-	}
-	return 0, 0, fmt.Errorf("%w: no sign change up to %g", ErrNoBracket, max)
-}
-
-// InvertMonotone solves f(x) = y for x, where f is nondecreasing on
-// [lo, hi]. It brackets by expanding from lo and refines with Brent.
-func InvertMonotone(f func(float64) float64, y, lo, hi, tol float64) (float64, error) {
-	g := func(x float64) float64 { return f(x) - y }
-	a, b, err := BracketUp(g, lo, math.Min(lo*2+1, hi), hi)
-	if err != nil {
-		return 0, err
-	}
-	if a == b {
-		return a, nil
-	}
-	return Brent(g, a, b, tol)
-}
-
-// Newton runs Newton iterations for a root of f with derivative df starting
-// at x0. It falls back to halving the step when the iterate leaves [lo, hi].
-func Newton(f, df func(float64) float64, x0, lo, hi, tol float64) (float64, error) {
-	x := x0
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		if math.Abs(fx) == 0 {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) {
-			return 0, fmt.Errorf("%w: zero derivative at %g", ErrNoConverge, x)
-		}
-		step := fx / d
-		nx := x - step
-		for j := 0; j < 60 && (nx < lo || nx > hi || math.IsNaN(f(nx))); j++ {
-			step /= 2
-			nx = x - step
-		}
-		if math.Abs(nx-x) <= tol*(1+math.Abs(x)) {
-			return nx, nil
-		}
-		x = nx
-	}
-	return 0, ErrNoConverge
+	return 0, fmt.Errorf("%w: Brent bracket [%g, %g] after %d steps", ErrNoConverge, a, b, maxBrentSteps)
 }

@@ -71,24 +71,6 @@ func TestHurwitzZetaDomain(t *testing.T) {
 	}
 }
 
-func TestLambertW0KnownValues(t *testing.T) {
-	almostEqual(t, LambertW0(0), 0, 0, "W₀(0)")
-	almostEqual(t, LambertW0(math.E), 1, 1e-12, "W₀(e)")
-	almostEqual(t, LambertW0(1), 0.5671432904097838, 1e-12, "Ω constant")
-	almostEqual(t, LambertW0(-1/math.E), -1, 1e-9, "branch point")
-}
-
-func TestLambertW0Identity(t *testing.T) {
-	prop := func(seed float64) bool {
-		x := math.Mod(math.Abs(seed), 100) - 1/math.E + 1e-9
-		w := LambertW0(x)
-		return math.Abs(w*math.Exp(w)-x) < 1e-9*(1+math.Abs(x))
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLambertWm1KnownValues(t *testing.T) {
 	almostEqual(t, LambertWm1(-1/math.E), -1, 1e-9, "branch point")
 	// W₋₁(−0.1) ≈ −3.577152063957297
@@ -112,8 +94,8 @@ func TestLambertWm1Identity(t *testing.T) {
 }
 
 func TestLambertDomain(t *testing.T) {
-	if !math.IsNaN(LambertW0(-1)) {
-		t.Error("W₀ below branch point should be NaN")
+	if !math.IsNaN(LambertWm1(-1)) {
+		t.Error("W₋₁ below branch point should be NaN")
 	}
 	if !math.IsNaN(LambertWm1(0.5)) {
 		t.Error("W₋₁ of positive argument should be NaN")

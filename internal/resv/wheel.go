@@ -8,14 +8,16 @@ import "time"
 // of its deadline tick, so an advance only touches records whose bucket
 // comes due — never a scan of the whole table.
 //
-// A wheel has wheelSlots buckets, each one tick wide, and a tick is a
-// wheelSlots-th of the TTL, so one lap spans the TTL, the only deadline
-// the cells arm. A deadline is filed in the bucket of its tick modulo the
-// lap, so one a lap or more past the next tick to drain shares its bucket
-// with nearer ones and is re-filed each time that bucket comes due before
-// its tick: once, for a hold armed one TTL of 256 ticks out. Each bucket
-// is a list threaded through Timers embedded in the records themselves,
-// so linking and unlinking never allocate.
+// A wheel has wheelSlots buckets, each one tick wide, and a TTL, the only
+// deadline the cells arm, is ttlTicks ticks: 8 short of the lap. A
+// deadline is filed in the bucket of its tick modulo the lap, so one a lap
+// or more past the next tick to drain shares its bucket with nearer ones
+// and is re-filed each time that bucket comes due before its tick. A hold
+// armed one TTL out lands in a bucket that next comes due at its own
+// deadline tick, not in the one its arm's tick drains, so it is filed once
+// unless the expiry loop lags its arm by 7 ticks or more. Each bucket is a
+// list threaded through Timers embedded in the records themselves, so
+// linking and unlinking never allocate.
 //
 // Cancelling and postponing are lazy. A stopped timer, and a timer whose
 // deadline moved later, stay where they are until their bucket comes due;
@@ -24,16 +26,19 @@ import "time"
 // so cold in cache — on a teardown, a refresh, or the reuse of a recycled
 // record. The advance pays that instead, at most once per timer per bucket.
 
-// wheelSlots is both a wheel's lap in ticks and the number of ticks in a
-// TTL (see WheelRes).
+// wheelSlots is a wheel's lap in ticks.
 const wheelSlots = 256
 
+// ttlTicks is the number of ticks in a TTL (see WheelRes), a few short of
+// the lap.
+const ttlTicks = wheelSlots - 8
+
 // WheelRes returns the tick width of the expiry wheels for a soft-state
-// lifetime ttl > 0: ttl/256, at least 1ms, so pathological TTLs cannot
-// busy-loop an expiry goroutine or panic time.NewTicker. An expiry
+// lifetime ttl > 0: ttl/ttlTicks, at least 1ms, so pathological TTLs
+// cannot busy-loop an expiry goroutine or panic time.NewTicker. An expiry
 // goroutine advances its wheels once per tick.
 func WheelRes(ttl time.Duration) time.Duration {
-	if res := ttl / wheelSlots; res > time.Millisecond {
+	if res := ttl / ttlTicks; res > time.Millisecond {
 		return res
 	}
 	return time.Millisecond

@@ -146,6 +146,32 @@ func TestWheelPostponeOneLapRefilesIntoDrainedBucket(t *testing.T) {
 	}
 }
 
+// A hold is armed one TTL after the read's instant, while the expiry loop
+// has yet to drain the read's tick. Its bucket must not be the one that
+// drain empties, or the drain re-files it there and it is filed twice (as
+// when a TTL was exactly a lap of ticks, at 300 ms or 1 s).
+func TestWheelArmOneTTLOutFiledOnce(t *testing.T) {
+	for _, ttl := range []time.Duration{300 * time.Millisecond, time.Second} {
+		res := int64(WheelRes(ttl))
+		refiled := 0
+		for i := int64(0); i < 1000; i++ {
+			now := i * 1_000_003 // arm instants across many ticks and tick offsets
+			w := NewWheel[uint64](time.Duration(res), now)
+			w.Schedule(new(Timer[uint64]), 1, now+int64(ttl))
+			tick := now / res
+			if got := collectExpired(w, (tick+1)*res); len(got) != 0 {
+				t.Fatalf("TTL %v: the arm tick's advance expired %v", ttl, got)
+			}
+			if w.slots[tick%wheelSlots] != nil {
+				refiled++
+			}
+		}
+		if refiled != 0 {
+			t.Errorf("TTL %v: %d of 1000 holds armed one TTL out were re-filed into the bucket their arm tick drained", ttl, refiled)
+		}
+	}
+}
+
 func TestWheelPastDeadlineStillExpires(t *testing.T) {
 	// A deadline whose tick was already processed must land in an imminent
 	// bucket, not be lost for a full wheel lap.
