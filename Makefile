@@ -50,8 +50,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# The serving tests run at one processor too, where a server keeps one
+# lock stripe and a stream read holds its shard lock from its first flow op
+# until it is served: a hold left held there fails as a hang.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -cpu 1 ./internal/resv/ ./internal/cluster/
+	$(GO) test -race -cpu 1 ./internal/resv/
 
 # The release paths — teardown, rollback (a failed path refresh's
 # included), connection drop, TTL expiry, closing a serving plane (its connections' last log lines included) —

@@ -147,9 +147,14 @@ func BenchmarkSoftStateCell(b *testing.B) {
 		o.Init(1)
 		return c, o
 	}
+	// Each call takes and releases the cell's lock, as a datagram or a
+	// cluster hop does.
+	var lk resv.Locked
 	admit := func(b *testing.B, c *resv.Cell[uint64], o *resv.Owner[uint64], now int64, key uint64) {
 		f := resv.Frame{Type: resv.MsgRequest, FlowID: key, Value: 1}
-		if _, out, _ := c.Reserve(now, f, ^uint64(0), o, key); out != resv.Granted {
+		_, out := c.Reserve(&lk, now, f, ^uint64(0), o, key)
+		lk.Unlock()
+		if out != resv.Granted {
 			b.Fatalf("admit %d: outcome %d", key, out)
 		}
 	}
@@ -163,14 +168,16 @@ func BenchmarkSoftStateCell(b *testing.B) {
 			// One lap of warm-up recycles every record once.
 			for i := 0; i < n; i++ {
 				admit(b, c, o, 0, lo+uint64(n))
-				c.Release(0, lo, o)
+				c.Release(&lk, 0, lo, o)
+				lk.Unlock()
 				lo++
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				admit(b, c, o, 0, lo+uint64(n))
-				c.Release(0, lo, o)
+				c.Release(&lk, 0, lo, o)
+				lk.Unlock()
 				lo++
 			}
 		})
@@ -184,7 +191,8 @@ func BenchmarkSoftStateCell(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cellSink = c.Refresh(int64(i+1), uint64(i%n), o)
+			cellSink = c.Refresh(&lk, int64(i+1), uint64(i%n), o)
+			lk.Unlock()
 		}
 	})
 	b.Run("advance", func(b *testing.B) {

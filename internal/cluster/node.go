@@ -576,7 +576,9 @@ func (n *Node) reservePath(c *cconn, f resv.Frame, now int64) resv.Frame {
 	for _, g := range path.Links {
 		hop := resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: uint64(g)<<idxShift | hopKey, Value: f.Value}
 		if ls := n.byGlobal[g]; ls != nil {
-			r, out, _ := ls.Reserve(now, hop, keyMask, nil, struct{}{})
+			var lk resv.Locked
+			r, out := ls.Reserve(&lk, now, hop, keyMask, nil, struct{}{})
+			lk.Unlock()
 			if out != resv.Granted {
 				// A fresh hop key is never held: this is a denial.
 				denyLoad, failed = r.Value, true
@@ -680,7 +682,9 @@ func (n *Node) releaseHops(pathIdx int, hopKey uint64, upTo int, now int64) {
 // the caller to wait on, nil for a local link or an unreachable owner.
 func (n *Node) releaseHop(g int, hopKey uint64, now int64) *hopOp {
 	if ls := n.byGlobal[g]; ls != nil {
-		ls.Release(now, hopKey, nil)
+		var lk resv.Locked
+		ls.Release(&lk, now, hopKey, nil)
+		lk.Unlock()
 		return nil
 	}
 	n.own[g].Add(-1)
@@ -746,7 +750,10 @@ func (n *Node) refreshPath(c *cconn, f resv.Frame, now int64) resv.Frame {
 // reached.
 func (n *Node) refreshHop(g int, hopKey uint64, now int64) bool {
 	if ls := n.byGlobal[g]; ls != nil {
-		return ls.Refresh(now, hopKey, nil)
+		var lk resv.Locked
+		ok := ls.Refresh(&lk, now, hopKey, nil)
+		lk.Unlock()
+		return ok
 	}
 	p := n.peers[n.topo.Links[g].Owner].Load()
 	if p == nil {
@@ -912,7 +919,9 @@ func (n *Node) claimBatch(c *cconn, ops []resv.Frame, start int, now int64, sc *
 			for pos, g := range n.topo.Paths[pathIdx].Links {
 				hop := resv.Frame{Type: resv.MsgRequest, Class: f.Class, FlowID: uint64(g)<<idxShift | hopKey, Value: f.Value}
 				if ls := n.byGlobal[g]; ls != nil {
-					r, out, _ := ls.Reserve(now, hop, keyMask, nil, struct{}{})
+					var lk resv.Locked
+					r, out := ls.Reserve(&lk, now, hop, keyMask, nil, struct{}{})
+					lk.Unlock()
 					if out != resv.Granted {
 						bf.failed = true
 						break
@@ -1091,7 +1100,11 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 			n.metrics.Errors.Inc()
 			return resv.Frame{Type: resv.MsgError, FlowID: f.FlowID, Value: float64(resv.ErrCodeBadRequest)}
 		}
-		reply := c.Answer(now, f, keyMask, &sess.claims, struct{}{})
+		// The cursor is call-scoped: this handler forwards hops and posts
+		// gossip in the middle of a read, so it holds no lock across one.
+		var lk resv.Locked
+		reply := c.Answer(&lk, now, f, keyMask, &sess.claims, struct{}{})
+		lk.Unlock()
 		// An unknown flow is no protocol error: an entry's teardown finds
 		// the claim gone when the owner expired it first, the release-once
 		// outcome.
@@ -1117,7 +1130,9 @@ func (n *Node) dispatchPeer(sess *peerSess, f resv.Frame, now int64) resv.Frame 
 // reply's Value. Errors count as dispatchPeer counts them: a teardown on a
 // link this node owns fails only on an unknown flow, which is no error.
 func (n *Node) dispatchPeerBatch(sess *peerSess, ops []resv.Frame, now int64) resv.Frame {
-	reply, errs := resv.AnswerBatch(n.hopCell, now, ops, keyMask, &sess.claims, struct{}{})
+	var lk resv.Locked
+	reply, errs := resv.AnswerBatch(n.hopCell, &lk, now, ops, keyMask, &sess.claims, struct{}{})
+	lk.Unlock()
 	if errs != 0 {
 		for i, f := range ops {
 			if f.Type == resv.MsgTeardown && n.hopCell(f.FlowID) != nil {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"beqos/internal/obs"
+	"beqos/internal/policy"
 	"beqos/internal/utility"
 )
 
@@ -104,35 +106,49 @@ func BenchmarkBatchCollector(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchWindow), "ns/frame")
 }
 
-// dispatchHeld is the flows the dispatch benchmarks keep held on their
-// connection across the server's shards.
-const dispatchHeld = 50
+const (
+	// dispatchHeld is the flows the dispatch benchmarks keep held on their
+	// connection across the server's shards.
+	dispatchHeld = 50
+	// benchKmax is the dispatch benchmarks' capacity and bound: the
+	// paper's operating point kmax(C) = C = 100 of the adaptive utility,
+	// link's.
+	benchKmax = 100
+)
 
 // benchDispatcher is a stream connection's handler on a counting server
-// at the paper's operating point kmax = C = 100, holding flows 1 through
-// dispatchHeld.
-func benchDispatcher(b *testing.B) (*Server, *streamConn) {
-	s, err := NewServer(100, utility.NewAdaptive())
+// at kmax = C = benchKmax, striped over nshards shards, holding flows 1
+// through held, which it installs in one read.
+func benchDispatcher(b *testing.B, nshards, held int) (*Server, *streamConn) {
+	pol, err := policy.NewCounting(benchKmax, benchKmax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := buildServer(pol, 0, nshards)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.Close)
 	h := &streamConn{s: s, c: s.newConn()}
-	for id := uint64(1); id <= dispatchHeld; id++ {
+	for id := uint64(1); id <= uint64(held); id++ {
 		if r := h.Serve(Frame{Type: MsgRequest, FlowID: id, Value: 1}, 0); r.Type != MsgGrant {
 			b.Fatalf("reserve flow %d: reply %+v", id, r)
 		}
 	}
+	h.Served(held, 0)
 	return s, h
 }
 
-// BenchmarkDispatch is the admission layer under the stream serving loop:
-// a stream connection's handler serving one reserve and one teardown (one
-// op) with dispatchHeld flows held (16 shards at GOMAXPROCS ≤ 2, reported
-// as shards). Each reserve takes a policy claim and a shard lock, each
-// teardown the shard lock and the policy release; 0 allocs/op.
+// BenchmarkDispatch is the admission layer under the stream serving loop
+// for a lone request: a stream connection's handler serving one reserve
+// and one teardown as one read, ended by Served (one op), with
+// dispatchHeld flows held on the shards a server gets at this GOMAXPROCS
+// (reported as shards: 1 at one processor, 16 at two). Each reserve takes
+// a policy claim and a shard lock, each teardown the shard lock (held
+// over from the reserve when both flows share a shard) and the policy
+// release; 0 allocs/op.
 func BenchmarkDispatch(b *testing.B) {
-	s, h := benchDispatcher(b)
+	s, h := benchDispatcher(b, shardCountFor(runtime.GOMAXPROCS(0)), dispatchHeld)
 	serve := func(f Frame, want MsgType) {
 		if r := h.Serve(f, 0); r.Type != want {
 			b.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
@@ -144,19 +160,53 @@ func BenchmarkDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serve(Frame{Type: MsgRequest, FlowID: next, Value: 1}, MsgGrant)
 		serve(Frame{Type: MsgTeardown, FlowID: next - dispatchHeld}, MsgTeardownOK)
+		h.Served(2, 0)
 		next++
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(s.Shards()), "shards")
 }
 
+// BenchmarkServeRead is one read of link's mix under the stream serving
+// loop: a stream connection's handler serving benchWindow frames, each
+// reserve of a new flow followed by the teardown of the oldest, with
+// kmax−1 flows held so the population stays at kmax or just below, and
+// Served ending the read (one op). At one shard the read's flow ops share
+// one lock hold; at 16, consecutive ops mostly move the hold to another
+// shard. Every op succeeds; 0 allocs/op, reported as ns/frame.
+func BenchmarkServeRead(b *testing.B) {
+	for _, nshards := range []int{1, 16} {
+		b.Run(fmt.Sprintf("shards%d", nshards), func(b *testing.B) {
+			_, h := benchDispatcher(b, nshards, benchKmax-1)
+			oldest, next := uint64(1), uint64(benchKmax)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < benchWindow; j += 2 {
+					if r := h.Serve(Frame{Type: MsgRequest, FlowID: next, Value: 1}, 0); r.Type != MsgGrant {
+						b.Fatalf("reserve flow %d: reply %+v", next, r)
+					}
+					if r := h.Serve(Frame{Type: MsgTeardown, FlowID: oldest}, 0); r.Type != MsgTeardownOK {
+						b.Fatalf("teardown flow %d: reply %+v", oldest, r)
+					}
+					next++
+					oldest++
+				}
+				h.Served(benchWindow, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchWindow), "ns/frame")
+		})
+	}
+}
+
 // BenchmarkDispatchBatch is the batch answer under the stream serving
-// loop: a stream connection's handler serving one benchWindow-op body (one
-// op) with dispatchHeld flows held. The body is twice 8 teardowns of the
-// oldest flows, then 8 reserves of new ones, so AdmitRun admits two runs
-// of 8 with one policy claim each. Every op succeeds; 0 allocs/op.
+// loop: a stream connection's handler serving one benchWindow-op body as
+// one read, ended by Served (one op), with dispatchHeld flows held. The
+// body is twice 8 teardowns of the oldest flows, then 8 reserves of new
+// ones, so AdmitRun admits two runs of 8 with one policy claim each. Every
+// op succeeds; 0 allocs/op.
 func BenchmarkDispatchBatch(b *testing.B) {
-	_, h := benchDispatcher(b)
+	_, h := benchDispatcher(b, shardCountFor(runtime.GOMAXPROCS(0)), dispatchHeld)
 	body := make([]Frame, benchWindow)
 	oldest, next := uint64(1), uint64(dispatchHeld+1)
 	b.ReportAllocs()
@@ -171,7 +221,9 @@ func BenchmarkDispatchBatch(b *testing.B) {
 				next++
 			}
 		}
-		if r := h.ServeBatch(body, 0); r.Type != MsgReserveBatchReply || r.FlowID != 1<<benchWindow-1 || r.Value != 1 {
+		r := h.ServeBatch(body, 0)
+		h.Served(benchWindow+1, 0)
+		if r.Type != MsgReserveBatchReply || r.FlowID != 1<<benchWindow-1 || r.Value != 1 {
 			b.Fatalf("batch reply %+v, want every op granted at share 1", r)
 		}
 	}

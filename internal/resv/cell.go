@@ -34,6 +34,10 @@ import (
 // share owners form a group — a resv server's shards, a cluster node's
 // local links — and each cell has an index in it; an Owner keeps one list
 // per cell, and list i is touched only under cell i's lock.
+//
+// The answer paths lock through the caller's Locked cursor, which holds at
+// most one cell's lock at a time: a stream connection's handler keeps one
+// across a read, so consecutive frames on one cell take its lock once.
 
 // Hold is one record in a Cell. The cell allocates, recycles and reaches
 // holds through their slot and timer back-pointers, so one generic body
@@ -109,11 +113,12 @@ func (o *Owner[P]) Drain(now int64, cell func(i int) *Cell[P]) int {
 // holds expire and a policy when they claim admission slots. Set a cell up
 // with Init; do not copy it after.
 //
-// Reserve, Answer, Release, Refresh, Owned and Advance take the cell's
-// lock themselves, as do AdmitRun, AnswerBatch and Owner.Drain.
-// Get, Insert, Arm, Drop, Each and Len are for a plane that must keep its
-// own state consistent with the table (a connection's closed flag, a
-// pending path flow): it calls them between Lock and Unlock.
+// Reserve, Answer, Release, Refresh and Owned, like AdmitRun and
+// AnswerBatch, lock the cell through the caller's Locked cursor and leave
+// it locked there. Advance and Owner.Drain take the cell's lock
+// themselves. Get, Insert, Arm, Drop, Each and Len are for a plane that
+// must keep its own state consistent with the table (a connection's closed
+// flag, a pending path flow): it calls them between Lock and Unlock.
 type Cell[P any] struct {
 	sync.Mutex
 	// idx is the cell's index in its group: the list its holds go on in
@@ -195,6 +200,42 @@ func (c *Cell[P]) Drop(now int64, h *Hold[P]) (ownerEmpty bool) {
 	return ownerEmpty
 }
 
+// Locked is a lock cursor: it holds at most one cell's lock at a time.
+// The answer paths lock their cells through it, and moving it to another
+// cell releases the one it held, so consecutive ops on one cell share one
+// lock hold and no two cell locks are ever held together. Its holder ends
+// the hold with Unlock: a stream connection's handler when its read is
+// served, any other caller after each call. Nothing that can block — a
+// write, a log line, a hop forwarded to a peer — may run while it holds a
+// lock. The zero Locked holds none.
+type Locked struct{ mu *sync.Mutex }
+
+// Lock makes mu, a cell's lock, the one l holds, releasing the one l held
+// if it is another. It is small enough to inline: an op on the cell l
+// already holds costs a compare.
+func (l *Locked) Lock(mu *sync.Mutex) {
+	if l.mu != mu {
+		l.move(mu)
+	}
+}
+
+// move releases the lock l holds, if any, and takes mu.
+func (l *Locked) move(mu *sync.Mutex) {
+	if l.mu != nil {
+		l.mu.Unlock()
+	}
+	l.mu = mu
+	mu.Lock()
+}
+
+// Unlock releases the lock l holds, if any.
+func (l *Locked) Unlock() {
+	if l.mu != nil {
+		l.mu.Unlock()
+		l.mu = nil
+	}
+}
+
 // Outcome is what one admission on a cell came to.
 type Outcome int8
 
@@ -203,11 +244,9 @@ const (
 	Granted Outcome = iota
 	// Denied: the policy refused the claim.
 	Denied
-	// HeldOwn: the key is already held by the same owner. The claim went
-	// back to the policy and nothing changed.
-	HeldOwn
-	// HeldOther: the key is already held by another owner, as for HeldOwn.
-	HeldOther
+	// Held: the key is already held. The claim went back to the policy and
+	// nothing changed.
+	Held
 	// Refused: the request's rate is one no reserve may carry (badRate).
 	// The policy never saw it.
 	Refused
@@ -217,14 +256,14 @@ const (
 // run[i].FlowID&mask — on cells sharing one policy, each op in the cell
 // cellOf names for its flow ID, as Reserve admits each op but with one
 // vectored policy claim per pass. The policy grants a prefix of the run;
-// each granted op installs, or returns its claim when its key is held. A
-// pass that returned claims freed slots the ops past its prefix would have
-// been granted had they been sent singly, so the rest of the run is
-// admitted again: a run answers exactly as its ops sent one at a time. Op
-// i sets bit base+i of granted when it installed, and of held when its key
-// was held. The Decision carries the share of the last pass that granted
-// and the load the last pass observed.
-func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, mask uint64, o *Owner[P], val P, base int, granted, held *BatchVerdict) (dec policy.Decision) {
+// each granted op installs through lk, or returns its claim when its key
+// is held. A pass that returned claims freed slots the ops past its prefix
+// would have been granted had they been sent singly, so the rest of the
+// run is admitted again: a run answers exactly as its ops sent one at a
+// time. Op i sets bit base+i of granted when it installed, and of held
+// when its key was held. The Decision carries the share of the last pass
+// that granted and the load the last pass observed.
+func AdmitRun[P any](cellOf func(id uint64) *Cell[P], lk *Locked, now int64, run []Frame, mask uint64, o *Owner[P], val P, base int, granted, held *BatchVerdict) (dec policy.Decision) {
 	pol := cellOf(run[0].FlowID).pol
 	rate, class := run[0].Value, run[0].Class
 	for i := 0; i < len(run); {
@@ -235,27 +274,18 @@ func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, ma
 		}
 		dec.Admit, dec.Share = true, d.Share
 		returned := 0
-		// Consecutive ops in one cell share one lock hold: a cluster link's
-		// run takes its lock once per pass.
-		var locked *Cell[P]
 		for end := i + n; i < end; i++ {
 			key := run[i].FlowID & mask
-			if c := cellOf(run[i].FlowID); c != locked {
-				if locked != nil {
-					locked.Unlock()
-				}
-				locked = c
-				c.Lock()
-			}
-			if locked.holds.Get(key) != nil {
+			c := cellOf(run[i].FlowID)
+			lk.Lock(&c.Mutex)
+			if c.holds.Get(key) != nil {
 				returned++
 				*held |= 1 << uint(base+i)
 				continue
 			}
-			locked.Arm(now, locked.Insert(key, o, rate, val))
+			c.Arm(now, c.Insert(key, o, rate, val))
 			*granted |= 1 << uint(base+i)
 		}
-		locked.Unlock()
 		if returned == 0 {
 			break
 		}
@@ -265,38 +295,36 @@ func AdmitRun[P any](cellOf func(id uint64) *Cell[P], now int64, run []Frame, ma
 }
 
 // Release drops the hold under key if o owns it (nil: if it has no owner)
-// and reports whether one went.
-func (c *Cell[P]) Release(now int64, key uint64, o *Owner[P]) bool {
-	c.Lock()
+// and reports whether one went. It locks c through lk.
+func (c *Cell[P]) Release(lk *Locked, now int64, key uint64, o *Owner[P]) bool {
+	lk.Lock(&c.Mutex)
 	h := c.holds.Get(key)
 	ok := h != nil && h.owner == o
 	if ok {
 		c.Drop(now, h)
 	}
-	c.Unlock()
 	return ok
 }
 
 // Refresh re-arms the hold under key one TTL after now if o owns it (nil:
-// if it has no owner) and reports whether it lives.
-func (c *Cell[P]) Refresh(now int64, key uint64, o *Owner[P]) bool {
-	c.Lock()
+// if it has no owner) and reports whether it lives. It locks c through lk.
+func (c *Cell[P]) Refresh(lk *Locked, now int64, key uint64, o *Owner[P]) bool {
+	lk.Lock(&c.Mutex)
 	h := c.holds.Get(key)
 	ok := h != nil && h.owner == o
 	if ok {
 		c.Arm(now, h)
 	}
-	c.Unlock()
 	return ok
 }
 
-// Owned reports whether o holds key, and the rate its hold claimed.
-func (c *Cell[P]) Owned(key uint64, o *Owner[P]) (rate float64, ok bool) {
-	c.Lock()
+// Owned reports whether o holds key, and the rate its hold claimed. It
+// locks c through lk.
+func (c *Cell[P]) Owned(lk *Locked, key uint64, o *Owner[P]) (rate float64, ok bool) {
+	lk.Lock(&c.Mutex)
 	if h := c.holds.Get(key); h != nil && h.owner == o {
 		rate, ok = h.rate, true
 	}
-	c.Unlock()
 	return rate, ok
 }
 
@@ -336,55 +364,49 @@ func (c *Cell[P]) badRate(v float64) bool {
 
 // Reserve answers a reserve f for o. It claims one slot from the policy
 // and installs a hold under key f.FlowID&mask, owned by o (nil for none),
-// claiming f.Value and armed one TTL after now. The policy decides first,
-// so a full cell denies without taking its lock. The reply is ERROR
-// bad-request for a bad rate (Refused), GRANT with the policy's share,
-// DENY with the load the policy saw, or ERROR duplicate-flow when the key
-// is already held: the claim goes back, and the rate the live hold
-// claimed is returned with the Outcome. In count mode the share is the
-// guaranteed worst case C/kmax, since the instantaneous C/min(k, kmax)
-// would be stale the moment another flow is admitted; in bandwidth mode
-// it is the requested rate.
-func (c *Cell[P]) Reserve(now int64, f Frame, mask uint64, o *Owner[P], val P) (Frame, Outcome, float64) {
+// claiming f.Value and armed one TTL after now. The policy decides before
+// c is locked through lk, so a full cell denies without taking a lock lk
+// does not already hold. The reply is ERROR bad-request for a bad rate
+// (Refused), GRANT with the policy's share, DENY with the load the policy
+// saw, or ERROR duplicate-flow when the key is already held (Held): the
+// claim goes back. In count mode the share is the guaranteed worst case
+// C/kmax, since the instantaneous C/min(k, kmax) would be stale the moment
+// another flow is admitted; in bandwidth mode it is the requested rate.
+func (c *Cell[P]) Reserve(lk *Locked, now int64, f Frame, mask uint64, o *Owner[P], val P) (Frame, Outcome) {
 	if c.badRate(f.Value) {
-		return errorReply(f, ErrCodeBadRequest), Refused, 0
+		return errorReply(f, ErrCodeBadRequest), Refused
 	}
 	key := f.FlowID & mask
 	dec := c.pol.Admit(now, key, f.Value, f.Class)
 	if !dec.Admit {
-		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, Denied, 0
+		return Frame{Type: MsgDeny, FlowID: f.FlowID, Value: dec.Load}, Denied
 	}
-	c.Lock()
-	if h := c.holds.Get(key); h != nil {
-		out, held := HeldOther, h.rate
-		if h.owner == o {
-			out = HeldOwn
-		}
-		c.Unlock()
+	lk.Lock(&c.Mutex)
+	if c.holds.Get(key) != nil {
 		c.pol.Release(now, f.Value)
-		return errorReply(f, ErrCodeDuplicateFlow), out, held
+		return errorReply(f, ErrCodeDuplicateFlow), Held
 	}
 	c.Arm(now, c.Insert(key, o, f.Value, val))
-	c.Unlock()
-	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, Granted, 0
+	return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: dec.Share}, Granted
 }
 
 // Answer answers a reserve as Reserve does, a teardown with TEARDOWN-OK
 // and the policy's active count, and a refresh with REFRESH-OK and the TTL
 // in seconds; a teardown or refresh of a key o does not hold gets ERROR
-// unknown-flow, and any other frame ERROR bad-request.
-func (c *Cell[P]) Answer(now int64, f Frame, mask uint64, o *Owner[P], val P) Frame {
+// unknown-flow, and any other frame ERROR bad-request. It locks c through
+// lk.
+func (c *Cell[P]) Answer(lk *Locked, now int64, f Frame, mask uint64, o *Owner[P], val P) Frame {
 	switch key := f.FlowID & mask; f.Type {
 	case MsgTeardown:
-		if c.Release(now, key, o) {
+		if c.Release(lk, now, key, o) {
 			return Frame{Type: MsgTeardownOK, FlowID: f.FlowID, Value: float64(c.pol.Active())}
 		}
 	case MsgRefresh:
-		if c.Refresh(now, key, o) {
+		if c.Refresh(lk, now, key, o) {
 			return Frame{Type: MsgRefreshOK, FlowID: f.FlowID, Value: time.Duration(c.ttl).Seconds()}
 		}
 	case MsgRequest:
-		reply, _, _ := c.Reserve(now, f, mask, o, val)
+		reply, _ := c.Reserve(lk, now, f, mask, o, val)
 		return reply
 	default:
 		return errorReply(f, ErrCodeBadRequest)
@@ -393,23 +415,23 @@ func (c *Cell[P]) Answer(now int64, f Frame, mask uint64, o *Owner[P], val P) Fr
 }
 
 // AnswerBatch answers one MsgReserveBatch body for o on the cells cellOf
-// names by flow ID (nil for an ID no cell serves), in body order: a
-// teardown releases as Answer's does, and each run of consecutive requests
-// with one rate and class, on cells sharing one policy, goes through one
-// AdmitRun, so the body answers exactly as its ops sent singly. Flow IDs
-// that agree outside mask must name cells sharing one policy (or none):
-// a run breaks where they do not agree. Bit i of the reply's verdict
-// reports op i, and of errs that op i failed as an error (a bad rate, a
-// held key, an unknown flow or cell), not a denial. The reply's Value is
-// the smallest share granted: 0 when none was, and under a policy that
-// accounts rates.
-func AnswerBatch[P any](cellOf func(id uint64) *Cell[P], now int64, ops []Frame, mask uint64, o *Owner[P], val P) (reply Frame, errs BatchVerdict) {
+// names by flow ID (nil for an ID no cell serves), in body order, locking
+// them through lk: a teardown releases as Answer's does, and each run of
+// consecutive requests with one rate and class, on cells sharing one
+// policy, goes through one AdmitRun, so the body answers exactly as its
+// ops sent singly. Flow IDs that agree outside mask must name cells
+// sharing one policy (or none): a run breaks where they do not agree. Bit
+// i of the reply's verdict reports op i, and of errs that op i failed as
+// an error (a bad rate, a held key, an unknown flow or cell), not a
+// denial. The reply's Value is the smallest share granted: 0 when none
+// was, and under a policy that accounts rates.
+func AnswerBatch[P any](cellOf func(id uint64) *Cell[P], lk *Locked, now int64, ops []Frame, mask uint64, o *Owner[P], val P) (reply Frame, errs BatchVerdict) {
 	var verdict BatchVerdict
 	share := math.MaxFloat64
 	for i := 0; i < len(ops); {
 		f, c := ops[i], cellOf(ops[i].FlowID)
 		if f.Type == MsgTeardown {
-			if c != nil && c.Release(now, f.FlowID&mask, o) {
+			if c != nil && c.Release(lk, now, f.FlowID&mask, o) {
 				verdict |= 1 << uint(i)
 			} else {
 				errs |= 1 << uint(i)
@@ -425,7 +447,7 @@ func AnswerBatch[P any](cellOf func(id uint64) *Cell[P], now int64, ops []Frame,
 			errs |= (BatchVerdict(1)<<uint(j-i) - 1) << uint(i)
 		} else {
 			var granted BatchVerdict
-			dec := AdmitRun(cellOf, now, ops[i:j], mask, o, val, i, &granted, &errs)
+			dec := AdmitRun(cellOf, lk, now, ops[i:j], mask, o, val, i, &granted, &errs)
 			verdict |= granted
 			if granted != 0 && !c.rates && dec.Share < share {
 				share = dec.Share

@@ -26,10 +26,12 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 			}
 			cells[i].Init(0, pol, 0, 0)
 		}
+		var lk Locked
 		for k := uint64(1); k <= 12; k++ {
 			if rng.IntN(3) == 0 {
 				for i := range cells {
-					cells[i].Reserve(0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), nil, 0)
+					cells[i].Reserve(&lk, 0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), nil, 0)
+					lk.Unlock()
 				}
 			}
 		}
@@ -38,10 +40,12 @@ func TestCellAdmitRunMatchesSingles(t *testing.T) {
 			run[i] = Frame{Type: MsgRequest, FlowID: 1 + rng.Uint64N(16), Value: 1}
 		}
 		var granted, held BatchVerdict
-		AdmitRun(func(uint64) *Cell[int] { return &cells[0] }, 0, run, ^uint64(0), nil, 0, 0, &granted, &held)
+		AdmitRun(func(uint64) *Cell[int] { return &cells[0] }, &lk, 0, run, ^uint64(0), nil, 0, 0, &granted, &held)
+		lk.Unlock()
 		for i, f := range run {
-			_, out, _ := cells[1].Reserve(0, f, ^uint64(0), nil, 0)
-			if granted.Granted(i) != (out == Granted) || held.Granted(i) != (out == HeldOwn || out == HeldOther) {
+			_, out := cells[1].Reserve(&lk, 0, f, ^uint64(0), nil, 0)
+			lk.Unlock()
+			if granted.Granted(i) != (out == Granted) || held.Granted(i) != (out == Held) {
 				t.Fatalf("trial %d, bound %d, op %d (key %d): run granted=%v held=%v, single outcome %d",
 					trial, bound, i, f.FlowID, granted.Granted(i), held.Granted(i), out)
 			}
@@ -73,8 +77,11 @@ func TestCellReleasesOnce(t *testing.T) {
 		cellOf := func(key uint64) *Cell[uint64] { return &cells[key%ncells] }
 		var o Owner[uint64]
 		o.Init(ncells)
+		var lk Locked
 		for k := uint64(0); k < nholds; k++ {
-			if _, out, _ := cellOf(k).Reserve(0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), &o, k); out != Granted {
+			_, out := cellOf(k).Reserve(&lk, 0, Frame{Type: MsgRequest, FlowID: k, Value: 1}, ^uint64(0), &o, k)
+			lk.Unlock()
+			if out != Granted {
 				t.Fatalf("admit %d: outcome %d", k, out)
 			}
 		}
@@ -90,7 +97,9 @@ func TestCellReleasesOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, k := range order {
-				if cellOf(uint64(k)).Release(0, uint64(k), &o) {
+				ok := cellOf(uint64(k)).Release(&lk, 0, uint64(k), &o)
+				lk.Unlock()
+				if ok {
 					released.Add(1)
 				}
 			}

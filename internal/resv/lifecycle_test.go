@@ -261,7 +261,9 @@ func TestServerArmsAtReadInstant(t *testing.T) {
 	// Ten TTLs on: an instant the server's own clock does not reach here.
 	read := 10 * int64(ttl)
 	tick := int64(WheelRes(ttl))
-	if r := h.Serve(Frame{Type: MsgRequest, FlowID: 1, Value: 1}, read); r.Type != MsgGrant {
+	r := h.Serve(Frame{Type: MsgRequest, FlowID: 1, Value: 1}, read)
+	h.Served(1, 0) // the read ends, and its shard lock with it
+	if r.Type != MsgGrant {
 		t.Fatalf("reserve: reply %+v", r)
 	}
 	s.expire(read + int64(ttl) - tick)

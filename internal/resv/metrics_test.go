@@ -133,23 +133,24 @@ func TestServerMetricsExpiry(t *testing.T) {
 }
 
 // TestInstrumentedDispatchZeroAlloc pins the fully instrumented hot path —
-// dispatch with metrics tally and the per-batch flush — at zero
-// allocations per reserve→teardown cycle. This is the
-// in-process counterpart of the BenchmarkServerThroughput allocs/op gate.
+// a stream handler's dispatch with metrics tally, and the end of its read
+// with the per-batch flush — at zero allocations per reserve→teardown
+// read. This is the in-process counterpart of the BenchmarkServerThroughput
+// allocs/op gate.
 func TestInstrumentedDispatchZeroAlloc(t *testing.T) {
 	util := utility.NewAdaptive()
 	s, err := NewServer(8, util)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.newConn()
-	var bs batchStats
+	defer s.Close()
+	h := &streamConn{s: s, c: s.newConn()}
 	reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 	teardown := Frame{Type: MsgTeardown, FlowID: 42}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.dispatch(c, reserve, 0, &bs)
-		s.dispatch(c, teardown, 0, &bs)
-		s.metrics.flushBatch(&bs, 2, 1500*time.Nanosecond)
+		h.Serve(reserve, 0)
+		h.Serve(teardown, 0)
+		h.Served(2, 1500*time.Nanosecond)
 	})
 	if allocs != 0 {
 		t.Errorf("instrumented dispatch allocates %v/op, want 0", allocs)

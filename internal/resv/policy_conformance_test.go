@@ -266,14 +266,13 @@ func TestPolicyServerZeroAllocDefaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			c := s.newConn()
-			var bs batchStats
+			h := &streamConn{s: s, c: s.newConn()}
 			reserve := Frame{Type: MsgRequest, FlowID: 42, Value: 1}
 			teardown := Frame{Type: MsgTeardown, FlowID: 42}
 			allocs := testing.AllocsPerRun(1000, func() {
-				s.dispatch(c, reserve, 0, &bs)
-				s.dispatch(c, teardown, 0, &bs)
-				s.metrics.flushBatch(&bs, 2, 1500*time.Nanosecond)
+				h.Serve(reserve, 0)
+				h.Serve(teardown, 0)
+				h.Served(2, 1500*time.Nanosecond)
 			})
 			if allocs != 0 {
 				t.Errorf("policy-served dispatch allocates %v/op, want 0", allocs)

@@ -11,6 +11,9 @@ import (
 
 // Handler answers the frames ServeConn reads from one connection. Its
 // methods run on the connection's serving goroutine, one read at a time.
+// A handler may hold a cell lock (through a Locked cursor) from a read's
+// first Serve or ServeBatch until its Served, which runs before the read's
+// one write; nothing that can block may run while it does.
 type Handler interface {
 	// Serve answers one frame; a reply of Type 0 sends nothing. now is
 	// when ServeConn began serving the frame's read, in nanoseconds on the
@@ -23,25 +26,24 @@ type Handler interface {
 	// BadBatch counts one error reply ServeConn sent itself: for a batch
 	// header the collector refused, or for a batch whose body broke off.
 	BadBatch()
-	// Served is the per-read metrics hook: the number of frames one read
-	// decoded (at least one) and the time spent serving them. It runs
-	// before the flush-on-idle write that sends the read's replies.
+	// Served ends a read: it releases anything the handler held across
+	// the read, and is the per-read metrics hook, given the number of
+	// frames the read decoded (at least one) and the time spent serving
+	// them. It runs before the write that sends the read's replies.
 	Served(frames int, elapsed time.Duration)
 }
 
-const (
-	// readBufSize is the per-connection input buffer — up to ~200 frames
-	// per read syscall. writeFlushThreshold flushes the reply buffer
-	// mid-read, bounding per-connection memory under deep pipelines.
-	readBufSize         = 4096
-	writeFlushThreshold = 16 * 1024
-)
+// readBufSize is the per-connection input buffer: at most 204 frames per
+// read syscall. Each frame gets at most two replies (a batch breaker's),
+// so one read's replies are at most 8,160 bytes, and the reply buffer
+// needs no flush before the read is served.
+const readBufSize = 4096
 
 // ServeConn runs one stream connection's read→dispatch→reply loop with
 // batched frame I/O: every complete frame buffered by one read is decoded
 // and handed to h, and the replies coalesce into a single write issued
-// when the read is fully served (flush-on-idle) or the reply buffer fills.
-// A MsgReserveBatch body may span reads; only a completed body reaches
+// once the read is fully served and h.Served has run (flush-on-idle). A
+// MsgReserveBatch body may span reads; only a completed body reaches
 // h.ServeBatch. The loop itself allocates nothing at steady state.
 //
 // ServeConn returns when the connection ends: nil for an orderly close by
@@ -72,7 +74,6 @@ func (l *Lifecycle) ServeConn(nc net.Conn, h Handler) error {
 		// handlers' instant, and the pair times the read for the per-read
 		// hook, which amortizes it over every frame the read coalesced.
 		start := l.Now()
-		var werr error
 		for _, f := range frames {
 			switch {
 			case bc.Active():
@@ -96,22 +97,14 @@ func (l *Lifecycle) ServeConn(nc net.Conn, h Handler) error {
 			default:
 				wbuf = appendReply(wbuf, h.Serve(f, start))
 			}
-			if len(wbuf) >= writeFlushThreshold {
-				if werr = flush(nc, &wbuf); werr != nil {
-					break
-				}
-			}
 		}
 		if len(frames) > 0 {
 			h.Served(len(frames), time.Duration(l.Now()-start))
 		}
-		if werr == nil {
-			// Flush-on-idle: the read is fully served and the next read
-			// may block, so everything coalesced so far goes out now.
-			werr = flush(nc, &wbuf)
-		}
-		if werr != nil {
-			return werr
+		// Flush-on-idle: the read is fully served and the next read may
+		// block, so everything coalesced so far goes out now.
+		if err := flush(nc, &wbuf); err != nil {
+			return err
 		}
 		if derr != nil {
 			return derr

@@ -29,7 +29,9 @@ import (
 // The serving plane is built for throughput (DESIGN.md §8):
 //   - soft state is lock-striped across shards keyed by a hash of the
 //     flow ID, each with its own mutex, flow table, and TTL wheel; the
-//     stripe count autotunes from GOMAXPROCS (see shardCountFor);
+//     stripe count autotunes from GOMAXPROCS (see shardCountFor: one
+//     stripe at one processor), and a stream read holds one shard lock
+//     at a time across its flow ops, released when the read is served;
 //   - the admission decision itself is a CAS on a single atomic counter,
 //     so concurrent reserves never over-admit and the reject path (and
 //     Active/Allocated/Stats) never takes a lock;
@@ -88,8 +90,9 @@ type Server struct {
 
 const (
 	// minShards/maxShards bound the autotuned lock-stripe width of the
-	// soft-state tables (see shardCountFor). Shard index is a mixed hash
-	// of the flow ID, so sequential IDs spread evenly across stripes.
+	// soft-state tables from two processors on (see shardCountFor). Shard
+	// index is a mixed hash of the flow ID, so sequential IDs spread
+	// evenly across stripes.
 	minShards = 16
 	maxShards = 1024
 )
@@ -125,14 +128,17 @@ func (s *Server) newConn() *conn {
 }
 
 // shardCountFor returns the soft-state stripe count for a machine with p
-// schedulable CPUs: the next power of two ≥ 8·p, clamped to
+// schedulable CPUs. Stripes only keep concurrently served requests apart,
+// and one processor serves one request at a time, so p ≤ 1 gets one
+// stripe: a stream read then holds one lock for all its flow ops. From two
+// processors on it is the next power of two ≥ 8·p, clamped to
 // [minShards, maxShards]. The 8× headroom keeps the probability that two
 // of p concurrently-served requests contend on one stripe low, while the
-// floor preserves the old compile-time width (16) on small machines and
-// the cap bounds idle-table memory on very wide ones.
+// floor keeps 16 stripes on small machines and the cap bounds idle-table
+// memory on very wide ones.
 func shardCountFor(p int) int {
-	if p < 1 {
-		p = 1
+	if p <= 1 {
+		return 1
 	}
 	n := minShards
 	for n < 8*p && n < maxShards {
@@ -174,7 +180,7 @@ func NewServerTTL(capacity float64, util utility.Function, ttl time.Duration) (*
 	if err != nil {
 		return nil, err
 	}
-	return buildServer(pol, ttl)
+	return buildServer(pol, ttl, shardCountFor(runtime.GOMAXPROCS(0)))
 }
 
 // NewServerBandwidth returns an admission controller that accounts the
@@ -190,7 +196,7 @@ func NewServerBandwidth(capacity float64, ttl time.Duration) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildServer(pol, ttl)
+	return buildServer(pol, ttl, shardCountFor(runtime.GOMAXPROCS(0)))
 }
 
 // NewServerPolicy returns an admission controller running the given
@@ -210,10 +216,12 @@ func NewServerPolicy(pol policy.Policy, ttl time.Duration) (*Server, error) {
 	if pol.Mode() == policy.ModeCount && pol.Bound() < 1 {
 		return nil, fmt.Errorf("resv: counting-mode policy %q admits no flows (bound %d)", pol.Name(), pol.Bound())
 	}
-	return buildServer(pol, ttl)
+	return buildServer(pol, ttl, shardCountFor(runtime.GOMAXPROCS(0)))
 }
 
-func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
+// buildServer returns a server running pol with the given TTL, its soft
+// state striped over nshards shards, a power of two.
+func buildServer(pol policy.Policy, ttl time.Duration, nshards int) (*Server, error) {
 	if ttl < 0 {
 		return nil, fmt.Errorf("resv: TTL must be nonnegative, got %v", ttl)
 	}
@@ -225,7 +233,6 @@ func buildServer(pol policy.Policy, ttl time.Duration) (*Server, error) {
 		lc:       NewLifecycle(),
 		reg:      obs.New(),
 	}
-	nshards := shardCountFor(runtime.GOMAXPROCS(0))
 	s.shards = make([]shard, nshards)
 	s.shardShift = uint(64 - bits.TrailingZeros(uint(nshards)))
 	start := s.lc.Now()
@@ -358,39 +365,47 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // streamConn is a stream connection's Handler: the server's dispatch on
 // the connection's flows, with outcomes tallied in plain (non-atomic)
-// fields and folded into the shared instruments once per read.
+// fields and folded into the shared instruments once per read. Its flow
+// ops lock their shards through lk, which keeps the last shard locked
+// from a read's first flow op until Served, so consecutive ops on one
+// shard take its lock once per read. ServeConn runs Served before the
+// read's write, and dispatch releases lk before a log line.
 type streamConn struct {
 	s  *Server
 	c  *conn
 	bs batchStats
+	lk Locked
 }
 
-func (h *streamConn) Serve(f Frame, now int64) Frame { return h.s.dispatch(h.c, f, now, &h.bs) }
+func (h *streamConn) Serve(f Frame, now int64) Frame { return h.s.dispatch(&h.lk, h.c, f, now, &h.bs) }
 
 func (h *streamConn) ServeBatch(ops []Frame, now int64) Frame {
-	return h.s.dispatchBatch(h.c, ops, now, &h.bs)
+	return h.s.dispatchBatch(&h.lk, h.c, ops, now, &h.bs)
 }
 
 func (h *streamConn) BadBatch() { h.bs.errs++ }
 
 func (h *streamConn) Served(frames int, elapsed time.Duration) {
+	h.lk.Unlock()
 	h.s.metrics.flushBatch(&h.bs, frames, elapsed)
 }
 
-// dispatch serves one frame at instant now, tallying its outcome into bs.
-// Counting lives here (not in the caller) because only the reserve path
-// can tell a fresh grant from a retransmit answered out of the live entry
-// — the two carry identical reply frames but must land in different
-// counters.
-func (s *Server) dispatch(c *conn, f Frame, now int64, bs *batchStats) Frame {
+// dispatch serves one frame at instant now for c, locking shards through
+// lk, and tallies its outcome into bs. Counting lives here (not in the
+// caller) because only the reserve path can tell a fresh grant from a
+// retransmit answered out of the live entry — the two carry identical
+// reply frames but must land in different counters. A log line can
+// block, so lk is released before one.
+func (s *Server) dispatch(lk *Locked, c *conn, f Frame, now int64, bs *batchStats) Frame {
 	var reply Frame
 	var dup bool
 	switch f.Type {
 	case MsgRequest:
-		reply, dup = s.reserve(c, f, now)
+		reply, dup = s.reserve(lk, c, f, now)
 	case MsgTeardown, MsgRefresh:
-		reply = s.shardFor(f.FlowID).Answer(now, f, ^uint64(0), &c.flows, c)
+		reply = s.shardFor(f.FlowID).Answer(lk, now, f, ^uint64(0), &c.flows, c)
 		if reply.Type == MsgTeardownOK && s.Logf != nil {
+			lk.Unlock()
 			s.logf("resv: teardown flow %d (active %d)", f.FlowID, int64(reply.Value))
 		}
 	case MsgStats:
@@ -414,19 +429,20 @@ func (s *Server) dispatch(c *conn, f Frame, now int64, bs *batchStats) Frame {
 }
 
 // dispatchBatch serves one completed MsgReserveBatch body through
-// AnswerBatch and tallies its ops into bs. A batch is semantically
-// identical to its ops sent one frame at a time — only the admission
-// arithmetic and the reply framing are amortized. Batch framing is
-// stream-only, so a duplicate in a body is an error, never a re-grant.
-func (s *Server) dispatchBatch(c *conn, ops []Frame, now int64, bs *batchStats) Frame {
-	reply, errs := AnswerBatch(s.shardFor, now, ops, ^uint64(0), &c.flows, c)
+// AnswerBatch, locking shards through lk, and tallies its ops into bs. A
+// batch is semantically identical to its ops sent one frame at a time —
+// only the admission arithmetic and the reply framing are amortized.
+// Batch framing is stream-only, so a duplicate in a body is an error,
+// never a re-grant.
+func (s *Server) dispatchBatch(lk *Locked, c *conn, ops []Frame, now int64, bs *batchStats) Frame {
+	reply, errs := AnswerBatch(s.shardFor, lk, now, ops, ^uint64(0), &c.flows, c)
 	bs.countBody(ops, BatchVerdict(reply.FlowID), errs)
 	return reply
 }
 
-// reserve answers one request through its shard's cell. Its bool reports
-// that the reply is a re-sent grant for an already-installed flow
-// (datagram retransmit), not a fresh admission.
+// reserve answers one request through its shard's cell, locked through
+// lk. Its bool reports that the reply is a re-sent grant for an
+// already-installed flow (datagram retransmit), not a fresh admission.
 //
 // The decision itself belongs to the policy: the built-ins claim a slot
 // with a CAS bounded by kmax (or capacity, in bandwidth mode), so the
@@ -435,31 +451,28 @@ func (s *Server) dispatchBatch(c *conn, ops []Frame, now int64, bs *batchStats) 
 // shard's job is the soft state around the decision: install the admitted
 // flow, roll the claim back on a duplicate; the server's, to answer
 // retransmits of live admissions from the entry rather than re-admitting.
-func (s *Server) reserve(c *conn, f Frame, now int64) (Frame, bool) {
+func (s *Server) reserve(lk *Locked, c *conn, f Frame, now int64) (Frame, bool) {
 	sh := s.shardFor(f.FlowID)
-	reply, out, rate := sh.Reserve(now, f, ^uint64(0), &c.flows, c)
-	if c.datagram {
+	reply, out := sh.Reserve(lk, now, f, ^uint64(0), &c.flows, c)
+	if c.datagram && (out == Denied || out == Held) {
 		// A datagram peer's reserve of a flow it holds is a retransmit whose
 		// grant was lost in flight: re-send the grant from the live flow of
 		// the original admission, so a retransmit can never double-admit.
 		// It carries what that admission granted (its stored rate, or the
 		// worst-case share), which need not equal this request's. A denial
 		// must not hide a retransmit either — possibly of the very
-		// admission that filled the link. Only the deny path pays the shard
-		// lookup; fresh admissions stay lock-free in the policy.
-		if out == Denied {
-			if held, ok := sh.Owned(f.FlowID, &c.flows); ok {
-				out, rate = HeldOwn, held
-			}
-		}
-		if out == HeldOwn {
+		// admission that filled the link. Only a denied or held reserve
+		// pays the lookup; a fresh admission never does.
+		if rate, ok := sh.Owned(lk, f.FlowID, &c.flows); ok {
 			if s.Logf != nil {
+				lk.Unlock()
 				s.logf("resv: re-grant flow %d (retransmitted reserve)", f.FlowID)
 			}
 			return Frame{Type: MsgGrant, FlowID: f.FlowID, Value: s.pol.Share(rate)}, true
 		}
 	}
 	if s.Logf != nil {
+		lk.Unlock()
 		switch reply.Type {
 		case MsgGrant:
 			s.logf("resv: grant flow %d (share %g, allocated %g/%g)", f.FlowID, reply.Value, s.pol.Allocated(), s.capacity)

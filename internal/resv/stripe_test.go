@@ -203,14 +203,14 @@ func TestShardDistribution(t *testing.T) {
 }
 
 // TestShardAutotune checks the GOMAXPROCS-driven shard sizing: the count
-// must be a power of two (the shift-based shardFor depends on it), never
-// below the minShards floor that preserves the old fixed constant, and the
+// must be a power of two (the shift-based shardFor depends on it), one at
+// one processor, never below the minShards floor from two on, and the
 // server must report the runtime-chosen count through Shards().
 func TestShardAutotune(t *testing.T) {
 	cases := []struct {
 		procs, want int
 	}{
-		{1, 16}, {2, 16}, {3, 32}, {4, 32}, {8, 64}, {16, 128}, {100, 1024}, {200, 1024},
+		{1, 1}, {2, 16}, {3, 32}, {4, 32}, {8, 64}, {16, 128}, {100, 1024}, {200, 1024},
 	}
 	for _, tc := range cases {
 		if got := shardCountFor(tc.procs); got != tc.want {
@@ -230,7 +230,7 @@ func TestShardAutotune(t *testing.T) {
 	if n != shardCountFor(runtime.GOMAXPROCS(0)) {
 		t.Errorf("Shards() = %d, want shardCountFor(GOMAXPROCS) = %d", n, shardCountFor(runtime.GOMAXPROCS(0)))
 	}
-	if n&(n-1) != 0 || n < minShards || n > maxShards {
-		t.Errorf("Shards() = %d: want a power of two in [%d, %d]", n, minShards, maxShards)
+	if n&(n-1) != 0 || (n < minShards && n != 1) || n > maxShards {
+		t.Errorf("Shards() = %d: want 1 or a power of two in [%d, %d]", n, minShards, maxShards)
 	}
 }

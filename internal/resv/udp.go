@@ -86,6 +86,7 @@ func (s *Server) readPackets(pc net.PacketConn) error {
 	var buf [FrameSize + 1]byte
 	var wbuf [FrameSize]byte
 	var bs batchStats
+	var lk Locked
 	for {
 		n, addr, err := pc.ReadFrom(buf[:])
 		if err != nil {
@@ -102,7 +103,8 @@ func (s *Server) readPackets(pc net.PacketConn) error {
 		}
 		now := s.lc.Now()
 		c := s.acquireUDPPeer(addr)
-		reply := s.dispatch(c, f, now, &bs)
+		reply := s.dispatch(&lk, c, f, now, &bs)
+		lk.Unlock() // before udpMu, never taken under a shard's lock
 		s.releaseUDPPeer(c)
 		s.metrics.flushBatch(&bs, 1, time.Duration(s.lc.Now()-now))
 		putFrame(&wbuf, reply)

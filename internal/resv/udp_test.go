@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"beqos/internal/obs"
+	"beqos/internal/policy"
 	"beqos/internal/utility"
 )
 
@@ -505,11 +506,12 @@ func TestUDPPeerReapedAfterExpiry(t *testing.T) {
 // that every shard's list still holds a flow until the second half.
 func udpPeerAcrossShards(t *testing.T) (*Server, []uint64) {
 	t.Helper()
-	r, err := utility.NewRigid(1)
+	pol, err := policy.NewCounting(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServerTTL(8, r, time.Hour)
+	// A fixed width: at one processor the server would keep one shard.
+	s, err := buildServer(pol, time.Hour, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,8 +547,10 @@ func udpPeerAcrossShards(t *testing.T) (*Server, []uint64) {
 func udpOp(t *testing.T, s *Server, addr net.Addr, f Frame, want MsgType) {
 	t.Helper()
 	var bs batchStats
+	var lk Locked
 	c := s.acquireUDPPeer(addr)
-	r := s.dispatch(c, f, s.lc.Now(), &bs)
+	r := s.dispatch(&lk, c, f, s.lc.Now(), &bs)
+	lk.Unlock()
 	s.releaseUDPPeer(c)
 	if r.Type != want {
 		t.Fatalf("%s flow %d: reply %+v, want %s", f.Type, f.FlowID, r, want)
@@ -605,8 +609,11 @@ func TestUDPPeerAcrossShardsReapedOnExpiry(t *testing.T) {
 	res := int64(WheelRes(s.ttl))
 	t0 := s.lc.Now() + res
 	due := func(i int) int64 { return t0 + int64(i)*8*res + int64(s.ttl) }
+	var lk Locked
 	for i, id := range ids {
-		if !s.shardFor(id).Refresh(t0+int64(i)*8*res, id, &c.flows) {
+		ok := s.shardFor(id).Refresh(&lk, t0+int64(i)*8*res, id, &c.flows)
+		lk.Unlock()
+		if !ok {
 			t.Fatalf("refresh flow %d failed", id)
 		}
 	}
